@@ -4,10 +4,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cc_opt::{
-    CoordinateDescent, GeneticAlgorithm, Objective, RandomSearch, SeparableObjective, Sre,
-    SreScratch,
+    sample_subproblems_into, CoordinateDescent, GeneticAlgorithm, IndexGroups, Objective,
+    RandomSearch, SeparableObjective, Sre, SreScratch, SubproblemScratch,
 };
 use cc_types::{Arch, FnChoice, SimDuration};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A synthetic separable interval objective: quadratic bowls with
 /// per-function targets, plus a budget.
@@ -131,5 +133,45 @@ fn bench_sre_round(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_optimizers, bench_sre_round);
+/// One round of SRE sub-problem sampling alone, at the planning scale
+/// `Sre::scaled_to(n)` picks (192 draws once `n` reaches a few hundred),
+/// with buffers held across iterations the way `sre_round` holds them.
+/// The optimization counts are uneven, as after many intervals of
+/// re-planning, so the sampling weights differ.
+fn bench_sre_sampling(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sre_sampling");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    for (label, n) in [("1k", 1_000usize), ("10k", 10_000), ("100k", 100_000)] {
+        let sre = Sre::scaled_to(n);
+        let counts: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 23)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut scratch = SubproblemScratch::default();
+        let mut groups = IndexGroups::default();
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                sample_subproblems_into(
+                    &mut rng,
+                    &counts,
+                    sre.num_subproblems,
+                    sre.funcs_per_subproblem,
+                    &mut scratch,
+                    &mut groups,
+                );
+                groups.len()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_optimizers,
+    bench_sre_round,
+    bench_sre_sampling
+);
 criterion_main!(benches);

@@ -38,11 +38,11 @@ use cc_compress::CompressionModel;
 use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
 use cc_serve::{Clock, RealClock, ServeHandle, ServeOptions, Server, VirtualClock};
 use cc_sim::{
-    ClusterConfig, Event, EventSink, FixedKeepAlive, JsonlSink, Scheduler, SharedTelemetry,
-    Telemetry,
+    ClusterConfig, ClusterView, Command, Event, EventSink, FixedKeepAlive, JsonlSink, KeepDecision,
+    OptimizerRound, Scheduler, SharedTelemetry, Telemetry, WarmInstance,
 };
 use cc_trace::{StreamingTrace, SyntheticTrace, Trace};
-use cc_types::{SimDuration, SimTime};
+use cc_types::{Arch, FunctionId, ServiceRecord, SimDuration, SimTime};
 use cc_workload::{Catalog, Workload};
 use codecrunch::CodeCrunch;
 
@@ -100,6 +100,73 @@ impl EventSink for CcserveSink {
                 }
             }
         }
+    }
+}
+
+/// Wraps the served policy on a real clock and records each arrival's
+/// lag: how far the clock had passed the arrival's recorded instant when
+/// its `on_arrival` ran, in wall milliseconds. Every other callback is
+/// forwarded unchanged.
+struct LagProbe<'a> {
+    inner: &'a mut dyn Scheduler,
+    clock: Arc<dyn Clock>,
+    speed: f64,
+    lags_ms: Vec<f64>,
+}
+
+/// `(p50, p99, max)` of `lags` by nearest rank, sorting them in place;
+/// `None` when there are none.
+fn percentiles(lags: &mut [f64]) -> Option<(f64, f64, f64)> {
+    if lags.is_empty() {
+        return None;
+    }
+    lags.sort_by(f64::total_cmp);
+    let rank = |q: f64| lags[((q * lags.len() as f64).ceil() as usize).max(1) - 1];
+    Some((rank(0.5), rank(0.99), rank(1.0)))
+}
+
+impl Scheduler for LagProbe<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
+        let behind = self.clock.now().as_micros().saturating_sub(now.as_micros());
+        self.lags_ms.push(behind as f64 / self.speed / 1e3);
+        self.inner.on_arrival(function, now);
+    }
+
+    fn on_record(&mut self, record: &ServiceRecord) {
+        self.inner.on_record(record);
+    }
+
+    fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
+        self.inner.place(function, view)
+    }
+
+    fn on_completion(
+        &mut self,
+        function: FunctionId,
+        arch: Arch,
+        view: &ClusterView<'_>,
+    ) -> KeepDecision {
+        self.inner.on_completion(function, arch, view)
+    }
+
+    fn on_interval(&mut self, view: &ClusterView<'_>) -> Vec<Command> {
+        self.inner.on_interval(view)
+    }
+
+    fn eviction_rank(&mut self, instance: &WarmInstance, view: &ClusterView<'_>) -> f64 {
+        self.inner.eviction_rank(instance, view)
+    }
+
+    fn enable_introspection(&mut self, enabled: bool) {
+        self.inner.enable_introspection(enabled);
+    }
+
+    fn drain_optimizer_rounds(&mut self) -> Vec<OptimizerRound> {
+        self.inner.drain_optimizer_rounds()
     }
 }
 
@@ -301,6 +368,20 @@ fn main() {
         println!("{}", Telemetry::interval_header());
     }
 
+    // Lag is only meaningful against a real clock: a virtual clock is
+    // advanced by the arrivals themselves, so every lag would be zero.
+    let mut probe = None;
+    let served: &mut dyn Scheduler = if virtual_clock {
+        policy.as_mut()
+    } else {
+        probe.insert(LagProbe {
+            inner: policy.as_mut(),
+            clock: Arc::clone(&clock),
+            speed,
+            lags_ms: Vec::new(),
+        })
+    };
+
     let wall_start = Instant::now();
     let outcome = match scenario.as_str() {
         "synthetic" => {
@@ -309,7 +390,7 @@ fn main() {
                 &config,
                 cc_sim::SliceSource::from_trace(trace),
                 &workload,
-                policy.as_mut(),
+                served,
                 &mut sink,
             )
         }
@@ -320,7 +401,7 @@ fn main() {
                 .seed(seed)
                 .rate_scale(rate_scale)
                 .build();
-            server.serve(&config, stream, &workload, policy.as_mut(), &mut sink)
+            server.serve(&config, stream, &workload, served, &mut sink)
         }
     };
     let wall = wall_start.elapsed();
@@ -341,6 +422,15 @@ fn main() {
         "ingestion: {} pushed, {} delivered, {} dropped at drain, peak depth {}",
         stats.pushed, stats.delivered, stats.dropped_at_drain, stats.peak_depth
     );
+    if let Some(probe) = probe.as_mut() {
+        if let Some((p50, p99, max)) = percentiles(&mut probe.lags_ms) {
+            println!(
+                "arrival lag (real clock): p50 {p50:.3} ms, p99 {p99:.3} ms, max {max:.3} ms \
+                 over {} arrivals",
+                probe.lags_ms.len()
+            );
+        }
+    }
     let served_secs = outcome.horizon.as_secs_f64();
     println!(
         "served {:.1} simulated minutes in {:.2}s wall ({:.0}x), report digest {:016x}, \
@@ -375,4 +465,17 @@ fn spawn_sigint_watcher(handle: ServeHandle, done: Arc<AtomicBool>) -> std::thre
             std::thread::sleep(std::time::Duration::from_millis(25));
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentiles;
+
+    #[test]
+    fn percentiles_take_the_nearest_rank() {
+        assert_eq!(percentiles(&mut []), None);
+        assert_eq!(percentiles(&mut [2.5]), Some((2.5, 2.5, 2.5)));
+        let mut lags: Vec<f64> = (1..=200).rev().map(f64::from).collect();
+        assert_eq!(percentiles(&mut lags), Some((100.0, 198.0, 200.0)));
+    }
 }

@@ -21,12 +21,22 @@ pub fn search_space_size(n: usize) -> u128 {
     total
 }
 
-/// Reusable buffer for [`sample_subproblems_into`]: the sampling-weight
-/// vector. A caller that holds one of these across rounds (and intervals)
-/// pays the allocation cost once.
+/// Weights per block of the sampler's partial sums.
+const BLOCK: usize = 64;
+
+/// Safety factor of the sampler's fast-path tolerance over its
+/// rounding-error bound (DESIGN.md §14).
+const TOL_FACTOR: f64 = 8.0;
+
+/// Reusable buffers for [`sample_subproblems_into`]: the sampling-weight
+/// vector and its per-block partial sums. A caller that holds one of these
+/// across rounds (and intervals) pays the allocation cost once.
 #[derive(Debug, Default)]
 pub struct SubproblemScratch {
     weights: Vec<f64>,
+    /// `block_sums[b]` is the in-order sum of the `b`-th run of [`BLOCK`]
+    /// weights.
+    block_sums: Vec<f64>,
 }
 
 /// Disjoint sub-problem index groups in one flat buffer.
@@ -115,10 +125,18 @@ pub fn sample_subproblems(
 
 /// [`sample_subproblems`] into caller-provided flat storage.
 ///
-/// `groups` is cleared and refilled in place, and the weight buffer lives
+/// `groups` is cleared and refilled in place, and the weight buffers live
 /// in `scratch`, so steady-state rounds allocate nothing. The RNG draw
 /// sequence — and therefore the sampled groups — is identical to
 /// [`sample_subproblems`].
+///
+/// The groups are defined by an exact O(N) scan per draw: the in-order
+/// float sum of the weights, scaled by the draw, consumed by sequential
+/// subtraction. Each draw first locates its weight from per-block partial
+/// sums in O(N/64 + 64) and keeps that answer only when the scaled draw
+/// lies farther from both edges of the weight's span than the scan's
+/// accumulated rounding could reach; otherwise it runs the exact scan. The
+/// result is bit-identical either way (DESIGN.md §14).
 pub fn sample_subproblems_into(
     rng: &mut StdRng,
     opt_counts: &[u32],
@@ -127,49 +145,131 @@ pub fn sample_subproblems_into(
     scratch: &mut SubproblemScratch,
     groups: &mut IndexGroups,
 ) {
+    sample_with_tolerance(
+        rng,
+        opt_counts,
+        num_subproblems,
+        funcs_per_subproblem,
+        TOL_FACTOR,
+        scratch,
+        groups,
+    );
+}
+
+/// [`sample_subproblems_into`] with the fast-path tolerance factor as a
+/// parameter (an infinite factor forces the exact scan on every draw).
+/// Returns how many draws the block-sum search decided.
+fn sample_with_tolerance(
+    rng: &mut StdRng,
+    opt_counts: &[u32],
+    num_subproblems: usize,
+    funcs_per_subproblem: usize,
+    tol_factor: f64,
+    scratch: &mut SubproblemScratch,
+    groups: &mut IndexGroups,
+) -> usize {
     groups.clear();
     let n = opt_counts.len();
-    scratch.weights.clear();
-    scratch
-        .weights
-        .extend(opt_counts.iter().map(|&c| 1.0 / (1.0 + c as f64)));
-    let weights = &mut scratch.weights;
+    let SubproblemScratch {
+        weights,
+        block_sums,
+    } = scratch;
+    weights.clear();
+    weights.extend(opt_counts.iter().map(|&c| 1.0 / (1.0 + c as f64)));
+    block_sums.clear();
+    block_sums.extend(weights.chunks(BLOCK).map(|b| b.iter().sum::<f64>()));
+    // Bounds the rounding of the exact scan's sum and subtraction chain
+    // plus that of the block estimate, relative to the total weight.
+    let tol_per_total = tol_factor * (n + BLOCK) as f64 * f64::EPSILON;
+    let mut fast = 0;
     let mut remaining = n;
     for _ in 0..num_subproblems {
         for _ in 0..funcs_per_subproblem {
             if remaining == 0 {
                 break;
             }
-            // Recomputed per draw on purpose: a running total would change
-            // the float rounding of the thresholds and thus the draws.
-            let total: f64 = weights.iter().sum();
+            // Zero exactly when every weight is (weights are never tiny
+            // enough for a sum of them to round to zero).
+            let total: f64 = block_sums.iter().sum();
             if total <= 0.0 {
                 break;
             }
-            let mut draw = rng.gen::<f64>() * total;
-            let mut chosen = None;
-            for (idx, &w) in weights.iter().enumerate() {
-                if w <= 0.0 {
-                    continue;
-                }
-                draw -= w;
-                if draw <= 0.0 {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
-            let idx = chosen.unwrap_or_else(|| {
-                weights
-                    .iter()
-                    .rposition(|&w| w > 0.0)
-                    .expect("total > 0 implies a positive weight")
-            });
+            let (idx, decided) = pick(weights, block_sums, total, rng.gen(), tol_per_total);
+            fast += usize::from(decided);
             groups.push(idx);
             weights[idx] = 0.0;
+            let block = idx / BLOCK;
+            block_sums[block] = weights[block * BLOCK..].iter().take(BLOCK).sum();
             remaining -= 1;
         }
         groups.commit_group();
     }
+    fast
+}
+
+/// The index draw `r` samples, given the block sums and their in-order
+/// `total`: the block-sum answer where it provably equals the exact
+/// scan's, otherwise the exact scan's. The flag is whether the block-sum
+/// search decided.
+fn pick(
+    weights: &[f64],
+    block_sums: &[f64],
+    total: f64,
+    r: f64,
+    tol_per_total: f64,
+) -> (usize, bool) {
+    match pick_by_blocks(weights, block_sums, r * total, tol_per_total * total) {
+        Some(idx) => (idx, true),
+        None => (pick_exact(weights, r), false),
+    }
+}
+
+/// Finds the positive weight whose prefix-sum span contains `target`,
+/// walking block sums and then one block. Returns `None` when `target`
+/// lies within `tol` of either edge of that span — there rounding could
+/// make [`pick_exact`] choose a neighbour — or when no span is found.
+fn pick_by_blocks(weights: &[f64], block_sums: &[f64], target: f64, tol: f64) -> Option<usize> {
+    let mut lo = 0.0;
+    for (block, &sum) in block_sums.iter().enumerate() {
+        if lo + sum < target {
+            lo += sum;
+            continue;
+        }
+        let start = block * BLOCK;
+        for (offset, &w) in weights[start..].iter().take(BLOCK).enumerate() {
+            if w <= 0.0 {
+                continue;
+            }
+            let hi = lo + w;
+            if hi >= target {
+                return (target - lo > tol && hi - target > tol).then_some(start + offset);
+            }
+            lo = hi;
+        }
+        return None;
+    }
+    None
+}
+
+/// The exact scan that defines the sampled index for draw `r`.
+fn pick_exact(weights: &[f64], r: f64) -> usize {
+    // The total is re-summed in order on purpose: a running total would
+    // change the float rounding of the thresholds and thus the draws.
+    let total: f64 = weights.iter().sum();
+    let mut draw = r * total;
+    for (idx, &w) in weights.iter().enumerate() {
+        if w <= 0.0 {
+            continue;
+        }
+        draw -= w;
+        if draw <= 0.0 {
+            return idx;
+        }
+    }
+    weights
+        .iter()
+        .rposition(|&w| w > 0.0)
+        .expect("total > 0 implies a positive weight")
 }
 
 /// Recombines the per-round solutions into SRE's final answer: the paper
@@ -244,6 +344,7 @@ fn combine_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     #[test]
@@ -309,6 +410,247 @@ mod tests {
             let flat: Vec<Vec<usize>> = groups.iter().map(|g| g.to_vec()).collect();
             assert_eq!(fresh, flat, "seed {seed} diverged");
         }
+    }
+
+    /// The O(k·N) sampler the block-sum search replaced, kept as the
+    /// differential reference: per draw it re-sums every weight in order
+    /// and rescans them.
+    fn reference_sample(
+        rng: &mut StdRng,
+        opt_counts: &[u32],
+        num_subproblems: usize,
+        funcs_per_subproblem: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut weights: Vec<f64> = opt_counts.iter().map(|&c| 1.0 / (1.0 + c as f64)).collect();
+        let mut remaining = weights.len();
+        let mut groups = Vec::new();
+        for _ in 0..num_subproblems {
+            let mut group = Vec::new();
+            for _ in 0..funcs_per_subproblem {
+                if remaining == 0 {
+                    break;
+                }
+                let total: f64 = weights.iter().sum();
+                if total <= 0.0 {
+                    break;
+                }
+                let mut draw = rng.gen::<f64>() * total;
+                let mut chosen = None;
+                for (idx, &w) in weights.iter().enumerate() {
+                    if w <= 0.0 {
+                        continue;
+                    }
+                    draw -= w;
+                    if draw <= 0.0 {
+                        chosen = Some(idx);
+                        break;
+                    }
+                }
+                let idx = chosen.unwrap_or_else(|| {
+                    weights
+                        .iter()
+                        .rposition(|&w| w > 0.0)
+                        .expect("total > 0 implies a positive weight")
+                });
+                group.push(idx);
+                weights[idx] = 0.0;
+                remaining -= 1;
+            }
+            if !group.is_empty() {
+                groups.push(group);
+            }
+        }
+        groups
+    }
+
+    /// One differential case: a population, how its optimization counts
+    /// are spread, the round shape, and the seeds.
+    #[derive(Debug, Clone, Copy)]
+    struct Case {
+        n: usize,
+        spread: u8,
+        num_subproblems: usize,
+        funcs_per_subproblem: usize,
+        counts_seed: u64,
+        draw_seed: u64,
+    }
+
+    impl Case {
+        /// Optimization counts: uniform over all of `u32` (spread 0),
+        /// log-uniform across magnitudes (1), one shared value (2), or a
+        /// shared value with ±2 jitter (3).
+        fn counts(&self) -> Vec<u32> {
+            let mut rng = StdRng::seed_from_u64(self.counts_seed);
+            let base: u32 = rng.gen_range(0..=u32::MAX - 2);
+            (0..self.n)
+                .map(|_| match self.spread {
+                    0 => rng.gen_range(0..=u32::MAX),
+                    1 => (2f64.powf(rng.gen_range(0.0..32.0)) as u64).min(u32::MAX as u64) as u32,
+                    2 => base,
+                    _ => base + rng.gen_range(0..=2u32),
+                })
+                .collect()
+        }
+    }
+
+    /// Populations log-uniform over `1..=100_000` (so most cases are
+    /// small, and many have fewer functions than draws), every count
+    /// spread, the production round shapes (up to 16 × 12 draws).
+    fn cases() -> impl Strategy<Value = Case> {
+        (
+            0.0f64..=1.0,
+            0u8..=3,
+            1usize..=16,
+            1usize..=12,
+            any::<u64>(),
+            any::<u64>(),
+        )
+            .prop_map(
+                |(t, spread, num_subproblems, funcs_per_subproblem, counts_seed, draw_seed)| Case {
+                    n: (100_000f64.powf(t).round() as usize).clamp(1, 100_000),
+                    spread,
+                    num_subproblems,
+                    funcs_per_subproblem,
+                    counts_seed,
+                    draw_seed,
+                },
+            )
+    }
+
+    /// Runs `case` through the reference, the production sampler, and the
+    /// sampler with the fast path disabled; all three must agree on the
+    /// groups and leave their RNGs in the same state. Returns the draws
+    /// the fast path decided and the draws made.
+    fn differential(case: Case) -> Result<(usize, usize), String> {
+        let counts = case.counts();
+        let (subs, per) = (case.num_subproblems, case.funcs_per_subproblem);
+        let mut rng = StdRng::seed_from_u64(case.draw_seed);
+        let expected = reference_sample(&mut rng, &counts, subs, per);
+        let after = rng.gen::<u64>();
+        let draws = expected.iter().map(Vec::len).sum();
+        let mut scratch = SubproblemScratch::default();
+        let mut groups = IndexGroups::default();
+        let mut fast = 0;
+        for (tol_factor, label) in [(TOL_FACTOR, "fast"), (f64::INFINITY, "forced-fallback")] {
+            let mut rng = StdRng::seed_from_u64(case.draw_seed);
+            let decided = sample_with_tolerance(
+                &mut rng,
+                &counts,
+                subs,
+                per,
+                tol_factor,
+                &mut scratch,
+                &mut groups,
+            );
+            let got: Vec<Vec<usize>> = groups.iter().map(|g| g.to_vec()).collect();
+            prop_assert_eq!(&got, &expected, "{} sampler diverged on {:?}", label, case);
+            prop_assert_eq!(rng.gen::<u64>(), after, "{} RNG state diverged", label);
+            if tol_factor.is_infinite() {
+                prop_assert_eq!(
+                    decided,
+                    0,
+                    "an infinite tolerance must force the exact scan"
+                );
+            } else {
+                fast = decided;
+            }
+        }
+        Ok((fast, draws))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn block_sampler_matches_the_reference(case in cases()) {
+            differential(case)?;
+        }
+    }
+
+    /// Draws that land on or near a boundary between two weights' spans,
+    /// where the block estimate and the exact scan's rounding can
+    /// disagree, must still pick what the exact scan picks.
+    #[test]
+    fn edge_draws_match_the_exact_scan() {
+        let (mut fast, mut fallback) = (0, 0);
+        for (n, spread) in [(1, 2), (100, 3), (5_000, 1), (70_000, 0), (70_000, 2)] {
+            let case = Case {
+                n,
+                spread,
+                num_subproblems: 1,
+                funcs_per_subproblem: 1,
+                counts_seed: n as u64,
+                draw_seed: 0,
+            };
+            let mut weights: Vec<f64> = case
+                .counts()
+                .iter()
+                .map(|&c| 1.0 / (1.0 + c as f64))
+                .collect();
+            // Zero a scattered few so the scans also skip picked weights.
+            for i in (0..n).step_by(7) {
+                weights[i] = 0.0;
+            }
+            weights[n - 1] = 1.0;
+            let block_sums: Vec<f64> = weights.chunks(BLOCK).map(|b| b.iter().sum()).collect();
+            let total: f64 = block_sums.iter().sum();
+            let exact_total: f64 = weights.iter().sum();
+            let mut prefix = 0.0;
+            let step = n as f64 * f64::EPSILON;
+            for (i, &w) in weights.iter().enumerate() {
+                prefix += w;
+                if w <= 0.0 || i % (n / 50).max(1) != 0 {
+                    continue;
+                }
+                let edge = prefix / exact_total;
+                for j in -40..=40 {
+                    let r = edge + f64::from(j) * step;
+                    if !(0.0..1.0).contains(&r) {
+                        continue;
+                    }
+                    let (idx, decided) = pick(
+                        &weights,
+                        &block_sums,
+                        total,
+                        r,
+                        TOL_FACTOR * (n + BLOCK) as f64 * f64::EPSILON,
+                    );
+                    assert_eq!(
+                        idx,
+                        pick_exact(&weights, r),
+                        "n {n}, edge after {i}, r {r:e}"
+                    );
+                    if decided {
+                        fast += 1;
+                    } else {
+                        fallback += 1;
+                    }
+                }
+            }
+        }
+        assert!(fast > 0 && fallback > 0, "fast {fast}, fallback {fallback}");
+    }
+
+    /// The tolerance must not be so wide that the exact O(N) scan comes
+    /// back: over a fresh run of differential cases, the block-sum search
+    /// decides at least 99% of the draws.
+    #[test]
+    fn fast_path_decides_nearly_every_draw() {
+        let strategy = cases();
+        let mut rng = TestRng::for_test("fast_path_decides_nearly_every_draw");
+        let (mut fast, mut draws) = (0, 0);
+        for _ in 0..64 {
+            let case = strategy.sample(&mut rng);
+            let (f, d) = differential(case).unwrap_or_else(|e| panic!("{e}"));
+            fast += f;
+            draws += d;
+        }
+        println!("fast path decided {fast} of {draws} draws");
+        assert!(draws > 1_000, "too few draws to judge: {draws}");
+        assert!(
+            fast * 100 >= draws * 99,
+            "fast path decided only {fast} of {draws} draws"
+        );
     }
 
     #[test]

@@ -90,10 +90,14 @@ pub struct SreRoundStats {
 ///
 /// Per round, SRE samples disjoint low-dimensional sub-problems
 /// (probabilistically favoring rarely-optimized functions), runs the inner
-/// coordinate descent on each **in parallel**, and splices the sub-problem
-/// optima back into the working solution. After `rounds` rounds, the final
-/// answer is the per-dimension mean/majority of the round solutions — or
-/// the best single round if the combination turns out infeasible or worse.
+/// coordinate descent on each against the same pre-round solution, and
+/// splices the sub-problem optima back into the working solution. With
+/// [`Sre::parallel`] set, the sub-problems run on scoped threads; results
+/// are identical either way, and CodeCrunch clears it because its
+/// sub-problems are too small to pay for a thread each. After `rounds`
+/// rounds, the final answer is the per-dimension mean/majority of the
+/// round solutions — or the best single round if the combination turns
+/// out infeasible or worse.
 ///
 /// The per-round dimensionality (`num_subproblems × funcs_per_subproblem ×
 /// 3 × rounds`) is kept roughly 10× below the full `3N`, per the paper.
@@ -457,7 +461,7 @@ impl Sre {
                 opt_counts[idx] += 1;
                 touched.push(idx);
             }
-            // The sub-problems ran in parallel against the same budget
+            // The sub-problems were optimized against the same budget
             // headroom, so the spliced solution can jointly overspend even
             // though each piece was feasible. Repair by scaling the
             // just-optimized keep-alive windows down until feasible.

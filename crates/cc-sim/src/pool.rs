@@ -29,7 +29,7 @@
 
 use std::collections::BTreeSet;
 
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, test))]
 use cc_types::MemoryMb;
 use cc_types::{FunctionId, NodeId, SimDuration, SimTime, WarmId};
 
@@ -353,9 +353,9 @@ impl WarmPool {
     }
 
     /// Sum of the footprints of `node`'s residents. O(residents); used
-    /// only in debug assertions to validate the node-state counter the
-    /// engine uses instead.
-    #[cfg(debug_assertions)]
+    /// only in debug assertions and tests to validate the node-state
+    /// counter the engine uses instead.
+    #[cfg(any(debug_assertions, test))]
     pub fn resident_memory(&self, node: NodeId) -> MemoryMb {
         self.residents_of(node)
             .map(|id| self.get(id).expect("resident index out of sync").memory)

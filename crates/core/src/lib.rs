@@ -14,8 +14,8 @@
 //! [Sequential Random Embedding](cc_opt::Sre): each interval, CodeCrunch
 //! builds an [`IntervalObjective`] from its re-invocation estimator
 //! ([`PestEstimator`]) and observed per-architecture execution times
-//! ([`ExecObserver`]), then lets SRE optimize random sub-problems in
-//! parallel. Unspent budget is credited to future intervals by the
+//! ([`ExecObserver`]), then lets SRE optimize random sub-problems, each
+//! against the same pre-round solution. Unspent budget is credited to future intervals by the
 //! simulator's ledger, which is why compression concentrates in load peaks.
 //!
 //! [`CodeCrunch`] implements [`cc_sim::Scheduler`], so it runs against the
