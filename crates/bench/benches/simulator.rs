@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::BenchScenario;
 use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
-use cc_sim::{FixedKeepAlive, Simulation};
+use cc_sim::{ClusterView, FixedKeepAlive, KeepDecision, Scheduler, Simulation};
+use cc_types::{Arch, FunctionId};
 use codecrunch::CodeCrunch;
 
 fn bench_policies(c: &mut Criterion) {
@@ -97,5 +98,59 @@ fn bench_large(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies, bench_large);
+/// Fixed keep-alive behind a forwarding wrapper that keeps the trait's
+/// default `evicts_in_admission_order` (false), so the engine ranks and
+/// sorts every eviction's candidates instead of walking admission order.
+struct Ranked(FixedKeepAlive);
+
+impl Scheduler for Ranked {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
+        self.0.place(function, view)
+    }
+
+    fn on_completion(
+        &mut self,
+        function: FunctionId,
+        arch: Arch,
+        view: &ClusterView<'_>,
+    ) -> KeepDecision {
+        self.0.on_completion(function, arch, view)
+    }
+}
+
+/// Eviction cost in isolation: fixed keep-alive on the eviction-bound
+/// capped scenario, once on the admission-order path and once on the
+/// ranked path. Both produce the same report; the difference is the
+/// rank-and-sort work.
+fn bench_make_room(c: &mut Criterion) {
+    let scenario = BenchScenario::capped();
+    let invocations = scenario.trace.invocations().len() as u64;
+    let mut group = c.benchmark_group("make_room");
+    group.sample_size(20);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+    group.throughput(criterion::Throughput::Elements(invocations));
+
+    group.bench_function("admission_order", |b| {
+        b.iter(|| {
+            let mut policy = FixedKeepAlive::ten_minutes();
+            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
+                .run(&mut policy)
+        })
+    });
+    group.bench_function("ranked", |b| {
+        b.iter(|| {
+            let mut policy = Ranked(FixedKeepAlive::ten_minutes());
+            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
+                .run(&mut policy)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_policies, bench_large, bench_make_room);
 criterion_main!(benches);

@@ -161,6 +161,10 @@ impl Scheduler for LagProbe<'_> {
         self.inner.eviction_rank(instance, view)
     }
 
+    fn evicts_in_admission_order(&self) -> bool {
+        self.inner.evicts_in_admission_order()
+    }
+
     fn enable_introspection(&mut self, enabled: bool) {
         self.inner.enable_introspection(enabled);
     }

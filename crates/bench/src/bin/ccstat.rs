@@ -701,7 +701,7 @@ fn print_stress_line(report: &SimReport, elapsed: std::time::Duration) {
 fn print_report_summary(report: &SimReport) {
     println!(
         "simulator: mean service {:.4}s  warm fraction {:.3}  spend ${:.6}  \
-         evictions {}  decision overhead {:.2}us/invocation",
+         evictions {}  decision overhead {:.2}us/invocation (sampled)",
         report.mean_service_time_secs(),
         report.warm_fraction(),
         report.keep_alive_spend.as_dollars(),

@@ -7,7 +7,8 @@
 //! CodeCrunch only optimizes the functions invoked in the current
 //! interval. Wall-clock percentages are host-dependent; the reproducible
 //! claim is the *ordering* and the growth trend, reported here as
-//! microseconds of decision time per invocation.
+//! microseconds of decision time per invocation. Decision time is the
+//! engine's sampled estimate (`SimReport::decision_time`).
 
 use serde_json::json;
 
@@ -33,7 +34,7 @@ impl Experiment for TabOverhead {
     fn run(&self, scale: &Scale) -> ExperimentOutput {
         let sizes = [scale.functions / 2, scale.functions, scale.functions * 2];
         let mut lines = vec![format!(
-            "{:<10} {:>12} {:>12} {:>12} {:>12}   (decision µs / invocation)",
+            "{:<10} {:>12} {:>12} {:>12} {:>12}   (sampled decision µs / invocation)",
             "functions", "sitw", "faascache", "icebreaker", "codecrunch"
         )];
         let mut rows = Vec::new();

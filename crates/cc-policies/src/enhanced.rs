@@ -115,6 +115,10 @@ impl<P: Scheduler> Scheduler for Enhanced<P> {
     fn eviction_rank(&mut self, instance: &WarmInstance, view: &ClusterView<'_>) -> f64 {
         self.inner.eviction_rank(instance, view)
     }
+
+    fn evicts_in_admission_order(&self) -> bool {
+        self.inner.evicts_in_admission_order()
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +174,12 @@ mod tests {
             r_enh.mean_service_time_secs(),
             r_base.mean_service_time_secs()
         );
+    }
+
+    #[test]
+    fn eviction_order_follows_the_wrapped_policy() {
+        assert!(Enhanced::new(SitW::new()).evicts_in_admission_order());
+        assert!(!Enhanced::new(crate::FaasCache::new()).evicts_in_admission_order());
     }
 
     #[test]

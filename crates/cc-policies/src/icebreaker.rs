@@ -71,6 +71,11 @@ impl Scheduler for IceBreaker {
         "icebreaker"
     }
 
+    /// Keeps the default LRU eviction rank.
+    fn evicts_in_admission_order(&self) -> bool {
+        true
+    }
+
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         *self.pending_counts.entry(function).or_insert(0.0) += 1.0;
         self.last_arrival.insert(function, now);

@@ -86,6 +86,11 @@ impl Scheduler for SitW {
         "sitw"
     }
 
+    /// Keeps the default LRU eviction rank.
+    fn evicts_in_admission_order(&self) -> bool {
+        true
+    }
+
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         self.histogram(function).record(now);
         // An arrival consumes any pending pre-warm for the function.

@@ -16,6 +16,8 @@ use cc_workload::Workload;
 
 use crate::node::{NodeState, WarmInstance};
 use crate::pool::WarmPool;
+#[cfg(debug_assertions)]
+use crate::scheduler::lru_rank;
 use crate::source::{ArrivalSource, Fetch, SliceSource};
 use crate::{BudgetLedger, ClusterConfig, ClusterView, Command, Scheduler, SimReport};
 
@@ -255,6 +257,38 @@ impl PartialOrd for Event {
     }
 }
 
+/// The per-invocation callbacks (`on_arrival`, `place`, `on_record`,
+/// `on_completion`) are timed on one call in this many, and each timed
+/// call counts this many times: reading the clock around every call costs
+/// more than many of the callbacks themselves.
+const DECISION_SAMPLE_EVERY: u32 = 16;
+
+/// Which calls of one per-invocation callback kind are timed. Each kind
+/// keeps its own counter: every invocation makes one call of each kind, so
+/// a stride shared by the four would keep landing on the same kind.
+#[derive(Debug, Default)]
+struct DecisionSampler {
+    /// Calls since the last timed one, modulo [`DECISION_SAMPLE_EVERY`].
+    calls: u32,
+}
+
+impl DecisionSampler {
+    /// Returns the start instant if this call is timed: the first of every
+    /// stride, so even a run with a single call gets a sample.
+    fn start(&mut self) -> Option<Instant> {
+        let timed = self.calls == 0;
+        self.calls = (self.calls + 1) % DECISION_SAMPLE_EVERY;
+        timed.then(Instant::now)
+    }
+
+    /// Charges a timed call to `total`, scaled by the stride.
+    fn stop(started: Option<Instant>, total: &mut Duration) {
+        if let Some(started) = started {
+            *total += started.elapsed() * DECISION_SAMPLE_EVERY;
+        }
+    }
+}
+
 struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     /// Wall-clock profiler; every probe is guarded by `P::ENABLED`, so the
     /// [`NullProfiler`] instantiation contains no profiling code at all.
@@ -319,7 +353,14 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     utilization_series: Vec<f64>,
     evictions: u64,
     dropped_prewarms: u64,
+    /// Estimated wall time inside policy callbacks: `on_interval` and
+    /// ranked evictions are timed on every call, the per-invocation
+    /// callbacks through their samplers.
     decision_time: Duration,
+    arrival_sampler: DecisionSampler,
+    place_sampler: DecisionSampler,
+    record_sampler: DecisionSampler,
+    completion_sampler: DecisionSampler,
     completed: usize,
 }
 
@@ -396,6 +437,10 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             evictions: 0,
             dropped_prewarms: 0,
             decision_time: Duration::ZERO,
+            arrival_sampler: DecisionSampler::default(),
+            place_sampler: DecisionSampler::default(),
+            record_sampler: DecisionSampler::default(),
+            completion_sampler: DecisionSampler::default(),
             completed: 0,
         }
     }
@@ -608,9 +653,9 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         }
         {
             let _decision = P::scope(Phase::PolicyDecision);
-            let started = Instant::now();
+            let started = self.arrival_sampler.start();
             policy.on_arrival(function, self.now);
-            self.decision_time += started.elapsed();
+            DecisionSampler::stop(started, &mut self.decision_time);
         }
 
         if self.pending.is_empty() && self.try_start(inv, policy) {
@@ -703,9 +748,9 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     ) -> bool {
         let preferred = {
             let _decision = P::scope(Phase::PolicyDecision);
-            let started = Instant::now();
+            let started = self.place_sampler.start();
             let preferred = policy.place(function, &self.view());
-            self.decision_time += started.elapsed();
+            DecisionSampler::stop(started, &mut self.decision_time);
             preferred
         };
 
@@ -759,15 +804,20 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     }
 
     /// Frees at least `deficit` of memory on `node` by evicting warm
-    /// instances in policy-rank order. Returns false (evicting nothing) if
-    /// even evicting everything would not suffice.
+    /// instances other than `exclude`, in policy order. Returns false
+    /// (evicting nothing) if even evicting everything would not suffice.
     ///
     /// Only `node`'s own residents are examined — the node-state
     /// `warm_memory` counter answers the "would evicting everything
     /// suffice?" question in O(1), and the pool's residency index supplies
-    /// the victims without a cluster-wide scan. Victims are ranked in
+    /// the victims without a cluster-wide scan. The residency index is in
+    /// admission order, which for a policy that keeps the default LRU rank
+    /// ([`Scheduler::evicts_in_admission_order`]) is already the eviction
+    /// order: its victims come off the front of the index with no rank
+    /// calls and no sort. Every other policy ranks all residents, in
     /// admission order because stateful policies (e.g. FaasCache's
-    /// greedy-dual clock) observe the ranking call order.
+    /// greedy-dual clock) observe the ranking call order, and loses the
+    /// lowest `(rank, seq)` first.
     fn make_room(
         &mut self,
         node: NodeId,
@@ -796,6 +846,26 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             return false;
         }
         let _span = P::scope(Phase::PoolEvict);
+        let mut freed = MemoryMb::ZERO;
+        if policy.evicts_in_admission_order() {
+            #[cfg(debug_assertions)]
+            let mut lru_victims = self.lru_victims(node, deficit, exclude).into_iter();
+            while freed < deficit {
+                let victim = self
+                    .pool
+                    .residents_of(node)
+                    .find(|&id| Some(id) != exclude)
+                    .expect("evictable memory covers the deficit");
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    Some(victim),
+                    lru_victims.next(),
+                    "admission-order victim differs from the LRU rank order"
+                );
+                freed += self.evict(victim);
+            }
+            return true;
+        }
         let mut ranked = std::mem::take(&mut self.scratch_ranked);
         ranked.clear();
         {
@@ -818,21 +888,55 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             P::add(PerfCounter::EvictionsRanked, ranked.len() as u64);
         }
         ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut freed = MemoryMb::ZERO;
         for &(_, _, id) in &ranked {
             if freed >= deficit {
                 break;
             }
-            let inst = self.pool.get(id).expect("ranked victim must be live");
-            freed += inst.memory;
-            let refund = inst.refundable_at(self.now);
-            self.credit(refund);
-            self.remove_instance(id, ReleaseReason::Evicted);
-            self.evictions += 1;
+            freed += self.evict(id);
         }
         ranked.clear();
         self.scratch_ranked = ranked;
         true
+    }
+
+    /// Evicts the live instance `id`, refunding the unused tail of its
+    /// keep-alive reservation. Returns the memory it occupied.
+    fn evict(&mut self, id: WarmId) -> MemoryMb {
+        let inst = self.pool.get(id).expect("eviction victim must be live");
+        let (memory, refund) = (inst.memory, inst.refundable_at(self.now));
+        self.credit(refund);
+        self.remove_instance(id, ReleaseReason::Evicted);
+        self.evictions += 1;
+        memory
+    }
+
+    /// The victims the ranked path would take under the default LRU rank,
+    /// in eviction order: the debug cross-check of the admission-order
+    /// path. The rank is computed here rather than asked of the policy, so
+    /// debug builds make the same policy calls as release builds.
+    #[cfg(debug_assertions)]
+    fn lru_victims(&self, node: NodeId, deficit: MemoryMb, exclude: Option<WarmId>) -> Vec<WarmId> {
+        assert!(
+            self.pool.admitted_in_time_order(node),
+            "admission order and admission time disagree on node {node:?}"
+        );
+        let mut ranked: Vec<&WarmInstance> = self
+            .pool
+            .residents_of(node)
+            .filter(|&id| Some(id) != exclude)
+            .map(|id| self.pool.get(id).expect("resident must be live"))
+            .collect();
+        ranked.sort_unstable_by(|a, b| lru_rank(a).total_cmp(&lru_rank(b)).then(a.seq.cmp(&b.seq)));
+        let mut freed = MemoryMb::ZERO;
+        ranked
+            .iter()
+            .take_while(|inst| {
+                let needed = freed < deficit;
+                freed += inst.memory;
+                needed
+            })
+            .map(|inst| inst.id)
+            .collect()
     }
 
     /// Starts an execution of `function` on `node` and emits its service
@@ -884,9 +988,9 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         }
         {
             let _decision = P::scope(Phase::PolicyDecision);
-            let started = Instant::now();
+            let started = self.record_sampler.start();
             policy.on_record(&record);
-            self.decision_time += started.elapsed();
+            DecisionSampler::stop(started, &mut self.decision_time);
         }
         if self.collect_records {
             self.records.push(record);
@@ -920,10 +1024,10 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         let arch = self.nodes[node.index()].arch;
         let decision = {
             let _decision = P::scope(Phase::PolicyDecision);
+            let started = self.completion_sampler.start();
             let view = self.view();
-            let started = Instant::now();
             let d = policy.on_completion(function, arch, &view);
-            self.decision_time += started.elapsed();
+            DecisionSampler::stop(started, &mut self.decision_time);
             d
         };
         self.admit_warm(
@@ -1258,11 +1362,8 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                 );
             }
             Command::Evict { id } => {
-                if let Some(inst) = self.pool.get(id) {
-                    let refund = inst.refundable_at(self.now);
-                    self.credit(refund);
-                    self.remove_instance(id, ReleaseReason::Evicted);
-                    self.evictions += 1;
+                if self.pool.get(id).is_some() {
+                    self.evict(id);
                 }
                 let _ = policy;
             }

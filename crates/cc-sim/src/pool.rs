@@ -361,6 +361,21 @@ impl WarmPool {
             .map(|id| self.get(id).expect("resident index out of sync").memory)
             .sum()
     }
+
+    /// Whether `node`'s residents joined the pool at non-decreasing
+    /// instants (`since`) along admission order (`seq`). The engine admits
+    /// at its current time, which never decreases, so this always holds;
+    /// it is what lets LRU policies evict in admission order
+    /// ([`crate::Scheduler::evicts_in_admission_order`]). O(residents);
+    /// used only in debug assertions and tests.
+    #[cfg(any(debug_assertions, test))]
+    pub fn admitted_in_time_order(&self, node: NodeId) -> bool {
+        let since: Vec<SimTime> = self
+            .residents_of(node)
+            .map(|id| self.get(id).expect("resident index out of sync").since)
+            .collect();
+        since.windows(2).all(|pair| pair[0] <= pair[1])
+    }
 }
 
 #[cfg(test)]
@@ -531,6 +546,29 @@ mod tests {
         );
         assert_eq!(pool.order_of(FunctionId::new(0)), &[c]);
         assert_eq!(pool.resident_memory(NodeId::new(1)), MemoryMb::new(100));
+    }
+
+    #[test]
+    fn admission_time_order_is_checked_per_node() {
+        let admitted_at = |node: u32, since_s: u64| WarmInstance {
+            since: at(since_s),
+            ..instance(0, node, 600)
+        };
+        let mut pool = WarmPool::new(1, 2);
+        assert!(pool.admitted_in_time_order(NodeId::new(0)), "empty node");
+        let first = pool.insert(admitted_at(0, 10));
+        pool.insert(admitted_at(0, 10));
+        pool.insert(admitted_at(0, 20));
+        // An earlier instant on another node does not break node 0's order.
+        pool.insert(admitted_at(1, 5));
+        assert!(pool.admitted_in_time_order(NodeId::new(0)));
+        assert!(pool.admitted_in_time_order(NodeId::new(1)));
+        // A later admission stamped before node 0's newest resident does.
+        let late = pool.insert(admitted_at(0, 15));
+        assert!(!pool.admitted_in_time_order(NodeId::new(0)));
+        pool.remove(late);
+        pool.remove(first);
+        assert!(pool.admitted_in_time_order(NodeId::new(0)));
     }
 
     proptest! {

@@ -37,7 +37,12 @@ pub struct SimReport {
     pub evictions: u64,
     /// Pre-warm commands dropped for lack of capacity.
     pub dropped_prewarms: u64,
-    /// Wall-clock time spent inside policy callbacks (decision overhead).
+    /// Estimated wall-clock time spent inside policy callbacks (decision
+    /// overhead). `on_interval` and ranked evictions are timed on every
+    /// call; the per-invocation callbacks (`on_arrival`, `place`,
+    /// `on_record`, `on_completion`) on one call in 16 of each kind, each
+    /// timed call counting 16 times, because reading the clock around
+    /// every call would cost more than many of the calls.
     pub decision_time: std::time::Duration,
 }
 

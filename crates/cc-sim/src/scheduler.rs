@@ -110,10 +110,28 @@ pub trait Scheduler {
 
     /// Ranks a warm instance for eviction under memory pressure: the
     /// instance with the **lowest** rank is evicted first. The default is
-    /// LRU (oldest pool entry first).
+    /// LRU: the admission instant `since`, oldest pool entry first.
     fn eviction_rank(&mut self, instance: &WarmInstance, view: &ClusterView<'_>) -> f64 {
         let _ = view;
-        instance.since.as_micros() as f64
+        lru_rank(instance)
+    }
+
+    /// Whether the engine may evict this policy's victims in admission
+    /// order without calling [`Scheduler::eviction_rank`] at all.
+    ///
+    /// Contract: return `true` only while `eviction_rank` is the trait
+    /// default. The default rank is the admission instant, the pool admits
+    /// at the engine's (never decreasing) current time, and ties break by
+    /// admission number, so the ranked order of a node's residents *is*
+    /// their admission order and the engine can walk it directly — no rank
+    /// calls, no sort. A policy that overrides `eviction_rank`, or whose
+    /// state observes the calls, must keep the default `false`, and so
+    /// must a wrapper that cannot vouch for the policy it wraps (a
+    /// forwarding wrapper forwards this method together with
+    /// `eviction_rank`). Debug builds cross-check every admission-order
+    /// eviction against the default rank's order.
+    fn evicts_in_admission_order(&self) -> bool {
+        false
     }
 
     /// Asks the policy to record per-round optimizer progress for
@@ -130,6 +148,12 @@ pub trait Scheduler {
     fn drain_optimizer_rounds(&mut self) -> Vec<cc_obs::OptimizerRound> {
         Vec::new()
     }
+}
+
+/// The default eviction rank: the instant the instance joined the warm
+/// pool, so the least recently admitted instance goes first.
+pub(crate) fn lru_rank(instance: &WarmInstance) -> f64 {
+    instance.since.as_micros() as f64
 }
 
 #[cfg(test)]

@@ -256,6 +256,11 @@ impl Scheduler for CodeCrunch {
         &self.name
     }
 
+    /// Keeps the default LRU eviction rank.
+    fn evicts_in_admission_order(&self) -> bool {
+        true
+    }
+
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         self.ensure_capacity(function);
         let idx = function.index();
