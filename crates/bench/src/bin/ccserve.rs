@@ -423,8 +423,9 @@ fn main() {
     println!("\n{}", telemetry.report());
     let stats = &outcome.queue;
     println!(
-        "ingestion: {} pushed, {} delivered, {} dropped at drain, peak depth {}",
-        stats.pushed, stats.delivered, stats.dropped_at_drain, stats.peak_depth
+        "ingestion: {} pushed, {} delivered, {} dropped at drain, {} out of order, \
+         peak depth {}",
+        stats.pushed, stats.delivered, stats.dropped_at_drain, stats.out_of_order, stats.peak_depth
     );
     if let Some(probe) = probe.as_mut() {
         if let Some((p50, p99, max)) = percentiles(&mut probe.lags_ms) {

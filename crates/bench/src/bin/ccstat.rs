@@ -20,23 +20,20 @@
 //!
 //! `--shards N` replays the selected policies in parallel across `N`
 //! worker threads (one policy per shard). `--jsonl` then produces one
-//! merged, shard-tagged file: each policy's events stream over a bounded
-//! channel to a mux thread, which writes the blocks in shard order with
-//! `shard_begin`/`shard_end` markers, so the output is deterministic
-//! regardless of scheduling. `--sample N` keeps one event in N
-//! (deterministic, counter-based), `--lossy` drops instead of blocking
-//! when the channel backs up; both report their drop counts at the end.
-//! The live interval table is disabled in sharded mode (tables print per
-//! policy after the sweep); `--chrome` stays serial-only.
+//! merged file: each policy's worker encodes its own JSONL block, and one
+//! writer thread writes the blocks in shard order (with
+//! `shard_begin`/`shard_end` markers when several policies run), so the
+//! output is deterministic regardless of scheduling and identical at every
+//! worker count. The live interval table is disabled in sharded mode
+//! (tables print per policy after the sweep); `--chrome` stays
+//! serial-only.
 //!
 //! `ccstat replay <file.jsonl>` works entirely offline: it decodes a
 //! previously exported event stream (serial or shard-tagged), rebuilds the
 //! per-interval table and final telemetry report from the events alone,
 //! and cross-checks the reconstruction against the recorded `snapshot`
 //! lines. `--audit` additionally runs the stream invariant auditor and
-//! exits non-zero on any violation; pass `--assume-sampled` for captures
-//! taken with `--sample N` (counter sampling leaves no marker in the
-//! file, so the auditor must be told to suppress pairing checks).
+//! exits non-zero on any violation.
 //!
 //! `ccstat replay <file.jsonl> --gap` computes each shard's optimality gap
 //! post-hoc, without re-simulating: service records and net keep-alive
@@ -47,8 +44,8 @@
 //! `--x86/--arm` (and `--warm-fraction/--budget` if used) flags the
 //! capture was taken with; they default to the live mode's defaults. A
 //! negative gap means the recorded run beat the bound — a conservation
-//! violation — and exits non-zero. Sampled or lossy captures cannot be
-//! priced faithfully and are rejected.
+//! violation — and exits non-zero. A stream whose `shard_end` markers
+//! declare dropped events cannot be priced faithfully and is rejected.
 
 //! `--profile` (serial mode only) replays each policy under `cc-prof`'s
 //! wall-clock profiler and prints the per-phase self-time table after the
@@ -65,10 +62,10 @@ use bench::BenchScenario;
 use cc_bound::{measured_cost_of_records, GapReport, HindsightInput};
 use cc_compress::CompressionModel;
 use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
-use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory, ShardedRunConfig};
+use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
-    ChannelSink, ChromeTraceSink, ClusterConfig, Event, EventSink, FixedKeepAlive, JsonlSink,
-    NullSink, SamplingSink, Scheduler, SimReport, Simulation, Tee, Telemetry, WallProfiler,
+    ChromeTraceSink, ClusterConfig, Event, EventSink, FixedKeepAlive, JsonlSink, NullSink,
+    Scheduler, SimReport, Simulation, Tee, Telemetry, WallProfiler,
 };
 use cc_trace::{SyntheticTrace, Trace};
 use cc_types::{Cost, SimDuration};
@@ -84,8 +81,8 @@ static ALLOC: cc_prof::CountingAllocator = cc_prof::CountingAllocator::new();
 const USAGE: &str = "usage: ccstat [--policy NAME|all] [--functions N] [--minutes N] [--seed N] \
                      [--x86 N] [--arm N] [--warm-fraction F] [--budget DOLLARS] \
                      [--jsonl PATH] [--chrome PATH] [--no-table] [--stress] [--profile] \
-                     [--shards N] [--sample N] [--lossy]\n\
-                     \x20      ccstat replay FILE.jsonl [--audit] [--assume-sampled] [--no-table] \
+                     [--shards N]\n\
+                     \x20      ccstat replay FILE.jsonl [--audit] [--no-table] \
                      [--gap] [--functions N] [--minutes N] [--seed N] [--x86 N] [--arm N] \
                      [--warm-fraction F] [--budget DOLLARS]";
 
@@ -148,8 +145,6 @@ fn main() {
     let mut stress = false;
     let mut profile = false;
     let mut shards: Option<usize> = None;
-    let mut sample_every: u64 = 1;
-    let mut lossy = false;
 
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("replay") {
@@ -213,21 +208,11 @@ fn main() {
                     _ => usage_error("--shards takes a positive worker count"),
                 };
             }
-            "--sample" => {
-                sample_every = match next("--sample").parse() {
-                    Ok(n) if n > 0 => n,
-                    _ => usage_error("--sample takes a positive interval (1 keeps everything)"),
-                };
-            }
-            "--lossy" => lossy = true,
             other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     if shards.is_some() && chrome_path.is_some() {
         usage_error("--chrome is serial-only; use --jsonl with --shards");
-    }
-    if shards.is_none() && (sample_every != 1 || lossy) {
-        usage_error("--sample and --lossy apply to the sharded channel; add --shards N");
     }
     if profile && shards.is_some() {
         usage_error("--profile prints one per-policy phase table; use it without --shards");
@@ -281,8 +266,6 @@ fn main() {
             &config,
             workers,
             jsonl_path.as_deref(),
-            sample_every,
-            lossy,
         );
         return;
     }
@@ -352,7 +335,6 @@ fn main() {
 fn run_replay(args: impl Iterator<Item = String>) -> ! {
     let mut file: Option<String> = None;
     let mut audit = false;
-    let mut assume_sampled = false;
     let mut table = true;
     let mut gap = false;
     // Scenario flags for `--gap`: must match the capture (defaults mirror
@@ -372,7 +354,6 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
         };
         match arg.as_str() {
             "--audit" => audit = true,
-            "--assume-sampled" => assume_sampled = true,
             "--no-table" => table = false,
             "--gap" => gap = true,
             "--functions" => {
@@ -478,13 +459,13 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
         println!("telemetry digest: {:#018x}", telemetry.digest());
         // The exporters append one snapshot line per shard, in shard
         // order; when the counts line up, cross-check the reconstruction
-        // against the recorded totals. A sampled or lossy capture can
-        // never reproduce the live totals, so the check is informational
-        // only there.
-        let lossless = !assume_sampled && shard.end.is_none_or(|e| e.dropped == 0);
+        // against the recorded totals. A stream whose end marker declares
+        // dropped events (written by some other producer) can never
+        // reproduce the live totals, so the check is skipped there.
+        let lossless = shard.end.is_none_or(|e| e.dropped == 0);
         if let Some((workload, config)) = &gap_ctx {
             if !lossless {
-                println!("gap: cannot price a sampled or lossy stream (records are incomplete)");
+                println!("gap: cannot price a stream with dropped events (records are incomplete)");
                 failed = true;
             } else {
                 let (records, spend) = cc_replay::reconstruct_records(shard);
@@ -516,7 +497,7 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
             }
         }
         if !lossless {
-            println!("snapshot: cross-check skipped (sampled or lossy stream)");
+            println!("snapshot: cross-check skipped (stream declares dropped events)");
         } else if log.snapshots.len() == log.shards.len() {
             let (line_no, recorded) = &log.snapshots[i];
             let rebuilt = telemetry.snapshot_line();
@@ -532,7 +513,7 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
         println!();
     }
     if audit {
-        let report = cc_replay::audit_log(&log, assume_sampled);
+        let report = cc_replay::audit_log(&log, false);
         print!("{}", report.summary());
         if !report.is_clean() {
             failed = true;
@@ -554,8 +535,8 @@ fn make_policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
 }
 
 /// One policy replayed inside a shard: telemetry folds locally in the
-/// worker, events tee into the shard's sink (the channel toward the mux, or
-/// nothing), and both travel back to the main thread for printing in shard
+/// worker, events tee into the shard's sink (its JSONL block, or nothing),
+/// and both travel back to the main thread for printing in shard
 /// order.
 fn replay_shard<S: EventSink>(
     name: &str,
@@ -572,7 +553,6 @@ fn replay_shard<S: EventSink>(
     (telemetry, report)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sharded_mode(
     names: &[&str],
     trace: &Trace,
@@ -580,26 +560,18 @@ fn run_sharded_mode(
     config: &ClusterConfig,
     workers: usize,
     jsonl_path: Option<&str>,
-    sample_every: u64,
-    lossy: bool,
 ) {
     let (results, mux) = if let Some(path) = jsonl_path {
-        let shard_config = ShardedRunConfig {
-            workers,
-            channel_capacity: 8192,
-            lossy,
-            sample_every,
-        };
         let jobs: Vec<_> = names
             .iter()
             .map(|&name| {
-                move |sink: &mut SamplingSink<ChannelSink>| {
+                move |sink: &mut JsonlSink<Vec<u8>>| {
                     replay_shard(name, trace, workload, config, sink)
                 }
             })
             .collect();
-        let (results, mut out, mux) = run_sharded_jsonl(jobs, &shard_config, open(path))
-            .unwrap_or_else(|e| {
+        let (results, mut out, mux) =
+            run_sharded_jsonl(jobs, workers, open(path)).unwrap_or_else(|e| {
                 eprintln!("error: writing jsonl: {e}");
                 std::process::exit(1);
             });
@@ -644,21 +616,12 @@ fn run_sharded_mode(
             }
             Err(panic) => println!("shard panicked: {panic}\n"),
         }
-        if result.sink.sent + result.sink.channel_dropped + result.sink.sampled_out > 0 {
-            eprintln!(
-                "shard {}: {} events sent, {} dropped by channel, {} sampled out",
-                result.shard,
-                result.sink.sent,
-                result.sink.channel_dropped,
-                result.sink.sampled_out
-            );
+        if result.sink.sent > 0 {
+            eprintln!("shard {}: {} events", result.shard, result.sink.sent);
         }
     }
     if let Some(mux) = mux {
-        eprintln!(
-            "jsonl: {} events merged, {} dropped",
-            mux.events_written, mux.dropped_total
-        );
+        eprintln!("jsonl: {} events merged", mux.events_written);
     }
 }
 

@@ -76,11 +76,10 @@ use std::time::Instant;
 use bench::{BenchScenario, StreamScenario};
 use cc_bound::{measured_cost_of_report, GapReport, HindsightInput, NanoCost};
 use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
-use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory, ShardedRunConfig};
+use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
-    ChannelSink, ChromeTraceSink, FixedKeepAlive, JsonlSink, NullProfiler, NullSink,
-    ParallelOptions, Profiler, SamplingSink, Scheduler, SimReport, Simulation, SliceSource,
-    WallProfiler,
+    ChromeTraceSink, FixedKeepAlive, JsonlSink, NullProfiler, NullSink, ParallelOptions, Profiler,
+    Scheduler, SimReport, Simulation, SliceSource, WallProfiler,
 };
 use cc_trace::Trace;
 use codecrunch::CodeCrunch;
@@ -1084,7 +1083,7 @@ fn sharded_sweep_p<P: Profiler>(
             let jobs: Vec<_> = selected
                 .iter()
                 .map(|&name| {
-                    move |sink: &mut SamplingSink<ChannelSink>| {
+                    move |sink: &mut JsonlSink<Vec<u8>>| {
                         let shard_started = Instant::now();
                         let mut policy = make_policy(name, Some(&scenario.trace));
                         let report = Simulation::new(
@@ -1100,14 +1099,8 @@ fn sharded_sweep_p<P: Profiler>(
                     }
                 })
                 .collect();
-            let config = ShardedRunConfig {
-                workers,
-                channel_capacity: 8192,
-                lossy: false,
-                sample_every: 1,
-            };
             if audit {
-                let (results, merged, mux) = run_sharded_jsonl(jobs, &config, Vec::new())
+                let (results, merged, mux) = run_sharded_jsonl(jobs, workers, Vec::new())
                     .expect("writing to memory cannot fail");
                 assert!(
                     mux.events_written > 0,
@@ -1119,7 +1112,7 @@ fn sharded_sweep_p<P: Profiler>(
                     .map(|r| r.outcome.expect("shard panicked"))
                     .collect()
             } else {
-                let (results, _, mux) = run_sharded_jsonl(jobs, &config, std::io::sink())
+                let (results, _, mux) = run_sharded_jsonl(jobs, workers, std::io::sink())
                     .expect("writing to io::sink cannot fail");
                 assert!(
                     mux.events_written > 0,

@@ -46,9 +46,9 @@ pub(crate) fn json_f64(value: f64) -> String {
 /// Formats one event as its canonical JSONL line (no trailing newline).
 ///
 /// This is the single source of truth for the JSONL encoding: [`JsonlSink`]
-/// writes exactly these bytes, and the sharded driver's mux thread uses it
-/// to format events received over a channel, so a merged shard stream is
-/// byte-identical to what a serial [`JsonlSink`] would have produced.
+/// writes exactly these bytes, and the intra-run pipeline's encoder workers
+/// use it to format window batches, so a pipelined stream is byte-identical
+/// to what a serial [`JsonlSink`] would have produced.
 pub fn event_line(event: &Event) -> String {
     let tag = event.tag();
     match *event {

@@ -23,13 +23,11 @@
 //!   `trace_event` JSON loadable in Perfetto, rendering node occupancy and
 //!   warm-instance lifetimes as tracks).
 //! * **Combinators** — [`Tee`] to fan out to two sinks, [`BufferSink`] to
-//!   retain events in memory, `&mut S` which forwards to `S`,
-//!   [`SamplingSink`] for deterministic 1-in-N sampling with explicit drop
-//!   accounting, [`ChannelSink`] which streams shard-tagged events over
-//!   a bounded channel to a mux thread (the transport for the sharded
-//!   parallel driver), and [`BatchSink`] which flushes window-aligned,
-//!   index-tagged event batches to multiple subscribers (the transport
-//!   for the intra-run parallel pipeline).
+//!   retain events in memory, `&mut S` which forwards to `S`, and
+//!   [`BatchSink`] which flushes window-aligned, index-tagged event
+//!   batches to multiple subscribers (the transport for the intra-run
+//!   parallel pipeline). The sharded driver needs no transport sink: each
+//!   shard encodes into its own in-memory [`JsonlSink`].
 //!
 //! This crate deliberately depends only on `cc-types` and `cc-metrics`;
 //! `cc-sim` depends on it (not the reverse), and re-exports the sink
@@ -38,23 +36,19 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod channel;
 mod chrome;
 mod event;
 mod instruments;
 mod jsonl;
-mod sampling;
 mod shared;
 mod telemetry;
 
 pub use batch::{BatchSink, EventBatch};
-pub use channel::{ChannelSink, ChannelStats, ShardMsg};
 pub use chrome::ChromeTraceSink;
 pub use event::{
     BufferSink, Event, EventSink, IntervalSample, NullSink, OptimizerRound, ReleaseReason, Tee,
 };
 pub use instruments::{Counter, Gauge, LogHistogram};
 pub use jsonl::{event_line, JsonlSink};
-pub use sampling::SamplingSink;
 pub use shared::SharedTelemetry;
 pub use telemetry::Telemetry;

@@ -9,8 +9,8 @@
 //!
 //! Completeness matters: most pairing and balance checks are only sound on
 //! a lossless stream. A shard whose `shard_end` marker declares dropped
-//! events — or a stream the caller marks as sampled (`--sample N` leaves no
-//! in-file trace) — is audited in degraded mode: ordering and range checks
+//! events — or a stream the caller marks as incomplete — is audited in
+//! degraded mode: ordering and range checks
 //! still run, pairing/balance/sample-consistency checks are suppressed, and
 //! the report carries an explicit notice instead of false violations.
 
@@ -97,9 +97,9 @@ impl AuditReport {
 /// Audits every shard of a decoded log.
 ///
 /// A shard is audited as complete unless its `shard_end` marker declares
-/// dropped events or `assume_sampled` is set (counter-based sampling leaves
-/// no marker in the file, so the caller must say so — e.g. ccstat's
-/// `--assume-sampled`).
+/// dropped events or `assume_sampled` is set (the caller knows the stream
+/// is incomplete although no marker says so). Every writer in this
+/// workspace is lossless, so its callers pass `false`.
 pub fn audit_log(log: &ReplayLog, assume_sampled: bool) -> AuditReport {
     AuditReport {
         shards: log

@@ -6,7 +6,8 @@
 //!
 //! 1. **Decoder** ([`decode`]) — parses the canonical JSONL back into the
 //!    typed [`Event`](cc_obs::Event) enum, including the sharded framing
-//!    (`shard_begin`/`shard_end` markers) written by `cc_shard::mux_jsonl`.
+//!    (`shard_begin`/`shard_end` markers) written by
+//!    `cc_shard::run_sharded_jsonl`.
 //!    Every malformed input is a typed [`DecodeError`]/[`StreamError`] with
 //!    a byte or line position — never a panic. Because the encoder is
 //!    canonical (stable key order, shortest-round-trip floats), decoding is
@@ -16,9 +17,10 @@
 //!    checks the engine's conservation laws (admit/release pairing, no use
 //!    after eviction, budget debit/credit balance, monotone timestamps,
 //!    compression pairing, per-interval sample consistency) and reports
-//!    every violation with its line number. Lossy or sampled captures are
-//!    audited in an explicit degraded mode instead of producing false
-//!    positives.
+//!    every violation with its line number. A shard whose end marker
+//!    declares dropped events (a stream from some other producer; this
+//!    workspace's writers are lossless) is audited in an explicit degraded
+//!    mode instead of producing false positives.
 //! 3. **Reconstructor** ([`reconstruct`]) — rebuilds the
 //!    [`Telemetry`](cc_obs::Telemetry) accumulator purely from the log, so
 //!    every live table, report, and digest can be reproduced offline,

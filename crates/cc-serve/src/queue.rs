@@ -11,6 +11,8 @@
 //!   drains at full speed, and late deliveries carry their *recorded*
 //!   arrival timestamps so queueing delay is charged to wait time exactly
 //!   as the batch engine would.
+//! - **Ordered**: an arrival earlier than the last accepted one is refused
+//!   and counted, so the consumer always sees nondecreasing arrivals.
 //! - **Closable**: the producer calls [`IngestQueue::close`] with the
 //!   final stream horizon; the consumer sees `Exhausted` once the last
 //!   queued arrival is out.
@@ -45,6 +47,9 @@ pub enum PushRejected {
     /// A drain is in effect and the arrival is at or after the drain
     /// instant. The producer should stop and [`IngestQueue::close`].
     Drained,
+    /// The arrival is earlier than one already accepted (queued or
+    /// delivered). The arrival is skipped; later ones may still be pushed.
+    OutOfOrder,
 }
 
 /// Counters describing one queue's lifetime, for reports and tests.
@@ -56,6 +61,8 @@ pub struct QueueStats {
     pub delivered: u64,
     /// Queued arrivals discarded because a drain instant cut them off.
     pub dropped_at_drain: u64,
+    /// Arrivals refused as [`PushRejected::OutOfOrder`].
+    pub out_of_order: u64,
     /// High-water mark of the queue depth.
     pub peak_depth: usize,
     /// Current depth.
@@ -72,9 +79,14 @@ struct QueueState {
     /// `NotBefore`) up to this instant. A drain instant is always chosen
     /// strictly after it, so the cut never contradicts delivered work.
     paced_to: SimTime,
+    /// Arrival instant of the last delivered invocation. A push must not
+    /// go below the queue's back, or below this once the queue is empty:
+    /// together they are the last accepted arrival a drain did not cut.
+    last_delivered: Option<SimTime>,
     pushed: u64,
     delivered: u64,
     dropped_at_drain: u64,
+    out_of_order: u64,
     peak_depth: usize,
 }
 
@@ -104,9 +116,11 @@ impl IngestQueue {
                 horizon: None,
                 drain_at: None,
                 paced_to: SimTime::ZERO,
+                last_delivered: None,
                 pushed: 0,
                 delivered: 0,
                 dropped_at_drain: 0,
+                out_of_order: 0,
                 peak_depth: 0,
             }),
             not_full: Condvar::new(),
@@ -116,7 +130,8 @@ impl IngestQueue {
 
     /// Enqueues an arrival, blocking while the queue is full
     /// (backpressure). Arrivals must be pushed in nondecreasing arrival
-    /// order — the queue debug-asserts it.
+    /// order: one earlier than the last accepted arrival is refused with
+    /// [`PushRejected::OutOfOrder`] and counted, in every build profile.
     pub fn push(&self, inv: Invocation) -> Result<(), PushRejected> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
@@ -128,13 +143,16 @@ impl IngestQueue {
                     return Err(PushRejected::Drained);
                 }
             }
+            let floor = state
+                .items
+                .back()
+                .map(|back| back.arrival)
+                .or(state.last_delivered);
+            if floor.is_some_and(|floor| inv.arrival < floor) {
+                state.out_of_order += 1;
+                return Err(PushRejected::OutOfOrder);
+            }
             if state.items.len() < self.capacity {
-                if let Some(back) = state.items.back() {
-                    debug_assert!(
-                        back.arrival <= inv.arrival,
-                        "arrivals must be pushed in order"
-                    );
-                }
                 state.items.push_back(inv);
                 state.pushed += 1;
                 state.peak_depth = state.peak_depth.max(state.items.len());
@@ -234,6 +252,7 @@ impl IngestQueue {
             pushed: state.pushed,
             delivered: state.delivered,
             dropped_at_drain: state.dropped_at_drain,
+            out_of_order: state.out_of_order,
             peak_depth: state.peak_depth,
             depth: state.items.len(),
         }
@@ -281,6 +300,7 @@ impl IngestQueue {
                 return if head <= target {
                     let inv = state.items.pop_front().expect("head checked above");
                     state.delivered += 1;
+                    state.last_delivered = Some(inv.arrival);
                     self.not_full.notify_all();
                     Fetch::Ready(inv)
                 } else {
@@ -352,6 +372,20 @@ mod tests {
         let stats = queue.stats();
         assert_eq!(stats.pushed, 3);
         assert_eq!(stats.peak_depth, 2);
+    }
+
+    #[test]
+    fn an_arrival_earlier_than_a_delivered_one_is_refused() {
+        let queue = IngestQueue::new(8);
+        let clock = VirtualClock::new();
+        queue.push(inv(10)).unwrap();
+        assert_eq!(queue.fetch(&clock, None), Fetch::Ready(inv(10)));
+        // The queue is empty again, but t=5 is still behind t=10.
+        assert_eq!(queue.push(inv(5)), Err(PushRejected::OutOfOrder));
+        assert_eq!(queue.push(inv(10)), Ok(()), "ties are in order");
+        assert_eq!(queue.push(inv(7)), Err(PushRejected::OutOfOrder));
+        let stats = queue.stats();
+        assert_eq!((stats.pushed, stats.out_of_order), (2, 2));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use cc_workload::Workload;
 
 use crate::clock::Clock;
 use crate::pace::PacedSource;
-use crate::queue::{IngestQueue, QueueStats};
+use crate::queue::{IngestQueue, PushRejected, QueueStats};
 
 /// Configuration for one [`Server`].
 #[derive(Debug, Clone)]
@@ -198,10 +198,13 @@ impl Drop for FeedGuard<'_> {
 fn feed<Src: ArrivalSource>(mut source: Src, queue: &IngestQueue) {
     let mut guard = FeedGuard { queue, done: false };
     while let Some(inv) = source.next_invocation() {
-        // A refused push means a drain (or close) cut the stream:
-        // everything at or after the cut is discarded by design.
-        if queue.push(inv).is_err() {
-            break;
+        match queue.push(inv) {
+            Ok(()) => {}
+            // Skipped and counted in the queue stats; the stream goes on.
+            Err(PushRejected::OutOfOrder) => {}
+            // A drain (or close) cut the stream: everything at or after
+            // the cut is discarded by design.
+            Err(PushRejected::Drained | PushRejected::Closed) => break,
         }
     }
     // Natural end and drain both land here; close() min-merges the

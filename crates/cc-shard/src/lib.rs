@@ -11,17 +11,15 @@
 //! * **Panic isolation** — each shard runs under `catch_unwind`; one
 //!   diverging policy cannot take down the sweep. The panic message is
 //!   captured into the shard's [`ShardResult`].
-//! * **Cross-thread event streaming** — workers trace into a
-//!   [`ChannelSink`](cc_obs::ChannelSink) over a bounded channel; a single
-//!   mux thread ([`mux_jsonl`]) merges the per-shard streams into one
-//!   shard-ordered JSONL file. With one shard the merged bytes are
-//!   identical to a serial [`JsonlSink`](cc_obs::JsonlSink) run; with more,
-//!   each shard's block is bracketed by `shard_begin`/`shard_end` marker
-//!   lines carrying explicit event and drop counts.
-//! * **Bounded memory, explicit loss** — the channel is bounded. Blocking
-//!   mode gives lossless backpressure; lossy mode never stalls a worker
-//!   and counts every dropped event, surfacing the total in the
-//!   `shard_end` marker and the [`MuxReport`].
+//! * **One ordered JSONL writer** — with [`run_sharded_jsonl`], each
+//!   shard encodes its events on its own worker into an in-memory
+//!   [`JsonlSink`](cc_obs::JsonlSink) block, and [`mux_chunks`] — the same
+//!   writer the intra-run parallel pipeline uses — writes the blocks in
+//!   shard-id order. With one shard the merged bytes are identical to a
+//!   serial [`JsonlSink`](cc_obs::JsonlSink) run; with more, each shard's
+//!   block is bracketed by `shard_begin`/`shard_end` marker lines carrying
+//!   its event count. Capture is always complete: the engine is
+//!   deterministic, so a capture can be re-run exactly instead of sampled.
 //!
 //! The driver is generic over the job's result type and the sink the job
 //! traces into, so uninstrumented sweeps use [`NullSinkFactory`] and pay
@@ -33,8 +31,7 @@
 mod mux;
 mod runner;
 
-pub use mux::{mux_chunks, mux_jsonl, MuxReport, MuxShard};
+pub use mux::mux_chunks;
 pub use runner::{
-    run_sharded, run_sharded_jsonl, ChannelSinkFactory, NullSinkFactory, ShardResult,
-    ShardedRunConfig, SinkFactory, SinkStats,
+    run_sharded, run_sharded_jsonl, MuxReport, NullSinkFactory, ShardResult, SinkFactory, SinkStats,
 };

@@ -1,169 +1,16 @@
-//! The mux thread: merges per-shard event streams into one deterministic,
-//! shard-ordered JSONL stream.
+//! The ordered writer: merges pre-encoded byte chunks into one
+//! deterministic stream, in chunk-index order.
 
 use std::io::{self, Write};
 use std::sync::mpsc::Receiver;
 
-use cc_obs::{event_line, ShardMsg};
-
-/// Per-shard accounting in a [`MuxReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MuxShard {
-    /// Event lines written for this shard.
-    pub events: u64,
-    /// Events the shard reported dropped (channel backpressure).
-    pub dropped: u64,
-}
-
-/// What the mux saw, returned by [`mux_jsonl`].
-#[derive(Debug, Clone, Default)]
-pub struct MuxReport {
-    /// Event lines written across all shards (markers excluded).
-    pub events_written: u64,
-    /// Total events dropped across all shards.
-    pub dropped_total: u64,
-    /// Per-shard counters, indexed by shard id.
-    pub shards: Vec<MuxShard>,
-}
-
-struct ShardState {
-    /// Formatted lines buffered while an earlier shard is still streaming.
-    buffer: Vec<String>,
-    finished: bool,
-    events: u64,
-    dropped: u64,
-}
-
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            buffer: Vec::new(),
-            finished: false,
-            events: 0,
-            dropped: 0,
-        }
-    }
-}
-
-/// Drains `rx` until every sender is gone, writing one shard-ordered JSONL
-/// stream to `out`.
-///
-/// Output is a deterministic function of the per-shard event streams, not
-/// of thread scheduling: shard blocks appear strictly in shard-id order.
-/// The lowest unflushed shard streams straight to the writer; later shards
-/// buffer (already formatted) until every earlier shard has delivered its
-/// [`ShardMsg::Finished`] marker. Memory is therefore bounded by the event
-/// volume of not-yet-current shards, and the bounded channel's
-/// backpressure caps how far workers can run ahead.
-///
-/// With `shards > 1` each block is bracketed by marker lines —
-/// `{"t":"shard_begin","shard":K}` and
-/// `{"t":"shard_end","shard":K,"events":N,"dropped":D}` — so the merged
-/// file is self-describing. With `shards <= 1` no markers are written and
-/// the bytes are identical to a serial
-/// [`JsonlSink`](cc_obs::JsonlSink) consuming the same event stream.
-pub fn mux_jsonl<W: Write>(
-    rx: Receiver<ShardMsg>,
-    mut out: W,
-    shards: u32,
-) -> io::Result<(W, MuxReport)> {
-    let tag = shards > 1;
-    let mut states: Vec<ShardState> = (0..shards as usize).map(|_| ShardState::new()).collect();
-    let mut current = 0usize;
-    if tag && !states.is_empty() {
-        writeln!(out, "{{\"t\":\"shard_begin\",\"shard\":0}}")?;
-    }
-
-    for msg in rx {
-        match msg {
-            ShardMsg::Event { shard, event } => {
-                let index = shard as usize;
-                if index >= states.len() {
-                    states.resize_with(index + 1, ShardState::new);
-                }
-                let line = event_line(&event);
-                states[index].events += 1;
-                if index == current {
-                    writeln!(out, "{line}")?;
-                } else {
-                    states[index].buffer.push(line);
-                }
-            }
-            ShardMsg::Finished { shard, dropped } => {
-                let index = shard as usize;
-                if index >= states.len() {
-                    states.resize_with(index + 1, ShardState::new);
-                }
-                states[index].finished = true;
-                states[index].dropped = dropped;
-                // Retire every leading finished shard, promoting the next
-                // one and flushing what it buffered in the meantime.
-                while current < states.len() && states[current].finished {
-                    let state = &states[current];
-                    if tag {
-                        writeln!(
-                            out,
-                            "{{\"t\":\"shard_end\",\"shard\":{},\"events\":{},\"dropped\":{}}}",
-                            current, state.events, state.dropped
-                        )?;
-                    }
-                    current += 1;
-                    if current < states.len() {
-                        if tag {
-                            writeln!(out, "{{\"t\":\"shard_begin\",\"shard\":{current}}}")?;
-                        }
-                        let buffered = std::mem::take(&mut states[current].buffer);
-                        for line in &buffered {
-                            writeln!(out, "{line}")?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Senders are gone. Any shard still unfinished lost its worker before
-    // the end-of-shard marker (which `finish` sends even on panic, so this
-    // is a defensive path): flush what arrived, in shard order.
-    while current < states.len() {
-        let buffered = std::mem::take(&mut states[current].buffer);
-        for line in &buffered {
-            writeln!(out, "{line}")?;
-        }
-        if tag {
-            let state = &states[current];
-            writeln!(
-                out,
-                "{{\"t\":\"shard_end\",\"shard\":{},\"events\":{},\"dropped\":{}}}",
-                current, state.events, state.dropped
-            )?;
-        }
-        current += 1;
-        if tag && current < states.len() {
-            writeln!(out, "{{\"t\":\"shard_begin\",\"shard\":{current}}}")?;
-        }
-    }
-    out.flush()?;
-
-    let report = MuxReport {
-        events_written: states.iter().map(|s| s.events).sum(),
-        dropped_total: states.iter().map(|s| s.dropped).sum(),
-        shards: states
-            .iter()
-            .map(|s| MuxShard {
-                events: s.events,
-                dropped: s.dropped,
-            })
-            .collect(),
-    };
-    Ok((out, report))
-}
-
 /// Drains `rx` until every sender is gone, writing pre-encoded byte chunks
 /// to `out` in chunk-index order.
 ///
-/// This is the writer half of the intra-run parallel pipeline: encoder
-/// workers race to format window batches and deliver `(index, bytes)`
+/// This is the one JSONL writer: the intra-run parallel pipeline's encoder
+/// workers deliver one chunk per window batch, and
+/// [`run_sharded_jsonl`](crate::run_sharded_jsonl) delivers one chunk per
+/// shard (indexed by shard id). Producers race and deliver `(index, bytes)`
 /// pairs in whatever order they finish; this function holds out-of-order
 /// chunks in a pending map and writes each the moment its index becomes
 /// the next expected one. Indices must be dense (0, 1, 2, …) and unique;
@@ -203,16 +50,7 @@ pub fn mux_chunks<W: Write>(rx: Receiver<(u64, Vec<u8>)>, mut out: W) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_obs::{Event, EventSink, JsonlSink};
-    use cc_types::{FunctionId, SimTime};
     use std::sync::mpsc::sync_channel;
-
-    fn arrival(us: u64) -> Event {
-        Event::Arrival {
-            at: SimTime::from_micros(us),
-            function: FunctionId::new(1),
-        }
-    }
 
     #[test]
     fn chunk_mux_reorders_by_index() {
@@ -242,140 +80,5 @@ mod tests {
         let (bytes, written) = mux_chunks(rx, Vec::new()).unwrap();
         assert_eq!(written, 3);
         assert_eq!(&bytes, b"acd");
-    }
-
-    /// Feeds a fixed interleaving and checks blocks come out shard-ordered.
-    #[test]
-    fn shard_blocks_are_ordered_regardless_of_arrival_interleaving() {
-        let (tx, rx) = sync_channel(64);
-        // Shard 1 races ahead, finishes first; shard 0 trickles in last.
-        tx.send(ShardMsg::Event {
-            shard: 1,
-            event: arrival(100),
-        })
-        .unwrap();
-        tx.send(ShardMsg::Event {
-            shard: 1,
-            event: arrival(101),
-        })
-        .unwrap();
-        tx.send(ShardMsg::Finished {
-            shard: 1,
-            dropped: 0,
-        })
-        .unwrap();
-        tx.send(ShardMsg::Event {
-            shard: 0,
-            event: arrival(0),
-        })
-        .unwrap();
-        tx.send(ShardMsg::Event {
-            shard: 0,
-            event: arrival(1),
-        })
-        .unwrap();
-        tx.send(ShardMsg::Finished {
-            shard: 0,
-            dropped: 3,
-        })
-        .unwrap();
-        drop(tx);
-
-        let (bytes, report) = mux_jsonl(rx, Vec::new(), 2).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(
-            text,
-            concat!(
-                "{\"t\":\"shard_begin\",\"shard\":0}\n",
-                "{\"t\":\"arrival\",\"at\":0,\"fn\":1}\n",
-                "{\"t\":\"arrival\",\"at\":1,\"fn\":1}\n",
-                "{\"t\":\"shard_end\",\"shard\":0,\"events\":2,\"dropped\":3}\n",
-                "{\"t\":\"shard_begin\",\"shard\":1}\n",
-                "{\"t\":\"arrival\",\"at\":100,\"fn\":1}\n",
-                "{\"t\":\"arrival\",\"at\":101,\"fn\":1}\n",
-                "{\"t\":\"shard_end\",\"shard\":1,\"events\":2,\"dropped\":0}\n",
-            )
-        );
-        assert_eq!(report.events_written, 4);
-        assert_eq!(report.dropped_total, 3);
-        assert_eq!(report.shards.len(), 2);
-        assert_eq!(
-            report.shards[0],
-            MuxShard {
-                events: 2,
-                dropped: 3
-            }
-        );
-    }
-
-    /// Two different interleavings of the same per-shard streams produce
-    /// byte-identical output.
-    #[test]
-    fn output_is_independent_of_message_interleaving() {
-        let run = |order: &[(u32, u64)]| {
-            let (tx, rx) = sync_channel(64);
-            let mut remaining = [2u32, 2u32];
-            for &(shard, at) in order {
-                tx.send(ShardMsg::Event {
-                    shard,
-                    event: arrival(at),
-                })
-                .unwrap();
-                remaining[shard as usize] -= 1;
-                if remaining[shard as usize] == 0 {
-                    tx.send(ShardMsg::Finished { shard, dropped: 0 }).unwrap();
-                }
-            }
-            drop(tx);
-            mux_jsonl(rx, Vec::new(), 2).unwrap().0
-        };
-        // Same per-shard sequences (0: [0,1], 1: [100,101]), opposite
-        // global interleavings.
-        let a = run(&[(0, 0), (1, 100), (0, 1), (1, 101)]);
-        let b = run(&[(1, 100), (1, 101), (0, 0), (0, 1)]);
-        assert_eq!(a, b);
-    }
-
-    /// The single-shard merged stream is byte-identical to a serial
-    /// `JsonlSink` consuming the same events — no markers, same encoding.
-    #[test]
-    fn single_shard_matches_serial_jsonl_bytes() {
-        let events: Vec<Event> = (0..20).map(arrival).collect();
-
-        let mut serial = JsonlSink::new(Vec::new());
-        for e in &events {
-            serial.record(e);
-        }
-        let serial_bytes = serial.finish().unwrap();
-
-        let (tx, rx) = sync_channel(8);
-        let mut sink = cc_obs::ChannelSink::blocking(0, tx);
-        let handle = std::thread::spawn(move || mux_jsonl(rx, Vec::new(), 1));
-        for e in &events {
-            sink.record(e);
-        }
-        sink.finish();
-        let (sharded_bytes, report) = handle.join().unwrap().unwrap();
-
-        assert_eq!(sharded_bytes, serial_bytes);
-        assert_eq!(report.events_written, 20);
-        assert_eq!(report.dropped_total, 0);
-    }
-
-    /// A worker that dies without a Finished marker still gets its buffered
-    /// events flushed, in shard order.
-    #[test]
-    fn unfinished_shards_flush_at_end_of_stream() {
-        let (tx, rx) = sync_channel(8);
-        tx.send(ShardMsg::Event {
-            shard: 1,
-            event: arrival(5),
-        })
-        .unwrap();
-        drop(tx);
-        let (bytes, report) = mux_jsonl(rx, Vec::new(), 2).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains("\"at\":5"));
-        assert_eq!(report.events_written, 1);
     }
 }

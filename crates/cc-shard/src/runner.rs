@@ -7,27 +7,22 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Mutex;
 use std::thread;
 
-use cc_obs::{ChannelSink, EventSink, NullSink, SamplingSink, ShardMsg};
+use cc_obs::{EventSink, JsonlSink, NullSink};
 
-use crate::mux::{mux_jsonl, MuxReport};
+use crate::mux::mux_chunks;
 
 /// Per-shard sink counters collected after the job finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SinkStats {
-    /// Events delivered to the channel (post-sampling).
+    /// Events the shard's sink wrote.
     pub sent: u64,
-    /// Events lost to channel backpressure (lossy mode) or a vanished
-    /// consumer.
-    pub channel_dropped: u64,
-    /// Events deliberately skipped by 1-in-N sampling.
-    pub sampled_out: u64,
 }
 
 /// Builds one sink per shard and tears it down when the shard finishes.
 ///
 /// The factory is shared by all workers (`Sync`); `finish` runs even when
-/// the job panicked, so channel-backed sinks always deliver their
-/// end-of-shard marker and the mux can retire the shard.
+/// the job panicked, so a shard's block is always closed and handed on,
+/// carrying the events it recorded before the panic.
 pub trait SinkFactory: Sync {
     /// The sink type handed to each job.
     type Sink: EventSink + Send;
@@ -57,59 +52,39 @@ impl SinkFactory for NullSinkFactory {
     }
 }
 
-/// Builds a [`SamplingSink`]-wrapped [`ChannelSink`] per shard, all feeding
-/// one bounded channel toward the mux thread.
-///
-/// Drop the factory after [`run_sharded`] returns: it holds the last
-/// sender, and the mux drains until every sender is gone.
-#[derive(Debug)]
-pub struct ChannelSinkFactory {
-    tx: SyncSender<ShardMsg>,
-    lossy: bool,
-    sample_every: u64,
+/// Encodes each shard into its own in-memory JSONL block and sends the
+/// finished block, indexed by shard id, to the [`mux_chunks`] writer.
+struct JsonlBlockFactory {
+    tx: SyncSender<(u64, Vec<u8>)>,
+    /// Bracket each block with `shard_begin`/`shard_end` marker lines.
+    tagged: bool,
 }
 
-impl ChannelSinkFactory {
-    /// A factory whose sinks block on a full channel (lossless).
-    /// `sample_every` of 1 forwards every event.
-    pub fn blocking(tx: SyncSender<ShardMsg>, sample_every: u64) -> ChannelSinkFactory {
-        ChannelSinkFactory {
-            tx,
-            lossy: false,
-            sample_every,
-        }
-    }
-
-    /// A factory whose sinks drop (and count) events on a full channel.
-    pub fn lossy(tx: SyncSender<ShardMsg>, sample_every: u64) -> ChannelSinkFactory {
-        ChannelSinkFactory {
-            tx,
-            lossy: true,
-            sample_every,
-        }
-    }
-}
-
-impl SinkFactory for ChannelSinkFactory {
-    type Sink = SamplingSink<ChannelSink>;
+impl SinkFactory for JsonlBlockFactory {
+    type Sink = JsonlSink<Vec<u8>>;
 
     fn make(&self, shard: u32) -> Self::Sink {
-        let channel = if self.lossy {
-            ChannelSink::lossy(shard, self.tx.clone())
-        } else {
-            ChannelSink::blocking(shard, self.tx.clone())
-        };
-        SamplingSink::new(channel, self.sample_every)
+        let mut sink = JsonlSink::new(Vec::new());
+        if self.tagged {
+            sink.write_line(&format!("{{\"t\":\"shard_begin\",\"shard\":{shard}}}"));
+        }
+        sink
     }
 
-    fn finish(&self, _shard: u32, sink: Self::Sink) -> SinkStats {
-        let sampled_out = sink.dropped();
-        let stats = sink.into_inner().finish();
-        SinkStats {
-            sent: stats.sent,
-            channel_dropped: stats.dropped,
-            sampled_out,
+    fn finish(&self, shard: u32, sink: Self::Sink) -> SinkStats {
+        let events = sink.events_written();
+        let mut block = sink.finish().expect("writing to memory cannot fail");
+        if self.tagged {
+            writeln!(
+                block,
+                "{{\"t\":\"shard_end\",\"shard\":{shard},\"events\":{events},\"dropped\":0}}"
+            )
+            .expect("writing to memory cannot fail");
         }
+        // A send only fails once the writer has gone (an IO error), which
+        // `run_sharded_jsonl` reports.
+        let _ = self.tx.send((u64::from(shard), block));
+        SinkStats { sent: events }
     }
 }
 
@@ -139,7 +114,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Workers pull shards from a shared atomic counter, so load balances
 /// dynamically; each shard runs under `catch_unwind`, and its sink is
-/// finished (delivering the end-of-shard marker for channel sinks) whether
+/// finished (closing a JSONL block with its end-of-shard marker) whether
 /// the job returned or panicked. `workers` is clamped to `1..=jobs.len()`.
 pub fn run_sharded<T, J, F>(jobs: Vec<J>, workers: usize, factory: &F) -> Vec<ShardResult<T>>
 where
@@ -205,65 +180,62 @@ where
         .collect()
 }
 
-/// Configuration for [`run_sharded_jsonl`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedRunConfig {
-    /// Worker threads (clamped to the job count).
-    pub workers: usize,
-    /// Bounded channel capacity in events (minimum 1).
-    pub channel_capacity: usize,
-    /// Drop events instead of blocking when the channel is full.
-    pub lossy: bool,
-    /// Forward one event in N to the channel (1 = all).
-    pub sample_every: u64,
+/// What the writer saw, returned by [`run_sharded_jsonl`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MuxReport {
+    /// Event lines written across all shards (markers excluded).
+    pub events_written: u64,
 }
 
-impl Default for ShardedRunConfig {
-    fn default() -> ShardedRunConfig {
-        ShardedRunConfig {
-            workers: 2,
-            channel_capacity: 4096,
-            lossy: false,
-            sample_every: 1,
-        }
-    }
-}
-
-/// Runs `jobs` sharded while a mux thread merges their event streams into
-/// one shard-ordered JSONL stream written to `out`.
+/// Runs `jobs` across `workers` threads while [`mux_chunks`] writes their
+/// event streams to `out` as one shard-ordered JSONL stream.
 ///
-/// Convenience wrapper tying [`run_sharded`] to [`mux_jsonl`]: it wires the
-/// bounded channel, spawns the mux thread, closes the channel when the last
-/// shard finishes, and joins. Returns the shard results (ordered by shard
-/// id), the writer, and the mux's accounting.
+/// Each shard encodes its events on its own worker into a
+/// [`JsonlSink<Vec<u8>>`](JsonlSink); when the shard finishes (or panics),
+/// its whole block goes to the writer thread, which writes blocks in
+/// shard-id order whatever order they complete in. The output is
+/// therefore a deterministic function of the per-shard event streams.
+///
+/// With more than one job each block is bracketed by marker lines —
+/// `{"t":"shard_begin","shard":K}` and
+/// `{"t":"shard_end","shard":K,"events":N,"dropped":0}` — so the merged
+/// file is self-describing. With one job no markers are written and the
+/// bytes are identical to a serial [`JsonlSink`] consuming the same event
+/// stream.
+///
+/// Returns the shard results (ordered by shard id), the writer, and the
+/// writer's accounting.
 pub fn run_sharded_jsonl<T, J, W>(
     jobs: Vec<J>,
-    config: &ShardedRunConfig,
+    workers: usize,
     out: W,
 ) -> io::Result<(Vec<ShardResult<T>>, W, MuxReport)>
 where
     T: Send,
-    J: FnOnce(&mut SamplingSink<ChannelSink>) -> T + Send,
+    J: FnOnce(&mut JsonlSink<Vec<u8>>) -> T + Send,
     W: Write + Send,
 {
-    let shards = jobs.len() as u32;
-    let (tx, rx) = sync_channel(config.channel_capacity.max(1));
-    let factory = if config.lossy {
-        ChannelSinkFactory::lossy(tx, config.sample_every)
-    } else {
-        ChannelSinkFactory::blocking(tx, config.sample_every)
+    // Room for one finished block per worker, so a worker never waits on
+    // the writer unless every other worker's block is also queued.
+    let (tx, rx) = sync_channel(workers.max(1));
+    let factory = JsonlBlockFactory {
+        tx,
+        tagged: jobs.len() > 1,
     };
 
-    let mut muxed = None;
+    let mut written = None;
     let results = thread::scope(|scope| {
-        let mux = scope.spawn(move || mux_jsonl(rx, out, shards));
-        let results = run_sharded(jobs, config.workers, &factory);
-        // Drop the factory's sender so the mux sees end-of-stream.
+        let writer = scope.spawn(move || mux_chunks(rx, out));
+        let results = run_sharded(jobs, workers, &factory);
+        // Drop the factory's sender so the writer sees end-of-stream.
         drop(factory);
-        muxed = Some(mux.join().expect("mux thread panicked"));
+        written = Some(writer.join().expect("writer thread panicked"));
         results
     });
-    let (out, report) = muxed.expect("mux joined before scope exit")?;
+    let (out, _) = written.expect("writer joined before scope exit")?;
+    let report = MuxReport {
+        events_written: results.iter().map(|r| r.sink.sent).sum(),
+    };
     Ok((results, out, report))
 }
 
@@ -324,33 +296,30 @@ mod tests {
     }
 
     #[test]
-    fn channel_factory_reports_sampling_and_finishes_shards() {
-        let jobs: Vec<_> = (0..3u32)
-            .map(|_| {
-                move |sink: &mut SamplingSink<ChannelSink>| {
-                    for i in 0..10 {
+    fn jsonl_shards_report_their_own_event_counts() {
+        let jobs: Vec<_> = (0..3u64)
+            .map(|shard| {
+                move |sink: &mut JsonlSink<Vec<u8>>| {
+                    for i in 0..=shard * 4 {
                         sink.record(&arrival(i));
                     }
                 }
             })
             .collect();
-        let config = ShardedRunConfig {
-            workers: 3,
-            channel_capacity: 8,
-            lossy: false,
-            sample_every: 5,
-        };
-        let (results, bytes, report) = run_sharded_jsonl(jobs, &config, Vec::new()).unwrap();
-        for r in &results {
-            assert_eq!(r.sink.sent, 2, "10 events sampled 1-in-5");
-            assert_eq!(r.sink.sampled_out, 8);
-            assert_eq!(r.sink.channel_dropped, 0);
-        }
-        assert_eq!(report.events_written, 6);
+        let (results, bytes, report) = run_sharded_jsonl(jobs, 3, Vec::new()).unwrap();
+        let sent: Vec<u64> = results.iter().map(|r| r.sink.sent).collect();
+        assert_eq!(sent, vec![1, 5, 9]);
+        assert_eq!(report.events_written, 15);
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(
             text.lines().filter(|l| l.contains("\"arrival\"")).count(),
-            6
+            15
         );
+        for (shard, events) in sent.iter().enumerate() {
+            let end = format!(
+                "{{\"t\":\"shard_end\",\"shard\":{shard},\"events\":{events},\"dropped\":0}}"
+            );
+            assert!(text.contains(&end), "missing {end}");
+        }
     }
 }

@@ -5,24 +5,15 @@
 
 use std::sync::mpsc;
 
-use cc_obs::{event_line, ChannelSink, Event, EventSink, SamplingSink};
+use cc_obs::{event_line, Event, EventSink, JsonlSink};
 use cc_replay::decode_stream;
-use cc_shard::{run_sharded_jsonl, ShardedRunConfig};
+use cc_shard::run_sharded_jsonl;
 use cc_types::{FunctionId, SimTime};
 
 fn arrival(us: u64) -> Event {
     Event::Arrival {
         at: SimTime::from_micros(us),
         function: FunctionId::new(2),
-    }
-}
-
-fn config(workers: usize) -> ShardedRunConfig {
-    ShardedRunConfig {
-        workers,
-        channel_capacity: 16,
-        lossy: false,
-        sample_every: 1,
     }
 }
 
@@ -34,7 +25,7 @@ fn zero_event_shard_produces_an_empty_decodable_block() {
         let jobs: Vec<_> = [3u64, 0, 2]
             .into_iter()
             .map(|count| {
-                move |sink: &mut SamplingSink<ChannelSink>| {
+                move |sink: &mut JsonlSink<Vec<u8>>| {
                     for i in 0..count {
                         sink.record(&arrival(i));
                     }
@@ -42,7 +33,7 @@ fn zero_event_shard_produces_an_empty_decodable_block() {
             })
             .collect();
         let (results, bytes, report) =
-            run_sharded_jsonl(jobs, &config(2), Vec::new()).expect("in-memory mux cannot fail");
+            run_sharded_jsonl(jobs, 2, Vec::new()).expect("in-memory mux cannot fail");
         assert!(results.iter().all(|r| r.outcome.is_ok()));
         assert_eq!(report.events_written, 5);
         String::from_utf8(bytes).unwrap()
@@ -73,24 +64,24 @@ fn zero_event_shard_produces_an_empty_decodable_block() {
 #[test]
 fn panicking_shard_leaves_a_decodable_deterministic_stream() {
     let run = || {
-        type Job = Box<dyn FnOnce(&mut SamplingSink<ChannelSink>) + Send>;
+        type Job = Box<dyn FnOnce(&mut JsonlSink<Vec<u8>>) + Send>;
         let jobs: Vec<Job> = vec![
-            Box::new(|sink: &mut SamplingSink<ChannelSink>| {
+            Box::new(|sink: &mut JsonlSink<Vec<u8>>| {
                 for i in 0..4 {
                     sink.record(&arrival(i));
                 }
             }),
-            Box::new(|sink: &mut SamplingSink<ChannelSink>| {
+            Box::new(|sink: &mut JsonlSink<Vec<u8>>| {
                 sink.record(&arrival(100));
                 sink.record(&arrival(101));
                 panic!("simulated divergence after two events");
             }),
-            Box::new(|sink: &mut SamplingSink<ChannelSink>| {
+            Box::new(|sink: &mut JsonlSink<Vec<u8>>| {
                 sink.record(&arrival(200));
             }),
         ];
         let (results, bytes, report) =
-            run_sharded_jsonl(jobs, &config(2), Vec::new()).expect("in-memory mux cannot fail");
+            run_sharded_jsonl(jobs, 2, Vec::new()).expect("in-memory mux cannot fail");
         assert!(results[0].outcome.is_ok());
         let err = results[1].outcome.as_ref().unwrap_err();
         assert!(err.contains("simulated divergence"), "got {err:?}");
@@ -123,15 +114,15 @@ fn panicking_shard_leaves_a_decodable_deterministic_stream() {
 #[test]
 fn out_of_order_completion_still_merges_in_shard_order() {
     let (signal_tx, signal_rx) = mpsc::channel::<()>();
-    type Job = Box<dyn FnOnce(&mut SamplingSink<ChannelSink>) + Send>;
+    type Job = Box<dyn FnOnce(&mut JsonlSink<Vec<u8>>) + Send>;
     let jobs: Vec<Job> = vec![
-        Box::new(move |sink: &mut SamplingSink<ChannelSink>| {
+        Box::new(move |sink: &mut JsonlSink<Vec<u8>>| {
             // Wait until shard 1 is completely done before emitting.
             signal_rx.recv().expect("shard 1 signals completion");
             sink.record(&arrival(0));
             sink.record(&arrival(1));
         }),
-        Box::new(move |sink: &mut SamplingSink<ChannelSink>| {
+        Box::new(move |sink: &mut JsonlSink<Vec<u8>>| {
             sink.record(&arrival(100));
             sink.record(&arrival(101));
             signal_tx.send(()).expect("shard 0 is waiting");
@@ -140,7 +131,7 @@ fn out_of_order_completion_still_merges_in_shard_order() {
     // Two workers, so both shards run concurrently and the stall cannot
     // deadlock the sweep.
     let (results, bytes, report) =
-        run_sharded_jsonl(jobs, &config(2), Vec::new()).expect("in-memory mux cannot fail");
+        run_sharded_jsonl(jobs, 2, Vec::new()).expect("in-memory mux cannot fail");
     assert!(results.iter().all(|r| r.outcome.is_ok()));
     assert_eq!(report.events_written, 4);
 

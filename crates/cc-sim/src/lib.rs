@@ -61,9 +61,8 @@ mod source;
 mod view;
 
 pub use cc_obs::{
-    BufferSink, ChannelSink, ChannelStats, ChromeTraceSink, Event, EventSink, IntervalSample,
-    JsonlSink, NullSink, OptimizerRound, ReleaseReason, SamplingSink, ShardMsg, SharedTelemetry,
-    Tee, Telemetry,
+    BufferSink, ChromeTraceSink, Event, EventSink, IntervalSample, JsonlSink, NullSink,
+    OptimizerRound, ReleaseReason, SharedTelemetry, Tee, Telemetry,
 };
 pub use cc_prof::{NullProfiler, Phase, Profiler, WallProfiler};
 pub use cc_types::WarmId;

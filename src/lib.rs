@@ -84,14 +84,13 @@ pub mod prelude {
         Server, VirtualClock,
     };
     pub use cc_shard::{
-        mux_jsonl, run_sharded, run_sharded_jsonl, ChannelSinkFactory, MuxReport, NullSinkFactory,
-        ShardResult, ShardedRunConfig, SinkFactory,
+        run_sharded, run_sharded_jsonl, MuxReport, NullSinkFactory, ShardResult, SinkFactory,
     };
     pub use cc_sim::{
-        fnv1a, run_parallel, run_streaming, ArrivalSource, BufferSink, ChannelSink,
-        ChromeTraceSink, ClusterConfig, Event, EventSink, Fetch, FixedKeepAlive, JsonlSink,
-        NullSink, ParallelOptions, ParallelOutcome, RuntimeKind, SamplingSink, Scheduler,
-        SharedTelemetry, SimReport, Simulation, SliceSource, Tee, Telemetry,
+        fnv1a, run_parallel, run_streaming, ArrivalSource, BufferSink, ChromeTraceSink,
+        ClusterConfig, Event, EventSink, Fetch, FixedKeepAlive, JsonlSink, NullSink,
+        ParallelOptions, ParallelOutcome, RuntimeKind, Scheduler, SharedTelemetry, SimReport,
+        Simulation, SliceSource, Tee, Telemetry,
     };
     pub use cc_trace::{Perturbation, StreamingTrace, SyntheticTrace, Trace};
     pub use cc_types::{

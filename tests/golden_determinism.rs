@@ -189,19 +189,13 @@ fn sharded_sweep_reproduces_golden_digests() {
 fn single_shard_jsonl_is_byte_identical_to_serial() {
     let (_, serial_stream) = run_with_jsonl(policy_under_test("codecrunch").as_mut());
 
-    let job = |sink: &mut SamplingSink<ChannelSink>| {
+    let job = |sink: &mut JsonlSink<Vec<u8>>| {
         let (trace, workload, config) = scenario();
         let mut policy = policy_under_test("codecrunch");
         Simulation::new(config, &trace, &workload).run_with_sink(policy.as_mut(), sink)
     };
-    let config = ShardedRunConfig {
-        workers: 1,
-        channel_capacity: 1024,
-        lossy: false,
-        sample_every: 1,
-    };
     let (results, sharded_stream, mux) =
-        run_sharded_jsonl(vec![job], &config, Vec::new()).expect("in-memory mux cannot fail");
+        run_sharded_jsonl(vec![job], 1, Vec::new()).expect("in-memory mux cannot fail");
     let report = results[0].outcome.as_ref().expect("shard panicked");
 
     assert_eq!(
@@ -210,7 +204,6 @@ fn single_shard_jsonl_is_byte_identical_to_serial() {
         "single-shard mux bytes diverge from the serial JSONL stream"
     );
     assert_eq!(sharded_stream, serial_stream);
-    assert_eq!(mux.dropped_total, 0, "blocking channel must be lossless");
     assert_eq!(mux.events_written, results[0].sink.sent);
     let golden = GOLDEN
         .iter()
@@ -220,7 +213,7 @@ fn single_shard_jsonl_is_byte_identical_to_serial() {
     assert_eq!(
         report.digest(),
         golden,
-        "channel-sink instrumentation perturbed the simulation"
+        "sharded JSONL instrumentation perturbed the simulation"
     );
 }
 

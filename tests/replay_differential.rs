@@ -116,8 +116,8 @@ fn shard_job<'a>(
     trace: &'a Trace,
     workload: &'a Workload,
     config: &'a ClusterConfig,
-) -> impl Fn(&mut SamplingSink<ChannelSink>) -> Telemetry + Send + 'a {
-    move |sink: &mut SamplingSink<ChannelSink>| {
+) -> impl Fn(&mut JsonlSink<Vec<u8>>) -> Telemetry + Send + 'a {
+    move |sink: &mut JsonlSink<Vec<u8>>| {
         let mut policy = policy_under_test(name);
         let mut telemetry = Telemetry::new(config.interval);
         let mut tee = Tee(&mut telemetry, sink);
@@ -132,15 +132,8 @@ fn sharded_stream(workers: usize) -> (Vec<Telemetry>, String) {
         .iter()
         .map(|&name| shard_job(name, &trace, &workload, &config))
         .collect();
-    let shard_config = ShardedRunConfig {
-        workers,
-        channel_capacity: 1024,
-        lossy: false,
-        sample_every: 1,
-    };
-    let (results, merged, mux) =
-        run_sharded_jsonl(jobs, &shard_config, Vec::new()).expect("in-memory mux cannot fail");
-    assert_eq!(mux.dropped_total, 0, "blocking channel must be lossless");
+    let (results, merged, _) =
+        run_sharded_jsonl(jobs, workers, Vec::new()).expect("in-memory mux cannot fail");
     let live: Vec<Telemetry> = results
         .into_iter()
         .map(|r| r.outcome.expect("shard panicked"))
