@@ -6,60 +6,27 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::BenchScenario;
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{policy, POLICIES};
 use cc_sim::{ClusterView, FixedKeepAlive, KeepDecision, Scheduler, Simulation};
 use cc_types::{Arch, FunctionId};
 use codecrunch::CodeCrunch;
 
 fn bench_policies(c: &mut Criterion) {
-    let scenario = BenchScenario::new();
+    let scenario = BenchScenario::small();
     let mut group = c.benchmark_group("simulate_trace");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
 
-    group.bench_function("fixed_keepalive", |b| {
-        b.iter(|| {
-            let mut policy = FixedKeepAlive::ten_minutes();
-            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-                .run(&mut policy)
-        })
-    });
-    group.bench_function("sitw", |b| {
-        b.iter(|| {
-            let mut policy = SitW::new();
-            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-                .run(&mut policy)
-        })
-    });
-    group.bench_function("faascache", |b| {
-        b.iter(|| {
-            let mut policy = FaasCache::new();
-            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-                .run(&mut policy)
-        })
-    });
-    group.bench_function("icebreaker", |b| {
-        b.iter(|| {
-            let mut policy = IceBreaker::new();
-            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-                .run(&mut policy)
-        })
-    });
-    group.bench_function("oracle", |b| {
-        b.iter(|| {
-            let mut policy = Oracle::new(&scenario.trace);
-            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-                .run(&mut policy)
-        })
-    });
-    group.bench_function("codecrunch", |b| {
-        b.iter(|| {
-            let mut policy = CodeCrunch::new();
-            Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-                .run(&mut policy)
-        })
-    });
+    for name in POLICIES {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut policy = policy(name, Some(&scenario.trace)).expect("a table policy");
+                Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
+                    .run(policy.as_mut())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -34,17 +34,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bench::{check_scale, cli_scale, scale_flag};
 use cc_compress::CompressionModel;
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::policy;
 use cc_serve::{Clock, RealClock, ServeHandle, ServeOptions, Server, VirtualClock};
 use cc_sim::{
-    ClusterConfig, ClusterView, Command, Event, EventSink, FixedKeepAlive, JsonlSink, KeepDecision,
-    OptimizerRound, Scheduler, SharedTelemetry, Telemetry, WarmInstance,
+    ClusterView, Command, Event, EventSink, JsonlSink, KeepDecision, OptimizerRound, Scheduler,
+    SharedTelemetry, Telemetry, WarmInstance,
 };
-use cc_trace::{StreamingTrace, SyntheticTrace, Trace};
+use cc_trace::StreamingTrace;
 use cc_types::{Arch, FunctionId, ServiceRecord, SimDuration, SimTime};
 use cc_workload::{Catalog, Workload};
-use codecrunch::CodeCrunch;
 
 const USAGE: &str = "usage: ccserve [--policy NAME] [--scenario synthetic|stream] \
                      [--functions N] [--minutes N] [--seed N] [--rate-scale F] \
@@ -174,31 +174,11 @@ impl Scheduler for LagProbe<'_> {
     }
 }
 
-fn policy_for(name: &str, trace: Option<&Trace>) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => match trace {
-            Some(trace) => Box::new(Oracle::new(trace)),
-            None => usage_error("oracle needs a materialized trace; use --scenario synthetic"),
-        },
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => usage_error(&format!("unknown policy {other}")),
-    }
-}
-
 fn main() {
     let mut policy_name = String::from("codecrunch");
     let mut scenario = String::from("synthetic");
-    let mut functions: usize = 200;
-    let mut minutes: u64 = 20;
-    let mut seed: u64 = 7;
+    let mut scale = cli_scale();
     let mut rate_scale: f64 = 1.0;
-    let mut x86: u32 = 2;
-    let mut arm: u32 = 2;
-    let mut warm_fraction: Option<f64> = None;
     let mut speed: f64 = 60.0;
     let mut virtual_clock = false;
     let mut duration_mins: Option<u64> = None;
@@ -215,42 +195,10 @@ fn main() {
         match arg.as_str() {
             "--policy" => policy_name = next("--policy"),
             "--scenario" => scenario = next("--scenario"),
-            "--functions" => {
-                functions = next("--functions")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--functions takes an integer"));
-            }
-            "--minutes" => {
-                minutes = next("--minutes")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--minutes takes an integer"));
-            }
-            "--seed" => {
-                seed = next("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed takes an integer"));
-            }
             "--rate-scale" => {
                 rate_scale = next("--rate-scale")
                     .parse()
                     .unwrap_or_else(|_| usage_error("--rate-scale takes a number"));
-            }
-            "--x86" => {
-                x86 = next("--x86")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--x86 takes an integer"));
-            }
-            "--arm" => {
-                arm = next("--arm")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--arm takes an integer"));
-            }
-            "--warm-fraction" => {
-                warm_fraction = Some(
-                    next("--warm-fraction")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--warm-fraction takes a fraction")),
-                );
             }
             "--speed" => {
                 speed = next("--speed")
@@ -272,55 +220,47 @@ fn main() {
             }
             "--jsonl" => jsonl_path = Some(next("--jsonl")),
             "--no-table" => live = false,
-            other => usage_error(&format!("unknown flag {other}")),
+            other => {
+                if !scale_flag(&mut scale, other, &mut args).unwrap_or_else(|e| usage_error(&e)) {
+                    usage_error(&format!("unknown flag {other}"));
+                }
+            }
         }
     }
+    check_scale(&scale).unwrap_or_else(|e| usage_error(&e));
 
-    let mut config = ClusterConfig::small(x86, arm);
-    if let Some(fraction) = warm_fraction {
-        config = config.with_warm_memory_fraction(fraction);
-    }
-
+    let config = scale.cluster();
+    // The streaming generator is rebuilt for the serve call below; the
+    // builder is deterministic, so it is the same stream.
+    let stream = || {
+        StreamingTrace::builder()
+            .functions(scale.functions)
+            .duration(SimDuration::from_mins(scale.minutes))
+            .seed(scale.seed)
+            .rate_scale(rate_scale)
+            .build()
+    };
     // Materialized trace (None for the streaming scenario).
-    let trace: Option<Trace>;
-    let workload;
-    match scenario.as_str() {
+    let (trace, workload) = match scenario.as_str() {
         "synthetic" => {
             if rate_scale != 1.0 {
                 usage_error("--rate-scale applies to --scenario stream only");
             }
-            let t = SyntheticTrace::builder()
-                .functions(functions)
-                .duration(SimDuration::from_mins(minutes))
-                .seed(seed)
-                .build();
-            workload = Workload::from_trace(
-                &t,
-                &Catalog::paper_catalog(),
-                &CompressionModel::paper_default(),
-            );
-            trace = Some(t);
+            let trace = scale.trace();
+            let workload = scale.workload(&trace);
+            (Some(trace), workload)
         }
         "stream" => {
-            let stream = StreamingTrace::builder()
-                .functions(functions)
-                .duration(SimDuration::from_mins(minutes))
-                .seed(seed)
-                .rate_scale(rate_scale)
-                .build();
-            workload = Workload::from_functions(
-                stream.functions(),
+            let workload = Workload::from_functions(
+                stream().functions(),
                 &Catalog::paper_catalog(),
                 &CompressionModel::paper_default(),
             );
-            trace = None;
-            // Rebuilt below (Workload::from_functions borrowed it); the
-            // builder is deterministic so the rebuild is the same stream.
-            drop(stream);
+            (None, workload)
         }
         other => usage_error(&format!("unknown scenario {other} (synthetic|stream)")),
-    }
-    let mut policy = policy_for(&policy_name, trace.as_ref());
+    };
+    let mut policy = policy(&policy_name, trace.as_ref()).unwrap_or_else(|e| usage_error(&e));
 
     let clock: Arc<dyn Clock> = if virtual_clock {
         Arc::new(VirtualClock::new())
@@ -360,8 +300,10 @@ fn main() {
     };
 
     println!(
-        "ccserve: policy {policy_name}, scenario {scenario}, {functions} functions, \
-         {minutes} simulated minutes, clock {}",
+        "ccserve: policy {policy_name}, scenario {scenario}, {} functions, \
+         {} simulated minutes, clock {}",
+        scale.functions,
+        scale.minutes,
         if virtual_clock {
             "virtual".to_string()
         } else {
@@ -398,15 +340,7 @@ fn main() {
                 &mut sink,
             )
         }
-        _ => {
-            let stream = StreamingTrace::builder()
-                .functions(functions)
-                .duration(SimDuration::from_mins(minutes))
-                .seed(seed)
-                .rate_scale(rate_scale)
-                .build();
-            server.serve(&config, stream, &workload, served, &mut sink)
-        }
+        _ => server.serve(&config, stream(), &workload, served, &mut sink),
     };
     let wall = wall_start.elapsed();
     done.store(true, Ordering::SeqCst);
@@ -424,8 +358,13 @@ fn main() {
     let stats = &outcome.queue;
     println!(
         "ingestion: {} pushed, {} delivered, {} dropped at drain, {} out of order, \
-         peak depth {}",
-        stats.pushed, stats.delivered, stats.dropped_at_drain, stats.out_of_order, stats.peak_depth
+         {} unknown function, peak depth {}",
+        stats.pushed,
+        stats.delivered,
+        stats.dropped_at_drain,
+        stats.out_of_order,
+        stats.unknown_function,
+        stats.peak_depth
     );
     if let Some(probe) = probe.as_mut() {
         if let Some((p50, p99, max)) = percentiles(&mut probe.lags_ms) {

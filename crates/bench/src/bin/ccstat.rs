@@ -42,9 +42,10 @@
 //! lower bound over the *recorded* arrivals. The capture's scenario is not
 //! stored in the stream, so pass the same `--functions/--minutes/--seed/`
 //! `--x86/--arm` (and `--warm-fraction/--budget` if used) flags the
-//! capture was taken with; they default to the live mode's defaults. A
-//! negative gap means the recorded run beat the bound — a conservation
-//! violation — and exits non-zero. A stream whose `shard_end` markers
+//! capture was taken with. Both modes (and `ccserve`) parse them with the
+//! same code (`bench::scale_flag`) and share its defaults
+//! (`bench::cli_scale`). A negative gap means the recorded run beat the
+//! bound — a conservation violation — and exits non-zero. A stream whose `shard_end` markers
 //! declare dropped events cannot be priced faithfully and is rejected.
 
 //! `--profile` (serial mode only) replays each policy under `cc-prof`'s
@@ -58,19 +59,17 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::time::Instant;
 
-use bench::BenchScenario;
+use bench::{check_scale, cli_scale, scale_flag, BenchScenario};
 use cc_bound::{measured_cost_of_records, GapReport, HindsightInput};
-use cc_compress::CompressionModel;
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{policy, Scale, POLICIES};
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
-    ChromeTraceSink, ClusterConfig, Event, EventSink, FixedKeepAlive, JsonlSink, NullSink,
-    Scheduler, SimReport, Simulation, Tee, Telemetry, WallProfiler,
+    ChromeTraceSink, ClusterConfig, Event, EventSink, JsonlSink, NullSink, SimReport, Simulation,
+    Tee, Telemetry, WallProfiler,
 };
-use cc_trace::{SyntheticTrace, Trace};
-use cc_types::{Cost, SimDuration};
-use cc_workload::{Catalog, Workload};
-use codecrunch::CodeCrunch;
+use cc_trace::Trace;
+use cc_types::Cost;
+use cc_workload::Workload;
 
 /// With the `alloc-profile` feature, every allocation in this binary is
 /// counted and attributed to the active profiling phase.
@@ -86,19 +85,44 @@ const USAGE: &str = "usage: ccstat [--policy NAME|all] [--functions N] [--minute
                      [--gap] [--functions N] [--minutes N] [--seed N] [--x86 N] [--arm N] \
                      [--warm-fraction F] [--budget DOLLARS]";
 
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// Parses a `--budget` value: non-negative, finite dollars per interval
+/// (`0` denies every keep-alive).
+fn parse_budget(value: Option<String>) -> Result<Cost, String> {
+    match value.map(|v| v.parse::<f64>()) {
+        Some(Ok(dollars)) if dollars >= 0.0 && dollars.is_finite() => {
+            Ok(Cost::from_dollars(dollars))
+        }
+        _ => Err("--budget takes non-negative dollars per interval".to_string()),
+    }
+}
+
+/// Parses one scenario flag or `--budget` (the flags the live mode and
+/// `replay --gap` share). Returns false for any other flag; exits with a
+/// usage error on a bad value.
+fn scenario_flag(
+    flag: &str,
+    args: &mut impl Iterator<Item = String>,
+    scale: &mut Scale,
+    budget: &mut Option<Cost>,
+) -> bool {
+    if flag != "--budget" {
+        return scale_flag(scale, flag, args).unwrap_or_else(|e| usage_error(&e));
+    }
+    *budget = Some(parse_budget(args.next()).unwrap_or_else(|e| usage_error(&e)));
+    true
+}
+
+/// The scenario `scale` describes, under `budget` when one was given.
+fn budgeted(scale: &Scale, budget: Option<Cost>) -> (Trace, Workload, ClusterConfig) {
+    let (trace, workload, mut config) = scale.build();
+    config.budget_per_interval = budget;
+    (trace, workload, config)
 }
 
 /// Telemetry plus optional exporters, with live interval-table printing.
@@ -132,13 +156,8 @@ impl EventSink for CcstatSink {
 
 fn main() {
     let mut policy_arg = String::from("codecrunch");
-    let mut functions: usize = 200;
-    let mut minutes: u64 = 20;
-    let mut seed: u64 = 7;
-    let mut x86: u32 = 2;
-    let mut arm: u32 = 2;
-    let mut warm_fraction: Option<f64> = None;
-    let mut budget: Option<f64> = None;
+    let mut scale = cli_scale();
+    let mut budget: Option<Cost> = None;
     let mut jsonl_path: Option<String> = None;
     let mut chrome_path: Option<String> = None;
     let mut live = true;
@@ -158,45 +177,6 @@ fn main() {
         };
         match arg.as_str() {
             "--policy" => policy_arg = next("--policy"),
-            "--functions" => {
-                functions = next("--functions")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--functions takes an integer"));
-            }
-            "--minutes" => {
-                minutes = next("--minutes")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--minutes takes an integer"));
-            }
-            "--seed" => {
-                seed = next("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed takes an integer"));
-            }
-            "--x86" => {
-                x86 = next("--x86")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--x86 takes an integer"));
-            }
-            "--arm" => {
-                arm = next("--arm")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--arm takes an integer"));
-            }
-            "--warm-fraction" => {
-                warm_fraction = Some(
-                    next("--warm-fraction")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--warm-fraction takes a fraction")),
-                );
-            }
-            "--budget" => {
-                budget = Some(
-                    next("--budget")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--budget takes dollars per interval")),
-                );
-            }
             "--jsonl" => jsonl_path = Some(next("--jsonl")),
             "--chrome" => chrome_path = Some(next("--chrome")),
             "--no-table" => live = false,
@@ -208,9 +188,14 @@ fn main() {
                     _ => usage_error("--shards takes a positive worker count"),
                 };
             }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            other => {
+                if !scenario_flag(other, &mut args, &mut scale, &mut budget) {
+                    usage_error(&format!("unknown argument {other:?}"));
+                }
+            }
         }
     }
+    check_scale(&scale).unwrap_or_else(|e| usage_error(&e));
     if shards.is_some() && chrome_path.is_some() {
         usage_error("--chrome is serial-only; use --jsonl with --shards");
     }
@@ -232,24 +217,7 @@ fn main() {
         let scenario = BenchScenario::large();
         (scenario.trace, scenario.workload, scenario.config)
     } else {
-        let trace = SyntheticTrace::builder()
-            .functions(functions)
-            .duration(SimDuration::from_mins(minutes))
-            .seed(seed)
-            .build();
-        let workload = Workload::from_trace(
-            &trace,
-            &Catalog::paper_catalog(),
-            &CompressionModel::paper_default(),
-        );
-        let mut config = ClusterConfig::small(x86, arm);
-        if let Some(fraction) = warm_fraction {
-            config = config.with_warm_memory_fraction(fraction);
-        }
-        if let Some(dollars) = budget {
-            config = config.with_budget(Cost::from_dollars(dollars));
-        }
-        (trace, workload, config)
+        budgeted(&scale, budget)
     };
     eprintln!(
         "trace: {} functions, {} invocations over {} nodes",
@@ -272,7 +240,7 @@ fn main() {
 
     let multi = names.len() > 1;
     for name in names {
-        let mut policy = make_policy(name, &trace);
+        let mut policy = policy(name, Some(&trace)).expect("validated above");
         println!("=== {name} ===");
         if live {
             println!("{}", Telemetry::interval_header());
@@ -337,68 +305,21 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
     let mut audit = false;
     let mut table = true;
     let mut gap = false;
-    // Scenario flags for `--gap`: must match the capture (defaults mirror
-    // the live mode's defaults).
-    let mut functions: usize = 200;
-    let mut minutes: u64 = 20;
-    let mut seed: u64 = 7;
-    let mut x86: u32 = 2;
-    let mut arm: u32 = 2;
-    let mut warm_fraction: Option<f64> = None;
-    let mut budget: Option<f64> = None;
+    // Scenario flags for `--gap`: must match the capture.
+    let mut scale = cli_scale();
+    let mut budget: Option<Cost> = None;
     let mut args = args;
     while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} takes a value")))
-        };
         match arg.as_str() {
             "--audit" => audit = true,
             "--no-table" => table = false,
             "--gap" => gap = true,
-            "--functions" => {
-                functions = next("--functions")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--functions takes an integer"));
-            }
-            "--minutes" => {
-                minutes = next("--minutes")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--minutes takes an integer"));
-            }
-            "--seed" => {
-                seed = next("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed takes an integer"));
-            }
-            "--x86" => {
-                x86 = next("--x86")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--x86 takes an integer"));
-            }
-            "--arm" => {
-                arm = next("--arm")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--arm takes an integer"));
-            }
-            "--warm-fraction" => {
-                warm_fraction = Some(
-                    next("--warm-fraction")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--warm-fraction takes a fraction")),
-                );
-            }
-            "--budget" => {
-                budget = Some(
-                    next("--budget")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--budget takes dollars per interval")),
-                );
-            }
+            other if scenario_flag(other, &mut args, &mut scale, &mut budget) => {}
             other if !other.starts_with("--") && file.is_none() => file = Some(other.to_string()),
             other => usage_error(&format!("unknown replay argument {other:?}")),
         }
     }
+    check_scale(&scale).unwrap_or_else(|e| usage_error(&e));
     let path = file.unwrap_or_else(|| usage_error("replay takes a jsonl file"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| usage_error(&format!("cannot read {path:?}: {e}")));
@@ -423,23 +344,7 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
     // every shard shares them. Arrivals come from the recorded events, so
     // the trace itself is only needed to resolve the workload catalog.
     let gap_ctx = gap.then(|| {
-        let trace = SyntheticTrace::builder()
-            .functions(functions)
-            .duration(SimDuration::from_mins(minutes))
-            .seed(seed)
-            .build();
-        let workload = Workload::from_trace(
-            &trace,
-            &Catalog::paper_catalog(),
-            &CompressionModel::paper_default(),
-        );
-        let mut config = ClusterConfig::small(x86, arm);
-        if let Some(fraction) = warm_fraction {
-            config = config.with_warm_memory_fraction(fraction);
-        }
-        if let Some(dollars) = budget {
-            config = config.with_budget(Cost::from_dollars(dollars));
-        }
+        let (_, workload, config) = budgeted(&scale, budget);
         (workload, config)
     });
 
@@ -522,18 +427,6 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
     std::process::exit(i32::from(failed));
 }
 
-fn make_policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        _ => unreachable!("validated above"),
-    }
-}
-
 /// One policy replayed inside a shard: telemetry folds locally in the
 /// worker, events tee into the shard's sink (its JSONL block, or nothing),
 /// and both travel back to the main thread for printing in shard
@@ -545,7 +438,7 @@ fn replay_shard<S: EventSink>(
     config: &ClusterConfig,
     sink: &mut S,
 ) -> (Telemetry, SimReport) {
-    let mut policy = make_policy(name, trace);
+    let mut policy = policy(name, Some(trace)).expect("validated above");
     let mut telemetry = Telemetry::new(config.interval);
     let mut tee = Tee(&mut telemetry, sink);
     let report =
@@ -710,5 +603,23 @@ fn finish(result: std::io::Result<BufWriter<File>>, what: &str) {
             eprintln!("error: writing {what}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_budget;
+    use cc_types::Cost;
+
+    #[test]
+    fn budget_takes_non_negative_finite_dollars() {
+        let parse = |v: &str| parse_budget(Some(v.to_string()));
+        assert_eq!(parse("0"), Ok(Cost::ZERO));
+        assert_eq!(parse("0.02"), Ok(Cost::from_dollars(0.02)));
+        for bad in ["-1", "-0.01", "NaN", "inf", "-inf", "lots"] {
+            let error = parse(bad).expect_err(bad);
+            assert!(error.contains("--budget"), "{bad}: {error}");
+        }
+        assert!(parse_budget(None).is_err());
     }
 }

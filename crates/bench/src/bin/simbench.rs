@@ -75,14 +75,12 @@ use std::time::Instant;
 
 use bench::{BenchScenario, StreamScenario};
 use cc_bound::{measured_cost_of_report, GapReport, HindsightInput, NanoCost};
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_experiments::{policy, POLICIES};
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
-    ChromeTraceSink, FixedKeepAlive, JsonlSink, NullProfiler, NullSink, ParallelOptions, Profiler,
-    Scheduler, SimReport, Simulation, SliceSource, WallProfiler,
+    ChromeTraceSink, JsonlSink, NullProfiler, NullSink, ParallelOptions, Profiler, Scheduler,
+    SimReport, Simulation, SliceSource, WallProfiler,
 };
-use cc_trace::Trace;
-use codecrunch::CodeCrunch;
 
 /// With the `alloc-profile` feature, every allocation in this binary is
 /// counted and attributed to the active profiling phase.
@@ -119,37 +117,6 @@ fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{USAGE}");
     std::process::exit(2);
-}
-
-/// The six policies the bench sweeps, in canonical order.
-const POLICY_NAMES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-/// Builds a policy by name. Runs inside worker threads in sharded mode, so
-/// it takes the trace rather than capturing pre-built boxes. The trace is
-/// `None` for streaming scenarios, where the invocation stream is never
-/// materialized — the clairvoyant oracle is unavailable there.
-fn make_policy(name: &str, trace: Option<&Trace>) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => match trace {
-            Some(trace) => Box::new(Oracle::new(trace)),
-            None => usage_error(
-                "oracle needs a materialized trace (not available with --scenario stream|1m)",
-            ),
-        },
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other:?}"),
-    }
 }
 
 /// Which scenario family the bench drives.
@@ -303,9 +270,9 @@ fn main() {
         usage_error("--gap-ceiling needs --gap");
     }
     for (name, _) in &gap_ceilings {
-        if !POLICY_NAMES.contains(&name.as_str()) {
+        if !POLICIES.contains(&name.as_str()) {
             usage_error(&format!(
-                "--gap-ceiling names unknown policy {name:?} (known: {POLICY_NAMES:?})"
+                "--gap-ceiling names unknown policy {name:?} (known: {POLICIES:?})"
             ));
         }
     }
@@ -327,7 +294,7 @@ fn main() {
     let mut measured_wall_ns: u64 = 0;
 
     let bench = match scenario_name.as_str() {
-        "small" => Bench::Batch(BenchScenario::new()),
+        "small" => Bench::Batch(BenchScenario::small()),
         "large" => Bench::Batch(BenchScenario::large()),
         "stream" => Bench::Stream(StreamScenario::smoke()),
         "1m" => Bench::Stream(StreamScenario::million()),
@@ -359,14 +326,12 @@ fn main() {
 
     if let Some(filter) = &policy_filter {
         for name in filter {
-            if !POLICY_NAMES.contains(&name.as_str()) {
-                usage_error(&format!(
-                    "unknown policy {name:?} (known: {POLICY_NAMES:?})"
-                ));
+            if !POLICIES.contains(&name.as_str()) {
+                usage_error(&format!("unknown policy {name:?} (known: {POLICIES:?})"));
             }
         }
     }
-    let selected: Vec<&str> = POLICY_NAMES
+    let selected: Vec<&str> = POLICIES
         .iter()
         .copied()
         .filter(|name| match &policy_filter {
@@ -378,6 +343,10 @@ fn main() {
             None => true,
         })
         .collect();
+
+    if matches!(bench, Bench::Stream(_)) && selected.contains(&"oracle") {
+        usage_error("oracle needs a materialized trace (not available with --scenario stream|1m)");
+    }
 
     let mut entries = Vec::new();
     let mut measured: Vec<(String, f64)> = Vec::new();
@@ -489,7 +458,9 @@ fn main() {
             unprofiled(|| {
                 run_once(
                     scenario,
-                    make_policy(name, Some(&scenario.trace)).as_mut(),
+                    policy(name, Some(&scenario.trace))
+                        .expect("selected from POLICIES")
+                        .as_mut(),
                     sink,
                     audit,
                     false,
@@ -501,7 +472,9 @@ fn main() {
                 let started = Instant::now();
                 let d = run_once(
                     scenario,
-                    make_policy(name, Some(&scenario.trace)).as_mut(),
+                    policy(name, Some(&scenario.trace))
+                        .expect("selected from POLICIES")
+                        .as_mut(),
                     sink,
                     audit,
                     profiling,
@@ -689,7 +662,7 @@ fn gap_pass(
     let reference = GapReport::for_input(&input);
     let lambda = reference.lambda_nanos;
     let price = |name: &str| -> NanoCost {
-        let mut policy = make_policy(name, Some(&scenario.trace));
+        let mut policy = policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
         let report = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
             .run(policy.as_mut());
         measured_cost_of_report(&report, lambda)
@@ -866,7 +839,7 @@ fn parallel_once_p<P: Profiler>(
 ) -> (u64, u64, u64) {
     match bench {
         Bench::Batch(s) => {
-            let mut policy = make_policy(name, Some(&s.trace));
+            let mut policy = policy(name, Some(&s.trace)).expect("selected from POLICIES");
             run_parallel_once::<_, P>(
                 &s.config,
                 SliceSource::from_trace(&s.trace),
@@ -878,7 +851,7 @@ fn parallel_once_p<P: Profiler>(
             )
         }
         Bench::Stream(s) => {
-            let mut policy = make_policy(name, None);
+            let mut policy = policy(name, None).expect("streaming runs select no oracle");
             // Per-invocation records at streaming scale would defeat the
             // constant-memory point; the digest then covers stats only.
             let options = options.clone().without_records();
@@ -1060,7 +1033,8 @@ fn sharded_sweep_p<P: Profiler>(
                 .map(|&name| {
                     move |_sink: &mut NullSink| {
                         let shard_started = Instant::now();
-                        let mut policy = make_policy(name, Some(&scenario.trace));
+                        let mut policy =
+                            policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
                         let report = Simulation::new(
                             scenario.config.clone(),
                             &scenario.trace,
@@ -1085,7 +1059,8 @@ fn sharded_sweep_p<P: Profiler>(
                 .map(|&name| {
                     move |sink: &mut JsonlSink<Vec<u8>>| {
                         let shard_started = Instant::now();
-                        let mut policy = make_policy(name, Some(&scenario.trace));
+                        let mut policy =
+                            policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
                         let report = Simulation::new(
                             scenario.config.clone(),
                             &scenario.trace,

@@ -34,7 +34,7 @@ fn steady_state_sre_rounds_allocate_nothing() {
     // The profiler aggregates into process-global state; this is the only
     // test in the binary, so no cross-test locking is needed.
     cc_prof::reset();
-    let scenario = BenchScenario::new();
+    let scenario = BenchScenario::small();
     let sim = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload);
 
     // Warmup replay: the same policy instance keeps its scratch buffers,

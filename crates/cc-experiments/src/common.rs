@@ -1,4 +1,4 @@
-//! Shared scenario construction and reporting helpers.
+//! Shared scenario construction, the policy table, and reporting helpers.
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -8,19 +8,24 @@ use std::sync::OnceLock;
 use serde_json::Value;
 
 use cc_compress::CompressionModel;
-use cc_policies::SitW;
-use cc_sim::{ClusterConfig, JsonlSink, Scheduler, SimReport, Simulation, Tee, Telemetry};
+use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
+use cc_sim::{
+    ClusterConfig, FixedKeepAlive, JsonlSink, Scheduler, SimReport, Simulation, Tee, Telemetry,
+};
 use cc_trace::{SyntheticTrace, Trace};
 use cc_types::{Cost, SimDuration};
 use cc_workload::{Catalog, Workload};
+use codecrunch::CodeCrunch;
 
-/// Size of an experiment run.
+/// A scenario: the synthetic trace, its workload and the cluster it runs
+/// on. The experiments, the bench binaries and the parity suites build
+/// their materialized scenarios from one of these ([`Scale::build`]).
 ///
 /// The default scale deliberately over-subscribes the cluster's memory
 /// (total warm footprint of all functions ≫ cluster memory), reproducing
 /// the production regime in which the Azure trace's 200k functions share
 /// 31 nodes. The smoke scale exists for tests and CI.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scale {
     /// Unique functions in the trace.
     pub functions: usize,
@@ -32,6 +37,8 @@ pub struct Scale {
     pub arm_nodes: u32,
     /// Master seed.
     pub seed: u64,
+    /// Share of each node's memory open to warm instances, in (0, 1].
+    pub warm_fraction: f64,
 }
 
 impl Scale {
@@ -43,6 +50,7 @@ impl Scale {
             x86_nodes: 1,
             arm_nodes: 2,
             seed: 7,
+            warm_fraction: 0.20,
         }
     }
 
@@ -56,6 +64,7 @@ impl Scale {
             x86_nodes: 6,
             arm_nodes: 7,
             seed: 7,
+            warm_fraction: 0.20,
         }
     }
 
@@ -68,6 +77,7 @@ impl Scale {
             x86_nodes: 13,
             arm_nodes: 18,
             seed: 7,
+            warm_fraction: 0.20,
         }
     }
 
@@ -89,15 +99,24 @@ impl Scale {
         )
     }
 
-    /// The cluster for this scale (paper node shapes, unlimited budget).
+    /// The cluster for this scale (paper node shapes, unlimited budget,
+    /// the warm pool capped at `warm_fraction` of node memory).
     ///
-    /// The warm pool is capped at 20% of node memory so the total warm
-    /// demand of the function population exceeds what fits — the
-    /// production memory-pressure regime in which the paper's compression
-    /// and budget mechanisms have something to do. Cores stay plentiful so
-    /// queueing appears only at load peaks.
+    /// The presets cap the warm pool at 20% so the total warm demand of
+    /// the function population exceeds what fits — the production
+    /// memory-pressure regime in which the paper's compression and budget
+    /// mechanisms have something to do. Cores stay plentiful so queueing
+    /// appears only at load peaks.
     pub fn cluster(&self) -> ClusterConfig {
-        ClusterConfig::small(self.x86_nodes, self.arm_nodes).with_warm_memory_fraction(0.20)
+        ClusterConfig::small(self.x86_nodes, self.arm_nodes)
+            .with_warm_memory_fraction(self.warm_fraction)
+    }
+
+    /// The trace, its workload and the cluster, in one call.
+    pub fn build(&self) -> (Trace, Workload, ClusterConfig) {
+        let trace = self.trace();
+        let workload = self.workload(&trace);
+        (trace, workload, self.cluster())
     }
 }
 
@@ -105,6 +124,39 @@ impl Default for Scale {
     fn default() -> Self {
         Scale::standard()
     }
+}
+
+/// The six policies every comparison runs, in canonical order: the
+/// fixed keep-alive baseline, the three published competitors, the
+/// clairvoyant oracle and CodeCrunch.
+pub const POLICIES: [&str; 6] = [
+    "fixed_keepalive",
+    "sitw",
+    "faascache",
+    "icebreaker",
+    "oracle",
+    "codecrunch",
+];
+
+/// Builds the policy named `name` (one of [`POLICIES`]). The oracle needs
+/// the trace it will be replayed on; without one (a streaming scenario
+/// that never materializes its trace) it is an error, as is an unknown
+/// name.
+pub fn policy(name: &str, trace: Option<&Trace>) -> Result<Box<dyn Scheduler>, String> {
+    Ok(match name {
+        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
+        "sitw" => Box::new(SitW::new()),
+        "faascache" => Box::new(FaasCache::new()),
+        "icebreaker" => Box::new(IceBreaker::new()),
+        "oracle" => match trace {
+            Some(trace) => Box::new(Oracle::new(trace)),
+            None => {
+                return Err("oracle needs a materialized trace, not a streaming one".to_string())
+            }
+        },
+        "codecrunch" => Box::new(CodeCrunch::new()),
+        other => return Err(format!("unknown policy {other:?} (known: {POLICIES:?})")),
+    })
 }
 
 /// Measures SitW's natural keep-alive spend on `(trace, workload)` under
@@ -282,6 +334,27 @@ mod tests {
         assert_eq!(trace.functions().len(), scale.functions);
         assert_eq!(workload.len(), scale.functions);
         scale.cluster().validate();
+    }
+
+    #[test]
+    fn the_table_builds_every_policy_and_refuses_the_rest() {
+        let trace = Scale::smoke().trace();
+        for name in POLICIES {
+            let built = policy(name, Some(&trace)).expect("every table entry builds");
+            assert_eq!(built.name().replace('-', "_"), name);
+        }
+        assert!(policy("oracle", None).is_err());
+        assert!(policy("nope", Some(&trace)).is_err());
+        assert!(policy("nope", None).is_err());
+    }
+
+    #[test]
+    fn presets_cap_the_warm_pool_at_a_fifth() {
+        for scale in [Scale::smoke(), Scale::standard(), Scale::large()] {
+            let explicit = ClusterConfig::small(scale.x86_nodes, scale.arm_nodes)
+                .with_warm_memory_fraction(0.20);
+            assert_eq!(scale.cluster(), explicit);
+        }
     }
 
     #[test]

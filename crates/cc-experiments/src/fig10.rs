@@ -29,9 +29,7 @@ impl Experiment for Fig10 {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let unlimited = scale.cluster();
+        let (trace, workload, unlimited) = scale.build();
         // Half of SitW's natural spend: scarce enough that crediting matters.
         let budget = sitw_budget_per_interval(&trace, &workload, &unlimited).scale(0.5);
         let config = unlimited.with_budget(budget);

@@ -25,9 +25,7 @@ impl Experiment for Fig13 {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let unlimited = scale.cluster();
+        let (trace, workload, unlimited) = scale.build();
         let sitw_budget = sitw_budget_per_interval(&trace, &workload, &unlimited);
 
         // The dashed reference line: SitW under its own (full) budget.

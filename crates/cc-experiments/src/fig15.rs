@@ -7,13 +7,13 @@
 
 use serde_json::json;
 
-use cc_policies::{Oracle, SitW};
-use cc_sim::{Scheduler, Simulation};
+use cc_sim::Simulation;
 use cc_trace::Perturbation;
 use cc_types::{SimDuration, SimTime};
-use codecrunch::CodeCrunch;
 
-use crate::common::{downsample, fmt_series, sitw_budget_per_interval, ExperimentOutput, Scale};
+use crate::common::{
+    downsample, fmt_series, policy, sitw_budget_per_interval, ExperimentOutput, Scale,
+};
 use crate::Experiment;
 
 /// Fig. 15 experiment.
@@ -54,11 +54,6 @@ impl Experiment for Fig15 {
         let budget = sitw_budget_per_interval(&trace, &workload, &unlimited).scale(0.5);
         let config = unlimited.with_budget(budget);
 
-        let mut policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(SitW::new()),
-            Box::new(CodeCrunch::new()),
-            Box::new(Oracle::new(&trace)),
-        ];
         let mut lines = vec![format!(
             "input change (x1.25 exec) at minute {}, burst (x2 load) at minute {}",
             change_at.as_secs_f64() / 60.0,
@@ -67,7 +62,8 @@ impl Experiment for Fig15 {
         let mut series = Vec::new();
         let chunk = (scale.minutes as usize / 24).max(1);
         let mut summary = Vec::new();
-        for policy in policies.iter_mut() {
+        for name in ["sitw", "codecrunch", "oracle"] {
+            let mut policy = policy(name, Some(&trace)).expect("a table policy");
             let report = Simulation::new(config.clone(), &trace, &workload)
                 .with_perturbations(vec![input_change])
                 .run(policy.as_mut());

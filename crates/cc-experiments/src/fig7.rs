@@ -7,11 +7,7 @@
 
 use serde_json::json;
 
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
-use cc_sim::Scheduler;
-use codecrunch::CodeCrunch;
-
-use crate::common::{run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
+use crate::common::{policy, run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
 use crate::Experiment;
 
 /// Fig. 7 experiment.
@@ -27,19 +23,9 @@ impl Experiment for Fig7 {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let unlimited = scale.cluster();
+        let (trace, workload, unlimited) = scale.build();
         let budget = sitw_budget_per_interval(&trace, &workload, &unlimited);
         let config = unlimited.with_budget(budget);
-
-        let mut policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(SitW::new()),
-            Box::new(FaasCache::new()),
-            Box::new(IceBreaker::new()),
-            Box::new(CodeCrunch::new()),
-            Box::new(Oracle::new(&trace)),
-        ];
 
         let mut lines = vec![format!(
             "budget normalized to SitW's spend: ${:.9}/interval",
@@ -52,7 +38,8 @@ impl Experiment for Fig7 {
         let mut rows = Vec::new();
         let mut cdfs = Vec::new();
         let mut per_invocation: Vec<(String, Vec<f64>)> = Vec::new();
-        for policy in policies.iter_mut() {
+        for name in ["sitw", "faascache", "icebreaker", "codecrunch", "oracle"] {
+            let mut policy = policy(name, Some(&trace)).expect("a table policy");
             let mut report = run_policy(policy.as_mut(), &config, &trace, &workload);
             // Per-invocation service times in trace order (the runs share
             // the trace, so index i is the same request in every run).

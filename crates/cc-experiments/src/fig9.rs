@@ -6,13 +6,12 @@
 
 use serde_json::json;
 
-use cc_policies::{FaasCache, IceBreaker, SitW};
-use cc_sim::{Scheduler, SimReport};
+use cc_sim::SimReport;
 use cc_types::Arch;
 use cc_workload::Workload;
 use codecrunch::{CodeCrunch, CodeCrunchConfig};
 
-use crate::common::{run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
+use crate::common::{policy, run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
 use crate::Experiment;
 
 /// Fig. 9 experiment.
@@ -68,12 +67,8 @@ impl Experiment for Fig9 {
 
         // Baselines run once (they are SLA-oblivious); CodeCrunch runs per
         // SLA with the constraint active.
-        let mut baselines: Vec<(&str, Box<dyn Scheduler>)> = vec![
-            ("sitw", Box::new(SitW::new())),
-            ("faascache", Box::new(FaasCache::new())),
-            ("icebreaker", Box::new(IceBreaker::new())),
-        ];
-        for (name, policy) in baselines.iter_mut() {
+        for name in ["sitw", "faascache", "icebreaker"] {
+            let mut policy = policy(name, None).expect("a table policy");
             let report = run_policy(policy.as_mut(), &config, &trace, &workload);
             let fractions: Vec<f64> = slas
                 .iter()

@@ -12,11 +12,8 @@
 use serde_json::json;
 
 use cc_bound::{local_search_upper_bound, segment_lower_bound, GapReport, HindsightInput};
-use cc_policies::{FaasCache, IceBreaker, Oracle, SitW};
-use cc_sim::{FixedKeepAlive, Scheduler};
-use codecrunch::CodeCrunch;
 
-use crate::common::{run_policy, ExperimentOutput, Scale};
+use crate::common::{policy, run_policy, ExperimentOutput, Scale, POLICIES};
 use crate::Experiment;
 
 /// The gap-analysis experiment.
@@ -32,23 +29,11 @@ impl Experiment for GapAnalysis {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let config = scale.cluster();
-
+        let (trace, workload, config) = scale.build();
         let input = HindsightInput::from_trace(&trace, &workload, &config)
             .expect("scale traces resolve against their own workload");
         let reference = GapReport::for_input(&input);
         let segment = segment_lower_bound(&input, 8);
-
-        let mut policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(FixedKeepAlive::ten_minutes()),
-            Box::new(SitW::new()),
-            Box::new(FaasCache::new()),
-            Box::new(IceBreaker::new()),
-            Box::new(Oracle::new(&trace)),
-            Box::new(CodeCrunch::new()),
-        ];
 
         let mut lines = vec![
             format!(
@@ -63,7 +48,8 @@ impl Experiment for GapAnalysis {
         let mut rows = Vec::new();
         let mut min_gap_pct = f64::INFINITY;
         let mut ub_of_best: Option<u128> = None;
-        for policy in policies.iter_mut() {
+        for name in POLICIES {
+            let mut policy = policy(name, Some(&trace)).expect("every table entry builds");
             let report = run_policy(policy.as_mut(), &config, &trace, &workload);
             let measured = cc_bound::measured_cost_of_report(&report, reference.lambda_nanos);
             let row = reference.policy(&report.policy, measured);

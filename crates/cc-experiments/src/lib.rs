@@ -40,7 +40,7 @@ mod tab_pricing;
 mod tab_short_fns;
 mod tab_startkinds;
 
-pub use common::{enable_telemetry, ExperimentOutput, Scale};
+pub use common::{enable_telemetry, policy, ExperimentOutput, Scale, POLICIES};
 
 /// A runnable paper experiment.
 pub trait Experiment {

@@ -12,11 +12,7 @@
 
 use serde_json::json;
 
-use cc_policies::{FaasCache, IceBreaker, SitW};
-use cc_sim::Scheduler;
-use codecrunch::CodeCrunch;
-
-use crate::common::{run_policy, ExperimentOutput, Scale};
+use crate::common::{policy, run_policy, ExperimentOutput, Scale};
 use crate::Experiment;
 
 /// Overhead table experiment.
@@ -65,13 +61,8 @@ impl Experiment for TabOverhead {
             let invocations = trace.invocations().len() as f64;
 
             let mut measurements = Vec::new();
-            let mut policies: Vec<Box<dyn Scheduler>> = vec![
-                Box::new(SitW::new()),
-                Box::new(FaasCache::new()),
-                Box::new(IceBreaker::new()),
-                Box::new(CodeCrunch::new()),
-            ];
-            for policy in policies.iter_mut() {
+            for name in ["sitw", "faascache", "icebreaker", "codecrunch"] {
+                let mut policy = policy(name, None).expect("a table policy");
                 let report = run_policy(policy.as_mut(), &config, &trace, &workload);
                 let micros = report.decision_time.as_secs_f64() * 1e6 / invocations.max(1.0);
                 measurements.push((report.policy.clone(), micros));

@@ -25,9 +25,7 @@ impl Experiment for TabPricing {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let base = scale.cluster();
+        let (trace, workload, base) = scale.build();
         let budget = sitw_budget_per_interval(&trace, &workload, &base).scale(0.5);
 
         let paper_pricing = base.clone().with_budget(budget);

@@ -7,12 +7,10 @@
 
 use serde_json::json;
 
-use cc_policies::{FaasCache, IceBreaker, SitW};
-use cc_sim::{Scheduler, SimReport};
+use cc_sim::SimReport;
 use cc_types::{FunctionId, SimDuration};
-use codecrunch::CodeCrunch;
 
-use crate::common::{run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
+use crate::common::{policy, run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
 use crate::Experiment;
 
 /// Short-function table experiment.
@@ -42,9 +40,7 @@ impl Experiment for TabShortFns {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let unlimited = scale.cluster();
+        let (trace, workload, unlimited) = scale.build();
         let budget = sitw_budget_per_interval(&trace, &workload, &unlimited);
         let config = unlimited.with_budget(budget);
 
@@ -60,12 +56,6 @@ impl Experiment for TabShortFns {
             .collect();
         let short_count = short.iter().filter(|&&s| s).count();
 
-        let mut policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(SitW::new()),
-            Box::new(FaasCache::new()),
-            Box::new(IceBreaker::new()),
-            Box::new(CodeCrunch::new()),
-        ];
         let mut lines = vec![format!(
             "{short_count}/{} functions are short-running (exec < 1s on x86)",
             workload.len()
@@ -75,7 +65,8 @@ impl Experiment for TabShortFns {
             "policy", "short-fn svc (s)", "all-fn svc (s)"
         ));
         let mut rows = Vec::new();
-        for policy in policies.iter_mut() {
+        for name in ["sitw", "faascache", "icebreaker", "codecrunch"] {
+            let mut policy = policy(name, None).expect("a table policy");
             let report = run_policy(policy.as_mut(), &config, &trace, &workload);
             let short_mean = mean_service_over(&report, &short);
             lines.push(format!(

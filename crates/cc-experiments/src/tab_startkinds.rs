@@ -27,9 +27,7 @@ impl Experiment for TabStartKinds {
     }
 
     fn run(&self, scale: &Scale) -> ExperimentOutput {
-        let trace = scale.trace();
-        let workload = scale.workload(&trace);
-        let unlimited = scale.cluster();
+        let (trace, workload, unlimited) = scale.build();
         let budget = sitw_budget_per_interval(&trace, &workload, &unlimited).scale(0.5);
         let config = unlimited.with_budget(budget);
 

@@ -63,6 +63,9 @@ pub struct QueueStats {
     pub dropped_at_drain: u64,
     /// Arrivals refused as [`PushRejected::OutOfOrder`].
     pub out_of_order: u64,
+    /// Arrivals the producer skipped because their function is not in
+    /// the served workload ([`IngestQueue::reject_unknown_function`]).
+    pub unknown_function: u64,
     /// High-water mark of the queue depth.
     pub peak_depth: usize,
     /// Current depth.
@@ -87,6 +90,7 @@ struct QueueState {
     delivered: u64,
     dropped_at_drain: u64,
     out_of_order: u64,
+    unknown_function: u64,
     peak_depth: usize,
 }
 
@@ -121,6 +125,7 @@ impl IngestQueue {
                 delivered: 0,
                 dropped_at_drain: 0,
                 out_of_order: 0,
+                unknown_function: 0,
                 peak_depth: 0,
             }),
             not_full: Condvar::new(),
@@ -161,6 +166,13 @@ impl IngestQueue {
             }
             state = self.not_full.wait(state).expect("queue lock");
         }
+    }
+
+    /// Counts an arrival the producer skipped instead of pushing because
+    /// its function id is outside the served workload (the engine would
+    /// index past the workload's function table).
+    pub fn reject_unknown_function(&self) {
+        self.state.lock().expect("queue lock").unknown_function += 1;
     }
 
     /// Closes the stream with its final horizon. If a drain already
@@ -253,6 +265,7 @@ impl IngestQueue {
             delivered: state.delivered,
             dropped_at_drain: state.dropped_at_drain,
             out_of_order: state.out_of_order,
+            unknown_function: state.unknown_function,
             peak_depth: state.peak_depth,
             depth: state.items.len(),
         }

@@ -157,7 +157,8 @@ impl Server {
         );
         let report = std::thread::scope(|scope| {
             let feed_queue = Arc::clone(&self.queue);
-            scope.spawn(move || feed(source, &feed_queue));
+            let functions = workload.len();
+            scope.spawn(move || feed(source, &feed_queue, functions));
             let paced = PacedSource::new(Arc::clone(&self.queue), Arc::clone(&self.clock));
             run_streaming(
                 config,
@@ -195,9 +196,17 @@ impl Drop for FeedGuard<'_> {
     }
 }
 
-fn feed<Src: ArrivalSource>(mut source: Src, queue: &IngestQueue) {
+/// Pushes `source` into `queue` until it ends or a drain cuts it. An
+/// arrival whose function is not among the workload's `functions` is
+/// skipped and counted, on this producer thread, so the decision thread
+/// only ever sees ids it can resolve.
+fn feed<Src: ArrivalSource>(mut source: Src, queue: &IngestQueue, functions: usize) {
     let mut guard = FeedGuard { queue, done: false };
     while let Some(inv) = source.next_invocation() {
+        if inv.function.index() >= functions {
+            queue.reject_unknown_function();
+            continue;
+        }
         match queue.push(inv) {
             Ok(()) => {}
             // Skipped and counted in the queue stats; the stream goes on.

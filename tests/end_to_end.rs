@@ -1,44 +1,37 @@
 //! End-to-end integration tests: full trace → workload → simulator →
 //! policy pipelines across the whole workspace.
 
+use cc_experiments::{policy, Scale, POLICIES};
 use codecrunch_suite::prelude::*;
 
-fn scenario(seed: u64) -> (Trace, Workload) {
-    let trace = SyntheticTrace::builder()
-        .functions(50)
-        .duration(SimDuration::from_mins(150))
-        .seed(seed)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    (trace, workload)
+fn scenario(seed: u64) -> Scale {
+    Scale {
+        functions: 50,
+        minutes: 150,
+        x86_nodes: 2,
+        arm_nodes: 3,
+        seed,
+        warm_fraction: 0.3,
+    }
 }
 
-fn budgeted(trace: &Trace, workload: &Workload, fraction: f64) -> ClusterConfig {
-    let config = ClusterConfig::small(2, 3).with_warm_memory_fraction(0.3);
+/// The scenario under a per-minute budget of `fraction` of SitW's
+/// natural keep-alive spend.
+fn budgeted(seed: u64, fraction: f64) -> (Trace, Workload, ClusterConfig) {
+    let (trace, workload, config) = scenario(seed).build();
     let mut probe = SitW::new();
-    let natural = Simulation::new(config.clone(), trace, workload).run(&mut probe);
+    let natural = Simulation::new(config.clone(), &trace, &workload).run(&mut probe);
     let minutes = trace.duration().as_mins_f64().max(1.0);
-    config.with_budget(natural.keep_alive_spend.scale(fraction / minutes))
+    let config = config.with_budget(natural.keep_alive_spend.scale(fraction / minutes));
+    (trace, workload, config)
 }
 
 #[test]
 fn every_policy_serves_every_invocation() {
-    let (trace, workload) = scenario(100);
-    let config = budgeted(&trace, &workload, 1.0);
-    let mut policies: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(FixedKeepAlive::ten_minutes()),
-        Box::new(SitW::new()),
-        Box::new(FaasCache::new()),
-        Box::new(IceBreaker::new()),
-        Box::new(CodeCrunch::new()),
-        Box::new(Oracle::new(&trace)),
-        Box::new(Enhanced::new(SitW::new())),
-    ];
-    for policy in policies.iter_mut() {
+    let (trace, workload, config) = budgeted(100, 1.0);
+    let table = POLICIES.map(|name| policy(name, Some(&trace)).expect("a table policy"));
+    let enhanced: Box<dyn Scheduler> = Box::new(Enhanced::new(SitW::new()));
+    for mut policy in table.into_iter().chain([enhanced]) {
         let report = Simulation::new(config.clone(), &trace, &workload).run(policy.as_mut());
         assert_eq!(
             report.records.len(),
@@ -55,8 +48,7 @@ fn every_policy_serves_every_invocation() {
 
 #[test]
 fn oracle_is_the_lower_bound() {
-    let (trace, workload) = scenario(101);
-    let config = budgeted(&trace, &workload, 1.0);
+    let (trace, workload, config) = budgeted(101, 1.0);
     let mut oracle = Oracle::new(&trace);
     let r_oracle = Simulation::new(config.clone(), &trace, &workload).run(&mut oracle);
     for policy in [
@@ -78,8 +70,7 @@ fn oracle_is_the_lower_bound() {
 
 #[test]
 fn codecrunch_beats_the_baseline_under_pressure() {
-    let (trace, workload) = scenario(102);
-    let config = budgeted(&trace, &workload, 0.5);
+    let (trace, workload, config) = budgeted(102, 0.5);
     let mut sitw = SitW::new();
     let mut crunch = CodeCrunch::new();
     let r_sitw = Simulation::new(config.clone(), &trace, &workload).run(&mut sitw);
@@ -101,8 +92,7 @@ fn codecrunch_beats_the_baseline_under_pressure() {
 #[test]
 fn whole_pipeline_is_deterministic() {
     let run = || {
-        let (trace, workload) = scenario(103);
-        let config = budgeted(&trace, &workload, 0.7);
+        let (trace, workload, config) = budgeted(103, 0.7);
         let mut crunch = CodeCrunch::new();
         let report = Simulation::new(config, &trace, &workload).run(&mut crunch);
         (
@@ -116,18 +106,14 @@ fn whole_pipeline_is_deterministic() {
 
 #[test]
 fn perturbed_runs_complete_and_adapt() {
-    let (trace, _workload) = scenario(104);
+    let scale = scenario(104);
     let burst = Perturbation::Burst {
         at: SimTime::ZERO + SimDuration::from_mins(60),
         duration: SimDuration::from_mins(10),
         factor: 2.5,
     };
-    let trace = burst.apply_to_trace(trace, 1);
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
+    let trace = burst.apply_to_trace(scale.trace(), 1);
+    let workload = scale.workload(&trace);
     let config = ClusterConfig::small(2, 3);
     let mut crunch = CodeCrunch::new();
     let report = Simulation::new(config, &trace, &workload)

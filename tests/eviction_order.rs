@@ -9,6 +9,7 @@
 //! and on the parallel engine, and require the same report digest and the
 //! same JSONL bytes.
 
+use cc_experiments::Scale;
 use codecrunch_suite::obs::OptimizerRound;
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::sim::{ClusterView, Command, KeepDecision, WarmInstance};
@@ -27,19 +28,14 @@ const OPT_IN: [&str; 6] = [
     "enhanced_sitw",
 ];
 
+/// The two extra opt-in policies, then the shared table.
 fn policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
     match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
         "fixed_keepalive_compressed" => {
             Box::new(FixedKeepAlive::new(SimDuration::from_mins(10), true))
         }
-        "sitw" => Box::new(SitW::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "codecrunch" => Box::new(CodeCrunch::new()),
         "enhanced_sitw" => Box::new(Enhanced::new(SitW::new())),
-        "faascache" => Box::new(FaasCache::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        other => panic!("unknown policy {other}"),
+        other => cc_experiments::policy(other, Some(trace)).expect("a table policy"),
     }
 }
 
@@ -120,20 +116,18 @@ impl Scheduler for Probe {
 }
 
 fn scenario(seed: u64, warm_fraction: f64) -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(120)
-        .duration(SimDuration::from_mins(60))
-        .seed(seed)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
+    let (trace, workload, mut config) = Scale {
+        functions: 120,
+        minutes: 60,
+        x86_nodes: 2,
+        arm_nodes: 2,
+        seed,
+        warm_fraction,
+    }
+    .build();
     // 4 GB nodes fill up with executions and warm instances alike, so the
     // warm cap is not the only pressure: reusing a compressed instance then
     // often has to evict around it to win back its full footprint.
-    let mut config = ClusterConfig::small(2, 2).with_warm_memory_fraction(warm_fraction);
     config.memory_per_node = MemoryMb::from_gb(4);
     (trace, workload, config)
 }

@@ -9,42 +9,22 @@
 //! pressure, both architectures, and a budget so all engine mechanisms
 //! (eviction, compression, pro-rata budget truncation) are in play.
 
+mod common;
+
+use cc_experiments::{Scale, POLICIES};
 use codecrunch_suite::prelude::*;
+use common::policy_for;
 
 fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(40)
-        .duration(SimDuration::from_mins(45))
-        .seed(90)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-fn make_policy(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
+    Scale {
+        functions: 40,
+        minutes: 45,
+        x86_nodes: 2,
+        arm_nodes: 2,
+        seed: 90,
+        warm_fraction: 0.35,
     }
+    .build()
 }
 
 #[test]
@@ -53,7 +33,7 @@ fn no_policy_beats_the_lower_bound_serial() {
     let input = HindsightInput::from_trace(&trace, &workload, &config).unwrap();
     let bound = GapReport::for_input(&input);
     for name in POLICIES {
-        let mut policy = make_policy(name, &trace);
+        let mut policy = policy_for(name, &trace);
         let report = Simulation::new(config.clone(), &trace, &workload).run(policy.as_mut());
         let gap = bound.policy(name, measured_cost_of_report(&report, input.lambda_nanos));
         assert!(
@@ -76,7 +56,7 @@ fn no_policy_beats_the_lower_bound_sharded() {
         .map(|&name| {
             let (trace, workload, config) = (trace.clone(), workload.clone(), config.clone());
             move |_sink: &mut NullSink| {
-                let mut policy = make_policy(name, &trace);
+                let mut policy = policy_for(name, &trace);
                 Simulation::new(config, &trace, &workload).run(policy.as_mut())
             }
         })
@@ -108,7 +88,7 @@ fn bound_chain_is_ordered_on_the_scenario() {
     }
     // Seed the upper bound from a real recorded schedule and check it
     // brackets from above while staying under that run's measured cost.
-    let mut policy = make_policy("codecrunch", &trace);
+    let mut policy = policy_for("codecrunch", &trace);
     let report = Simulation::new(config, &trace, &workload).run(policy.as_mut());
     let upper = local_search_upper_bound(&input, &report.records);
     assert!(dp <= upper);

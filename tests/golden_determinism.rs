@@ -14,50 +14,14 @@
 //! with `cargo test -q golden -- --nocapture` and update them in the same
 //! commit that changes behavior, explaining why.
 
+mod common;
+
 use codecrunch_suite::prelude::*;
-
-/// Canonical report digest, now provided by [`SimReport::digest`] so the
-/// bench binaries and the sharded driver share the exact encoding this
-/// test pins. Kept as a local alias so the assertions below read the same
-/// as when the encoding lived here.
-fn report_digest(report: &SimReport) -> u64 {
-    report.digest()
-}
-
-/// Mid-size scenario: large enough to exercise eviction, make-room,
-/// compression transitions, budget caps, and pending queues on both
-/// architectures; small enough to run in seconds in debug builds.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
+use common::{policy_under_test, scenario};
 
 fn run(policy: &mut dyn Scheduler) -> SimReport {
     let (trace, workload, config) = scenario();
     Simulation::new(config, &trace, &workload).run(policy)
-}
-
-fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
-    let (trace, _, _) = scenario();
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(&trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
 }
 
 /// Golden digests captured from the pre-refactor engine (hash-map pool +
@@ -84,8 +48,8 @@ fn every_policy_is_deterministic_and_matches_golden() {
     for (name, golden) in GOLDEN {
         let first = run(policy_under_test(name).as_mut());
         let second = run(policy_under_test(name).as_mut());
-        let d1 = report_digest(&first);
-        let d2 = report_digest(&second);
+        let d1 = first.digest();
+        let d2 = second.digest();
         println!("policy {name}: digest {d1:#018x}");
         assert_eq!(d1, d2, "policy {name} is not run-to-run deterministic");
         if d1 != golden {
@@ -99,11 +63,6 @@ fn every_policy_is_deterministic_and_matches_golden() {
         "engine behavior diverged from the golden digests:\n{}",
         diverged.join("\n")
     );
-}
-
-/// FNV-1a over raw bytes (for digesting exported event streams).
-fn bytes_digest(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
 }
 
 fn run_with_jsonl(policy: &mut dyn Scheduler) -> (SimReport, Vec<u8>) {
@@ -132,22 +91,22 @@ fn jsonl_event_stream_is_deterministic_and_sink_is_inert() {
     println!(
         "codecrunch jsonl: {} bytes, digest {:#018x}",
         stream_a.len(),
-        bytes_digest(&stream_a)
+        fnv1a(&stream_a)
     );
     assert_eq!(
-        bytes_digest(&stream_a),
-        bytes_digest(&stream_b),
+        fnv1a(&stream_a),
+        fnv1a(&stream_b),
         "JSONL event stream is not run-to-run deterministic"
     );
     assert_eq!(stream_a, stream_b);
     assert_eq!(
-        (stream_a.len(), bytes_digest(&stream_a)),
+        (stream_a.len(), fnv1a(&stream_a)),
         GOLDEN_CODECRUNCH_JSONL,
         "codecrunch's JSONL event stream diverged from its golden (length, digest)"
     );
     for report in [&first, &second] {
         assert_eq!(
-            report_digest(report),
+            report.digest(),
             golden,
             "attaching an event sink perturbed the simulation"
         );
@@ -199,8 +158,8 @@ fn single_shard_jsonl_is_byte_identical_to_serial() {
     let report = results[0].outcome.as_ref().expect("shard panicked");
 
     assert_eq!(
-        bytes_digest(&sharded_stream),
-        bytes_digest(&serial_stream),
+        fnv1a(&sharded_stream),
+        fnv1a(&serial_stream),
         "single-shard mux bytes diverge from the serial JSONL stream"
     );
     assert_eq!(sharded_stream, serial_stream);
@@ -220,13 +179,13 @@ fn single_shard_jsonl_is_byte_identical_to_serial() {
 #[test]
 fn digest_is_sensitive_to_report_contents() {
     let mut report = run(policy_under_test("sitw").as_mut());
-    let base = report_digest(&report);
+    let base = report.digest();
     report.evictions += 1;
-    assert_ne!(base, report_digest(&report), "digest ignores evictions");
+    assert_ne!(base, report.digest(), "digest ignores evictions");
     report.evictions -= 1;
-    assert_eq!(base, report_digest(&report));
+    assert_eq!(base, report.digest());
     if let Some(v) = report.utilization_series.first_mut() {
         *v += 1.0;
-        assert_ne!(base, report_digest(&report), "digest ignores series");
+        assert_ne!(base, report.digest(), "digest ignores series");
     }
 }

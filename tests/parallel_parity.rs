@@ -8,62 +8,12 @@
 //! engine — report digest, telemetry digest, and the JSONL event stream —
 //! and the stream still satisfies the cc-replay invariant auditor.
 
+mod common;
+
+use cc_experiments::{Scale, POLICIES};
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::sim::{ClusterView, Command, KeepDecision};
-
-/// The golden-determinism scenario (tests/golden_determinism.rs), reused so
-/// the parallel digests are pinned against the same constants.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
-    let (trace, _, _) = scenario();
-    policy_for(name, &trace)
-}
-
-fn policy_for(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-/// Serial reference: report + JSONL bytes + telemetry digest in one
-/// instrumented run.
-fn serial_reference(policy: &mut dyn Scheduler) -> (SimReport, Vec<u8>, u64) {
-    let (trace, workload, config) = scenario();
-    let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
-    let report = Simulation::new(config, &trace, &workload).run_with_sink(policy, &mut tee);
-    let bytes = tee.0.finish().expect("in-memory writer cannot fail");
-    let telemetry = tee.1.digest();
-    (report, bytes, telemetry)
-}
+use common::{policy_for, policy_under_test, scenario, serial_reference};
 
 fn parallel_run(
     policy: &mut dyn Scheduler,
@@ -223,18 +173,16 @@ mod randomized {
             policy_index in 0usize..6,
             window_secs in 1u64..120,
         ) {
-            let trace = SyntheticTrace::builder()
-                .functions(functions)
-                .duration(SimDuration::from_mins(minutes))
-                .seed(seed)
-                .build();
-            let workload = Workload::from_trace(
-                &trace,
-                &Catalog::paper_catalog(),
-                &CompressionModel::paper_default(),
-            );
+            let scale = Scale {
+                functions,
+                minutes,
+                x86_nodes: 2,
+                arm_nodes: 2,
+                seed,
+                warm_fraction,
+            };
+            let (trace, workload, config) = scale.build();
             let name = POLICIES[policy_index];
-            let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(warm_fraction);
 
             let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
             let serial_report = Simulation::new(config, &trace, &workload)
@@ -243,7 +191,7 @@ mod randomized {
             let serial_tel = tee.1.digest();
 
             for workers in [1usize, 2, 3, 4, 8] {
-                let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(warm_fraction);
+                let config = scale.cluster();
                 let options = ParallelOptions::default()
                     .with_workers(workers)
                     .with_window(SimDuration::from_secs(window_secs));

@@ -3,13 +3,22 @@
 
 use proptest::prelude::*;
 
+use cc_experiments::{policy, Scale, POLICIES};
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::trace::azure;
 use codecrunch_suite::types::Cost;
 
-fn arbitrary_scenario() -> impl Strategy<Value = (u64, usize, u64, u32, u32)> {
-    // (seed, functions, minutes, x86 nodes, arm nodes)
-    (0u64..1000, 5usize..40, 30u64..120, 1u32..3, 1u32..3)
+fn arbitrary_scenario() -> impl Strategy<Value = Scale> {
+    (0u64..1000, 5usize..40, 30u64..120, 1u32..3, 1u32..3).prop_map(
+        |(seed, functions, minutes, x86_nodes, arm_nodes)| Scale {
+            functions,
+            minutes,
+            x86_nodes,
+            arm_nodes,
+            seed,
+            warm_fraction: 1.0,
+        },
+    )
 }
 
 proptest! {
@@ -17,20 +26,10 @@ proptest! {
 
     #[test]
     fn simulator_conservation_laws(
-        (seed, functions, minutes, x86, arm) in arbitrary_scenario(),
+        scale in arbitrary_scenario(),
         warm_fraction in 0.1f64..1.0,
     ) {
-        let trace = SyntheticTrace::builder()
-            .functions(functions)
-            .duration(SimDuration::from_mins(minutes))
-            .seed(seed)
-            .build();
-        let workload = Workload::from_trace(
-            &trace,
-            &Catalog::paper_catalog(),
-            &CompressionModel::paper_default(),
-        );
-        let config = ClusterConfig::small(x86, arm).with_warm_memory_fraction(warm_fraction);
+        let (trace, workload, config) = Scale { warm_fraction, ..scale }.build();
         let mut policy = CodeCrunch::new();
         let report = Simulation::new(config, &trace, &workload).run(&mut policy);
 
@@ -51,21 +50,12 @@ proptest! {
 
     #[test]
     fn budget_is_never_overspent(
-        (seed, functions, minutes, x86, arm) in arbitrary_scenario(),
+        scale in arbitrary_scenario(),
         budget_pd in 0u64..50_000_000_000,
     ) {
-        let trace = SyntheticTrace::builder()
-            .functions(functions)
-            .duration(SimDuration::from_mins(minutes))
-            .seed(seed)
-            .build();
-        let workload = Workload::from_trace(
-            &trace,
-            &Catalog::paper_catalog(),
-            &CompressionModel::paper_default(),
-        );
+        let (trace, workload, config) = scale.build();
         let budget = Cost::from_picodollars(budget_pd);
-        let config = ClusterConfig::small(x86, arm).with_budget(budget);
+        let config = config.with_budget(budget);
         let mut policy = FixedKeepAlive::ten_minutes();
         let report = Simulation::new(config, &trace, &workload).run(&mut policy);
 
@@ -92,13 +82,9 @@ proptest! {
 
     #[test]
     fn csv_roundtrip_preserves_counts(
-        (seed, functions, minutes, _, _) in arbitrary_scenario(),
+        scale in arbitrary_scenario(),
     ) {
-        let trace = SyntheticTrace::builder()
-            .functions(functions)
-            .duration(SimDuration::from_mins(minutes))
-            .seed(seed)
-            .build();
+        let trace = scale.trace();
         let mut buf = Vec::new();
         azure::write_combined_csv(&trace, &mut buf).expect("write");
         let back = azure::read_combined_csv(&buf[..]).expect("read");
@@ -114,26 +100,12 @@ proptest! {
 
     #[test]
     fn policies_agree_on_invocation_conservation(
-        (seed, functions, minutes, x86, arm) in arbitrary_scenario(),
+        scale in arbitrary_scenario(),
         policy_idx in 0usize..4,
     ) {
-        let trace = SyntheticTrace::builder()
-            .functions(functions)
-            .duration(SimDuration::from_mins(minutes))
-            .seed(seed)
-            .build();
-        let workload = Workload::from_trace(
-            &trace,
-            &Catalog::paper_catalog(),
-            &CompressionModel::paper_default(),
-        );
-        let config = ClusterConfig::small(x86, arm);
-        let mut policy: Box<dyn Scheduler> = match policy_idx {
-            0 => Box::new(SitW::new()),
-            1 => Box::new(FaasCache::new()),
-            2 => Box::new(IceBreaker::new()),
-            _ => Box::new(Oracle::new(&trace)),
-        };
+        let (trace, workload, config) = scale.build();
+        // sitw, faascache, icebreaker or oracle.
+        let mut policy = policy(POLICIES[1 + policy_idx], Some(&trace)).expect("a table policy");
         let report = Simulation::new(config, &trace, &workload).run(policy.as_mut());
         prop_assert_eq!(report.records.len(), trace.invocations().len());
     }

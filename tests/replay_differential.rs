@@ -9,47 +9,11 @@
 //! The stream must also pass the invariant auditor with zero violations,
 //! which is the golden guarantee the CI audit smoke step relies on.
 
+mod common;
+
+use cc_experiments::POLICIES;
 use codecrunch_suite::prelude::*;
-
-/// Same mid-size scenario the golden determinism tests pin: large enough
-/// to exercise eviction, compression, budget flow, and queueing across
-/// both architectures.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
-    let (trace, _, _) = scenario();
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(&trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
+use common::{policy_under_test, scenario};
 
 /// Asserts the replayed accumulator equals the live one on every exposed
 /// surface: digest (every field), interval table, report, snapshot line.

@@ -12,55 +12,12 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use cc_experiments::POLICIES;
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::serve::QueueStats;
-
-/// The golden-determinism scenario (tests/golden_determinism.rs), reused
-/// so service-mode digests are pinned against the same constants.
-fn scenario() -> (Trace, Workload, ClusterConfig) {
-    let trace = SyntheticTrace::builder()
-        .functions(60)
-        .duration(SimDuration::from_mins(90))
-        .seed(4242)
-        .build();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
-    let config = ClusterConfig::small(2, 2).with_warm_memory_fraction(0.35);
-    (trace, workload, config)
-}
-
-fn policy_for(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
-    match name {
-        "fixed_keepalive" => Box::new(FixedKeepAlive::ten_minutes()),
-        "sitw" => Box::new(SitW::new()),
-        "faascache" => Box::new(FaasCache::new()),
-        "icebreaker" => Box::new(IceBreaker::new()),
-        "oracle" => Box::new(Oracle::new(trace)),
-        "codecrunch" => Box::new(CodeCrunch::new()),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
-const POLICIES: [&str; 6] = [
-    "fixed_keepalive",
-    "sitw",
-    "faascache",
-    "icebreaker",
-    "oracle",
-    "codecrunch",
-];
-
-/// Serial batch reference: report + JSONL bytes + telemetry digest.
-fn batch_reference(policy: &mut dyn Scheduler) -> (SimReport, Vec<u8>, u64) {
-    let (trace, workload, config) = scenario();
-    let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
-    let report = Simulation::new(config, &trace, &workload).run_with_sink(policy, &mut tee);
-    let bytes = tee.0.finish().expect("in-memory writer cannot fail");
-    (report, bytes, tee.1.digest())
-}
+use common::{policy_for, scenario, serial_reference};
 
 /// Serves `source` on a fresh virtual clock; returns the outcome plus
 /// JSONL bytes and telemetry digest. `capacity` exercises backpressure;
@@ -107,7 +64,7 @@ fn every_policy_serves_bit_identical_to_batch() {
     for name in POLICIES {
         let (trace, workload, config) = scenario();
         let (batch_report, batch_bytes, batch_tel) =
-            batch_reference(policy_for(name, &trace).as_mut());
+            serial_reference(policy_for(name, &trace).as_mut());
         let (outcome, bytes, telemetry) = serve_virtual(
             SliceSource::from_trace(&trace),
             &config,
@@ -141,7 +98,7 @@ fn every_policy_serves_bit_identical_to_batch() {
 fn backpressure_at_capacity_two_is_invisible_in_the_output() {
     let (trace, workload, config) = scenario();
     let (batch_report, batch_bytes, batch_tel) =
-        batch_reference(policy_for("codecrunch", &trace).as_mut());
+        serial_reference(policy_for("codecrunch", &trace).as_mut());
     let (outcome, bytes, telemetry) = serve_virtual(
         SliceSource::from_trace(&trace),
         &config,
@@ -157,18 +114,45 @@ fn backpressure_at_capacity_two_is_invisible_in_the_output() {
     assert_eq!(outcome.queue.peak_depth, 2, "capacity was actually hit");
 }
 
+/// Ingest validation: an arrival naming a function outside the served
+/// workload is skipped on the producer thread and counted, instead of
+/// reaching the engine (which would index past the function table). The
+/// rest of the stream is served exactly as the batch run without it.
+#[test]
+fn an_unknown_function_is_skipped_and_counted_at_ingest() {
+    let (trace, workload, config) = scenario();
+    let mut arrivals = trace.invocations().to_vec();
+    let mid = arrivals.len() / 2;
+    let stray = Invocation::new(
+        FunctionId::new(workload.len() as u32),
+        arrivals[mid].arrival,
+    );
+    arrivals.insert(mid, stray);
+    let (batch_report, batch_bytes, batch_tel) =
+        serial_reference(policy_for("codecrunch", &trace).as_mut());
+    let (outcome, bytes, telemetry) = serve_virtual(
+        SliceSource::new(&arrivals, trace.duration()),
+        &config,
+        &workload,
+        policy_for("codecrunch", &trace).as_mut(),
+        arrivals.len(),
+        None,
+    );
+    assert_eq!(outcome.queue.unknown_function, 1);
+    assert_eq!(outcome.queue.pushed, trace.invocations().len() as u64);
+    assert_lossless(&outcome.queue);
+    assert_eq!(outcome.report.digest(), batch_report.digest());
+    assert_eq!(telemetry, batch_tel);
+    assert_eq!(bytes, batch_bytes);
+}
+
 /// Burst catch-up: a flood 100x deeper than the queue arrives in one
 /// instant. Nothing is lost (backpressure stalls the producer), the queue
 /// returns to empty, telemetry interval samples stay contiguous, and the
 /// output is still bit-identical to the batch run over the same arrivals.
 #[test]
 fn burst_100x_queue_depth_catches_up_losslessly() {
-    let (trace, _, config) = scenario();
-    let workload = Workload::from_trace(
-        &trace,
-        &Catalog::paper_catalog(),
-        &CompressionModel::paper_default(),
-    );
+    let (trace, workload, config) = scenario();
     // Hand-built arrival schedule over the scenario's function table:
     // a light steady trickle, then 1600 arrivals in one instant (100x the
     // queue capacity of 16), then the trickle resumes.
