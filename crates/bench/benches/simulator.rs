@@ -5,9 +5,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use bench::BenchScenario;
+use bench::{BenchScenario, StreamScenario};
 use cc_experiments::{policy, POLICIES};
-use cc_sim::{ClusterView, FixedKeepAlive, KeepDecision, Scheduler, Simulation};
+use cc_sim::{
+    run_streaming, ClusterView, FixedKeepAlive, KeepDecision, NullSink, Scheduler, Simulation,
+};
 use cc_types::{Arch, FunctionId};
 use codecrunch::CodeCrunch;
 
@@ -119,5 +121,43 @@ fn bench_make_room(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies, bench_large, bench_make_room);
+/// The warm pool and placement indexes at population scale: fixed
+/// keep-alive over a streamed 200k-function, 60-minute trace on the
+/// memory-capped 124-node cluster, serially with no sink and no records.
+/// Nearly every arrival is a cold start that evicts, so one replay is
+/// admissions, evictions and placement-order updates with little else —
+/// the decision-thread cost the streaming export workload is bound by.
+fn bench_pool_churn(c: &mut Criterion) {
+    let scenario = StreamScenario::sized(200_000, 60, 60);
+    let mut group = c.benchmark_group("pool_churn");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(200));
+    group.measurement_time(Duration::from_secs(15));
+    group.throughput(criterion::Throughput::Elements(
+        scenario.expected_invocations as u64,
+    ));
+
+    group.bench_function("fixed_keepalive_200k", |b| {
+        b.iter(|| {
+            let mut policy = FixedKeepAlive::ten_minutes();
+            run_streaming(
+                &scenario.config,
+                scenario.source(),
+                &scenario.workload,
+                &mut policy,
+                &mut NullSink,
+                false,
+            )
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_policies,
+    bench_large,
+    bench_make_room,
+    bench_pool_churn
+);
 criterion_main!(benches);

@@ -52,6 +52,15 @@ const USAGE: &str = "usage: ccserve [--policy NAME] [--scenario synthetic|stream
                      [--speed F | --virtual] [--duration MINS] [--queue N] \
                      [--jsonl PATH] [--no-table]";
 
+/// Parses `value` as the finite, positive number `flag` takes.
+fn positive(flag: &str, value: &str) -> f64 {
+    value
+        .parse()
+        .ok()
+        .filter(|x: &f64| x.is_finite() && *x > 0.0)
+        .unwrap_or_else(|| usage_error(&format!("{flag} takes a finite positive number")))
+}
+
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("{USAGE}");
@@ -195,16 +204,8 @@ fn main() {
         match arg.as_str() {
             "--policy" => policy_name = next("--policy"),
             "--scenario" => scenario = next("--scenario"),
-            "--rate-scale" => {
-                rate_scale = next("--rate-scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--rate-scale takes a number"));
-            }
-            "--speed" => {
-                speed = next("--speed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--speed takes a number"));
-            }
+            "--rate-scale" => rate_scale = positive("--rate-scale", &next("--rate-scale")),
+            "--speed" => speed = positive("--speed", &next("--speed")),
             "--virtual" => virtual_clock = true,
             "--duration" => {
                 duration_mins = Some(
@@ -216,7 +217,9 @@ fn main() {
             "--queue" => {
                 queue_capacity = next("--queue")
                     .parse()
-                    .unwrap_or_else(|_| usage_error("--queue takes an integer"));
+                    .ok()
+                    .filter(|&capacity: &usize| capacity > 0)
+                    .unwrap_or_else(|| usage_error("--queue takes a positive integer"));
             }
             "--jsonl" => jsonl_path = Some(next("--jsonl")),
             "--no-table" => live = false,

@@ -135,10 +135,18 @@ pub fn scale_flag(
     Ok(true)
 }
 
-/// Refuses a scenario the cluster cannot run: one without a node.
+/// Refuses a scenario the cluster cannot run (one without a node) and an
+/// empty one (no function, or no time), which would replay no invocation
+/// and pass for a run.
 pub fn check_scale(scale: &Scale) -> Result<(), String> {
     if scale.x86_nodes == 0 && scale.arm_nodes == 0 {
         return Err("--x86 and --arm are both 0: the cluster needs a node".to_string());
+    }
+    if scale.functions == 0 {
+        return Err("--functions is 0: the scenario needs a function".to_string());
+    }
+    if scale.minutes == 0 {
+        return Err("--minutes is 0: the scenario needs a duration".to_string());
     }
     Ok(())
 }
@@ -254,10 +262,19 @@ mod tests {
             ("--functions many", "--functions"),
             ("--seed -1", "--seed"),
             ("--x86 0 --arm 0", "--x86"),
+            ("--functions 0", "--functions"),
+            ("--minutes 0", "--minutes"),
+            ("--functions 0 --minutes 0", "--functions"),
         ] {
             let error = parse(line).expect_err(line);
             assert!(error.contains(flag), "{line}: {error}");
         }
+    }
+
+    #[test]
+    fn the_smallest_scenario_is_accepted() {
+        let scale = parse("--functions 1 --minutes 1 --x86 0 --arm 1").unwrap();
+        assert_eq!((scale.functions, scale.minutes), (1, 1));
     }
 
     #[test]

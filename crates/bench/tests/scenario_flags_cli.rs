@@ -1,7 +1,8 @@
-//! Exit-code contract of the scenario flags `ccstat` and `ccserve` share:
-//! a value out of range is a usage error (exit 2) that names the flag —
-//! not a panic in the cluster builder, and not a budget silently clamped
-//! to zero.
+//! Exit-code contract of the scenario flags `ccstat` and `ccserve` share,
+//! and of `ccserve`'s own flags: a value out of range is a usage error
+//! (exit 2) that names the flag — not a panic in the cluster builder, the
+//! clock or the queue, not a budget silently clamped to zero, and not an
+//! empty scenario that replays nothing and exits 0.
 
 use std::process::Command;
 
@@ -34,8 +35,31 @@ fn bad_scenario_values_are_usage_errors_naming_the_flag() {
             "replay capture.jsonl --gap --warm-fraction 0",
             "--warm-fraction",
         ),
+        (ccstat, "--functions 0", "--functions"),
+        (ccstat, "--minutes 0", "--minutes"),
+        (
+            ccstat,
+            "replay capture.jsonl --gap --functions 0",
+            "--functions",
+        ),
         (ccserve, "--virtual --warm-fraction 0", "--warm-fraction"),
         (ccserve, "--virtual --x86 0 --arm 0", "--x86"),
+        (ccserve, "--virtual --functions 0", "--functions"),
+        (ccserve, "--virtual --minutes 0", "--minutes"),
+        (
+            ccserve,
+            "--virtual --scenario stream --rate-scale -1",
+            "--rate-scale",
+        ),
+        (
+            ccserve,
+            "--virtual --scenario stream --rate-scale NaN",
+            "--rate-scale",
+        ),
+        (ccserve, "--speed 0", "--speed"),
+        (ccserve, "--speed -2", "--speed"),
+        (ccserve, "--speed inf", "--speed"),
+        (ccserve, "--virtual --queue 0", "--queue"),
     ] {
         let (code, text) = run(bin, args);
         assert_eq!(code, 2, "{args} must exit 2:\n{text}");

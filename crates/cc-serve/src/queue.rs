@@ -28,7 +28,7 @@
 //! [`ArrivalSource`](cc_sim::ArrivalSource).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use cc_sim::Fetch;
 use cc_types::{Invocation, SimDuration, SimTime};
@@ -179,6 +179,22 @@ impl IngestQueue {
     /// imposed a shorter horizon, the shorter one wins. Idempotent.
     pub fn close(&self, horizon: SimDuration) {
         let mut state = self.state.lock().expect("queue lock");
+        self.close_locked(&mut state, horizon);
+    }
+
+    /// Emergency close for a producer or consumer unwinding mid-stream:
+    /// freezes the horizon at the pacing watermark so the consumer can
+    /// finish what was delivered, and a blocked producer wakes, instead of
+    /// either blocking forever. It runs from `Drop` guards during a panic,
+    /// where a second panic would abort, so a poisoned lock is taken over:
+    /// closing only sets the flag and lowers the horizon.
+    pub(crate) fn close_abandoned(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let watermark = SimDuration::from_micros(state.paced_to.as_micros());
+        self.close_locked(&mut state, watermark);
+    }
+
+    fn close_locked(&self, state: &mut QueueState, horizon: SimDuration) {
         state.closed = true;
         state.horizon = Some(match state.horizon {
             Some(existing) => existing.min(horizon),
@@ -186,17 +202,6 @@ impl IngestQueue {
         });
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-
-    /// Emergency close for a producer unwinding mid-stream: freezes the
-    /// horizon at the pacing watermark so the consumer can finish what was
-    /// delivered instead of blocking forever on a feed that died.
-    pub(crate) fn close_abandoned(&self) {
-        let watermark = {
-            let state = self.state.lock().expect("queue lock");
-            SimDuration::from_micros(state.paced_to.as_micros())
-        };
-        self.close(watermark);
     }
 
     /// Requests a graceful drain at `at` and returns the *effective* drain

@@ -159,6 +159,10 @@ impl Server {
             let feed_queue = Arc::clone(&self.queue);
             let functions = workload.len();
             scope.spawn(move || feed(source, &feed_queue, functions));
+            // If the decision core unwinds, the feeder may be blocked on a
+            // full queue; closing it wakes the feeder, so the scope joins
+            // and the panic propagates instead of hanging.
+            let _decide_guard = DecideGuard { queue: &self.queue };
             let paced = PacedSource::new(Arc::clone(&self.queue), Arc::clone(&self.clock));
             run_streaming(
                 config,
@@ -196,6 +200,20 @@ impl Drop for FeedGuard<'_> {
     }
 }
 
+/// Closes the queue if the decision core unwinds, so a feeder blocked in
+/// [`IngestQueue::push`] sees [`PushRejected::Closed`] and returns.
+struct DecideGuard<'a> {
+    queue: &'a IngestQueue,
+}
+
+impl Drop for DecideGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.queue.close_abandoned();
+        }
+    }
+}
+
 /// Pushes `source` into `queue` until it ends or a drain cuts it. An
 /// arrival whose function is not among the workload's `functions` is
 /// skipped and counted, on this producer thread, so the decision thread
@@ -220,4 +238,99 @@ fn feed<Src: ArrivalSource>(mut source: Src, queue: &IngestQueue, functions: usi
     // source horizon with any drain cut, so the shorter wins.
     queue.close(source.horizon());
     guard.done = true;
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use cc_compress::CompressionModel;
+    use cc_obs::NullSink;
+    use cc_sim::{ClusterView, FixedKeepAlive, KeepDecision, SliceSource};
+    use cc_trace::SyntheticTrace;
+    use cc_types::{Arch, FunctionId};
+    use cc_workload::Catalog;
+
+    use super::*;
+    use crate::VirtualClock;
+
+    /// Fixed keep-alive that panics at its `fuse`-th arrival.
+    struct PanicsMidStream {
+        inner: FixedKeepAlive,
+        fuse: usize,
+    }
+
+    impl Scheduler for PanicsMidStream {
+        fn name(&self) -> &str {
+            "panics_mid_stream"
+        }
+
+        fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
+            self.fuse -= 1;
+            assert!(self.fuse > 0, "policy failure mid-stream");
+            self.inner.on_arrival(function, now);
+        }
+
+        fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
+            self.inner.place(function, view)
+        }
+
+        fn on_completion(
+            &mut self,
+            function: FunctionId,
+            arch: Arch,
+            view: &ClusterView<'_>,
+        ) -> KeepDecision {
+            self.inner.on_completion(function, arch, view)
+        }
+    }
+
+    #[test]
+    fn a_decision_panic_with_the_feeder_blocked_propagates() {
+        let trace = SyntheticTrace::builder()
+            .functions(200)
+            .duration(SimDuration::from_mins(20))
+            .seed(7)
+            .build();
+        let workload = Workload::from_trace(
+            &trace,
+            &Catalog::paper_catalog(),
+            &CompressionModel::paper_default(),
+        );
+        assert!(
+            trace.invocations().len() > 1000,
+            "the stream must outrun the queue"
+        );
+        // Serve on a helper thread so a hang fails the test instead of
+        // hanging it.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let server = Server::new(
+                Arc::new(VirtualClock::new()),
+                ServeOptions {
+                    queue_capacity: 64,
+                    collect_records: false,
+                },
+            );
+            let mut policy = PanicsMidStream {
+                inner: FixedKeepAlive::ten_minutes(),
+                fuse: 500,
+            };
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                server.serve(
+                    &ClusterConfig::small(2, 2),
+                    SliceSource::new(trace.invocations(), trace.duration()),
+                    &workload,
+                    &mut policy,
+                    &mut NullSink,
+                )
+            }));
+            let _ = done.send(served.is_err());
+        });
+        let panicked = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("serve hung after the decision core panicked");
+        assert!(panicked, "the policy's panic must reach the caller");
+    }
 }

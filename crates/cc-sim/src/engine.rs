@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::{Duration, Instant};
 
 use cc_metrics::ServiceStats;
@@ -315,9 +315,12 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     now: SimTime,
     nodes: Vec<NodeState>,
     pool: WarmPool,
-    /// Per architecture: all nodes ordered by [`NodeOrderKey`], kept in
-    /// sync with every node-state mutation through [`Engine::mutate_node`].
-    node_order: [BTreeSet<NodeOrderKey>; 2],
+    /// Per architecture: all nodes' [`NodeOrderKey`]s, sorted ascending,
+    /// kept in sync with every node-state mutation through
+    /// [`Engine::mutate_node`].
+    node_order: [Vec<NodeOrderKey>; 2],
+    /// Per node: its position in its architecture's `node_order`.
+    node_position: Vec<u32>,
     ledger: BudgetLedger,
     /// Queued invocations as `(arrival index, invocation)`: the invocation
     /// rides along so retries never need to re-address the source.
@@ -389,9 +392,16 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             Some(rate) => BudgetLedger::budgeted(rate, config.interval),
             None => BudgetLedger::unlimited(config.interval),
         };
-        let mut node_order: [BTreeSet<NodeOrderKey>; 2] = [BTreeSet::new(), BTreeSet::new()];
+        let mut node_order: [Vec<NodeOrderKey>; 2] = [Vec::new(), Vec::new()];
         for node in &nodes {
-            node_order[node.arch.index()].insert(node_order_key(node));
+            node_order[node.arch.index()].push(node_order_key(node));
+        }
+        let mut node_position = vec![0; nodes.len()];
+        for order in &mut node_order {
+            order.sort_unstable();
+            for (position, &(_, _, id)) in order.iter().enumerate() {
+                node_position[id.index()] = position as u32;
+            }
         }
         let pool = WarmPool::new(workload.len(), nodes.len());
         let len_hint = if collect_records {
@@ -414,6 +424,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             nodes,
             pool,
             node_order,
+            node_position,
             ledger,
             pending: VecDeque::new(),
             capacity_epoch: 0,
@@ -483,16 +494,36 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     }
 
     /// Mutates one node's state while keeping the per-arch placement index
-    /// in sync: the node's order key is pulled before the mutation and
-    /// reinserted after.
+    /// in sync: the node's key is rewritten in place and bubbled to its new
+    /// position. A mutation moves one core or one instance's memory, so
+    /// the key usually moves past zero to two neighbours.
     fn mutate_node<R>(&mut self, node: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
-        let state = &self.nodes[node.index()];
-        let order = &mut self.node_order[state.arch.index()];
-        let removed = order.remove(&node_order_key(state));
-        debug_assert!(removed, "placement index out of sync with node state");
         let result = f(&mut self.nodes[node.index()]);
         let state = &self.nodes[node.index()];
-        self.node_order[state.arch.index()].insert(node_order_key(state));
+        let key = node_order_key(state);
+        let order = &mut self.node_order[state.arch.index()];
+        let mut position = self.node_position[node.index()] as usize;
+        debug_assert_eq!(
+            order[position].2, node,
+            "placement index out of sync with node state"
+        );
+        while position > 0 && order[position - 1] > key {
+            order[position] = order[position - 1];
+            self.node_position[order[position].2.index()] = position as u32;
+            position -= 1;
+        }
+        while position + 1 < order.len() && order[position + 1] < key {
+            order[position] = order[position + 1];
+            self.node_position[order[position].2.index()] = position as u32;
+            position += 1;
+        }
+        order[position] = key;
+        self.node_position[node.index()] = position as u32;
+        debug_assert!(
+            (position == 0 || order[position - 1] < key)
+                && order.get(position + 1).is_none_or(|next| key < *next),
+            "placement key out of order after a move"
+        );
         result
     }
 
@@ -755,7 +786,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         };
 
         for arch in [preferred, preferred.other()] {
-            let Some(&(_, _, first)) = self.node_order[arch.index()].iter().next() else {
+            let Some(&(_, _, first)) = self.node_order[arch.index()].first() else {
                 continue;
             };
             if self.nodes[first.index()].free_cores() == 0 {
@@ -1403,6 +1434,7 @@ mod tests {
     use cc_compress::CompressionModel;
     use cc_trace::SyntheticTrace;
     use cc_workload::Catalog;
+    use proptest::prelude::*;
 
     fn setup(functions: usize, minutes: u64, seed: u64) -> (Trace, Workload) {
         let trace = SyntheticTrace::builder()
@@ -1602,5 +1634,74 @@ mod tests {
             .fold(0.0, f64::max);
         // Series counts instances, so translate via the smallest footprint.
         assert!(max_warm_mem * 64.0 <= cap_total * 10.0, "sanity bound");
+    }
+
+    proptest! {
+        // The flat per-arch placement order against a from-scratch sort:
+        // after any sequence of node-state mutations routed through
+        // `mutate_node`, each arch's array is every node of that arch's
+        // `node_order_key` in ascending order, and every node's position
+        // index points at its own key.
+        #[test]
+        fn placement_order_matches_a_full_sort(
+            // (op, node, memory in 512 MB units): op 0 starts an
+            // execution, 1 finishes one, 2 admits a warm instance, 3
+            // removes one. Few sizes, so keys tie on the load fields and
+            // the node id decides.
+            ops in prop::collection::vec((0u8..4, 0usize..7, 1u32..4), 1..200),
+        ) {
+            let (trace, workload) = setup(5, 10, 1);
+            let config = ClusterConfig::small(3, 4);
+            let mut sink = NullSink;
+            let mut engine: Engine<'_, SliceSource<'_>, NullSink, NullProfiler> = Engine::new(
+                &config,
+                SliceSource::new(trace.invocations(), trace.duration()),
+                &workload,
+                &[],
+                &mut sink,
+                false,
+            );
+            let mut running: Vec<Vec<MemoryMb>> = vec![Vec::new(); 7];
+            let mut warm: Vec<Vec<MemoryMb>> = vec![Vec::new(); 7];
+            for &(op, index, units) in &ops {
+                let node = NodeId::new(index as u32);
+                let memory = MemoryMb::new(512 * units);
+                let state = &engine.nodes[index];
+                match op {
+                    0 if state.free_cores() > 0 && state.free_memory() >= memory => {
+                        engine.mutate_node(node, |n| n.start_execution(memory));
+                        running[index].push(memory);
+                    }
+                    1 => {
+                        if let Some(memory) = running[index].pop() {
+                            engine.mutate_node(node, |n| n.finish_execution(memory));
+                        }
+                    }
+                    2 if state.free_memory() >= memory => {
+                        engine.mutate_node(node, |n| n.add_warm(memory));
+                        warm[index].push(memory);
+                    }
+                    3 => {
+                        if let Some(memory) = warm[index].pop() {
+                            engine.mutate_node(node, |n| n.remove_warm(memory));
+                        }
+                    }
+                    _ => {}
+                }
+                for arch in Arch::ALL {
+                    let mut sorted: Vec<NodeOrderKey> = engine
+                        .nodes
+                        .iter()
+                        .filter(|n| n.arch == arch)
+                        .map(node_order_key)
+                        .collect();
+                    sorted.sort_unstable();
+                    prop_assert_eq!(&engine.node_order[arch.index()], &sorted);
+                    for (position, &(_, _, id)) in sorted.iter().enumerate() {
+                        prop_assert_eq!(engine.node_position[id.index()] as usize, position);
+                    }
+                }
+            }
+        }
     }
 }

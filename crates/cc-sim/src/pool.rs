@@ -9,14 +9,18 @@
 //!   queued expiry event whose instance was reused or evicted — and whose
 //!   slot may already hold a different instance — fails the generation
 //!   check instead of aliasing. Lookup is an array index, not a hash.
-//! - a **per-function candidate index**: a `BTreeSet` ordered by
+//! - a **per-function candidate index**: a sorted `Vec` of keys
 //!   `(start-penalty class, expiry, seq)` — exactly the order the engine
 //!   previously produced by sorting a freshly collected vector on every
-//!   arrival. Reuse candidates now come out of an iterator in O(log n)
-//!   amortized, allocation-free.
-//! - a **per-node residency index** in admission (`seq`) order, so
+//!   arrival. Most functions hold zero or one warm instance, so a binary
+//!   search over a short sorted vector beats a tree, and the vector's one
+//!   small buffer is kept across the function's admissions.
+//! - a **per-node residency list** in admission (`seq`) order: an
+//!   intrusive doubly-linked list threaded through the slab slots, so
 //!   eviction only examines the target node's residents instead of
-//!   scanning the whole cluster's pool.
+//!   scanning the whole cluster's pool. The pool admits in `seq` order,
+//!   so appending at the tail keeps the list in admission order, and
+//!   unlinking a removed instance is O(1).
 //!
 //! The candidate key of a compressed instance changes once, when
 //! background compression finishes (`compressed_ready_at`): before that a
@@ -45,9 +49,9 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Hot per-slot fields, split struct-of-arrays style from the full
 /// [`WarmInstance`]: everything the per-arrival paths (candidate-key
-/// computation on removal, transition migration, expiry drain) need, in
-/// one 24-byte record so those reads touch a dense array instead of
-/// dragging whole instances through the cache.
+/// computation on removal, transition migration, expiry drain, residency
+/// unlinking) need, in one 32-byte record so those reads touch a dense
+/// array instead of dragging whole instances through the cache.
 #[derive(Debug, Clone, Copy)]
 struct SlotHot {
     /// Keep-alive expiry of the occupying instance.
@@ -60,6 +64,12 @@ struct SlotHot {
     /// removal reads the current key in O(1) instead of inferring it from
     /// the transition set.
     key_penalty: SimDuration,
+    /// The previous resident of the same node in admission order, or
+    /// `NO_SLOT` at the head of the node's residency list.
+    prev: u32,
+    /// The next resident of the same node in admission order, or
+    /// `NO_SLOT` at the tail.
+    next: u32,
 }
 
 impl SlotHot {
@@ -67,6 +77,23 @@ impl SlotHot {
         expiry: SimTime::ZERO,
         seq: 0,
         key_penalty: SimDuration::ZERO,
+        prev: NO_SLOT,
+        next: NO_SLOT,
+    };
+}
+
+/// One node's residency list: the first and last slot in admission order
+/// (`NO_SLOT` when the node holds no warm instance).
+#[derive(Debug, Clone, Copy)]
+struct Residents {
+    head: u32,
+    tail: u32,
+}
+
+impl Residents {
+    const EMPTY: Residents = Residents {
+        head: NO_SLOT,
+        tail: NO_SLOT,
     };
 }
 
@@ -83,8 +110,9 @@ struct FunctionEntry {
     /// Live instances in admission order (what policies observe through
     /// `ClusterView::warm_instances_of`).
     order: Vec<WarmId>,
-    /// Live instances in reuse-preference order.
-    candidates: BTreeSet<CandidateKey>,
+    /// Live instances in reuse-preference order: sorted ascending, keys
+    /// unique (the `seq` component is).
+    candidates: Vec<CandidateKey>,
 }
 
 /// The warm-instance arena and its indexes. See the module docs.
@@ -110,8 +138,9 @@ pub(crate) struct WarmPool {
     compressed: usize,
     next_seq: u64,
     functions: Vec<FunctionEntry>,
-    /// Per node: live residents as `(seq, id)`, i.e. admission order.
-    residents: Vec<BTreeSet<(u64, WarmId)>>,
+    /// Per node: the residency list through `hot[..].prev/next`, in
+    /// admission order.
+    residents: Vec<Residents>,
     /// Compressed instances whose candidate key still carries a zero
     /// penalty but must be re-keyed at `(compressed_ready_at, seq, id)`.
     transitions: BTreeSet<(SimTime, u64, WarmId)>,
@@ -137,7 +166,7 @@ impl WarmPool {
             compressed: 0,
             next_seq: 0,
             functions: (0..functions).map(|_| FunctionEntry::default()).collect(),
-            residents: (0..nodes).map(|_| BTreeSet::new()).collect(),
+            residents: vec![Residents::EMPTY; nodes],
             transitions: BTreeSet::new(),
             expiries: BTreeSet::new(),
         }
@@ -205,9 +234,10 @@ impl WarmPool {
         // for re-keying — unless compression is instantaneous, in which
         // case it pays decompression from the start.
         let key_penalty = inst.admission_key_penalty();
-        entry
-            .candidates
-            .insert((key_penalty, inst.expiry, inst.seq, id));
+        insert_sorted(
+            &mut entry.candidates,
+            (key_penalty, inst.expiry, inst.seq, id),
+        );
         if inst.compressed && inst.compressed_ready_at > inst.since {
             self.transitions
                 .insert((inst.compressed_ready_at, inst.seq, id));
@@ -215,13 +245,24 @@ impl WarmPool {
         if inst.compressed {
             self.compressed += 1;
         }
-        self.residents[inst.node.index()].insert((inst.seq, id));
         self.expiries.insert((inst.expiry, inst.seq, id));
 
+        // Append at the tail of the node's residency list: `seq` only
+        // grows, so the tail is admission order.
+        let list = &mut self.residents[inst.node.index()];
+        let prev = list.tail;
+        if prev == NO_SLOT {
+            list.head = slot_index;
+        } else {
+            self.hot[prev as usize].next = slot_index;
+        }
+        list.tail = slot_index;
         self.hot[slot_index as usize] = SlotHot {
             expiry: inst.expiry,
             seq: inst.seq,
             key_penalty,
+            prev,
+            next: NO_SLOT,
         };
         self.cold[slot_index as usize] = SlotCold::Occupied(inst);
         self.len += 1;
@@ -241,15 +282,18 @@ impl WarmPool {
             id.generation(),
             "instance must exist to be removed"
         );
-        // All three ordered-index removals key off the hot array — the
-        // candidate key's current penalty class (maintained by insert and
-        // `migrate_due`, so no probing the transition set to infer it),
-        // the expiry, and the admission seq — one dense 24-byte read
-        // instead of dragging the whole instance through the cache first.
+        // Every index removal keys off the hot array — the candidate key's
+        // current penalty class (maintained by insert and `migrate_due`, so
+        // no probing the transition set to infer it), the expiry, the
+        // admission seq and the residency-list neighbours — one dense
+        // 32-byte read instead of dragging the whole instance through the
+        // cache first.
         let SlotHot {
             expiry,
             seq,
             key_penalty,
+            prev,
+            next,
         } = self.hot[id.slot()];
         let state = std::mem::replace(
             &mut self.cold[id.slot()],
@@ -283,7 +327,7 @@ impl WarmPool {
             );
         }
         let entry = &mut self.functions[inst.function.index()];
-        let removed = entry.candidates.remove(&(key_penalty, expiry, seq, id));
+        let removed = remove_sorted(&mut entry.candidates, &(key_penalty, expiry, seq, id));
         debug_assert!(removed, "candidate index out of sync");
         let position = entry
             .order
@@ -291,8 +335,7 @@ impl WarmPool {
             .position(|&i| i == id)
             .expect("order index out of sync");
         entry.order.remove(position);
-        let removed = self.residents[inst.node.index()].remove(&(seq, id));
-        debug_assert!(removed, "residency index out of sync");
+        self.unlink_resident(inst.node, id.slot() as u32, prev, next);
         let removed = self.expiries.remove(&(expiry, seq, id));
         debug_assert!(removed, "expiry calendar out of sync");
         if inst.compressed {
@@ -323,11 +366,36 @@ impl WarmPool {
             let (function, expiry, penalty) = (inst.function, inst.expiry, inst.decompress_penalty);
             self.hot[id.slot()].key_penalty = penalty;
             let entry = &mut self.functions[function.index()];
-            let removed = entry
-                .candidates
-                .remove(&(SimDuration::ZERO, expiry, seq, id));
+            let removed =
+                remove_sorted(&mut entry.candidates, &(SimDuration::ZERO, expiry, seq, id));
             debug_assert!(removed, "candidate index out of sync during migration");
-            entry.candidates.insert((penalty, expiry, seq, id));
+            insert_sorted(&mut entry.candidates, (penalty, expiry, seq, id));
+        }
+    }
+
+    /// Unlinks the removed `slot`, whose list neighbours were `prev` and
+    /// `next`, from `node`'s residency list.
+    fn unlink_resident(&mut self, node: NodeId, slot: u32, prev: u32, next: u32) {
+        let list = &mut self.residents[node.index()];
+        if prev == NO_SLOT {
+            debug_assert_eq!(list.head, slot, "residency list out of sync");
+            list.head = next;
+        } else {
+            debug_assert_eq!(
+                self.hot[prev as usize].next, slot,
+                "residency list out of sync"
+            );
+            self.hot[prev as usize].next = next;
+        }
+        if next == NO_SLOT {
+            debug_assert_eq!(list.tail, slot, "residency list out of sync");
+            list.tail = prev;
+        } else {
+            debug_assert_eq!(
+                self.hot[next as usize].prev, slot,
+                "residency list out of sync"
+            );
+            self.hot[next as usize].prev = prev;
         }
     }
 
@@ -349,7 +417,15 @@ impl WarmPool {
 
     /// Live instances resident on `node`, in admission order.
     pub fn residents_of(&self, node: NodeId) -> impl Iterator<Item = WarmId> + '_ {
-        self.residents[node.index()].iter().map(|&(_, id)| id)
+        let mut slot = self.residents[node.index()].head;
+        std::iter::from_fn(move || {
+            if slot == NO_SLOT {
+                return None;
+            }
+            let id = WarmId::new(slot, self.generations[slot as usize]);
+            slot = self.hot[slot as usize].next;
+            Some(id)
+        })
     }
 
     /// Sum of the footprints of `node`'s residents. O(residents); used
@@ -378,11 +454,30 @@ impl WarmPool {
     }
 }
 
+/// Inserts `key` into the ascending, duplicate-free `keys`.
+fn insert_sorted(keys: &mut Vec<CandidateKey>, key: CandidateKey) {
+    let position = keys.partition_point(|probe| *probe < key);
+    debug_assert!(keys.get(position) != Some(&key), "duplicate candidate key");
+    keys.insert(position, key);
+}
+
+/// Removes `key` from the ascending `keys`; returns whether it was there.
+fn remove_sorted(keys: &mut Vec<CandidateKey>, key: &CandidateKey) -> bool {
+    match keys.binary_search(key) {
+        Ok(position) => {
+            keys.remove(position);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cc_types::{Arch, Cost};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn instance(function: u32, node: u32, expiry_s: u64) -> WarmInstance {
         WarmInstance {
@@ -638,6 +733,106 @@ mod tests {
                 let brute: Vec<WarmId> = brute.into_iter().map(|(_, _, _, id)| id).collect();
 
                 prop_assert_eq!(indexed, brute, "diverged at step {} (now={}s)", step, now_s);
+            }
+        }
+
+        // The flat indexes (sorted candidate vectors, intrusive residency
+        // lists) against the ordered sets they replaced: after every
+        // admission, removal and migration step over several functions
+        // and nodes, `candidates_of`, `residents_of` and `order_of` list
+        // exactly what a `BTreeSet` model keyed the same way lists.
+        #[test]
+        fn flat_indexes_match_an_ordered_set_model(
+            // ((op, function, node), (compressed, ready_s, expiry_s,
+            // penalty_ms), pick): op 0–1 admits, 2 removes, 3 advances
+            // the clock and migrates.
+            ops in prop::collection::vec(
+                (
+                    (0u8..4, 0u32..5, 0u32..3),
+                    (any::<bool>(), 0u64..120, 1u64..240, 1u64..80),
+                    any::<u16>(),
+                ),
+                1..80,
+            ),
+        ) {
+            const FUNCTIONS: u32 = 5;
+            const NODES: u32 = 3;
+            let mut pool = WarmPool::new(FUNCTIONS as usize, NODES as usize);
+            let mut candidates = vec![BTreeSet::<CandidateKey>::new(); FUNCTIONS as usize];
+            let mut order = vec![BTreeSet::<(u64, WarmId)>::new(); FUNCTIONS as usize];
+            let mut residents = vec![BTreeSet::<(u64, WarmId)>::new(); NODES as usize];
+            let mut transitions = BTreeSet::<(SimTime, u64, WarmId)>::new();
+            let mut live: Vec<WarmId> = Vec::new();
+            let mut now_s = 0u64;
+            for &((op, function, node), (compressed, ready_s, expiry_s, penalty_ms), pick) in &ops {
+                match op {
+                    0 | 1 => {
+                        let inst = if compressed {
+                            compressed_instance(
+                                function,
+                                node,
+                                now_s,
+                                now_s + ready_s,
+                                now_s + expiry_s,
+                                penalty_ms,
+                            )
+                        } else {
+                            WarmInstance {
+                                since: at(now_s),
+                                ..instance(function, node, now_s + expiry_s)
+                            }
+                        };
+                        let id = pool.insert(inst);
+                        let inst = pool.get(id).expect("just admitted");
+                        let penalty = if compressed && ready_s == 0 {
+                            inst.decompress_penalty
+                        } else {
+                            SimDuration::ZERO
+                        };
+                        if compressed && ready_s > 0 {
+                            transitions.insert((inst.compressed_ready_at, inst.seq, id));
+                        }
+                        candidates[function as usize].insert((penalty, inst.expiry, inst.seq, id));
+                        order[function as usize].insert((inst.seq, id));
+                        residents[node as usize].insert((inst.seq, id));
+                        live.push(id);
+                    }
+                    2 if !live.is_empty() => {
+                        let id = live.swap_remove(pick as usize % live.len());
+                        let inst = pool.remove(id);
+                        let f = inst.function.index();
+                        candidates[f].retain(|key| key.3 != id);
+                        transitions.retain(|key| key.2 != id);
+                        order[f].remove(&(inst.seq, id));
+                        residents[inst.node.index()].remove(&(inst.seq, id));
+                    }
+                    _ => {
+                        now_s += u64::from(pick % 60);
+                        pool.migrate_due(at(now_s));
+                        while let Some(&(ready, seq, id)) = transitions.first() {
+                            if ready > at(now_s) {
+                                break;
+                            }
+                            transitions.pop_first();
+                            let inst = pool.get(id).expect("parked instance is live");
+                            let f = inst.function.index();
+                            prop_assert!(candidates[f].remove(&(SimDuration::ZERO, inst.expiry, seq, id)));
+                            candidates[f].insert((inst.decompress_penalty, inst.expiry, seq, id));
+                        }
+                    }
+                }
+                prop_assert_eq!(pool.len(), live.len());
+                for f in 0..FUNCTIONS {
+                    let function = FunctionId::new(f);
+                    let model: Vec<WarmId> = candidates[f as usize].iter().map(|key| key.3).collect();
+                    prop_assert_eq!(pool.candidates_of(function).collect::<Vec<_>>(), model);
+                    let model: Vec<WarmId> = order[f as usize].iter().map(|key| key.1).collect();
+                    prop_assert_eq!(pool.order_of(function).to_vec(), model);
+                }
+                for n in 0..NODES {
+                    let model: Vec<WarmId> = residents[n as usize].iter().map(|key| key.1).collect();
+                    prop_assert_eq!(pool.residents_of(NodeId::new(n)).collect::<Vec<_>>(), model);
+                }
             }
         }
 
