@@ -146,11 +146,15 @@ pub enum PerfCounter {
     ChannelRecvBlockNs,
     /// JSONL chunks written by the ordered mux.
     ChunksWritten,
+    /// Compaction passes of the warm pool's lazy calendars.
+    CalendarCompactions,
+    /// Dead entries popped off the top of the warm pool's lazy calendars.
+    CalendarDeadPops,
 }
 
 impl PerfCounter {
     /// Every counter, in canonical (discriminant) order.
-    pub const ALL: [PerfCounter; 10] = [
+    pub const ALL: [PerfCounter; 12] = [
         PerfCounter::PoolInsert,
         PerfCounter::PoolRemove,
         PerfCounter::CandidateProbes,
@@ -161,6 +165,8 @@ impl PerfCounter {
         PerfCounter::ChannelSendBlockNs,
         PerfCounter::ChannelRecvBlockNs,
         PerfCounter::ChunksWritten,
+        PerfCounter::CalendarCompactions,
+        PerfCounter::CalendarDeadPops,
     ];
 
     /// Number of counters (array table size).
@@ -179,6 +185,8 @@ impl PerfCounter {
             PerfCounter::ChannelSendBlockNs => "channel_send_block_ns",
             PerfCounter::ChannelRecvBlockNs => "channel_recv_block_ns",
             PerfCounter::ChunksWritten => "chunks_written",
+            PerfCounter::CalendarCompactions => "calendar_compactions",
+            PerfCounter::CalendarDeadPops => "calendar_dead_pops",
         }
     }
 

@@ -19,6 +19,7 @@ use crate::pool::WarmPool;
 #[cfg(debug_assertions)]
 use crate::scheduler::lru_rank;
 use crate::source::{ArrivalSource, Fetch, SliceSource};
+use crate::view::ArchTotals;
 use crate::{BudgetLedger, ClusterConfig, ClusterView, Command, Scheduler, SimReport};
 
 /// Placement-order key for one node: least busy first, most free memory
@@ -321,6 +322,9 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     node_order: [Vec<NodeOrderKey>; 2],
     /// Per node: its position in its architecture's `node_order`.
     node_position: Vec<u32>,
+    /// Per architecture: the sums of its nodes' states, kept in sync with
+    /// every node-state mutation through [`Engine::mutate_node`].
+    totals: [ArchTotals; 2],
     ledger: BudgetLedger,
     /// Queued invocations as `(arrival index, invocation)`: the invocation
     /// rides along so retries never need to re-address the source.
@@ -403,6 +407,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                 node_position[id.index()] = position as u32;
             }
         }
+        let totals = Arch::ALL.map(|arch| ArchTotals::scan(&nodes, arch));
         let pool = WarmPool::new(workload.len(), nodes.len());
         let len_hint = if collect_records {
             source.len_hint()
@@ -425,6 +430,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             pool,
             node_order,
             node_position,
+            totals,
             ledger,
             pending: VecDeque::new(),
             capacity_epoch: 0,
@@ -482,24 +488,30 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     }
 
     fn view(&self) -> ClusterView<'_> {
-        ClusterView::new(
-            self.now,
-            self.config,
-            &self.nodes,
-            &self.pool,
-            &self.ledger,
-            self.workload,
-            self.pending.len(),
-        )
+        ClusterView {
+            now: self.now,
+            config: self.config,
+            nodes: &self.nodes,
+            ledger: &self.ledger,
+            workload: self.workload,
+            pending: self.pending.len(),
+            pool: &self.pool,
+            totals: &self.totals,
+        }
     }
 
-    /// Mutates one node's state while keeping the per-arch placement index
-    /// in sync: the node's key is rewritten in place and bubbled to its new
-    /// position. A mutation moves one core or one instance's memory, so
-    /// the key usually moves past zero to two neighbours.
+    /// Mutates one node's state while keeping the per-arch totals and
+    /// placement index in sync: the node's contribution to its arch's
+    /// totals is taken out before the change and added back after, and its
+    /// key is rewritten in place and bubbled to its new position. A
+    /// mutation moves one core or one instance's memory, so the key
+    /// usually moves past zero to two neighbours.
     fn mutate_node<R>(&mut self, node: NodeId, f: impl FnOnce(&mut NodeState) -> R) -> R {
-        let result = f(&mut self.nodes[node.index()]);
-        let state = &self.nodes[node.index()];
+        let state = &mut self.nodes[node.index()];
+        let totals = &mut self.totals[state.arch.index()];
+        totals.sub(state);
+        let result = f(state);
+        totals.add(state);
         let key = node_order_key(state);
         let order = &mut self.node_order[state.arch.index()];
         let mut position = self.node_position[node.index()] as usize;
@@ -644,6 +656,16 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             self.completed, self.arrived,
             "every invocation must complete exactly once"
         );
+        if P::ENABLED {
+            P::add(
+                PerfCounter::CalendarCompactions,
+                self.pool.calendar_compactions(),
+            );
+            P::add(
+                PerfCounter::CalendarDeadPops,
+                self.pool.calendar_dead_pops(),
+            );
+        }
 
         SimReport {
             policy: policy.name().to_owned(),
@@ -1237,10 +1259,10 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     /// at equal timestamps the expiry class (1) runs after ticks (0) and
     /// before completions (2), and two expirations at the same instant
     /// fire in admission order — engine event seqs were assigned in
-    /// admission order too. Unlike the heap events, the calendar only ever
-    /// holds *live* instances (reuse and eviction remove the entry), so a
-    /// boundary drains its whole batch in one pass with no stale
-    /// generation-check pops in between.
+    /// admission order too. Unlike the heap events, the calendar's first
+    /// entry is always live (the pool pops dead ones as soon as they reach
+    /// the top), so a boundary drains its whole batch in one pass with no
+    /// stale generation-check pops in between.
     fn drain_due_expiries(&mut self, limit: Option<(SimTime, u8)>) {
         // Lazy span: the common case drains nothing, and opening a span
         // per main-loop iteration would swamp the phase table.
@@ -1303,9 +1325,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         self.compression_events_per_interval
             .push(compression_delta as f64);
         self.last_compression_events = self.compression_events;
-        let total_cores: u32 = self.nodes.iter().map(|n| n.cores).sum();
-        let busy_cores: u32 = self.nodes.iter().map(|n| n.busy_cores).sum();
-        let utilization = busy_cores as f64 / total_cores.max(1) as f64;
+        let utilization = self.view().busy_core_fraction();
         self.utilization_series.push(utilization);
         if S::ENABLED {
             self.sink.record(&ObsEvent::IntervalSampled {
@@ -1361,12 +1381,21 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                 }
                 let spec = self.workload.spec(function);
                 let memory = spec.memory;
-                let candidate = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.arch == arch && n.free_cores() > 0 && n.free_memory() >= memory)
-                    .min_by_key(|n| (n.busy_cores, n.id))
-                    .map(|n| n.id);
+                // No node can host the pre-warm unless the arch as a whole
+                // has a free core and the memory: the totals answer that
+                // without the node scan.
+                let totals = &self.totals[arch.index()];
+                let candidate = if totals.free_cores() == 0 || totals.free_memory < memory {
+                    None
+                } else {
+                    self.nodes
+                        .iter()
+                        .filter(|n| {
+                            n.arch == arch && n.free_cores() > 0 && n.free_memory() >= memory
+                        })
+                        .min_by_key(|n| (n.busy_cores, n.id))
+                        .map(|n| n.id)
+                };
                 let Some(node) = candidate else {
                     self.dropped_prewarms += 1;
                     if S::ENABLED {
@@ -1637,11 +1666,12 @@ mod tests {
     }
 
     proptest! {
-        // The flat per-arch placement order against a from-scratch sort:
-        // after any sequence of node-state mutations routed through
-        // `mutate_node`, each arch's array is every node of that arch's
-        // `node_order_key` in ascending order, and every node's position
-        // index points at its own key.
+        // The flat per-arch placement order and the per-arch totals
+        // against a from-scratch sort and sum: after any sequence of
+        // node-state mutations routed through `mutate_node`, each arch's
+        // array is every node of that arch's `node_order_key` in ascending
+        // order, every node's position index points at its own key, and
+        // each arch's totals equal a scan of its nodes.
         #[test]
         fn placement_order_matches_a_full_sort(
             // (op, node, memory in 512 MB units): op 0 starts an
@@ -1700,6 +1730,10 @@ mod tests {
                     for (position, &(_, _, id)) in sorted.iter().enumerate() {
                         prop_assert_eq!(engine.node_position[id.index()] as usize, position);
                     }
+                    prop_assert_eq!(
+                        engine.totals[arch.index()],
+                        ArchTotals::scan(&engine.nodes, arch)
+                    );
                 }
             }
         }

@@ -77,6 +77,18 @@ impl WarmInstance {
             SimDuration::ZERO
         }
     }
+
+    /// The penalty class this instance's candidate key carries once
+    /// compression has completed. An instance whose key still differs
+    /// from it is parked for re-keying; one whose decompression is free
+    /// never needs the re-key, as it would not move the key.
+    pub(crate) fn settled_key_penalty(&self) -> SimDuration {
+        if self.compressed {
+            self.decompress_penalty
+        } else {
+            SimDuration::ZERO
+        }
+    }
 }
 
 /// Mutable state of one worker node.

@@ -22,16 +22,22 @@
 //!   so appending at the tail keeps the list in admission order, and
 //!   unlinking a removed instance is O(1).
 //!
+//! - two **lazy calendars** (binary min-heaps of `(instant, seq, id)`):
+//!   the keep-alive expiry calendar and the compression re-key
+//!   `transitions` below. Removing an instance leaves its entries in the
+//!   heaps; see [`Calendar`].
+//!
 //! The candidate key of a compressed instance changes once, when
 //! background compression finishes (`compressed_ready_at`): before that a
 //! reuse finds the uncompressed copy (penalty zero), after it a reuse pays
 //! decompression. Rather than rewriting keys eagerly on a timer, the pool
-//! parks each pending re-key in a time-ordered `transitions` set and
+//! parks each pending re-key in the time-ordered `transitions` calendar and
 //! migrates the due ones at query time ([`WarmPool::migrate_due`]) — each
 //! instance migrates at most once, so the cost is amortized O(log n) per
 //! admission.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 #[cfg(any(debug_assertions, test))]
 use cc_types::MemoryMb;
@@ -44,6 +50,15 @@ use crate::node::WarmInstance;
 /// expiring, saving the freshest), then admission order as the unique
 /// deterministic tie-break.
 type CandidateKey = (SimDuration, SimTime, u64, WarmId);
+
+/// Calendar entry: an instant, the instance's admission `seq` (unique, so
+/// entries are totally ordered before the id is ever compared), and the
+/// instance.
+type CalendarEntry = (SimTime, u64, WarmId);
+
+/// How many dead entries the pool's calendars tolerate beyond their live
+/// count before they compact.
+const CALENDAR_SLACK: usize = 1024;
 
 const NO_SLOT: u32 = u32::MAX;
 
@@ -104,15 +119,98 @@ enum SlotCold {
     Vacant { next_free: u32 },
 }
 
-/// Per-function index entry.
-#[derive(Debug, Default)]
-struct FunctionEntry {
-    /// Live instances in admission order (what policies observe through
-    /// `ClusterView::warm_instances_of`).
-    order: Vec<WarmId>,
-    /// Live instances in reuse-preference order: sorted ascending, keys
-    /// unique (the `seq` component is).
-    candidates: Vec<CandidateKey>,
+/// A time-ordered calendar of live instances with lazy deletion: a binary
+/// min-heap of [`CalendarEntry`]s. Removing an instance only lowers the
+/// live count; its entry stays in the heap, dead. An entry is live iff its
+/// handle's generation still matches its slot's (a removal bumps the
+/// generation), so dead entries are recognised without a lookup table.
+///
+/// Two invariants hold between operations, so [`Calendar::first`] needs
+/// no `&mut`:
+///
+/// - **the top entry is live**: every operation that can kill or take the
+///   top ends in [`Calendar::settle`], which pops dead entries off it;
+/// - **`len ≤ 2·live + slack`**: once dead entries outnumber live ones by
+///   the slack, `settle` drops every dead entry in one O(len) pass. Each
+///   dead entry is dropped once and was made by one removal, so compaction
+///   is amortized O(1) per removal.
+///
+/// `seq` is unique, so entries pop in exactly the `(instant, seq)` order
+/// of the ordered set this replaced.
+#[derive(Debug)]
+struct Calendar {
+    heap: BinaryHeap<Reverse<CalendarEntry>>,
+    /// Entries whose instance is still on the calendar.
+    live: usize,
+    /// Dead entries tolerated beyond `live` ([`CALENDAR_SLACK`] outside
+    /// the pool's unit tests).
+    slack: usize,
+    /// Compaction passes so far.
+    compactions: u64,
+    /// Dead entries popped off the top so far.
+    dead_pops: u64,
+}
+
+impl Calendar {
+    fn new(slack: usize) -> Calendar {
+        Calendar {
+            heap: BinaryHeap::new(),
+            live: 0,
+            slack,
+            compactions: 0,
+            dead_pops: 0,
+        }
+    }
+
+    /// The earliest live entry.
+    fn first(&self) -> Option<CalendarEntry> {
+        self.heap.peek().map(|&Reverse(entry)| entry)
+    }
+
+    /// Schedules a live entry.
+    fn push(&mut self, entry: CalendarEntry) {
+        self.heap.push(Reverse(entry));
+        self.live += 1;
+    }
+
+    /// Takes off the calendar the live `entry`, whose instance the caller
+    /// has just removed (its generation is already bumped). The heap is
+    /// touched only if the entry is on top.
+    fn remove(&mut self, entry: CalendarEntry, generations: &[u32]) {
+        self.live -= 1;
+        if self.first() == Some(entry) {
+            self.heap.pop();
+        }
+        self.settle(generations);
+    }
+
+    /// Pops the earliest entry, which must exist; its instance stays in
+    /// the pool.
+    fn pop_first(&mut self, generations: &[u32]) {
+        self.heap.pop();
+        self.live -= 1;
+        self.settle(generations);
+    }
+
+    /// Restores both invariants: pops dead entries off the top, then
+    /// compacts if the dead ones exceed the live ones by the slack.
+    fn settle(&mut self, generations: &[u32]) {
+        let live = |&Reverse((_, _, id)): &Reverse<CalendarEntry>| {
+            generations[id.slot()] == id.generation()
+        };
+        while self.heap.peek().is_some_and(|top| !live(top)) {
+            self.heap.pop();
+            self.dead_pops += 1;
+        }
+        if self.heap.len() > 2 * self.live + self.slack {
+            self.heap.retain(live);
+            self.compactions += 1;
+        }
+        debug_assert!(
+            self.heap.len() >= self.live && self.heap.len() <= 2 * self.live + self.slack,
+            "calendar length out of bounds"
+        );
+    }
 }
 
 /// The warm-instance arena and its indexes. See the module docs.
@@ -137,26 +235,34 @@ pub(crate) struct WarmPool {
     len: usize,
     compressed: usize,
     next_seq: u64,
-    functions: Vec<FunctionEntry>,
+    /// Per function: its live instances in reuse-preference order, sorted
+    /// ascending, keys unique (the `seq` component is).
+    candidates: Vec<Vec<CandidateKey>>,
     /// Per node: the residency list through `hot[..].prev/next`, in
     /// admission order.
     residents: Vec<Residents>,
     /// Compressed instances whose candidate key still carries a zero
     /// penalty but must be re-keyed at `(compressed_ready_at, seq, id)`.
-    transitions: BTreeSet<(SimTime, u64, WarmId)>,
-    /// Expiry calendar: every live instance keyed by
-    /// `(expiry, seq, id)`. The engine serves keep-alive expirations
-    /// straight from this index instead of pushing one heap event per
-    /// admission, so a window boundary drains all due expiries in one
-    /// ordered pass and reused/evicted instances never leave stale
-    /// tombstone events behind.
-    expiries: BTreeSet<(SimTime, u64, WarmId)>,
+    transitions: Calendar,
+    /// Expiry calendar: every live instance at `(expiry, seq, id)`. The
+    /// engine serves keep-alive expirations straight from this calendar
+    /// instead of pushing one heap event per admission, so a window
+    /// boundary drains all due expiries in one ordered pass, and the
+    /// calendar's top is always live, so no drain ever pops a stale entry.
+    expiries: Calendar,
 }
 
 impl WarmPool {
     /// Creates an empty pool for a cluster of `nodes` nodes serving
     /// `functions` distinct functions.
     pub fn new(functions: usize, nodes: usize) -> WarmPool {
+        WarmPool::with_calendar_slack(functions, nodes, CALENDAR_SLACK)
+    }
+
+    /// [`WarmPool::new`] with calendars that compact past `slack` dead
+    /// entries; the unit tests use a small slack to make compaction
+    /// frequent.
+    fn with_calendar_slack(functions: usize, nodes: usize, slack: usize) -> WarmPool {
         WarmPool {
             generations: Vec::new(),
             hot: Vec::new(),
@@ -165,10 +271,10 @@ impl WarmPool {
             len: 0,
             compressed: 0,
             next_seq: 0,
-            functions: (0..functions).map(|_| FunctionEntry::default()).collect(),
+            candidates: (0..functions).map(|_| Vec::new()).collect(),
             residents: vec![Residents::EMPTY; nodes],
-            transitions: BTreeSet::new(),
-            expiries: BTreeSet::new(),
+            transitions: Calendar::new(slack),
+            expiries: Calendar::new(slack),
         }
     }
 
@@ -184,7 +290,7 @@ impl WarmPool {
 
     /// Whether `function` has at least one live instance.
     pub fn is_warm(&self, function: FunctionId) -> bool {
-        !self.functions[function.index()].order.is_empty()
+        !self.candidates[function.index()].is_empty()
     }
 
     /// The live instance behind `id`, or `None` if the handle is stale
@@ -227,25 +333,23 @@ impl WarmPool {
         let id = WarmId::new(slot_index, self.generations[slot_index as usize]);
         inst.id = id;
 
-        let entry = &mut self.functions[inst.function.index()];
-        entry.order.push(id);
         // A compressed instance enters the zero-penalty class (reuse finds
         // the uncompressed copy until compression completes) and is parked
         // for re-keying — unless compression is instantaneous, in which
         // case it pays decompression from the start.
         let key_penalty = inst.admission_key_penalty();
         insert_sorted(
-            &mut entry.candidates,
+            &mut self.candidates[inst.function.index()],
             (key_penalty, inst.expiry, inst.seq, id),
         );
-        if inst.compressed && inst.compressed_ready_at > inst.since {
+        if key_penalty != inst.settled_key_penalty() {
             self.transitions
-                .insert((inst.compressed_ready_at, inst.seq, id));
+                .push((inst.compressed_ready_at, inst.seq, id));
         }
         if inst.compressed {
             self.compressed += 1;
         }
-        self.expiries.insert((inst.expiry, inst.seq, id));
+        self.expiries.push((inst.expiry, inst.seq, id));
 
         // Append at the tail of the node's residency list: `seq` only
         // grows, so the tail is admission order.
@@ -314,30 +418,18 @@ impl WarmPool {
         self.free_head = id.slot() as u32;
         self.len -= 1;
 
-        if inst.compressed {
-            // Drop the parked re-key transition if it never fired; a
-            // no-op for instances that already migrated (or entered the
-            // penalty class at admission).
-            let parked = self
-                .transitions
-                .remove(&(inst.compressed_ready_at, seq, id));
-            debug_assert!(
-                !parked || key_penalty.is_zero(),
-                "hot penalty class out of sync with the transition set"
-            );
+        if key_penalty != inst.settled_key_penalty() {
+            // Still parked: its re-key transition never fired.
+            self.transitions
+                .remove((inst.compressed_ready_at, seq, id), &self.generations);
         }
-        let entry = &mut self.functions[inst.function.index()];
-        let removed = remove_sorted(&mut entry.candidates, &(key_penalty, expiry, seq, id));
+        let removed = remove_sorted(
+            &mut self.candidates[inst.function.index()],
+            &(key_penalty, expiry, seq, id),
+        );
         debug_assert!(removed, "candidate index out of sync");
-        let position = entry
-            .order
-            .iter()
-            .position(|&i| i == id)
-            .expect("order index out of sync");
-        entry.order.remove(position);
         self.unlink_resident(inst.node, id.slot() as u32, prev, next);
-        let removed = self.expiries.remove(&(expiry, seq, id));
-        debug_assert!(removed, "expiry calendar out of sync");
+        self.expiries.remove((expiry, seq, id), &self.generations);
         if inst.compressed {
             self.compressed -= 1;
         }
@@ -349,7 +441,17 @@ impl WarmPool {
     /// expirations come out in admission order — the same order the
     /// per-admission heap events used to impose.
     pub fn next_expiry(&self) -> Option<(SimTime, u64, WarmId)> {
-        self.expiries.iter().next().copied()
+        self.expiries.first()
+    }
+
+    /// Compaction passes of the expiry and transition calendars so far.
+    pub fn calendar_compactions(&self) -> u64 {
+        self.expiries.compactions + self.transitions.compactions
+    }
+
+    /// Dead calendar entries popped off the top so far.
+    pub fn calendar_dead_pops(&self) -> u64 {
+        self.expiries.dead_pops + self.transitions.dead_pops
     }
 
     /// Re-keys every compressed instance whose `compressed_ready_at` has
@@ -357,19 +459,18 @@ impl WarmPool {
     /// penalty. Must be called before reading [`WarmPool::candidates_of`];
     /// each instance migrates at most once per lifetime.
     pub fn migrate_due(&mut self, now: SimTime) {
-        while let Some(&(ready_at, seq, id)) = self.transitions.iter().next() {
+        while let Some((ready_at, seq, id)) = self.transitions.first() {
             if ready_at > now {
                 break;
             }
-            self.transitions.remove(&(ready_at, seq, id));
+            self.transitions.pop_first(&self.generations);
             let inst = self.get(id).expect("parked transition for a dead instance");
             let (function, expiry, penalty) = (inst.function, inst.expiry, inst.decompress_penalty);
             self.hot[id.slot()].key_penalty = penalty;
-            let entry = &mut self.functions[function.index()];
-            let removed =
-                remove_sorted(&mut entry.candidates, &(SimDuration::ZERO, expiry, seq, id));
+            let candidates = &mut self.candidates[function.index()];
+            let removed = remove_sorted(candidates, &(SimDuration::ZERO, expiry, seq, id));
             debug_assert!(removed, "candidate index out of sync during migration");
-            insert_sorted(&mut entry.candidates, (penalty, expiry, seq, id));
+            insert_sorted(candidates, (penalty, expiry, seq, id));
         }
     }
 
@@ -404,15 +505,9 @@ impl WarmPool {
     /// order. Only valid if [`WarmPool::migrate_due`] has been called with
     /// the current time.
     pub fn candidates_of(&self, function: FunctionId) -> impl Iterator<Item = WarmId> + '_ {
-        self.functions[function.index()]
-            .candidates
+        self.candidates[function.index()]
             .iter()
             .map(|&(_, _, _, id)| id)
-    }
-
-    /// Live instances of `function` in admission order.
-    pub fn order_of(&self, function: FunctionId) -> &[WarmId] {
-        &self.functions[function.index()].order
     }
 
     /// Live instances resident on `node`, in admission order.
@@ -473,402 +568,4 @@ fn remove_sorted(keys: &mut Vec<CandidateKey>, key: &CandidateKey) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use cc_types::{Arch, Cost};
-    use proptest::prelude::*;
-    use std::collections::BTreeSet;
-
-    fn instance(function: u32, node: u32, expiry_s: u64) -> WarmInstance {
-        WarmInstance {
-            id: WarmId::INVALID,
-            seq: 0,
-            function: FunctionId::new(function),
-            node: NodeId::new(node),
-            arch: Arch::X86,
-            compressed: false,
-            memory: MemoryMb::new(100),
-            since: SimTime::ZERO,
-            expiry: SimTime::ZERO + SimDuration::from_secs(expiry_s),
-            reserved: Cost::ZERO,
-            compressed_ready_at: SimTime::ZERO,
-            decompress_penalty: SimDuration::ZERO,
-        }
-    }
-
-    fn compressed_instance(
-        function: u32,
-        node: u32,
-        since_s: u64,
-        ready_s: u64,
-        expiry_s: u64,
-        penalty_ms: u64,
-    ) -> WarmInstance {
-        WarmInstance {
-            compressed: true,
-            since: SimTime::ZERO + SimDuration::from_secs(since_s),
-            compressed_ready_at: SimTime::ZERO + SimDuration::from_secs(ready_s),
-            decompress_penalty: SimDuration::from_millis(penalty_ms),
-            ..instance(function, node, expiry_s)
-        }
-    }
-
-    fn at(secs: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_secs(secs)
-    }
-
-    #[test]
-    fn insert_get_remove_roundtrip() {
-        let mut pool = WarmPool::new(4, 2);
-        let id = pool.insert(instance(1, 0, 60));
-        assert_eq!(pool.len(), 1);
-        assert!(pool.is_warm(FunctionId::new(1)));
-        let inst = pool.get(id).unwrap();
-        assert_eq!(inst.id, id);
-        assert_eq!(inst.seq, 1);
-        let removed = pool.remove(id);
-        assert_eq!(removed.id, id);
-        assert_eq!(pool.len(), 0);
-        assert!(!pool.is_warm(FunctionId::new(1)));
-        assert!(pool.get(id).is_none());
-    }
-
-    #[test]
-    fn stale_handle_rejected_after_slot_reuse() {
-        let mut pool = WarmPool::new(4, 2);
-        let first = pool.insert(instance(0, 0, 60));
-        pool.remove(first);
-        let second = pool.insert(instance(1, 1, 90));
-        // Slot recycled, generation advanced.
-        assert_eq!(second.slot(), first.slot());
-        assert_ne!(second.generation(), first.generation());
-        assert!(pool.get(first).is_none(), "stale handle must not alias");
-        assert_eq!(pool.get(second).unwrap().function, FunctionId::new(1));
-    }
-
-    #[test]
-    fn seq_keeps_increasing_across_slot_reuse() {
-        let mut pool = WarmPool::new(2, 1);
-        let a = pool.insert(instance(0, 0, 10));
-        pool.remove(a);
-        let b = pool.insert(instance(0, 0, 20));
-        assert_eq!(pool.get(b).unwrap().seq, 2);
-    }
-
-    #[test]
-    fn candidates_order_by_penalty_then_expiry_then_seq() {
-        let mut pool = WarmPool::new(2, 4);
-        // Compressed & ready (pays penalty), uncompressed far expiry,
-        // uncompressed near expiry, compressed not yet ready (free).
-        let ready = pool.insert(compressed_instance(0, 0, 0, 5, 200, 30));
-        let far = pool.insert(instance(0, 1, 300));
-        let near = pool.insert(instance(0, 2, 100));
-        let pending = pool.insert(compressed_instance(0, 3, 0, 1000, 250, 30));
-        pool.migrate_due(at(10));
-        let order: Vec<WarmId> = pool.candidates_of(FunctionId::new(0)).collect();
-        // Zero-penalty class first by expiry (near, pending, far), then the
-        // decompressing one.
-        assert_eq!(order, vec![near, pending, far, ready]);
-    }
-
-    #[test]
-    fn migration_moves_instance_to_penalty_class_exactly_at_ready_time() {
-        let mut pool = WarmPool::new(1, 2);
-        let compressed = pool.insert(compressed_instance(0, 0, 0, 50, 100, 30));
-        let plain = pool.insert(instance(0, 1, 300));
-        pool.migrate_due(at(49));
-        let order: Vec<WarmId> = pool.candidates_of(FunctionId::new(0)).collect();
-        assert_eq!(
-            order,
-            vec![compressed, plain],
-            "free class wins before ready"
-        );
-        pool.migrate_due(at(50));
-        let order: Vec<WarmId> = pool.candidates_of(FunctionId::new(0)).collect();
-        assert_eq!(
-            order,
-            vec![plain, compressed],
-            "penalty class loses after ready"
-        );
-    }
-
-    #[test]
-    fn removal_before_and_after_migration_keeps_indexes_consistent() {
-        let mut pool = WarmPool::new(1, 1);
-        let a = pool.insert(compressed_instance(0, 0, 0, 50, 100, 30));
-        pool.remove(a); // still parked: transition entry must go too
-        assert!(pool.transitions.is_empty());
-        let b = pool.insert(compressed_instance(0, 0, 0, 60, 100, 30));
-        pool.migrate_due(at(70)); // migrated: key now carries the penalty
-        let removed = pool.remove(b);
-        assert!(removed.compressed);
-        assert_eq!(pool.len(), 0);
-        assert_eq!(pool.compressed_count(), 0);
-        assert!(pool.candidates_of(FunctionId::new(0)).next().is_none());
-    }
-
-    #[test]
-    fn expiry_calendar_orders_by_time_then_admission() {
-        let mut pool = WarmPool::new(2, 2);
-        let late = pool.insert(instance(0, 0, 90));
-        let early_a = pool.insert(instance(1, 1, 30));
-        let early_b = pool.insert(instance(0, 0, 30));
-        // Earliest expiry first; equal-time entries in admission order.
-        assert_eq!(pool.next_expiry(), Some((at(30), 2, early_a)));
-        pool.remove(early_a);
-        assert_eq!(pool.next_expiry(), Some((at(30), 3, early_b)));
-        pool.remove(early_b);
-        assert_eq!(pool.next_expiry(), Some((at(90), 1, late)));
-        pool.remove(late);
-        assert_eq!(pool.next_expiry(), None, "empty pool has no expiries");
-    }
-
-    #[test]
-    fn residents_and_order_track_membership() {
-        let mut pool = WarmPool::new(3, 2);
-        let a = pool.insert(instance(0, 0, 60));
-        let b = pool.insert(instance(1, 0, 30));
-        let c = pool.insert(instance(0, 1, 90));
-        assert_eq!(
-            pool.residents_of(NodeId::new(0)).collect::<Vec<_>>(),
-            vec![a, b]
-        );
-        assert_eq!(pool.order_of(FunctionId::new(0)), &[a, c]);
-        pool.remove(a);
-        assert_eq!(
-            pool.residents_of(NodeId::new(0)).collect::<Vec<_>>(),
-            vec![b]
-        );
-        assert_eq!(pool.order_of(FunctionId::new(0)), &[c]);
-        assert_eq!(pool.resident_memory(NodeId::new(1)), MemoryMb::new(100));
-    }
-
-    #[test]
-    fn admission_time_order_is_checked_per_node() {
-        let admitted_at = |node: u32, since_s: u64| WarmInstance {
-            since: at(since_s),
-            ..instance(0, node, 600)
-        };
-        let mut pool = WarmPool::new(1, 2);
-        assert!(pool.admitted_in_time_order(NodeId::new(0)), "empty node");
-        let first = pool.insert(admitted_at(0, 10));
-        pool.insert(admitted_at(0, 10));
-        pool.insert(admitted_at(0, 20));
-        // An earlier instant on another node does not break node 0's order.
-        pool.insert(admitted_at(1, 5));
-        assert!(pool.admitted_in_time_order(NodeId::new(0)));
-        assert!(pool.admitted_in_time_order(NodeId::new(1)));
-        // A later admission stamped before node 0's newest resident does.
-        let late = pool.insert(admitted_at(0, 15));
-        assert!(!pool.admitted_in_time_order(NodeId::new(0)));
-        pool.remove(late);
-        pool.remove(first);
-        assert!(pool.admitted_in_time_order(NodeId::new(0)));
-    }
-
-    proptest! {
-        // The property the whole candidate index stands on: at any query
-        // time, iterating `candidates_of` yields exactly the order the
-        // pre-refactor engine computed by collecting every live instance
-        // of the function and sorting by `(penalty at now, expiry,
-        // admission id)`.
-        #[test]
-        fn candidate_index_matches_sort_based_selection(
-            // (compressed, ready_offset_s, expiry_s, penalty_ms, node)
-            specs in prop::collection::vec(
-                (any::<bool>(), 0u64..120, 1u64..240, 1u64..80, 0u32..4),
-                1..24,
-            ),
-            removals in prop::collection::vec(any::<u16>(), 0..8),
-            // Monotonically applied query times: migration is incremental
-            // (each instance re-keys at most once), so the index must match
-            // the sort-based reference at EVERY step, not just the last.
-            query_steps in prop::collection::vec(0u64..130, 1..4),
-        ) {
-            let mut pool = WarmPool::new(1, 4);
-            let mut ids = Vec::new();
-            for &(compressed, ready_s, expiry_s, penalty_ms, node) in &specs {
-                let inst = if compressed {
-                    compressed_instance(0, node, 0, ready_s, expiry_s, penalty_ms)
-                } else {
-                    instance(0, node, expiry_s)
-                };
-                ids.push(pool.insert(inst));
-            }
-            for &r in &removals {
-                if ids.is_empty() { break; }
-                let victim = ids.swap_remove(r as usize % ids.len());
-                pool.remove(victim);
-            }
-
-            // Removals interleaved between migration steps exercise the
-            // penalty-class read on both sides of each re-key.
-            let mut now_s = 0u64;
-            for (step, &advance) in query_steps.iter().enumerate() {
-                now_s += advance;
-                let now = at(now_s);
-                pool.migrate_due(now);
-                if step > 0 && !ids.is_empty() {
-                    let victim = ids.swap_remove(step % ids.len());
-                    pool.remove(victim);
-                }
-                let indexed: Vec<WarmId> =
-                    pool.candidates_of(FunctionId::new(0)).collect();
-
-                // Pre-refactor selection: collect live instances, compute
-                // the penalty a reuse at `now` would pay, sort.
-                let mut brute: Vec<(SimDuration, SimTime, u64, WarmId)> = ids
-                    .iter()
-                    .map(|&id| {
-                        let inst = pool.get(id).expect("live");
-                        let penalty = if inst.pays_decompression(now) {
-                            inst.decompress_penalty
-                        } else {
-                            SimDuration::ZERO
-                        };
-                        (penalty, inst.expiry, inst.seq, id)
-                    })
-                    .collect();
-                brute.sort();
-                let brute: Vec<WarmId> = brute.into_iter().map(|(_, _, _, id)| id).collect();
-
-                prop_assert_eq!(indexed, brute, "diverged at step {} (now={}s)", step, now_s);
-            }
-        }
-
-        // The flat indexes (sorted candidate vectors, intrusive residency
-        // lists) against the ordered sets they replaced: after every
-        // admission, removal and migration step over several functions
-        // and nodes, `candidates_of`, `residents_of` and `order_of` list
-        // exactly what a `BTreeSet` model keyed the same way lists.
-        #[test]
-        fn flat_indexes_match_an_ordered_set_model(
-            // ((op, function, node), (compressed, ready_s, expiry_s,
-            // penalty_ms), pick): op 0–1 admits, 2 removes, 3 advances
-            // the clock and migrates.
-            ops in prop::collection::vec(
-                (
-                    (0u8..4, 0u32..5, 0u32..3),
-                    (any::<bool>(), 0u64..120, 1u64..240, 1u64..80),
-                    any::<u16>(),
-                ),
-                1..80,
-            ),
-        ) {
-            const FUNCTIONS: u32 = 5;
-            const NODES: u32 = 3;
-            let mut pool = WarmPool::new(FUNCTIONS as usize, NODES as usize);
-            let mut candidates = vec![BTreeSet::<CandidateKey>::new(); FUNCTIONS as usize];
-            let mut order = vec![BTreeSet::<(u64, WarmId)>::new(); FUNCTIONS as usize];
-            let mut residents = vec![BTreeSet::<(u64, WarmId)>::new(); NODES as usize];
-            let mut transitions = BTreeSet::<(SimTime, u64, WarmId)>::new();
-            let mut live: Vec<WarmId> = Vec::new();
-            let mut now_s = 0u64;
-            for &((op, function, node), (compressed, ready_s, expiry_s, penalty_ms), pick) in &ops {
-                match op {
-                    0 | 1 => {
-                        let inst = if compressed {
-                            compressed_instance(
-                                function,
-                                node,
-                                now_s,
-                                now_s + ready_s,
-                                now_s + expiry_s,
-                                penalty_ms,
-                            )
-                        } else {
-                            WarmInstance {
-                                since: at(now_s),
-                                ..instance(function, node, now_s + expiry_s)
-                            }
-                        };
-                        let id = pool.insert(inst);
-                        let inst = pool.get(id).expect("just admitted");
-                        let penalty = if compressed && ready_s == 0 {
-                            inst.decompress_penalty
-                        } else {
-                            SimDuration::ZERO
-                        };
-                        if compressed && ready_s > 0 {
-                            transitions.insert((inst.compressed_ready_at, inst.seq, id));
-                        }
-                        candidates[function as usize].insert((penalty, inst.expiry, inst.seq, id));
-                        order[function as usize].insert((inst.seq, id));
-                        residents[node as usize].insert((inst.seq, id));
-                        live.push(id);
-                    }
-                    2 if !live.is_empty() => {
-                        let id = live.swap_remove(pick as usize % live.len());
-                        let inst = pool.remove(id);
-                        let f = inst.function.index();
-                        candidates[f].retain(|key| key.3 != id);
-                        transitions.retain(|key| key.2 != id);
-                        order[f].remove(&(inst.seq, id));
-                        residents[inst.node.index()].remove(&(inst.seq, id));
-                    }
-                    _ => {
-                        now_s += u64::from(pick % 60);
-                        pool.migrate_due(at(now_s));
-                        while let Some(&(ready, seq, id)) = transitions.first() {
-                            if ready > at(now_s) {
-                                break;
-                            }
-                            transitions.pop_first();
-                            let inst = pool.get(id).expect("parked instance is live");
-                            let f = inst.function.index();
-                            prop_assert!(candidates[f].remove(&(SimDuration::ZERO, inst.expiry, seq, id)));
-                            candidates[f].insert((inst.decompress_penalty, inst.expiry, seq, id));
-                        }
-                    }
-                }
-                prop_assert_eq!(pool.len(), live.len());
-                for f in 0..FUNCTIONS {
-                    let function = FunctionId::new(f);
-                    let model: Vec<WarmId> = candidates[f as usize].iter().map(|key| key.3).collect();
-                    prop_assert_eq!(pool.candidates_of(function).collect::<Vec<_>>(), model);
-                    let model: Vec<WarmId> = order[f as usize].iter().map(|key| key.1).collect();
-                    prop_assert_eq!(pool.order_of(function).to_vec(), model);
-                }
-                for n in 0..NODES {
-                    let model: Vec<WarmId> = residents[n as usize].iter().map(|key| key.1).collect();
-                    prop_assert_eq!(pool.residents_of(NodeId::new(n)).collect::<Vec<_>>(), model);
-                }
-            }
-        }
-
-        // Slab bookkeeping stays consistent under arbitrary interleavings
-        // of admissions and removals.
-        #[test]
-        fn slab_len_and_counters_survive_churn(
-            ops in prop::collection::vec((any::<bool>(), any::<u16>()), 1..60),
-        ) {
-            let mut pool = WarmPool::new(4, 2);
-            let mut live: Vec<WarmId> = Vec::new();
-            let mut compressed_live = 0usize;
-            for (i, &(remove, r)) in ops.iter().enumerate() {
-                if remove && !live.is_empty() {
-                    let id = live.swap_remove(r as usize % live.len());
-                    if pool.remove(id).compressed {
-                        compressed_live -= 1;
-                    }
-                } else {
-                    let compress = i % 3 == 0;
-                    let inst = if compress {
-                        compressed_instance((i % 4) as u32, (i % 2) as u32, 0, 30, 60, 20)
-                    } else {
-                        instance((i % 4) as u32, (i % 2) as u32, 60)
-                    };
-                    live.push(pool.insert(inst));
-                    if compress {
-                        compressed_live += 1;
-                    }
-                }
-                prop_assert_eq!(pool.len(), live.len());
-                prop_assert_eq!(pool.compressed_count(), compressed_live);
-            }
-            for &id in &live {
-                prop_assert!(pool.get(id).is_some());
-            }
-        }
-    }
-}
+mod tests;

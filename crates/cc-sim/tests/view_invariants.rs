@@ -52,6 +52,10 @@ impl InvariantProbe {
             let function = FunctionId::new(f as u32);
             let instances = view.warm_instances_of(function);
             assert_eq!(view.is_warm(function), !instances.is_empty());
+            assert!(
+                instances.windows(2).all(|pair| pair[0].seq < pair[1].seq),
+                "warm instances out of admission order"
+            );
             via_index += instances.len();
             for inst in instances {
                 assert_eq!(inst.function, function);
@@ -74,9 +78,24 @@ impl InvariantProbe {
             "warm memory out of sync"
         );
 
-        // Aggregates are consistent.
+        // Aggregates are consistent, and the O(1) totals equal a scan of
+        // the nodes in release builds too.
         assert_eq!(view.total_warm_memory(), warm_mem_nodes);
         assert!(view.busy_core_fraction() >= 0.0 && view.busy_core_fraction() <= 1.0);
+        let cores: u32 = view.nodes.iter().map(|n| n.cores).sum();
+        let busy: u32 = view.nodes.iter().map(|n| n.busy_cores).sum();
+        assert_eq!(view.busy_core_fraction(), busy as f64 / cores as f64);
+        for arch in Arch::ALL {
+            let of_arch = || view.nodes.iter().filter(|n| n.arch == arch);
+            assert_eq!(
+                view.free_cores(arch),
+                of_arch().map(|n| n.free_cores()).sum::<u32>()
+            );
+            assert_eq!(
+                view.free_memory(arch),
+                of_arch().map(|n| n.free_memory()).sum::<MemoryMb>()
+            );
+        }
         assert_eq!(view.compressed_count(), compressed);
     }
 }
