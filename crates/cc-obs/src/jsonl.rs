@@ -3,11 +3,13 @@
 //! The format is hand-written (the workspace's vendored `serde_json` has no
 //! derive), with a stable key order per event type, so the byte stream is a
 //! deterministic function of the event stream — the golden-determinism test
-//! digests it directly.
+//! digests it directly. [`write_event_line`] appends each line straight into
+//! a caller's byte buffer: keys, tags and labels are static byte strings and
+//! integers are formatted by hand, so encoding allocates nothing per event.
 
 use std::io::{self, Write};
 
-use cc_types::{Arch, StartKind};
+use cc_types::{Arch, StartKind, WarmId};
 
 use crate::event::{Event, EventSink};
 
@@ -26,48 +28,99 @@ fn kind_label(kind: StartKind) -> &'static str {
     }
 }
 
-/// Formats an `f64` as a JSON value (`null` for non-finite inputs, which
-/// JSON cannot represent).
-pub(crate) fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        let mut s = format!("{value}");
-        // `Display` omits the fraction for integral floats; keep the token
-        // unambiguously a number either way (it already is) but normalize
-        // negative zero for digest stability across platforms.
-        if s == "-0" {
-            s = "0".to_string();
+/// Appends `value` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
         }
-        s
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Appends an `f64` as a JSON value: its `Display` form, with negative
+/// zero normalized to `0` for digest stability across platforms and
+/// `null` for non-finite inputs, which JSON cannot represent.
+fn push_f64(out: &mut Vec<u8>, value: f64) {
+    if !value.is_finite() {
+        out.extend_from_slice(b"null");
+    } else if value == 0.0 {
+        out.push(b'0');
     } else {
-        "null".to_string()
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{value}");
     }
 }
 
-/// Formats one event as its canonical JSONL line (no trailing newline).
+/// Formats an `f64` as a JSON value (`null` for non-finite inputs).
+pub(crate) fn json_f64(value: f64) -> String {
+    let mut out = Vec::new();
+    push_f64(&mut out, value);
+    String::from_utf8(out).expect("a formatted f64 is ASCII")
+}
+
+/// Appends `,"key":value` for an integer field (`key` carries the comma
+/// and quotes).
+fn int_field(out: &mut Vec<u8>, key: &[u8], value: u64) {
+    out.extend_from_slice(key);
+    push_u64(out, value);
+}
+
+/// Appends `,"key":value` for a float field.
+fn float_field(out: &mut Vec<u8>, key: &[u8], value: f64) {
+    out.extend_from_slice(key);
+    push_f64(out, value);
+}
+
+/// Appends `,"key":"label"` for a string field.
+fn label_field(out: &mut Vec<u8>, key: &[u8], label: &str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend_from_slice(label.as_bytes());
+    out.push(b'"');
+}
+
+/// Appends `,"key":true|false`.
+fn bool_field(out: &mut Vec<u8>, key: &[u8], value: bool) {
+    out.extend_from_slice(key);
+    out.extend_from_slice(if value { b"true" } else { b"false" });
+}
+
+/// Appends `,"id":[slot,generation]`.
+fn id_field(out: &mut Vec<u8>, id: WarmId) {
+    int_field(out, b",\"id\":[", id.slot() as u64);
+    int_field(out, b",", u64::from(id.generation()));
+    out.push(b']');
+}
+
+/// Appends one event's canonical JSONL line, newline included.
 ///
 /// This is the single source of truth for the JSONL encoding: [`JsonlSink`]
 /// writes exactly these bytes, and the intra-run pipeline's encoder workers
-/// use it to format window batches, so a pipelined stream is byte-identical
-/// to what a serial [`JsonlSink`] would have produced.
-pub fn event_line(event: &Event) -> String {
-    let tag = event.tag();
+/// append window batches with it, so a pipelined stream is byte-identical
+/// to what a serial [`JsonlSink`] would have produced. Every event opens
+/// with its type tag and timestamp; the remaining keys follow in a fixed
+/// order per type. Nothing is allocated beyond `out`'s own growth.
+pub fn write_event_line(out: &mut Vec<u8>, event: &Event) {
+    out.extend_from_slice(b"{\"t\":\"");
+    out.extend_from_slice(event.tag().as_bytes());
+    int_field(out, b"\",\"at\":", event.at().as_micros());
     match *event {
-        Event::Arrival { at, function } => format!(
-            "{{\"t\":\"{tag}\",\"at\":{},\"fn\":{}}}",
-            at.as_micros(),
-            function.index()
-        ),
+        Event::Arrival { function, .. } => {
+            int_field(out, b",\"fn\":", function.index() as u64);
+        }
         Event::Queued {
-            at,
-            function,
-            depth,
-        } => format!(
-            "{{\"t\":\"{tag}\",\"at\":{},\"fn\":{},\"depth\":{depth}}}",
-            at.as_micros(),
-            function.index()
-        ),
+            function, depth, ..
+        } => {
+            int_field(out, b",\"fn\":", function.index() as u64);
+            int_field(out, b",\"depth\":", depth);
+        }
         Event::ExecutionStarted {
-            at,
             function,
             node,
             arch,
@@ -75,23 +128,17 @@ pub fn event_line(event: &Event) -> String {
             wait,
             start_penalty,
             execution,
-        } => format!(
-            concat!(
-                "{{\"t\":\"{}\",\"at\":{},\"fn\":{},\"node\":{},\"arch\":\"{}\",",
-                "\"kind\":\"{}\",\"wait_us\":{},\"penalty_us\":{},\"exec_us\":{}}}"
-            ),
-            tag,
-            at.as_micros(),
-            function.index(),
-            node.index(),
-            arch_label(arch),
-            kind_label(kind),
-            wait.as_micros(),
-            start_penalty.as_micros(),
-            execution.as_micros()
-        ),
+            ..
+        } => {
+            int_field(out, b",\"fn\":", function.index() as u64);
+            int_field(out, b",\"node\":", node.index() as u64);
+            label_field(out, b",\"arch\":", arch_label(arch));
+            label_field(out, b",\"kind\":", kind_label(kind));
+            int_field(out, b",\"wait_us\":", wait.as_micros());
+            int_field(out, b",\"penalty_us\":", start_penalty.as_micros());
+            int_field(out, b",\"exec_us\":", execution.as_micros());
+        }
         Event::InstanceAdmitted {
-            at,
             id,
             function,
             node,
@@ -100,26 +147,18 @@ pub fn event_line(event: &Event) -> String {
             memory,
             expiry,
             reserved,
-        } => format!(
-            concat!(
-                "{{\"t\":\"{}\",\"at\":{},\"id\":[{},{}],\"fn\":{},\"node\":{},",
-                "\"arch\":\"{}\",\"compressed\":{},\"mem_mb\":{},\"expiry\":{},",
-                "\"reserved_pd\":{}}}"
-            ),
-            tag,
-            at.as_micros(),
-            id.slot(),
-            id.generation(),
-            function.index(),
-            node.index(),
-            arch_label(arch),
-            compressed,
-            memory.as_mb(),
-            expiry.as_micros(),
-            reserved.as_picodollars()
-        ),
+            ..
+        } => {
+            id_field(out, id);
+            int_field(out, b",\"fn\":", function.index() as u64);
+            int_field(out, b",\"node\":", node.index() as u64);
+            label_field(out, b",\"arch\":", arch_label(arch));
+            bool_field(out, b",\"compressed\":", compressed);
+            int_field(out, b",\"mem_mb\":", u64::from(memory.as_mb()));
+            int_field(out, b",\"expiry\":", expiry.as_micros());
+            int_field(out, b",\"reserved_pd\":", reserved.as_picodollars());
+        }
         Event::InstanceReleased {
-            at,
             id,
             function,
             node,
@@ -127,106 +166,80 @@ pub fn event_line(event: &Event) -> String {
             compressed,
             since,
             reason,
-        } => format!(
-            concat!(
-                "{{\"t\":\"{}\",\"at\":{},\"id\":[{},{}],\"fn\":{},\"node\":{},",
-                "\"mem_mb\":{},\"compressed\":{},\"since\":{},\"reason\":\"{}\"}}"
-            ),
-            tag,
-            at.as_micros(),
-            id.slot(),
-            id.generation(),
-            function.index(),
-            node.index(),
-            memory.as_mb(),
-            compressed,
-            since.as_micros(),
-            reason.label()
-        ),
+            ..
+        } => {
+            id_field(out, id);
+            int_field(out, b",\"fn\":", function.index() as u64);
+            int_field(out, b",\"node\":", node.index() as u64);
+            int_field(out, b",\"mem_mb\":", u64::from(memory.as_mb()));
+            bool_field(out, b",\"compressed\":", compressed);
+            int_field(out, b",\"since\":", since.as_micros());
+            label_field(out, b",\"reason\":", reason.label());
+        }
         Event::CompressionStarted {
-            at,
             id,
             function,
             node,
             ready_at,
-        } => format!(
-            concat!(
-                "{{\"t\":\"{}\",\"at\":{},\"id\":[{},{}],\"fn\":{},\"node\":{},",
-                "\"ready_at\":{}}}"
-            ),
-            tag,
-            at.as_micros(),
-            id.slot(),
-            id.generation(),
-            function.index(),
-            node.index(),
-            ready_at.as_micros()
-        ),
+            ..
+        } => {
+            id_field(out, id);
+            int_field(out, b",\"fn\":", function.index() as u64);
+            int_field(out, b",\"node\":", node.index() as u64);
+            int_field(out, b",\"ready_at\":", ready_at.as_micros());
+        }
         Event::CompressionFinished {
-            at,
-            id,
-            function,
-            node,
-        } => format!(
-            "{{\"t\":\"{tag}\",\"at\":{},\"id\":[{},{}],\"fn\":{},\"node\":{}}}",
-            at.as_micros(),
-            id.slot(),
-            id.generation(),
-            function.index(),
-            node.index()
-        ),
+            id, function, node, ..
+        } => {
+            id_field(out, id);
+            int_field(out, b",\"fn\":", function.index() as u64);
+            int_field(out, b",\"node\":", node.index() as u64);
+        }
         Event::BudgetDebit {
-            at,
-            requested,
-            granted,
-        } => format!(
-            "{{\"t\":\"{tag}\",\"at\":{},\"requested_pd\":{},\"granted_pd\":{}}}",
-            at.as_micros(),
-            requested.as_picodollars(),
-            granted.as_picodollars()
-        ),
-        Event::BudgetCredit { at, amount } => format!(
-            "{{\"t\":\"{tag}\",\"at\":{},\"amount_pd\":{}}}",
-            at.as_micros(),
-            amount.as_picodollars()
-        ),
-        Event::PrewarmDropped { at, function, arch } => format!(
-            "{{\"t\":\"{tag}\",\"at\":{},\"fn\":{},\"arch\":\"{}\"}}",
-            at.as_micros(),
-            function.index(),
-            arch_label(arch)
-        ),
-        Event::OptimizerRound { at, ref round } => format!(
-            concat!(
-                "{{\"t\":\"{}\",\"at\":{},\"round\":{},\"subproblems\":{},",
-                "\"dims\":{},\"objective\":{},\"accepted\":{},\"evals\":{}}}"
-            ),
-            tag,
-            at.as_micros(),
-            round.round,
-            round.subproblems,
-            round.dimensions,
-            json_f64(round.objective),
-            round.accepted_moves,
-            round.evaluations
-        ),
-        Event::IntervalSampled { at, sample } => format!(
-            concat!(
-                "{{\"t\":\"{}\",\"at\":{},\"index\":{},\"spend_delta\":{},",
-                "\"warm_pool\":{},\"compressed\":{},\"utilization\":{},",
-                "\"compress_delta\":{},\"pending\":{}}}"
-            ),
-            tag,
-            at.as_micros(),
-            sample.index,
-            json_f64(sample.spend_delta_dollars),
-            sample.warm_pool,
-            sample.compressed,
-            json_f64(sample.utilization),
-            sample.compression_events_delta,
-            sample.pending
-        ),
+            requested, granted, ..
+        } => {
+            int_field(out, b",\"requested_pd\":", requested.as_picodollars());
+            int_field(out, b",\"granted_pd\":", granted.as_picodollars());
+        }
+        Event::BudgetCredit { amount, .. } => {
+            int_field(out, b",\"amount_pd\":", amount.as_picodollars());
+        }
+        Event::PrewarmDropped { function, arch, .. } => {
+            int_field(out, b",\"fn\":", function.index() as u64);
+            label_field(out, b",\"arch\":", arch_label(arch));
+        }
+        Event::OptimizerRound { ref round, .. } => {
+            int_field(out, b",\"round\":", u64::from(round.round));
+            int_field(out, b",\"subproblems\":", u64::from(round.subproblems));
+            int_field(out, b",\"dims\":", u64::from(round.dimensions));
+            float_field(out, b",\"objective\":", round.objective);
+            int_field(out, b",\"accepted\":", round.accepted_moves);
+            int_field(out, b",\"evals\":", round.evaluations);
+        }
+        Event::IntervalSampled { sample, .. } => {
+            int_field(out, b",\"index\":", sample.index);
+            float_field(out, b",\"spend_delta\":", sample.spend_delta_dollars);
+            int_field(out, b",\"warm_pool\":", sample.warm_pool);
+            int_field(out, b",\"compressed\":", sample.compressed);
+            float_field(out, b",\"utilization\":", sample.utilization);
+            int_field(
+                out,
+                b",\"compress_delta\":",
+                sample.compression_events_delta,
+            );
+            int_field(out, b",\"pending\":", sample.pending);
+        }
     }
+    out.extend_from_slice(b"}\n");
+}
+
+/// One event's canonical JSONL line without the trailing newline (see
+/// [`write_event_line`]).
+pub fn event_line(event: &Event) -> String {
+    let mut out = Vec::with_capacity(128);
+    write_event_line(&mut out, event);
+    out.pop();
+    String::from_utf8(out).expect("JSONL lines are ASCII")
 }
 
 /// Streams events as JSON Lines to any [`Write`].
@@ -237,6 +250,8 @@ pub fn event_line(event: &Event) -> String {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: W,
+    /// The line being written, reused across events.
+    line: Vec<u8>,
     events: u64,
     error: Option<io::Error>,
 }
@@ -247,6 +262,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> JsonlSink<W> {
         JsonlSink {
             out,
+            line: Vec::new(),
             events: 0,
             error: None,
         }
@@ -261,15 +277,24 @@ impl<W: Write> JsonlSink<W> {
     /// [`Telemetry::snapshot_line`](crate::Telemetry::snapshot_line)) to the
     /// stream. The newline is added here.
     pub fn write_line(&mut self, line: &str) {
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.flush_line();
+    }
+
+    /// Writes the buffered line unless an error is already latched.
+    /// Returns whether it was written.
+    fn flush_line(&mut self) -> bool {
         if self.error.is_some() {
-            return;
+            return false;
         }
-        let result = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"));
-        if let Err(e) = result {
-            self.error = Some(e);
+        match self.out.write_all(&self.line) {
+            Ok(()) => true,
+            Err(e) => {
+                self.error = Some(e);
+                false
+            }
         }
     }
 
@@ -288,8 +313,9 @@ impl<W: Write> EventSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        self.write_line(&event_line(event));
-        if self.error.is_none() {
+        self.line.clear();
+        write_event_line(&mut self.line, event);
+        if self.flush_line() {
             self.events += 1;
         }
     }

@@ -49,6 +49,6 @@ pub use event::{
     BufferSink, Event, EventSink, IntervalSample, NullSink, OptimizerRound, ReleaseReason, Tee,
 };
 pub use instruments::{Counter, Gauge, LogHistogram};
-pub use jsonl::{event_line, JsonlSink};
+pub use jsonl::{event_line, write_event_line, JsonlSink};
 pub use shared::SharedTelemetry;
 pub use telemetry::Telemetry;

@@ -150,11 +150,14 @@ pub enum PerfCounter {
     CalendarCompactions,
     /// Dead entries popped off the top of the warm pool's lazy calendars.
     CalendarDeadPops,
+    /// Pushes onto the engine's event heap (completions and pre-warm
+    /// readiness; ticks and arrivals have lanes of their own).
+    EventHeapPushes,
 }
 
 impl PerfCounter {
     /// Every counter, in canonical (discriminant) order.
-    pub const ALL: [PerfCounter; 12] = [
+    pub const ALL: [PerfCounter; 13] = [
         PerfCounter::PoolInsert,
         PerfCounter::PoolRemove,
         PerfCounter::CandidateProbes,
@@ -167,6 +170,7 @@ impl PerfCounter {
         PerfCounter::ChunksWritten,
         PerfCounter::CalendarCompactions,
         PerfCounter::CalendarDeadPops,
+        PerfCounter::EventHeapPushes,
     ];
 
     /// Number of counters (array table size).
@@ -187,6 +191,7 @@ impl PerfCounter {
             PerfCounter::ChunksWritten => "chunks_written",
             PerfCounter::CalendarCompactions => "calendar_compactions",
             PerfCounter::CalendarDeadPops => "calendar_dead_pops",
+            PerfCounter::EventHeapPushes => "event_heap_pushes",
         }
     }
 

@@ -187,18 +187,25 @@ pub fn run_streaming_profiled<Src: ArrivalSource, S: EventSink, P: Profiler>(
     engine.run(policy)
 }
 
-/// Event classes, in processing-priority order at equal timestamps:
-/// capacity-freeing events run before capacity-consuming ones.
+/// The events that ride the engine's heap: the two classes scheduled out
+/// of time order. Every event has a class, and at equal timestamps
+/// lower classes run first, so capacity-freeing events run before
+/// capacity-consuming ones:
 ///
-/// Class 1 (keep-alive expiry) has no heap variant: expirations are served
-/// straight from the warm pool's expiry calendar ([`WarmPool::next_expiry`]),
-/// which the main loop merges into the event order at exactly the position
-/// the per-admission `Expiry` heap events used to occupy — see
-/// [`EXPIRY_CLASS`].
+/// | class | event | lane |
+/// |---|---|---|
+/// | 0 | interval tick | [`Engine::next_tick`] (one outstanding) |
+/// | 1 | keep-alive expiry | the pool's calendar ([`WarmPool::next_expiry`]) |
+/// | 2 | completion | heap |
+/// | 3 | pre-warm ready | heap |
+/// | 4 | arrival | [`Engine::upcoming`] (one pulled invocation) |
+///
+/// Ticks and arrivals each come in time order one at a time, so each needs
+/// only a one-slot lane; the run loop merges the four lanes by
+/// `(at, class)`, which is exactly the order one heap holding every event
+/// would pop them in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum EventKind {
-    /// Optimization-interval tick.
-    Tick,
     /// An execution completes.
     Completion {
         function: FunctionId,
@@ -212,13 +219,14 @@ enum EventKind {
         keep_alive: SimDuration,
         compress: bool,
     },
-    /// A trace invocation arrives (index into the invocation stream).
-    Arrival(usize),
 }
 
-/// The event class of a keep-alive expiry. Expirations live in the pool's
-/// calendar rather than the heap, so the class constant is what slots them
-/// between ticks (class 0) and completions (class 2) at equal timestamps.
+/// The event class of an interval tick: the lowest, so a tick sees the
+/// cluster before anything else due at its instant.
+const TICK_CLASS: u8 = 0;
+
+/// The event class of a keep-alive expiry, which slots the pool's expiry
+/// calendar between ticks and completions at equal timestamps.
 const EXPIRY_CLASS: u8 = 1;
 
 /// The event class of an arrival — the highest, so it doubles as the
@@ -230,11 +238,17 @@ const ARRIVAL_CLASS: u8 = 4;
 impl EventKind {
     fn class(&self) -> u8 {
         match self {
-            EventKind::Tick => 0,
             EventKind::Completion { .. } => 2,
             EventKind::PrewarmReady { .. } => 3,
-            EventKind::Arrival(_) => ARRIVAL_CLASS,
         }
+    }
+}
+
+/// The earlier of two optional `(at, class)` keys (`None` is "no event").
+fn earliest(a: Option<(SimTime, u8)>, b: Option<(SimTime, u8)>) -> Option<(SimTime, u8)> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -296,10 +310,12 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     _profiler: std::marker::PhantomData<P>,
     config: &'a ClusterConfig,
     source: Src,
-    /// The invocation behind the next `Arrival` heap event, pulled from
-    /// the source at the top of the main loop. The engine never needs
-    /// more lookahead than this one slot.
-    upcoming: Option<Invocation>,
+    /// The arrival lane: the next invocation, pulled from the source at
+    /// the top of the main loop, and the instant it is processed at. The
+    /// engine never needs more lookahead than this one slot.
+    upcoming: Option<(SimTime, Invocation)>,
+    /// The tick lane: the instant of the one outstanding interval tick.
+    next_tick: Option<SimTime>,
     /// Whether the source reported [`Fetch::Exhausted`].
     exhausted: bool,
     /// Arrival timestamp of the last pulled invocation (source-order
@@ -307,6 +323,9 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     last_pulled: SimTime,
     /// Invocations pulled from the source so far.
     arrived: usize,
+    /// Invocations the source delivered for functions outside the
+    /// workload, skipped at the source boundary.
+    rejected_arrivals: u64,
     workload: &'a Workload,
     perturbations: &'a [Perturbation],
     /// Event sink; every `sink.record` call is guarded by `S::ENABLED`, so
@@ -337,7 +356,10 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     /// The head-of-line pending entry that last failed, and the capacity
     /// epoch it failed at.
     last_retry_failure: Option<(usize, u64)>,
+    /// Completions and pre-warm readiness: the events scheduled out of
+    /// time order.
     events: BinaryHeap<Event>,
+    /// Heap pushes so far (each push takes the next seq).
     seq: u64,
 
     // Reusable scratch buffers: the hot path (try_start/make_room) borrows
@@ -419,9 +441,11 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             config,
             source,
             upcoming: None,
+            next_tick: None,
             exhausted: false,
             last_pulled: SimTime::ZERO,
             arrived: 0,
+            rejected_arrivals: 0,
             workload,
             perturbations,
             sink,
@@ -539,15 +563,55 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         result
     }
 
-    /// The instant of the engine's next internal event (heap head or
-    /// expiry-calendar head), used as the deadline for a live source pull.
+    /// The instant of the engine's next internal event (tick lane, heap
+    /// head or expiry-calendar head), used as the deadline for a live
+    /// source pull.
     fn next_internal_at(&self) -> Option<SimTime> {
-        let heap = self.events.peek().map(|e| e.at);
-        let expiry = self.pool.next_expiry().map(|(at, _, _)| at);
-        match (heap, expiry) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        let tick = self.next_tick.map(|at| (at, TICK_CLASS));
+        let heap = self.events.peek().map(|e| (e.at, e.kind.class()));
+        let expiry = self.pool.next_expiry().map(|(at, _, _)| (at, EXPIRY_CLASS));
+        earliest(earliest(tick, heap), expiry).map(|(at, _)| at)
+    }
+
+    /// The `(at, class)` key of the next tick, heap or arrival event: every
+    /// lane but the expiry calendar, which drains up to this key.
+    fn next_event(&self) -> Option<(SimTime, u8)> {
+        let tick = self.next_tick.map(|at| (at, TICK_CLASS));
+        let heap = self.events.peek().map(|e| (e.at, e.kind.class()));
+        let arrival = self.upcoming.map(|(at, _)| (at, ARRIVAL_CLASS));
+        earliest(earliest(tick, heap), arrival)
+    }
+
+    /// Fills the arrival lane unless it is full or the source is
+    /// exhausted. For batch sources the fetch is always ready, so this is
+    /// the one-slot lookahead; a live source may instead answer
+    /// `NotBefore`, whose limit is returned (process internal events up
+    /// to it and ask again).
+    ///
+    /// An invocation of a function outside the workload is skipped and
+    /// counted here, in every build: the source is outside input.
+    fn pull_arrival(&mut self) -> Option<SimTime> {
+        while self.upcoming.is_none() && !self.exhausted {
+            match self.source.fetch(self.next_internal_at()) {
+                Fetch::Ready(inv) if inv.function.index() >= self.workload.len() => {
+                    self.rejected_arrivals += 1;
+                }
+                Fetch::Ready(inv) => {
+                    debug_assert!(
+                        inv.arrival >= self.last_pulled,
+                        "source must be time-sorted"
+                    );
+                    self.last_pulled = inv.arrival;
+                    // A live source can deliver an arrival late (burst
+                    // catch-up); process it at once without letting time
+                    // run backwards.
+                    self.upcoming = Some((inv.arrival.max(self.now), inv));
+                }
+                Fetch::NotBefore(limit) => return Some(limit),
+                Fetch::Exhausted => self.exhausted = true,
+            }
         }
+        None
     }
 
     fn run(&mut self, policy: &mut dyn Scheduler) -> SimReport {
@@ -560,65 +624,30 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             // (golden-tested), only make round telemetry available.
             policy.enable_introspection(true);
         }
-        self.push(SimTime::ZERO, EventKind::Tick);
+        self.next_tick = Some(SimTime::ZERO);
 
         loop {
-            // Keep the next arrival (if any) represented in the heap. For
-            // batch sources the fetch is always ready, so this is the old
-            // one-slot lookahead; a live source may instead answer
-            // `NotBefore` (process internal events up to the deadline and
-            // ask again) once time-paces the stream.
-            let mut paced_limit: Option<SimTime> = None;
-            if self.upcoming.is_none() && !self.exhausted {
-                match self.source.fetch(self.next_internal_at()) {
-                    Fetch::Ready(inv) => {
-                        debug_assert!(
-                            inv.arrival >= self.last_pulled,
-                            "source must be time-sorted"
-                        );
-                        self.last_pulled = inv.arrival;
-                        // A live source can deliver an arrival late (burst
-                        // catch-up); schedule it for immediate processing
-                        // without letting heap time run backwards.
-                        let at = if inv.arrival > self.now {
-                            inv.arrival
-                        } else {
-                            self.now
-                        };
-                        self.push(at, EventKind::Arrival(self.arrived));
-                        self.upcoming = Some(inv);
-                    }
-                    Fetch::NotBefore(t) => paced_limit = Some(t),
-                    Fetch::Exhausted => self.exhausted = true,
-                }
-            }
-            // The expiry calendar is the heap's class-1 lane: drain every
-            // expiration strictly ordered before the next heap event (by
-            // the usual `(at, class)` key) in one pass, then pop the heap.
+            let paced_limit = self.pull_arrival();
+            // The four lanes merge by `(at, class)`: drain every expiry
+            // strictly ordered before the next tick, heap or arrival
+            // event in one pass, then run that event.
             //
             // `NotBefore(limit)` only licenses internal processing up to
             // `limit` — an arrival may land anywhere after it, so both the
-            // expiry drain and the heap pop are capped there and the loop
-            // re-fetches before touching anything later. Events exactly AT
-            // the limit are safe: arrivals carry the highest class, so
-            // every internal event at `limit` orders before an arrival
-            // that shows up at the same instant.
-            let next_heap = self.events.peek().map(|e| (e.at, e.kind.class()));
+            // expiry drain and the next event are capped there and the
+            // loop re-fetches before touching anything later. Events
+            // exactly AT the limit are safe: arrivals carry the highest
+            // class, so every internal event at `limit` orders before an
+            // arrival that shows up at the same instant.
+            let next = self.next_event();
             let expiry_barrier = match paced_limit {
-                Some(limit) => {
-                    let cap = (limit, ARRIVAL_CLASS);
-                    Some(next_heap.map_or(cap, |next| next.min(cap)))
-                }
-                None => next_heap,
+                Some(limit) => earliest(next, Some((limit, ARRIVAL_CLASS))),
+                None => next,
             };
             self.drain_due_expiries(expiry_barrier);
-            let poppable = match (paced_limit, self.events.peek()) {
-                (Some(limit), Some(event)) => event.at <= limit,
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if !poppable {
-                if self.events.peek().is_none() && self.exhausted {
+            let runnable = next.filter(|&(at, _)| paced_limit.is_none_or(|limit| at <= limit));
+            let Some((at, class)) = runnable else {
+                if next.is_none() && self.exhausted {
                     break;
                 }
                 // Either a live source with nothing scheduled (block in
@@ -626,24 +655,28 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                 // `NotBefore`), or everything left lies beyond the paced
                 // limit: ask the source again with a fresh deadline.
                 continue;
-            }
-            let event = self.events.pop().expect("poppable event");
-            debug_assert!(event.at >= self.now, "time must not run backwards");
-            self.now = event.at;
-            match event.kind {
-                EventKind::Tick => self.handle_tick(policy),
-                EventKind::Completion {
-                    function,
-                    node,
-                    memory,
-                } => self.handle_completion(function, node, memory, policy),
-                EventKind::PrewarmReady {
-                    function,
-                    node,
-                    keep_alive,
-                    compress,
-                } => self.handle_prewarm_ready(function, node, keep_alive, compress, policy),
-                EventKind::Arrival(index) => self.handle_arrival(index, policy),
+            };
+            debug_assert!(at >= self.now, "time must not run backwards");
+            self.now = at;
+            match class {
+                TICK_CLASS => {
+                    self.next_tick = None;
+                    self.handle_tick(policy);
+                }
+                ARRIVAL_CLASS => self.handle_arrival(policy),
+                _ => match self.events.pop().expect("heap event").kind {
+                    EventKind::Completion {
+                        function,
+                        node,
+                        memory,
+                    } => self.handle_completion(function, node, memory, policy),
+                    EventKind::PrewarmReady {
+                        function,
+                        node,
+                        keep_alive,
+                        compress,
+                    } => self.handle_prewarm_ready(function, node, keep_alive, compress, policy),
+                },
             }
         }
 
@@ -665,6 +698,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                 PerfCounter::CalendarDeadPops,
                 self.pool.calendar_dead_pops(),
             );
+            P::add(PerfCounter::EventHeapPushes, self.seq);
         }
 
         SimReport {
@@ -682,20 +716,22 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             utilization_series: std::mem::take(&mut self.utilization_series),
             evictions: self.evictions,
             dropped_prewarms: self.dropped_prewarms,
+            rejected_arrivals: self.rejected_arrivals,
             decision_time: self.decision_time,
         }
     }
 
-    fn handle_arrival(&mut self, index: usize, policy: &mut dyn Scheduler) {
+    fn handle_arrival(&mut self, policy: &mut dyn Scheduler) {
         let _span = P::scope(Phase::Arrival);
-        let inv = self
+        let (_, inv) = self
             .upcoming
             .take()
-            .expect("arrival event without a pulled invocation");
+            .expect("arrival lane without a pulled invocation");
         // Equality in batch mode; a live source delivering late (burst
         // catch-up) processes the arrival at delivery time while `wait`
         // still measures from the recorded arrival instant.
         debug_assert!(inv.arrival <= self.now, "arrival event out of step");
+        let index = self.arrived;
         self.arrived += 1;
         let function = inv.function;
         if S::ENABLED {
@@ -1251,8 +1287,9 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     }
 
     /// Drains every due keep-alive expiration that sorts strictly before
-    /// `limit` (the next heap event's `(at, class)` key; `None` means the
-    /// heap is empty and the calendar drains completely).
+    /// `limit` (the next tick, heap or arrival event's `(at, class)` key,
+    /// capped at a paced limit; `None` means every other lane is empty and
+    /// the calendar drains completely).
     ///
     /// The calendar orders entries by `(expiry, admission seq)`, which is
     /// exactly how the retired per-admission `Expiry` heap events sorted:
@@ -1364,7 +1401,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
 
         let next = self.now + self.config.interval;
         if next <= SimTime::ZERO + horizon {
-            self.push(next, EventKind::Tick);
+            self.next_tick = Some(next);
         }
     }
 

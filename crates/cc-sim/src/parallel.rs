@@ -36,7 +36,7 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cc_obs::{event_line, BatchSink, EventBatch, EventSink, Telemetry};
+use cc_obs::{write_event_line, BatchSink, EventBatch, EventSink, Telemetry};
 use cc_prof::{NullProfiler, PerfCounter, Phase, Profiler};
 use cc_shard::mux_chunks;
 use cc_types::{Invocation, SimDuration};
@@ -122,6 +122,12 @@ pub struct ParallelOutcome {
     /// otherwise equals `batches` unless an encoder died).
     pub chunks_written: u64,
 }
+
+/// Bytes reserved per event when an encoder sizes a batch's output buffer.
+/// Lines average about 104 bytes on the streaming scenario (arrivals are
+/// short, starts and warm-pool admissions long); the margin lets a typical
+/// batch encode without reallocating.
+const ENCODED_EVENT_BYTES: usize = 112;
 
 /// Bounded-channel send with its blocking time accumulated onto
 /// [`PerfCounter::ChannelSendBlockNs`] when `P` is enabled (backpressure
@@ -331,12 +337,11 @@ where
                             break;
                         };
                         let _span = P::scope(Phase::Encode);
-                        let mut buf = String::with_capacity(batch.events.len() * 64);
+                        let mut buf = Vec::with_capacity(batch.events.len() * ENCODED_EVENT_BYTES);
                         for event in batch.events.iter() {
-                            buf.push_str(&event_line(event));
-                            buf.push('\n');
+                            write_event_line(&mut buf, event);
                         }
-                        if timed_send::<_, P>(&bytes_tx, (batch.index, buf.into_bytes())).is_err() {
+                        if timed_send::<_, P>(&bytes_tx, (batch.index, buf)).is_err() {
                             break;
                         }
                     }

@@ -37,6 +37,10 @@ pub struct SimReport {
     pub evictions: u64,
     /// Pre-warm commands dropped for lack of capacity.
     pub dropped_prewarms: u64,
+    /// Invocations the arrival source delivered for a function outside the
+    /// workload: skipped at the engine's source boundary, never simulated.
+    /// Kept out of [`SimReport::digest`], which covers what was simulated.
+    pub rejected_arrivals: u64,
     /// Estimated wall-clock time spent inside policy callbacks (decision
     /// overhead). `on_interval` and ranked evictions are timed on every
     /// call; the per-invocation callbacks (`on_arrival`, `place`,
@@ -49,7 +53,8 @@ pub struct SimReport {
 impl SimReport {
     /// FNV-1a digest over a canonical byte encoding of everything the
     /// simulator measures (wall-clock `decision_time` excluded — it is the
-    /// one nondeterministic field).
+    /// one nondeterministic field — and so is `rejected_arrivals`, which
+    /// counts input the simulation never saw).
     ///
     /// This is the workspace's equality oracle: the golden-determinism
     /// tests pin per-policy constants to it, and `simbench --shards N`

@@ -1,8 +1,8 @@
 //! Arrival sources: where the engine's invocation stream comes from.
 //!
 //! The engine consumes arrivals strictly in order and never looks more
-//! than one invocation ahead (the next arrival is chained as a heap event
-//! while the current one is being placed), so the full trace never needs
+//! than one invocation ahead (its arrival lane holds the next pulled
+//! invocation beside the event heap), so the full trace never needs
 //! to be addressable — a source is just a fallible iterator plus a fixed
 //! horizon. [`SliceSource`] adapts a materialized [`Trace`]'s invocation
 //! slice (the classic path, zero behavior change); a streaming generator
@@ -34,7 +34,9 @@ pub enum Fetch {
 /// A strictly-ordered stream of invocations driving one simulation.
 ///
 /// Implementations must yield invocations in nondecreasing arrival order;
-/// the engine debug-asserts this. [`ArrivalSource::horizon`] is the
+/// the engine debug-asserts this. An invocation of a function outside the
+/// workload is skipped and counted in
+/// [`SimReport::rejected_arrivals`](crate::SimReport::rejected_arrivals). [`ArrivalSource::horizon`] is the
 /// logical trace length that bounds the interval-tick chain. Batch sources
 /// keep it constant; a live source may report an open horizon
 /// (`SimDuration::from_micros(u64::MAX)`) that collapses to the final
