@@ -28,9 +28,11 @@
 //! policy becomes one shard, dispatched across `N` worker threads. The
 //! headline figure is then the *aggregate* sweep throughput (all policies'
 //! invocations over the sweep wall-clock). Every mode records each
-//! policy's canonical report digest, and `--digests-match PATH` asserts
-//! they equal the digests in a previously written file — the CI proof that
-//! `--shards N` is behavior-preserving with respect to a serial run.
+//! policy's canonical report digest (`--workers N` its telemetry digest
+//! too), and `--digests-match PATH` asserts they equal the digests in a
+//! previously written file, comparing the telemetry digests wherever both
+//! files carry one — the CI proof that `--shards N` is behavior-preserving
+//! with respect to a serial run.
 //!
 //! `--audit` (jsonl sink only) captures the serialized stream in memory
 //! instead of discarding it, then runs the `cc-replay` invariant auditor
@@ -350,7 +352,7 @@ fn main() {
 
     let mut entries = Vec::new();
     let mut measured: Vec<(String, f64)> = Vec::new();
-    let mut digests: Vec<(String, u64)> = Vec::new();
+    let mut digests: Vec<Digests> = Vec::new();
     let mut aggregate = None;
     let mut actual_invocations: Option<u64> = None;
 
@@ -394,7 +396,11 @@ fn main() {
                 "report_digest": format!("{digest:#018x}"),
                 "telemetry_digest": format!("{tel_digest:#018x}"),
             }));
-            digests.push((name.to_string(), digest));
+            digests.push(Digests {
+                policy: name.to_string(),
+                report: Some(digest),
+                telemetry: Some(tel_digest),
+            });
             actual_invocations = Some(inv);
         }
         aggregate = Some(serde_json::json!({
@@ -440,7 +446,11 @@ fn main() {
                 "seconds_in_shard": *secs,
                 "report_digest": format!("{digest:#018x}"),
             }));
-            digests.push((name.to_string(), *digest));
+            digests.push(Digests {
+                policy: name.to_string(),
+                report: Some(*digest),
+                telemetry: None,
+            });
         }
         aggregate = Some(serde_json::json!({
             "workers": workers as u64,
@@ -497,7 +507,11 @@ fn main() {
                 "report_digest": format!("{digest:#018x}"),
             }));
             measured.push((name.to_string(), throughput));
-            digests.push((name.to_string(), digest));
+            digests.push(Digests {
+                policy: name.to_string(),
+                report: Some(digest),
+                telemetry: None,
+            });
         }
     }
 
@@ -583,17 +597,29 @@ fn main() {
             usage_error(&format!("no report_digest entries in {path:?}"));
         }
         let mut failed = false;
-        for (name, digest) in &digests {
-            let Some((_, expected)) = reference.iter().find(|(n, _)| n == name) else {
+        for measured in &digests {
+            let name = &measured.policy;
+            let Some(recorded) = reference.iter().find(|r| r.policy == *name) else {
                 eprintln!("digests: {name} not in {path}, skipping");
                 continue;
             };
-            let verdict = if digest == expected { "ok" } else { "DIVERGED" };
-            eprintln!("digests: {name:>16} {digest:#018x} vs recorded {expected:#018x} {verdict}");
-            failed |= digest != expected;
+            let pairs = [
+                ("report", measured.report, recorded.report),
+                ("telemetry", measured.telemetry, recorded.telemetry),
+            ];
+            for (kind, digest, expected) in pairs {
+                let (Some(digest), Some(expected)) = (digest, expected) else {
+                    continue;
+                };
+                let verdict = if digest == expected { "ok" } else { "DIVERGED" };
+                eprintln!(
+                    "digests: {name:>16} {kind:>9} {digest:#018x} vs recorded {expected:#018x} {verdict}"
+                );
+                failed |= digest != expected;
+            }
         }
         if failed {
-            eprintln!("digest check failed: sharded output diverged from the recorded digests");
+            eprintln!("digest check failed: the output diverged from the recorded digests");
             std::process::exit(1);
         }
     }
@@ -1104,27 +1130,47 @@ fn sharded_sweep_p<P: Profiler>(
     (started.elapsed().as_secs_f64(), per_shard)
 }
 
-/// Pulls `(policy, report_digest)` pairs out of a recorded
-/// `BENCH_sim.json` with the same line scan as [`parse_baseline`].
-fn parse_digests(text: &str) -> Vec<(String, u64)> {
-    let mut pairs = Vec::new();
-    let mut policy: Option<String> = None;
+/// One policy's digests; only `--workers` runs record the telemetry
+/// digest.
+struct Digests {
+    policy: String,
+    report: Option<u64>,
+    telemetry: Option<u64>,
+}
+
+/// Pulls each policy's `report_digest` and `telemetry_digest` out of a
+/// recorded `BENCH_sim.json` with the same line scan as [`parse_baseline`]:
+/// a `"policy"` line opens an entry and the digest lines after it fill it.
+/// Entries without a report digest are dropped.
+fn parse_digests(text: &str) -> Vec<Digests> {
+    let hex = |rest: &str| {
+        let token = rest.trim().trim_end_matches(',').trim_matches('"');
+        u64::from_str_radix(token.strip_prefix("0x").unwrap_or(token), 16).ok()
+    };
+    let mut entries: Vec<Digests> = Vec::new();
     for line in text.lines() {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("\"policy\":") {
-            policy = Some(
-                rest.trim()
+            entries.push(Digests {
+                policy: rest
+                    .trim()
                     .trim_end_matches(',')
                     .trim_matches('"')
                     .to_string(),
-            );
-        } else if let Some(rest) = line.strip_prefix("\"report_digest\":") {
-            let token = rest.trim().trim_end_matches(',').trim_matches('"');
-            let token = token.strip_prefix("0x").unwrap_or(token);
-            if let (Some(name), Ok(value)) = (policy.take(), u64::from_str_radix(token, 16)) {
-                pairs.push((name, value));
-            }
+                report: None,
+                telemetry: None,
+            });
+        } else if let (Some(rest), Some(entry)) =
+            (line.strip_prefix("\"report_digest\":"), entries.last_mut())
+        {
+            entry.report = hex(rest);
+        } else if let (Some(rest), Some(entry)) = (
+            line.strip_prefix("\"telemetry_digest\":"),
+            entries.last_mut(),
+        ) {
+            entry.telemetry = hex(rest);
         }
     }
-    pairs
+    entries.retain(|entry| entry.report.is_some());
+    entries
 }

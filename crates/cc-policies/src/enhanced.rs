@@ -179,7 +179,8 @@ mod tests {
     #[test]
     fn eviction_order_follows_the_wrapped_policy() {
         assert!(Enhanced::new(SitW::new()).evicts_in_admission_order());
-        assert!(!Enhanced::new(crate::FaasCache::new()).evicts_in_admission_order());
+        let (trace, _) = setup();
+        assert!(!Enhanced::new(crate::Oracle::new(&trace)).evicts_in_admission_order());
     }
 
     #[test]

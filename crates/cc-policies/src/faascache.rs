@@ -1,11 +1,9 @@
 //! The FaasCache greedy-dual baseline (Fuerst & Sharma, ASPLOS '21).
 
-use cc_types::FxHashMap;
-
 use cc_sim::{ClusterView, KeepDecision, Scheduler, WarmInstance};
 use cc_types::{Arch, FunctionId, SimTime, KEEP_ALIVE_MAX};
 
-use crate::faster_arch;
+use crate::{entry, faster_arch};
 
 /// FaasCache treats the warm pool as a cache: every finished instance is
 /// kept (up to the platform bound) and victims are chosen by
@@ -19,9 +17,15 @@ use crate::faster_arch;
 /// instance, so long-idle entries eventually lose to fresh ones regardless
 /// of historical frequency. Placement is heterogeneity-aware per the
 /// paper's modification.
+///
+/// As implemented the aging is degenerate: the clock adopts each rank the
+/// moment the next one is asked for, so ranks never decrease along the
+/// ranking order and the policy evicts in admission order (see
+/// [`FaasCache::evicts_in_admission_order`]).
 #[derive(Debug, Clone)]
 pub struct FaasCache {
-    frequency: FxHashMap<FunctionId, u64>,
+    /// Arrivals per function, indexed by [`FunctionId::index`].
+    frequency: Vec<u64>,
     /// Greedy-dual aging clock (in priority units: seconds per MiB).
     clock: f64,
     /// Lowest priority handed out in the current ranking round; adopted
@@ -33,7 +37,7 @@ impl FaasCache {
     /// Creates the policy.
     pub fn new() -> FaasCache {
         FaasCache {
-            frequency: FxHashMap::default(),
+            frequency: Vec::new(),
             clock: 0.0,
             round_min: None,
         }
@@ -41,7 +45,10 @@ impl FaasCache {
 
     fn priority(&self, function: FunctionId, view: &ClusterView<'_>) -> f64 {
         let spec = view.spec(function);
-        let freq = *self.frequency.get(&function).unwrap_or(&1) as f64;
+        let freq = self
+            .frequency
+            .get(function.index())
+            .map_or(1, |&n| n.max(1)) as f64;
         let cost = spec.cold_start(Arch::X86).as_secs_f64();
         let size = spec.memory.as_mb().max(1) as f64;
         self.clock + freq * cost / size
@@ -59,8 +66,26 @@ impl Scheduler for FaasCache {
         "faascache"
     }
 
+    /// The greedy-dual ranks of one eviction come out non-decreasing in
+    /// the order the engine asks for them, which is admission order, so
+    /// sorting by `(rank, seq)` returns admission order and the ranks
+    /// need not be asked for at all. Each [`eviction_rank`] call first
+    /// raises the clock to the previous call's rank (`round_min` holds
+    /// exactly that one rank: it is taken on every call, not once per
+    /// eviction), then returns the clock plus
+    /// `frequency × cold_start / memory`, which is never negative. So
+    /// every rank is at least the one before it, within one eviction and
+    /// across evictions alike; rounding cannot break this, since adding a
+    /// non-negative float never lowers the sum. Nothing else reads the
+    /// clock, so skipping the calls changes no decision.
+    ///
+    /// [`eviction_rank`]: Scheduler::eviction_rank
+    fn evicts_in_admission_order(&self) -> bool {
+        true
+    }
+
     fn on_arrival(&mut self, function: FunctionId, _now: SimTime) {
-        *self.frequency.entry(function).or_insert(0) += 1;
+        *entry(&mut self.frequency, function) += 1;
     }
 
     fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
@@ -143,7 +168,6 @@ mod tests {
         policy.on_arrival(FunctionId::new(1), SimTime::ZERO);
         // Build a view through a real simulation run to access specs.
         let _ = Simulation::new(config, &trace, &workload).run(&mut FaasCache::new());
-        assert_eq!(policy.frequency[&FunctionId::new(0)], 2);
-        assert_eq!(policy.frequency[&FunctionId::new(1)], 1);
+        assert_eq!(policy.frequency, [2, 1]);
     }
 }

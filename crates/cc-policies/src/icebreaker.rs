@@ -1,10 +1,10 @@
 //! The IceBreaker FFT-prediction baseline (Roy et al., ASPLOS '22).
 
-use cc_types::FxHashMap;
-
 use cc_fft::dominant_period;
 use cc_sim::{ClusterView, Command, KeepDecision, Scheduler};
 use cc_types::{Arch, FunctionId, SimDuration, SimTime};
+
+use crate::entry;
 
 /// IceBreaker predicts each function's invocation period with a Fourier
 /// transform over its per-minute invocation counts and pre-warms the
@@ -21,14 +21,17 @@ use cc_types::{Arch, FunctionId, SimDuration, SimTime};
 /// exactly the "high decision-making overhead" the paper measures.
 #[derive(Debug, Clone)]
 pub struct IceBreaker {
-    /// Per-minute invocation counts per function.
-    counts: FxHashMap<FunctionId, Vec<f64>>,
+    /// Per-minute invocation counts per function, from the first tick
+    /// after its first arrival on (empty before). Every per-function
+    /// table is indexed by [`FunctionId::index`].
+    counts: Vec<Vec<f64>>,
     /// Arrivals observed since the last tick.
-    pending_counts: FxHashMap<FunctionId, f64>,
-    /// Cached period prediction (in minutes) per function.
-    period: FxHashMap<FunctionId, Option<f64>>,
+    pending_counts: Vec<f64>,
+    /// Cached period prediction (in minutes) per function; `None` until
+    /// a refresh finds a dominant period.
+    period: Vec<Option<f64>>,
     /// Last arrival per function.
-    last_arrival: FxHashMap<FunctionId, SimTime>,
+    last_arrival: Vec<Option<SimTime>>,
     /// Ticks between FFT refreshes.
     refresh_every: u64,
     tick: u64,
@@ -41,10 +44,10 @@ impl IceBreaker {
     /// Creates the policy with a 5-tick FFT refresh cadence.
     pub fn new() -> IceBreaker {
         IceBreaker {
-            counts: FxHashMap::default(),
-            pending_counts: FxHashMap::default(),
-            period: FxHashMap::default(),
-            last_arrival: FxHashMap::default(),
+            counts: Vec::new(),
+            pending_counts: Vec::new(),
+            period: Vec::new(),
+            last_arrival: Vec::new(),
             refresh_every: 5,
             tick: 0,
             post_completion_window: SimDuration::from_mins(2),
@@ -54,8 +57,8 @@ impl IceBreaker {
     /// Predicted next invocation of `function`, if its history shows a
     /// dominant period.
     fn predicted_next(&self, function: FunctionId) -> Option<SimTime> {
-        let period_mins = (*self.period.get(&function)?)?;
-        let last = *self.last_arrival.get(&function)?;
+        let period_mins = (*self.period.get(function.index())?)?;
+        let last = (*self.last_arrival.get(function.index())?)?;
         Some(last + SimDuration::from_secs_f64(period_mins * 60.0))
     }
 }
@@ -77,8 +80,8 @@ impl Scheduler for IceBreaker {
     }
 
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
-        *self.pending_counts.entry(function).or_insert(0.0) += 1.0;
-        self.last_arrival.insert(function, now);
+        *entry(&mut self.pending_counts, function) += 1.0;
+        *entry(&mut self.last_arrival, function) = Some(now);
     }
 
     fn place(&mut self, _function: FunctionId, view: &ClusterView<'_>) -> Arch {
@@ -96,7 +99,7 @@ impl Scheduler for IceBreaker {
         _arch: Arch,
         _view: &ClusterView<'_>,
     ) -> KeepDecision {
-        match self.period.get(&function) {
+        match self.period.get(function.index()) {
             // Periodic function: a pre-warm will cover the next invocation,
             // keep only a short safety window now.
             Some(Some(_)) => KeepDecision::uncompressed(self.post_completion_window),
@@ -107,41 +110,41 @@ impl Scheduler for IceBreaker {
 
     fn on_interval(&mut self, view: &ClusterView<'_>) -> Vec<Command> {
         self.tick += 1;
-        // Roll the per-minute counters forward.
-        let touched: Vec<FunctionId> = self.counts.keys().copied().collect();
-        for f in touched {
-            let pending = self.pending_counts.remove(&f).unwrap_or(0.0);
-            self.counts.get_mut(&f).expect("key exists").push(pending);
-        }
-        for (f, pending) in self.pending_counts.drain() {
-            self.counts.entry(f).or_default().push(pending);
+        // Roll the per-minute counters forward: every function that has
+        // ever arrived gets this tick's count (an arrival makes its
+        // pending count positive).
+        self.counts.resize_with(self.pending_counts.len(), Vec::new);
+        for (signal, pending) in self.counts.iter_mut().zip(&mut self.pending_counts) {
+            if !signal.is_empty() || *pending > 0.0 {
+                signal.push(std::mem::take(pending));
+            }
         }
 
         // Refresh the FFT predictions — deliberately over every function's
         // full history, reproducing IceBreaker's overhead profile.
         if self.tick.is_multiple_of(self.refresh_every) {
-            for (f, signal) in &self.counts {
+            self.period.resize(self.counts.len(), None);
+            for (period, signal) in self.period.iter_mut().zip(&self.counts) {
                 if signal.len() >= 8 {
-                    self.period.insert(*f, dominant_period(signal));
+                    *period = dominant_period(signal);
                 }
             }
         }
 
-        // Pre-warm functions predicted to fire within the next interval.
+        // Pre-warm functions predicted to fire within the next interval,
+        // in function-id order.
         let horizon = view.now + view.config.interval * 2;
         let mut commands = Vec::new();
-        // Sorted for cross-run determinism (map iteration order is arbitrary).
-        let mut functions: Vec<FunctionId> = self.counts.keys().copied().collect();
-        functions.sort_unstable();
-        for f in functions {
-            if view.is_warm(f) {
+        for (index, signal) in self.counts.iter().enumerate() {
+            let f = FunctionId::new(index as u32);
+            if signal.is_empty() || view.is_warm(f) {
                 continue;
             }
             let Some(next) = self.predicted_next(f) else {
                 continue;
             };
             if next >= view.now && next <= horizon {
-                let period_mins = self.period[&f].expect("checked by predicted_next");
+                let period_mins = self.period[index].expect("checked by predicted_next");
                 // Frequent (short-period) functions go to the fast tier.
                 let arch = if period_mins <= 30.0 {
                     Arch::X86
@@ -194,7 +197,7 @@ mod tests {
         let report =
             Simulation::new(ClusterConfig::small(3, 3), &trace, &workload).run(&mut policy);
         assert_eq!(report.records.len(), trace.invocations().len());
-        let with_period = policy.period.values().filter(|p| p.is_some()).count();
+        let with_period = policy.period.iter().filter(|p| p.is_some()).count();
         assert!(with_period > 0, "no periods detected on a periodic trace");
         assert!(
             report.warm_fraction() > 0.2,

@@ -50,6 +50,17 @@ pub use sitw::SitW;
 use cc_sim::ClusterView;
 use cc_types::{Arch, FunctionId};
 
+/// The entry of `function` in a dense per-function table, growing the
+/// table with default entries up to it on first touch. Per-function policy
+/// state is indexed by [`FunctionId::index`] instead of hashed.
+pub(crate) fn entry<T: Default>(table: &mut Vec<T>, function: FunctionId) -> &mut T {
+    let index = function.index();
+    if index >= table.len() {
+        table.resize_with(index + 1, T::default);
+    }
+    &mut table[index]
+}
+
 /// Picks the architecture with the lower cold-start-plus-execution time for
 /// `function` — the "heterogeneity-aware" placement the paper adds to every
 /// baseline for fair comparison.

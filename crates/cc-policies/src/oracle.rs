@@ -1,10 +1,10 @@
 //! The Oracle upper bound: future knowledge of the trace.
 
-use cc_types::FxHashMap;
-
 use cc_sim::{ClusterView, Command, KeepDecision, Scheduler};
 use cc_trace::Trace;
 use cc_types::{Arch, FunctionId, SimDuration, SimTime, KEEP_ALIVE_MAX};
+
+use crate::entry;
 
 /// The theoretically-best-but-infeasible policy: it knows every future
 /// invocation, so it
@@ -20,38 +20,65 @@ use cc_types::{Arch, FunctionId, SimDuration, SimTime, KEEP_ALIVE_MAX};
 /// free pass.
 #[derive(Debug, Clone)]
 pub struct Oracle {
-    /// Sorted arrival times per function.
-    arrivals: FxHashMap<FunctionId, Vec<SimTime>>,
-    /// Index of the next unconsumed arrival per function.
-    cursor: FxHashMap<FunctionId, usize>,
-    /// `(arrived, completed)` counters per function, to detect in-flight
-    /// invocations at completion time.
-    in_flight: FxHashMap<FunctionId, (u64, u64)>,
+    /// Every arrival time, grouped by function in function-id order and
+    /// sorted within each group: function `f`'s are
+    /// `arrivals[starts[f]..starts[f + 1]]`.
+    arrivals: Vec<SimTime>,
+    /// Per function, then one past the last: where its group starts.
+    starts: Vec<usize>,
+    /// Per function: the position in `arrivals` of its next unconsumed
+    /// arrival.
+    cursor: Vec<usize>,
+    /// `(arrived, completed)` counters per function, indexed by
+    /// [`FunctionId::index`], to detect in-flight invocations at
+    /// completion time.
+    in_flight: Vec<(u64, u64)>,
 }
 
 impl Oracle {
     /// Builds the oracle from the full trace (the "offline future
     /// knowledge" of the paper).
     pub fn new(trace: &Trace) -> Oracle {
-        let mut arrivals: FxHashMap<FunctionId, Vec<SimTime>> = FxHashMap::default();
+        let functions = trace
+            .invocations()
+            .iter()
+            .map(|inv| inv.function.index() + 1)
+            .max()
+            .unwrap_or(0);
+        // A counting sort by function; the trace is time-sorted and the
+        // sort is stable, so each group comes out sorted.
+        let mut starts = vec![0; functions + 1];
         for inv in trace.invocations() {
-            arrivals.entry(inv.function).or_default().push(inv.arrival);
+            starts[inv.function.index() + 1] += 1;
         }
+        for f in 0..functions {
+            starts[f + 1] += starts[f];
+        }
+        let mut cursor = starts[..functions].to_vec();
+        let mut arrivals = vec![SimTime::ZERO; trace.invocations().len()];
+        for inv in trace.invocations() {
+            let next = &mut cursor[inv.function.index()];
+            arrivals[*next] = inv.arrival;
+            *next += 1;
+        }
+        cursor.copy_from_slice(&starts[..functions]);
         Oracle {
             arrivals,
-            cursor: FxHashMap::default(),
-            in_flight: FxHashMap::default(),
+            starts,
+            cursor,
+            in_flight: Vec::new(),
         }
     }
 
     /// The next invocation of `function` strictly after `now`.
     fn next_invocation(&mut self, function: FunctionId, now: SimTime) -> Option<SimTime> {
-        let times = self.arrivals.get(&function)?;
-        let cursor = self.cursor.entry(function).or_insert(0);
-        while *cursor < times.len() && times[*cursor] <= now {
+        let index = function.index();
+        let end = *self.starts.get(index + 1)?;
+        let cursor = &mut self.cursor[index];
+        while *cursor < end && self.arrivals[*cursor] <= now {
             *cursor += 1;
         }
-        times.get(*cursor).copied()
+        (*cursor < end).then(|| self.arrivals[*cursor])
     }
 }
 
@@ -61,7 +88,7 @@ impl Scheduler for Oracle {
     }
 
     fn on_arrival(&mut self, function: FunctionId, _now: SimTime) {
-        self.in_flight.entry(function).or_insert((0, 0)).0 += 1;
+        entry(&mut self.in_flight, function).0 += 1;
     }
 
     fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
@@ -74,7 +101,7 @@ impl Scheduler for Oracle {
         arch: Arch,
         view: &ClusterView<'_>,
     ) -> KeepDecision {
-        let counters = self.in_flight.entry(function).or_insert((0, 0));
+        let counters = entry(&mut self.in_flight, function);
         counters.1 += 1;
         let in_flight = counters.0.saturating_sub(counters.1);
         if in_flight > 0 {
@@ -135,13 +162,11 @@ impl Scheduler for Oracle {
     fn on_interval(&mut self, view: &ClusterView<'_>) -> Vec<Command> {
         // Pre-warm every function whose next invocation lands within the
         // coming interval (plus cold-start lead time), on its faster arch.
+        // Command order affects placement: function-id order.
         let mut commands = Vec::new();
-        let mut functions: Vec<FunctionId> = self.arrivals.keys().copied().collect();
-        // Map iteration order is arbitrary; command order affects
-        // placement, so sort for cross-run determinism.
-        functions.sort_unstable();
-        for function in functions {
-            if view.is_warm(function) {
+        for index in 0..self.cursor.len() {
+            let function = FunctionId::new(index as u32);
+            if self.starts[index] == self.starts[index + 1] || view.is_warm(function) {
                 continue;
             }
             let spec = view.spec(function);

@@ -1,11 +1,9 @@
 //! The SitW hybrid histogram baseline (Shahrad et al., ATC '20).
 
-use cc_types::FxHashMap;
-
 use cc_sim::{ClusterView, Command, KeepDecision, Scheduler};
 use cc_types::{Arch, FunctionId, SimDuration, SimTime};
 
-use crate::{faster_arch, GapHistogram};
+use crate::{entry, faster_arch, GapHistogram};
 
 /// The *Serverless in the Wild* policy, made heterogeneity-aware as in the
 /// paper's baseline setup.
@@ -22,9 +20,14 @@ use crate::{faster_arch, GapHistogram};
 /// modified SitW "to make it heterogeneity-aware").
 #[derive(Debug, Clone)]
 pub struct SitW {
-    histograms: FxHashMap<FunctionId, GapHistogram>,
+    /// Idle-time histograms, indexed by [`FunctionId::index`].
+    histograms: Vec<GapHistogram>,
     /// Pre-warms scheduled for the future: `(due, function, window)`.
     scheduled: Vec<(SimTime, FunctionId, SimDuration)>,
+    /// Entries of `scheduled` per function, indexed by
+    /// [`FunctionId::index`]: an arrival scans `scheduled` only when its
+    /// function has one.
+    scheduled_of: Vec<u32>,
     head_percentile: f64,
     tail_percentile: f64,
     fallback: SimDuration,
@@ -43,8 +46,9 @@ impl SitW {
     /// collapsing the keep window (see [`prewarm_schedule`]).
     pub fn with_percentiles(head: f64, tail: f64) -> SitW {
         SitW {
-            histograms: FxHashMap::default(),
+            histograms: Vec::new(),
             scheduled: Vec::new(),
+            scheduled_of: Vec::new(),
             head_percentile: head.clamp(0.0, 100.0),
             tail_percentile: tail.clamp(0.0, 100.0),
             fallback: SimDuration::from_mins(10),
@@ -52,7 +56,7 @@ impl SitW {
     }
 
     fn histogram(&mut self, function: FunctionId) -> &mut GapHistogram {
-        self.histograms.entry(function).or_default()
+        entry(&mut self.histograms, function)
     }
 }
 
@@ -94,7 +98,11 @@ impl Scheduler for SitW {
     fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
         self.histogram(function).record(now);
         // An arrival consumes any pending pre-warm for the function.
-        self.scheduled.retain(|&(_, f, _)| f != function);
+        let pending = entry(&mut self.scheduled_of, function);
+        if *pending > 0 {
+            *pending = 0;
+            self.scheduled.retain(|&(_, f, _)| f != function);
+        }
     }
 
     fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
@@ -122,6 +130,7 @@ impl Scheduler for SitW {
             if let Some(last) = now {
                 let (delay, window) = prewarm_schedule(head, tail);
                 self.scheduled.push((last + delay, function, window));
+                *entry(&mut self.scheduled_of, function) += 1;
             }
             KeepDecision::DROP
         } else {
@@ -133,8 +142,10 @@ impl Scheduler for SitW {
         let now = view.now;
         let horizon = now + view.config.interval;
         let mut commands = Vec::new();
+        let scheduled_of = &mut self.scheduled_of;
         self.scheduled.retain(|&(due, function, window)| {
             if due <= horizon {
+                scheduled_of[function.index()] -= 1;
                 if !view.is_warm(function) {
                     commands.push(Command::Prewarm {
                         function,

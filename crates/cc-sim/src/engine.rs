@@ -318,14 +318,17 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     next_tick: Option<SimTime>,
     /// Whether the source reported [`Fetch::Exhausted`].
     exhausted: bool,
-    /// Arrival timestamp of the last pulled invocation (source-order
-    /// monotonicity debug check).
+    /// Arrival timestamp of the last invocation taken from the source:
+    /// an earlier one is out of order.
     last_pulled: SimTime,
     /// Invocations pulled from the source so far.
     arrived: usize,
     /// Invocations the source delivered for functions outside the
     /// workload, skipped at the source boundary.
     rejected_arrivals: u64,
+    /// Invocations the source delivered earlier than the one before,
+    /// skipped at the source boundary.
+    out_of_order_arrivals: u64,
     workload: &'a Workload,
     perturbations: &'a [Perturbation],
     /// Event sink; every `sink.record` call is guarded by `S::ENABLED`, so
@@ -446,6 +449,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             last_pulled: SimTime::ZERO,
             arrived: 0,
             rejected_arrivals: 0,
+            out_of_order_arrivals: 0,
             workload,
             perturbations,
             sink,
@@ -588,19 +592,19 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     /// `NotBefore`, whose limit is returned (process internal events up
     /// to it and ask again).
     ///
-    /// An invocation of a function outside the workload is skipped and
-    /// counted here, in every build: the source is outside input.
+    /// An invocation of a function outside the workload, or one earlier
+    /// than the invocation before it, is skipped and counted here, in
+    /// every build: the source is outside input.
     fn pull_arrival(&mut self) -> Option<SimTime> {
         while self.upcoming.is_none() && !self.exhausted {
             match self.source.fetch(self.next_internal_at()) {
                 Fetch::Ready(inv) if inv.function.index() >= self.workload.len() => {
                     self.rejected_arrivals += 1;
                 }
+                Fetch::Ready(inv) if inv.arrival < self.last_pulled => {
+                    self.out_of_order_arrivals += 1;
+                }
                 Fetch::Ready(inv) => {
-                    debug_assert!(
-                        inv.arrival >= self.last_pulled,
-                        "source must be time-sorted"
-                    );
                     self.last_pulled = inv.arrival;
                     // A live source can deliver an arrival late (burst
                     // catch-up); process it at once without letting time
@@ -717,6 +721,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             evictions: self.evictions,
             dropped_prewarms: self.dropped_prewarms,
             rejected_arrivals: self.rejected_arrivals,
+            out_of_order_arrivals: self.out_of_order_arrivals,
             decision_time: self.decision_time,
         }
     }

@@ -9,19 +9,20 @@
 //!   queued expiry event whose instance was reused or evicted — and whose
 //!   slot may already hold a different instance — fails the generation
 //!   check instead of aliasing. Lookup is an array index, not a hash.
-//! - a **per-function candidate index**: a sorted `Vec` of keys
-//!   `(start-penalty class, expiry, seq)` — exactly the order the engine
-//!   previously produced by sorting a freshly collected vector on every
-//!   arrival. Most functions hold zero or one warm instance, so a binary
-//!   search over a short sorted vector beats a tree, and the vector's one
-//!   small buffer is kept across the function's admissions.
-//! - a **per-node residency list** in admission (`seq`) order: an
-//!   intrusive doubly-linked list threaded through the slab slots, so
-//!   eviction only examines the target node's residents instead of
-//!   scanning the whole cluster's pool. The pool admits in `seq` order,
-//!   so appending at the tail keeps the list in admission order, and
-//!   unlinking a removed instance is O(1).
-//!
+//! - two **intrusive doubly-linked lists** threaded through the slab
+//!   slots, each slot on one list of each kind, each list a `(head, tail)`
+//!   pair of slot numbers:
+//!   - the **per-function candidate list** in reuse-preference order,
+//!     `(start-penalty class, expiry, seq)` ascending — exactly the order
+//!     the engine once produced by sorting a freshly collected vector on
+//!     every arrival. Admission walks back from the tail to its place;
+//!     keep-alive windows that do not shrink admit at the tail, so the
+//!     walk is usually O(1). Removal unlinks in O(1). A function costs 8
+//!     bytes and no heap buffer, warm or not.
+//!   - the **per-node residency list** in admission (`seq`) order, so
+//!     eviction only examines the target node's residents instead of
+//!     scanning the whole cluster's pool. The pool admits in `seq` order,
+//!     so appending at the tail keeps the list in admission order.
 //! - two **lazy calendars** (binary min-heaps of `(instant, seq, id)`):
 //!   the keep-alive expiry calendar and the compression re-key
 //!   `transitions` below. Removing an instance leaves its entries in the
@@ -32,9 +33,8 @@
 //! reuse finds the uncompressed copy (penalty zero), after it a reuse pays
 //! decompression. Rather than rewriting keys eagerly on a timer, the pool
 //! parks each pending re-key in the time-ordered `transitions` calendar and
-//! migrates the due ones at query time ([`WarmPool::migrate_due`]) — each
-//! instance migrates at most once, so the cost is amortized O(log n) per
-//! admission.
+//! migrates the due ones at query time ([`WarmPool::migrate_due`]): an
+//! unlink and a sorted re-link, at most once per instance.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -44,12 +44,6 @@ use cc_types::MemoryMb;
 use cc_types::{FunctionId, NodeId, SimDuration, SimTime, WarmId};
 
 use crate::node::WarmInstance;
-
-/// Candidate-index key: start-penalty class first (free reuses before
-/// decompressing ones), then expiry (spend the instance closest to
-/// expiring, saving the freshest), then admission order as the unique
-/// deterministic tie-break.
-type CandidateKey = (SimDuration, SimTime, u64, WarmId);
 
 /// Calendar entry: an instant, the instance's admission `seq` (unique, so
 /// entries are totally ordered before the id is ever compared), and the
@@ -62,11 +56,33 @@ const CALENDAR_SLACK: usize = 1024;
 
 const NO_SLOT: u32 = u32::MAX;
 
+/// A slot's place on one intrusive list: the previous and next slot, or
+/// `NO_SLOT` at the list's head or tail.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    prev: u32,
+    next: u32,
+}
+
+impl Links {
+    const NONE: Links = Links {
+        prev: NO_SLOT,
+        next: NO_SLOT,
+    };
+}
+
+/// Which of a slot's two lists: an index into its `links` entry.
+type Chain = usize;
+/// The node's residency list, in admission order.
+const BY_NODE: Chain = 0;
+/// The function's candidate list, in reuse-preference order.
+const BY_FUNCTION: Chain = 1;
+
 /// Hot per-slot fields, split struct-of-arrays style from the full
-/// [`WarmInstance`]: everything the per-arrival paths (candidate-key
-/// computation on removal, transition migration, expiry drain, residency
-/// unlinking) need, in one 32-byte record so those reads touch a dense
-/// array instead of dragging whole instances through the cache.
+/// [`WarmInstance`]: the candidate key and calendar keys that the
+/// per-arrival paths (candidate-list walks, transition migration, expiry
+/// drain, removal) read, in one 24-byte record so those reads touch a
+/// dense array instead of dragging whole instances through the cache.
 #[derive(Debug, Clone, Copy)]
 struct SlotHot {
     /// Keep-alive expiry of the occupying instance.
@@ -79,12 +95,6 @@ struct SlotHot {
     /// removal reads the current key in O(1) instead of inferring it from
     /// the transition set.
     key_penalty: SimDuration,
-    /// The previous resident of the same node in admission order, or
-    /// `NO_SLOT` at the head of the node's residency list.
-    prev: u32,
-    /// The next resident of the same node in admission order, or
-    /// `NO_SLOT` at the tail.
-    next: u32,
 }
 
 impl SlotHot {
@@ -92,24 +102,90 @@ impl SlotHot {
         expiry: SimTime::ZERO,
         seq: 0,
         key_penalty: SimDuration::ZERO,
-        prev: NO_SLOT,
-        next: NO_SLOT,
     };
+
+    /// The candidate-list key: start-penalty class first (free reuses
+    /// before decompressing ones), then expiry (spend the instance closest
+    /// to expiring, saving the freshest), then admission order as the
+    /// unique deterministic tie-break.
+    fn candidate_key(&self) -> (SimDuration, SimTime, u64) {
+        (self.key_penalty, self.expiry, self.seq)
+    }
 }
 
-/// One node's residency list: the first and last slot in admission order
-/// (`NO_SLOT` when the node holds no warm instance).
+/// One intrusive list through the slab: its first and last slot
+/// (`NO_SLOT` when empty).
 #[derive(Debug, Clone, Copy)]
-struct Residents {
+struct List {
     head: u32,
     tail: u32,
 }
 
-impl Residents {
-    const EMPTY: Residents = Residents {
+impl List {
+    const EMPTY: List = List {
         head: NO_SLOT,
         tail: NO_SLOT,
     };
+
+    /// Links `slot` into the list right after `after`, or at the head
+    /// when `after` is `NO_SLOT`.
+    fn link_after(&mut self, links: &mut [[Links; 2]], chain: Chain, after: u32, slot: u32) {
+        let next = if after == NO_SLOT {
+            std::mem::replace(&mut self.head, slot)
+        } else {
+            std::mem::replace(&mut links[after as usize][chain].next, slot)
+        };
+        if next == NO_SLOT {
+            self.tail = slot;
+        } else {
+            links[next as usize][chain].prev = slot;
+        }
+        links[slot as usize][chain] = Links { prev: after, next };
+    }
+
+    /// Unlinks `slot` from the list; its own links are left stale.
+    fn unlink(&mut self, links: &mut [[Links; 2]], chain: Chain, slot: u32) {
+        let Links { prev, next } = links[slot as usize][chain];
+        if prev == NO_SLOT {
+            debug_assert_eq!(self.head, slot, "list head out of sync");
+            self.head = next;
+        } else {
+            debug_assert_eq!(links[prev as usize][chain].next, slot, "list out of sync");
+            links[prev as usize][chain].next = next;
+        }
+        if next == NO_SLOT {
+            debug_assert_eq!(self.tail, slot, "list tail out of sync");
+            self.tail = prev;
+        } else {
+            debug_assert_eq!(links[next as usize][chain].prev, slot, "list out of sync");
+            links[next as usize][chain].prev = prev;
+        }
+    }
+
+    /// Links `slot` into a candidate list at its key's place, walking
+    /// back from the tail past every larger key. Keys are unique (`seq`
+    /// is), so the place is exact.
+    fn link_sorted(&mut self, hot: &[SlotHot], links: &mut [[Links; 2]], slot: u32) {
+        let key = hot[slot as usize].candidate_key();
+        let mut after = self.tail;
+        while after != NO_SLOT && hot[after as usize].candidate_key() > key {
+            after = links[after as usize][BY_FUNCTION].prev;
+        }
+        self.link_after(links, BY_FUNCTION, after, slot);
+    }
+
+    /// The list's slots, head to tail.
+    fn slots<'p>(&self, links: &'p [[Links; 2]], chain: Chain) -> impl Iterator<Item = u32> + 'p {
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            if slot == NO_SLOT {
+                return None;
+            }
+            let current = slot;
+            slot = links[current as usize][chain].next;
+            Some(current)
+        })
+    }
 }
 
 /// Cold per-slot payload: the full instance, or the free-list link.
@@ -215,12 +291,10 @@ impl Calendar {
 
 /// The warm-instance arena and its indexes. See the module docs.
 ///
-/// The arena is laid out struct-of-arrays: `generations`, `hot`, and
-/// `cold` are parallel vectors indexed by slot. The generational
+/// The arena is laid out struct-of-arrays: `generations`, `hot`, `links`
+/// and `cold` are parallel vectors indexed by slot. The generational
 /// [`WarmId`] contract is unchanged — a handle is live iff its generation
-/// matches `generations[slot]` — and candidate ordering is bit-identical
-/// to the former array-of-structs layout (the ordered indexes are the
-/// same; only the backing storage moved).
+/// matches `generations[slot]`.
 #[derive(Debug)]
 pub(crate) struct WarmPool {
     /// Per slot: bumped every time the slot is freed; a handle is live iff
@@ -229,18 +303,22 @@ pub(crate) struct WarmPool {
     /// Per slot: the hot fields of the occupying instance (garbage while
     /// vacant).
     hot: Vec<SlotHot>,
+    /// Per slot: the occupying instance's neighbours on its node's list
+    /// (`[BY_NODE]`) and on its function's list (`[BY_FUNCTION]`); stale
+    /// while vacant.
+    links: Vec<[Links; 2]>,
     /// Per slot: the full instance, or the free-list link while vacant.
     cold: Vec<SlotCold>,
     free_head: u32,
     len: usize,
     compressed: usize,
     next_seq: u64,
-    /// Per function: its live instances in reuse-preference order, sorted
-    /// ascending, keys unique (the `seq` component is).
-    candidates: Vec<Vec<CandidateKey>>,
-    /// Per node: the residency list through `hot[..].prev/next`, in
+    /// Per function: its candidate list through `links[..][BY_FUNCTION]`,
+    /// ascending by [`SlotHot::candidate_key`].
+    candidates: Vec<List>,
+    /// Per node: its residency list through `links[..][BY_NODE]`, in
     /// admission order.
-    residents: Vec<Residents>,
+    residents: Vec<List>,
     /// Compressed instances whose candidate key still carries a zero
     /// penalty but must be re-keyed at `(compressed_ready_at, seq, id)`.
     transitions: Calendar,
@@ -266,13 +344,14 @@ impl WarmPool {
         WarmPool {
             generations: Vec::new(),
             hot: Vec::new(),
+            links: Vec::new(),
             cold: Vec::new(),
             free_head: NO_SLOT,
             len: 0,
             compressed: 0,
             next_seq: 0,
-            candidates: (0..functions).map(|_| Vec::new()).collect(),
-            residents: vec![Residents::EMPTY; nodes],
+            candidates: vec![List::EMPTY; functions],
+            residents: vec![List::EMPTY; nodes],
             transitions: Calendar::new(slack),
             expiries: Calendar::new(slack),
         }
@@ -290,7 +369,7 @@ impl WarmPool {
 
     /// Whether `function` has at least one live instance.
     pub fn is_warm(&self, function: FunctionId) -> bool {
-        !self.candidates[function.index()].is_empty()
+        self.candidates[function.index()].head != NO_SLOT
     }
 
     /// The live instance behind `id`, or `None` if the handle is stale
@@ -313,7 +392,7 @@ impl WarmPool {
         self.next_seq += 1;
         inst.seq = self.next_seq;
 
-        let slot_index = if self.free_head != NO_SLOT {
+        let slot = if self.free_head != NO_SLOT {
             let index = self.free_head;
             let SlotCold::Vacant { next_free } = self.cold[index as usize] else {
                 unreachable!("free list points at an occupied slot");
@@ -327,10 +406,11 @@ impl WarmPool {
             );
             self.generations.push(0);
             self.hot.push(SlotHot::VACANT);
+            self.links.push([Links::NONE; 2]);
             self.cold.push(SlotCold::Vacant { next_free: NO_SLOT });
             (self.cold.len() - 1) as u32
         };
-        let id = WarmId::new(slot_index, self.generations[slot_index as usize]);
+        let id = WarmId::new(slot, self.generations[slot as usize]);
         inst.id = id;
 
         // A compressed instance enters the zero-penalty class (reuse finds
@@ -338,10 +418,12 @@ impl WarmPool {
         // for re-keying — unless compression is instantaneous, in which
         // case it pays decompression from the start.
         let key_penalty = inst.admission_key_penalty();
-        insert_sorted(
-            &mut self.candidates[inst.function.index()],
-            (key_penalty, inst.expiry, inst.seq, id),
-        );
+        self.hot[slot as usize] = SlotHot {
+            expiry: inst.expiry,
+            seq: inst.seq,
+            key_penalty,
+        };
+        self.candidates[inst.function.index()].link_sorted(&self.hot, &mut self.links, slot);
         if key_penalty != inst.settled_key_penalty() {
             self.transitions
                 .push((inst.compressed_ready_at, inst.seq, id));
@@ -353,22 +435,9 @@ impl WarmPool {
 
         // Append at the tail of the node's residency list: `seq` only
         // grows, so the tail is admission order.
-        let list = &mut self.residents[inst.node.index()];
-        let prev = list.tail;
-        if prev == NO_SLOT {
-            list.head = slot_index;
-        } else {
-            self.hot[prev as usize].next = slot_index;
-        }
-        list.tail = slot_index;
-        self.hot[slot_index as usize] = SlotHot {
-            expiry: inst.expiry,
-            seq: inst.seq,
-            key_penalty,
-            prev,
-            next: NO_SLOT,
-        };
-        self.cold[slot_index as usize] = SlotCold::Occupied(inst);
+        let residents = &mut self.residents[inst.node.index()];
+        residents.link_after(&mut self.links, BY_NODE, residents.tail, slot);
+        self.cold[slot as usize] = SlotCold::Occupied(inst);
         self.len += 1;
         id
     }
@@ -386,19 +455,7 @@ impl WarmPool {
             id.generation(),
             "instance must exist to be removed"
         );
-        // Every index removal keys off the hot array — the candidate key's
-        // current penalty class (maintained by insert and `migrate_due`, so
-        // no probing the transition set to infer it), the expiry, the
-        // admission seq and the residency-list neighbours — one dense
-        // 32-byte read instead of dragging the whole instance through the
-        // cache first.
-        let SlotHot {
-            expiry,
-            seq,
-            key_penalty,
-            prev,
-            next,
-        } = self.hot[id.slot()];
+        let slot = id.slot() as u32;
         let state = std::mem::replace(
             &mut self.cold[id.slot()],
             SlotCold::Vacant {
@@ -408,14 +465,23 @@ impl WarmPool {
         let SlotCold::Occupied(inst) = state else {
             panic!("instance must exist to be removed");
         };
+        self.candidates[inst.function.index()].unlink(&mut self.links, BY_FUNCTION, slot);
+        self.residents[inst.node.index()].unlink(&mut self.links, BY_NODE, slot);
+        // The calendar keys come from the hot array: the current penalty
+        // class (maintained by insert and `migrate_due`, so no probing the
+        // transition set to infer it), the expiry and the admission seq.
+        let SlotHot {
+            expiry,
+            seq,
+            key_penalty,
+        } = std::mem::replace(&mut self.hot[id.slot()], SlotHot::VACANT);
         debug_assert_eq!(
             (expiry, seq),
             (inst.expiry, inst.seq),
             "hot array out of sync"
         );
         self.generations[id.slot()] += 1;
-        self.hot[id.slot()] = SlotHot::VACANT;
-        self.free_head = id.slot() as u32;
+        self.free_head = slot;
         self.len -= 1;
 
         if key_penalty != inst.settled_key_penalty() {
@@ -423,12 +489,6 @@ impl WarmPool {
             self.transitions
                 .remove((inst.compressed_ready_at, seq, id), &self.generations);
         }
-        let removed = remove_sorted(
-            &mut self.candidates[inst.function.index()],
-            &(key_penalty, expiry, seq, id),
-        );
-        debug_assert!(removed, "candidate index out of sync");
-        self.unlink_resident(inst.node, id.slot() as u32, prev, next);
         self.expiries.remove((expiry, seq, id), &self.generations);
         if inst.compressed {
             self.compressed -= 1;
@@ -456,47 +516,22 @@ impl WarmPool {
 
     /// Re-keys every compressed instance whose `compressed_ready_at` has
     /// passed by `now` from the zero-penalty class to its decompression
-    /// penalty. Must be called before reading [`WarmPool::candidates_of`];
-    /// each instance migrates at most once per lifetime.
+    /// penalty: an unlink from its candidate list and a sorted re-link.
+    /// Must be called before reading [`WarmPool::candidates_of`]; each
+    /// instance migrates at most once per lifetime.
     pub fn migrate_due(&mut self, now: SimTime) {
-        while let Some((ready_at, seq, id)) = self.transitions.first() {
+        while let Some((ready_at, _, id)) = self.transitions.first() {
             if ready_at > now {
                 break;
             }
             self.transitions.pop_first(&self.generations);
             let inst = self.get(id).expect("parked transition for a dead instance");
-            let (function, expiry, penalty) = (inst.function, inst.expiry, inst.decompress_penalty);
+            let (function, penalty) = (inst.function.index(), inst.decompress_penalty);
+            let slot = id.slot() as u32;
+            let list = &mut self.candidates[function];
+            list.unlink(&mut self.links, BY_FUNCTION, slot);
             self.hot[id.slot()].key_penalty = penalty;
-            let candidates = &mut self.candidates[function.index()];
-            let removed = remove_sorted(candidates, &(SimDuration::ZERO, expiry, seq, id));
-            debug_assert!(removed, "candidate index out of sync during migration");
-            insert_sorted(candidates, (penalty, expiry, seq, id));
-        }
-    }
-
-    /// Unlinks the removed `slot`, whose list neighbours were `prev` and
-    /// `next`, from `node`'s residency list.
-    fn unlink_resident(&mut self, node: NodeId, slot: u32, prev: u32, next: u32) {
-        let list = &mut self.residents[node.index()];
-        if prev == NO_SLOT {
-            debug_assert_eq!(list.head, slot, "residency list out of sync");
-            list.head = next;
-        } else {
-            debug_assert_eq!(
-                self.hot[prev as usize].next, slot,
-                "residency list out of sync"
-            );
-            self.hot[prev as usize].next = next;
-        }
-        if next == NO_SLOT {
-            debug_assert_eq!(list.tail, slot, "residency list out of sync");
-            list.tail = prev;
-        } else {
-            debug_assert_eq!(
-                self.hot[next as usize].prev, slot,
-                "residency list out of sync"
-            );
-            self.hot[next as usize].prev = prev;
+            list.link_sorted(&self.hot, &mut self.links, slot);
         }
     }
 
@@ -506,21 +541,15 @@ impl WarmPool {
     /// the current time.
     pub fn candidates_of(&self, function: FunctionId) -> impl Iterator<Item = WarmId> + '_ {
         self.candidates[function.index()]
-            .iter()
-            .map(|&(_, _, _, id)| id)
+            .slots(&self.links, BY_FUNCTION)
+            .map(|slot| WarmId::new(slot, self.generations[slot as usize]))
     }
 
     /// Live instances resident on `node`, in admission order.
     pub fn residents_of(&self, node: NodeId) -> impl Iterator<Item = WarmId> + '_ {
-        let mut slot = self.residents[node.index()].head;
-        std::iter::from_fn(move || {
-            if slot == NO_SLOT {
-                return None;
-            }
-            let id = WarmId::new(slot, self.generations[slot as usize]);
-            slot = self.hot[slot as usize].next;
-            Some(id)
-        })
+        self.residents[node.index()]
+            .slots(&self.links, BY_NODE)
+            .map(|slot| WarmId::new(slot, self.generations[slot as usize]))
     }
 
     /// Sum of the footprints of `node`'s residents. O(residents); used
@@ -546,24 +575,6 @@ impl WarmPool {
             .map(|id| self.get(id).expect("resident index out of sync").since)
             .collect();
         since.windows(2).all(|pair| pair[0] <= pair[1])
-    }
-}
-
-/// Inserts `key` into the ascending, duplicate-free `keys`.
-fn insert_sorted(keys: &mut Vec<CandidateKey>, key: CandidateKey) {
-    let position = keys.partition_point(|probe| *probe < key);
-    debug_assert!(keys.get(position) != Some(&key), "duplicate candidate key");
-    keys.insert(position, key);
-}
-
-/// Removes `key` from the ascending `keys`; returns whether it was there.
-fn remove_sorted(keys: &mut Vec<CandidateKey>, key: &CandidateKey) -> bool {
-    match keys.binary_search(key) {
-        Ok(position) => {
-            keys.remove(position);
-            true
-        }
-        Err(_) => false,
     }
 }
 

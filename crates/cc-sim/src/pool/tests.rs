@@ -43,6 +43,47 @@ fn at(secs: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(secs)
 }
 
+/// A candidate list's model key: `(penalty class, expiry, seq, id)`.
+type ModelKey = (SimDuration, SimTime, u64, WarmId);
+
+/// Walks `list` both ways and checks that it is one well-formed list: no
+/// longer than the pool (so a cycle fails instead of hanging), the
+/// backward walk is the forward walk reversed, and the head and tail are
+/// the forward walk's ends. Returns the live handles head to tail.
+fn walk(pool: &WarmPool, list: List, chain: Chain) -> Result<Vec<WarmId>, String> {
+    let forward: Vec<u32> = list
+        .slots(&pool.links, chain)
+        .take(pool.len() + 1)
+        .collect();
+    prop_assert!(forward.len() <= pool.len(), "the list runs past the pool");
+    let mut backward = Vec::new();
+    let mut slot = list.tail;
+    while slot != NO_SLOT && backward.len() <= forward.len() {
+        backward.push(slot);
+        slot = pool.links[slot as usize][chain].prev;
+    }
+    backward.reverse();
+    prop_assert_eq!(
+        &backward,
+        &forward,
+        "backward walk is not the forward walk reversed"
+    );
+    prop_assert_eq!(
+        list.head,
+        forward.first().copied().unwrap_or(NO_SLOT),
+        "head"
+    );
+    prop_assert_eq!(
+        list.tail,
+        forward.last().copied().unwrap_or(NO_SLOT),
+        "tail"
+    );
+    Ok(forward
+        .into_iter()
+        .map(|slot| WarmId::new(slot, pool.generations[slot as usize]))
+        .collect())
+}
+
 #[test]
 fn insert_get_remove_roundtrip() {
     let mut pool = WarmPool::new(4, 2);
@@ -265,11 +306,13 @@ proptest! {
         }
     }
 
-    // The flat indexes (sorted candidate vectors, intrusive residency
-    // lists) against the ordered sets they replaced: after every
-    // admission, removal and migration step over several functions
-    // and nodes, `candidates_of` and `residents_of` list exactly what a
-    // `BTreeSet` model keyed the same way lists.
+    // The intrusive candidate and residency lists against the ordered
+    // sets they replaced: after every admission, removal and migration
+    // step over several functions and nodes, each list walked forward
+    // (`candidates_of`, `residents_of`) is exactly what a `BTreeSet`
+    // model keyed the same way lists, walked backward it is the reverse,
+    // its head and tail are the walk's ends, and `is_warm` holds exactly
+    // when the function's list is non-empty.
     #[test]
     fn flat_indexes_match_an_ordered_set_model(
         // ((op, function, node), (compressed, ready_s, expiry_s,
@@ -287,7 +330,7 @@ proptest! {
         const FUNCTIONS: u32 = 5;
         const NODES: u32 = 3;
         let mut pool = WarmPool::new(FUNCTIONS as usize, NODES as usize);
-        let mut candidates = vec![BTreeSet::<CandidateKey>::new(); FUNCTIONS as usize];
+        let mut candidates = vec![BTreeSet::<ModelKey>::new(); FUNCTIONS as usize];
         let mut residents = vec![BTreeSet::<(u64, WarmId)>::new(); NODES as usize];
         let mut transitions = BTreeSet::<(SimTime, u64, WarmId)>::new();
         let mut live: Vec<WarmId> = Vec::new();
@@ -351,10 +394,13 @@ proptest! {
             for f in 0..FUNCTIONS {
                 let function = FunctionId::new(f);
                 let model: Vec<WarmId> = candidates[f as usize].iter().map(|key| key.3).collect();
-                prop_assert_eq!(pool.candidates_of(function).collect::<Vec<_>>(), model);
+                prop_assert_eq!(walk(&pool, pool.candidates[f as usize], BY_FUNCTION)?, model.clone());
+                prop_assert_eq!(pool.candidates_of(function).collect::<Vec<_>>(), model.clone());
+                prop_assert_eq!(pool.is_warm(function), !model.is_empty());
             }
             for n in 0..NODES {
                 let model: Vec<WarmId> = residents[n as usize].iter().map(|key| key.1).collect();
+                prop_assert_eq!(walk(&pool, pool.residents[n as usize], BY_NODE)?, model.clone());
                 prop_assert_eq!(pool.residents_of(NodeId::new(n)).collect::<Vec<_>>(), model);
             }
         }

@@ -41,6 +41,11 @@ pub struct SimReport {
     /// workload: skipped at the engine's source boundary, never simulated.
     /// Kept out of [`SimReport::digest`], which covers what was simulated.
     pub rejected_arrivals: u64,
+    /// Invocations the arrival source delivered earlier than the one it
+    /// delivered before: skipped at the engine's source boundary like
+    /// [`SimReport::rejected_arrivals`], and likewise kept out of
+    /// [`SimReport::digest`].
+    pub out_of_order_arrivals: u64,
     /// Estimated wall-clock time spent inside policy callbacks (decision
     /// overhead). `on_interval` and ranked evictions are timed on every
     /// call; the per-invocation callbacks (`on_arrival`, `place`,
@@ -53,8 +58,9 @@ pub struct SimReport {
 impl SimReport {
     /// FNV-1a digest over a canonical byte encoding of everything the
     /// simulator measures (wall-clock `decision_time` excluded — it is the
-    /// one nondeterministic field — and so is `rejected_arrivals`, which
-    /// counts input the simulation never saw).
+    /// one nondeterministic field — and so are `rejected_arrivals` and
+    /// `out_of_order_arrivals`, which count input the simulation never
+    /// saw).
     ///
     /// This is the workspace's equality oracle: the golden-determinism
     /// tests pin per-policy constants to it, and `simbench --shards N`

@@ -119,17 +119,19 @@ pub trait Scheduler {
     /// Whether the engine may evict this policy's victims in admission
     /// order without calling [`Scheduler::eviction_rank`] at all.
     ///
-    /// Contract: return `true` only while `eviction_rank` is the trait
-    /// default. The default rank is the admission instant, the pool admits
-    /// at the engine's (never decreasing) current time, and ties break by
-    /// admission number, so the ranked order of a node's residents *is*
-    /// their admission order and the engine can walk it directly — no rank
-    /// calls, no sort. A policy that overrides `eviction_rank`, or whose
-    /// state observes the calls, must keep the default `false`, and so
-    /// must a wrapper that cannot vouch for the policy it wraps (a
-    /// forwarding wrapper forwards this method together with
-    /// `eviction_rank`). Debug builds cross-check every admission-order
-    /// eviction against the default rank's order.
+    /// Contract: return `true` only if sorting a node's residents by
+    /// `(eviction_rank, seq)`, ranked in admission order as the engine
+    /// ranks them, always returns admission order, and skipping the calls
+    /// changes no later decision. The trait default qualifies: its rank is
+    /// the admission instant, the pool admits at the engine's (never
+    /// decreasing) current time, and ties break by admission number. So
+    /// does any rank that never decreases from one call to the next and
+    /// whose state nothing else reads (FaasCache's). The engine then walks
+    /// the residents directly — no rank calls, no sort. Any other policy
+    /// must keep the default `false`, and so must a wrapper that cannot
+    /// vouch for the policy it wraps (a forwarding wrapper forwards this
+    /// method together with `eviction_rank`). Debug builds cross-check
+    /// every admission-order eviction against the default rank's order.
     fn evicts_in_admission_order(&self) -> bool {
         false
     }

@@ -33,11 +33,13 @@ pub enum Fetch {
 
 /// A strictly-ordered stream of invocations driving one simulation.
 ///
-/// Implementations must yield invocations in nondecreasing arrival order;
-/// the engine debug-asserts this. An invocation of a function outside the
-/// workload is skipped and counted in
-/// [`SimReport::rejected_arrivals`](crate::SimReport::rejected_arrivals). [`ArrivalSource::horizon`] is the
-/// logical trace length that bounds the interval-tick chain. Batch sources
+/// Implementations must yield invocations in nondecreasing arrival order.
+/// The engine checks this in every build: an invocation earlier than the
+/// one before it is skipped and counted in
+/// [`SimReport::out_of_order_arrivals`](crate::SimReport::out_of_order_arrivals),
+/// and one of a function outside the workload in
+/// [`SimReport::rejected_arrivals`](crate::SimReport::rejected_arrivals).
+/// [`ArrivalSource::horizon`] is the logical trace length that bounds the interval-tick chain. Batch sources
 /// keep it constant; a live source may report an open horizon
 /// (`SimDuration::from_micros(u64::MAX)`) that collapses to the final
 /// value once the stream closes — the engine re-reads it at every tick.

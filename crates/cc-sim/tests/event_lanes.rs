@@ -1,7 +1,8 @@
 //! The engine's event lanes: ticks and arrivals never touch the event
 //! heap, the lanes merge in class order at equal instants, a live source
 //! is never asked to wait past the tick lane, and the arrival lane skips
-//! invocations of functions outside the workload.
+//! invocations of functions outside the workload and invocations out of
+//! time order.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -135,6 +136,38 @@ fn foreign_function_ids_are_skipped_and_counted() {
     let mut policy = FixedKeepAlive::ten_minutes();
     let clean = Simulation::new(config, &trace, &workload).run(&mut policy);
     assert_eq!(clean.rejected_arrivals, 0);
+    assert_eq!(report.digest(), clean.digest());
+}
+
+/// An invocation earlier than the one the source delivered before it is
+/// skipped and counted at the source boundary, in every build; the rest
+/// of the run is the run without it.
+#[test]
+fn out_of_order_arrivals_are_skipped_and_counted() {
+    let (trace, workload) = scenario();
+    let config = ClusterConfig::small(2, 2);
+    let mut invocations = trace.invocations().to_vec();
+    let middle = invocations.len() / 2;
+    let early = invocations[0];
+    assert!(early.arrival < invocations[middle - 1].arrival);
+    invocations.insert(middle, early);
+
+    let mut policy = FixedKeepAlive::ten_minutes();
+    let report = run_streaming(
+        &config,
+        SliceSource::new(&invocations, trace.duration()),
+        &workload,
+        &mut policy,
+        &mut NullSink,
+        true,
+    );
+    assert_eq!(report.out_of_order_arrivals, 1);
+    assert_eq!(report.rejected_arrivals, 0);
+    assert_eq!(report.records.len(), trace.invocations().len());
+
+    let mut policy = FixedKeepAlive::ten_minutes();
+    let clean = Simulation::new(config, &trace, &workload).run(&mut policy);
+    assert_eq!(clean.out_of_order_arrivals, 0);
     assert_eq!(report.digest(), clean.digest());
 }
 

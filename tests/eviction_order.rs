@@ -1,6 +1,6 @@
 //! Admission-order eviction differential tests.
 //!
-//! A policy that keeps the default LRU eviction rank opts into
+//! A policy whose eviction ranks follow admission order opts into
 //! `Scheduler::evicts_in_admission_order`, and the engine then takes its
 //! eviction victims straight off the front of the node's residency index,
 //! with no `eviction_rank` calls and no sort. These tests run every opt-in
@@ -18,11 +18,13 @@ use proptest::prelude::*;
 
 /// The opt-in policies. `fixed_keepalive_compressed` admits compressed
 /// instances, whose reuse needs the extra memory back and so evicts
-/// around the reused instance (`make_room` with an exclusion).
-const OPT_IN: [&str; 6] = [
+/// around the reused instance (`make_room` with an exclusion). FaasCache
+/// overrides the rank, but its ranks never decrease in admission order.
+const OPT_IN: [&str; 7] = [
     "fixed_keepalive",
     "fixed_keepalive_compressed",
     "sitw",
+    "faascache",
     "icebreaker",
     "codecrunch",
     "enhanced_sitw",
@@ -190,13 +192,12 @@ proptest! {
     }
 }
 
-/// Opt-in policies never see an `eviction_rank` call; FaasCache (whose
-/// greedy-dual clock observes the calls) and Oracle (whose Belady rank
-/// depends on the current time) still rank every eviction.
+/// Opt-in policies never see an `eviction_rank` call; Oracle (whose
+/// Belady rank depends on the current time) still ranks every eviction.
 #[test]
 fn only_ranked_policies_are_asked_for_ranks() {
     let (trace, workload, config) = scenario(7, 0.5);
-    for name in OPT_IN.iter().chain(&["faascache", "oracle"]) {
+    for name in OPT_IN.iter().chain(&["oracle"]) {
         let mut probe = Probe::forwarding(policy(name, &trace));
         let report = Simulation::new(config.clone(), &trace, &workload).run(&mut probe);
         assert!(report.evictions > 0, "{name}: no evictions");
