@@ -7,9 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::{BenchScenario, StreamScenario};
 use cc_experiments::{policy, POLICIES};
-use cc_sim::{
-    run_streaming, ClusterView, FixedKeepAlive, KeepDecision, NullSink, Scheduler, Simulation,
-};
+use cc_sim::{ClusterView, FixedKeepAlive, KeepDecision, Scheduler, Simulation};
 use cc_types::{Arch, FunctionId};
 use codecrunch::CodeCrunch;
 
@@ -39,8 +37,8 @@ fn bench_policies(c: &mut Criterion) {
 /// The group pairs the cheapest policy (fixed keep-alive — pure engine
 /// cost, where the indexing shows up undiluted) with the most expensive
 /// one (CodeCrunch, whose per-interval optimizer is policy compute shared
-/// by any engine and bounds its end-to-end ratio); `simbench` records all
-/// six policies at this scale in `BENCH_sim.json`.
+/// by any engine and bounds its end-to-end ratio); `simbench` measures all
+/// six policies at this scale.
 fn bench_large(c: &mut Criterion) {
     let scenario = BenchScenario::large();
     let invocations = scenario.trace.invocations().len() as u64;
@@ -140,14 +138,13 @@ fn bench_pool_churn(c: &mut Criterion) {
     group.bench_function("fixed_keepalive_200k", |b| {
         b.iter(|| {
             let mut policy = FixedKeepAlive::ten_minutes();
-            run_streaming(
-                &scenario.config,
+            Simulation::from_source(
+                scenario.config.clone(),
                 scenario.source(),
                 &scenario.workload,
-                &mut policy,
-                &mut NullSink,
-                false,
             )
+            .without_records()
+            .run(&mut policy)
         })
     });
     group.finish();

@@ -65,7 +65,7 @@ use cc_experiments::{policy, Scale, POLICIES};
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
     ChromeTraceSink, ClusterConfig, Event, EventSink, JsonlSink, NullSink, SimReport, Simulation,
-    Tee, Telemetry, WallProfiler,
+    Tee, Telemetry,
 };
 use cc_trace::Trace;
 use cc_types::Cost;
@@ -262,7 +262,7 @@ fn main() {
         let started = Instant::now();
         let sim = Simulation::new(config.clone(), &trace, &workload);
         let report = if profile {
-            sim.run_with_sink_profiled::<_, WallProfiler>(policy.as_mut(), &mut sink)
+            sim.profiled().run_with_sink(policy.as_mut(), &mut sink)
         } else {
             sim.run_with_sink(policy.as_mut(), &mut sink)
         };

@@ -1,13 +1,14 @@
-//! Emits `BENCH_sim.json`: simulator throughput (invocations/second) per
-//! policy on the 10 000-function stress scenario.
+//! Simulator throughput (invocations/second) per policy on the
+//! 10 000-function stress scenario, or on a smaller or streaming one.
 //!
 //! Usage (from the repo root):
 //!
 //! ```text
-//! cargo run --release -p bench --bin simbench            # writes BENCH_sim.json
-//! cargo run --release -p bench --bin simbench -- --runs 5 --out BENCH_sim.json
+//! cargo run --release -p bench --bin simbench
+//! cargo run --release -p bench --bin simbench -- --runs 5 --out /tmp/sim.json
 //! cargo run --release -p bench --bin simbench -- --scenario small --sink jsonl
-//! cargo run --release -p bench --bin simbench -- --baseline BENCH_sim.json --tolerance 0.03
+//! cargo run --release -p bench --bin simbench -- --scenario large --runs 2 \
+//!     --floor fixed_keepalive=600000 --floor codecrunch=400000
 //! ```
 //!
 //! Each policy is replayed `--runs` times (default 3) after one warm-up
@@ -19,10 +20,13 @@
 //! exporters serialize the full event stream into `std::io::sink()`, so
 //! the measured delta is pure observability overhead with no disk noise.
 //!
-//! `--baseline` compares the measured throughput against a previously
-//! recorded `BENCH_sim.json` (either this binary's output or the annotated
-//! before/after variant) and exits non-zero if any measured policy falls
-//! below `baseline * (1 - tolerance)`; `--tolerance` defaults to 0.03.
+//! Results print to stderr; `--out PATH` also writes them as JSON (there
+//! is no default file).
+//!
+//! `--floor POLICY=INV_PER_S` (repeatable) exits 1 if the named policy's
+//! measured throughput falls below the floor. A floor holds only on the
+//! scenario and host it was measured on, so CI keeps its floors next to
+//! the command that checks them.
 //!
 //! `--shards N` switches to the sharded parallel driver: every selected
 //! policy becomes one shard, dispatched across `N` worker threads. The
@@ -39,18 +43,14 @@
 //! over every replay and exits non-zero on any violation — a cheap CI
 //! smoke test that the live event stream obeys the engine's conservation
 //! laws. Throughput measured under `--audit` includes the capture cost, so
-//! don't compare those figures against `--baseline` numbers.
+//! don't hold those figures to a `--floor`.
 //!
 //! `--profile` runs the *measured* replays (never the warm-ups) under
 //! `cc-prof`'s wall-clock profiler and prints the per-phase self-time
 //! table after the results. `--profile-out PATH` writes the self-profile
-//! JSON (the input to `ccprof diff`), `--profile-trace PATH` writes a
-//! Chrome/Perfetto trace of the simulator's own threads, and
-//! `--profile-baseline PATH` names a previously recorded self-profile:
-//! when the `--baseline` throughput gate fails, the failure output then
-//! attributes the regression to the phase whose share of wall clock grew
-//! the most. Build with `--features alloc-profile` to also attribute
-//! allocations per phase.
+//! JSON (the input to `ccprof diff`), and `--profile-trace PATH` writes a
+//! Chrome/Perfetto trace of the simulator's own threads. Build with
+//! `--features alloc-profile` to also attribute allocations per phase.
 //!
 //! `--gap` prices every selected policy's run against the hindsight-optimal
 //! lower bound from `cc-bound` and prints one gap row per policy (batch
@@ -63,7 +63,7 @@
 //! sharded execution itself.
 //!
 //! `--workers N` switches to the *intra-run* parallel engine
-//! (`cc_sim::run_parallel`): ONE simulation per policy, with the
+//! (`Simulation::run_pipelined`): ONE simulation per policy, with the
 //! instrumentation pipeline (arrival prefetch, JSONL encoding, ordered
 //! write-out, telemetry folding) spread across N encoder workers plus the
 //! feeder/writer/telemetry threads. Results are worker-count-independent;
@@ -73,6 +73,7 @@
 //! and never materialize, so `simulate_1m` (one million functions, two
 //! simulated days, ~12M invocations) runs in O(#functions) memory.
 
+use std::io::Write;
 use std::time::Instant;
 
 use bench::{BenchScenario, StreamScenario};
@@ -80,8 +81,8 @@ use cc_bound::{measured_cost_of_report, GapReport, HindsightInput, NanoCost};
 use cc_experiments::{policy, POLICIES};
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
-    ChromeTraceSink, JsonlSink, NullProfiler, NullSink, ParallelOptions, Profiler, Scheduler,
-    SimReport, Simulation, SliceSource, WallProfiler,
+    ArrivalSource, ChromeTraceSink, EventSink, JsonlSink, NullSink, ParallelOptions,
+    ParallelOutcome, Scheduler, SimReport, Simulation,
 };
 
 /// With the `alloc-profile` feature, every allocation in this binary is
@@ -92,11 +93,10 @@ static ALLOC: cc_prof::CountingAllocator = cc_prof::CountingAllocator::new();
 
 const USAGE: &str = "usage: simbench [--runs N] [--out PATH] [--scenario large|small|stream|1m] \
                      [--sink null|jsonl|chrome] [--policies a,b,..] \
-                     [--baseline PATH] [--tolerance FRAC] \
+                     [--floor POLICY=INV_PER_S] \
                      [--shards N] [--workers N] [--digests-match PATH] [--audit] \
                      [--gap] [--gap-ceiling POLICY=PCT] \
-                     [--profile] [--profile-out PATH] [--profile-trace PATH] \
-                     [--profile-baseline PATH]";
+                     [--profile] [--profile-out PATH] [--profile-trace PATH]";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum SinkMode {
@@ -131,12 +131,11 @@ enum Bench {
 
 fn main() {
     let mut runs: u32 = 3;
-    let mut out = String::from("BENCH_sim.json");
+    let mut out: Option<String> = None;
     let mut scenario_name = String::from("large");
     let mut sink = SinkMode::Null;
     let mut policy_filter: Option<Vec<String>> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance: f64 = 0.03;
+    let mut floors: Vec<(String, f64)> = Vec::new();
     let mut shards: Option<usize> = None;
     let mut workers_opt: Option<usize> = None;
     let mut digests_match: Option<String> = None;
@@ -146,7 +145,6 @@ fn main() {
     let mut profile = false;
     let mut profile_out: Option<String> = None;
     let mut profile_trace: Option<String> = None;
-    let mut profile_baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -158,7 +156,7 @@ fn main() {
             }
             "--out" => {
                 out = match args.next() {
-                    Some(path) => path,
+                    Some(path) => Some(path),
                     None => usage_error("--out takes a path"),
                 };
             }
@@ -182,18 +180,18 @@ fn main() {
                     None => usage_error("--policies takes a comma-separated list"),
                 };
             }
-            "--baseline" => {
-                baseline = match args.next() {
-                    Some(path) => Some(path),
-                    None => usage_error("--baseline takes a path"),
-                };
-            }
-            "--tolerance" => {
-                tolerance = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(f) if (0.0..1.0).contains(&f) => f,
-                    _ => usage_error("--tolerance takes a fraction in [0, 1)"),
-                };
-            }
+            "--floor" => match args.next() {
+                Some(spec) => match spec.split_once('=') {
+                    Some((name, rate)) => match rate.trim().parse::<f64>() {
+                        Ok(rate) if rate > 0.0 && rate.is_finite() => {
+                            floors.push((name.trim().to_string(), rate));
+                        }
+                        _ => usage_error("--floor rate must be a positive number of inv/s"),
+                    },
+                    None => usage_error("--floor takes POLICY=INV_PER_S (e.g. codecrunch=400000)"),
+                },
+                None => usage_error("--floor takes POLICY=INV_PER_S (e.g. codecrunch=400000)"),
+            },
             "--shards" => {
                 shards = match args.next().and_then(|v| v.parse().ok()) {
                     Some(n) if n > 0 => Some(n),
@@ -239,20 +237,14 @@ fn main() {
                     None => usage_error("--profile-trace takes a path"),
                 };
             }
-            "--profile-baseline" => {
-                profile_baseline = match args.next() {
-                    Some(path) => Some(path),
-                    None => usage_error("--profile-baseline takes a path"),
-                };
-            }
             other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     if shards.is_some() && sink == SinkMode::Chrome {
         usage_error("--shards supports null and jsonl sinks (chrome is serial-only)");
     }
-    if shards.is_some() && baseline.is_some() {
-        usage_error("--baseline compares per-policy serial throughput; use it without --shards");
+    if shards.is_some() && !floors.is_empty() {
+        usage_error("--floor checks per-policy throughput; use it without --shards");
     }
     if audit && sink != SinkMode::Jsonl {
         usage_error("--audit checks the serialized event stream; add --sink jsonl");
@@ -265,17 +257,16 @@ fn main() {
     if workers_opt.is_some() && sink == SinkMode::Chrome {
         usage_error("--workers supports null and jsonl sinks (chrome is serial-only)");
     }
-    if workers_opt.is_some() && baseline.is_some() {
-        usage_error("--baseline compares per-policy serial throughput; use it without --workers");
-    }
     if !gap_ceilings.is_empty() && !gap {
         usage_error("--gap-ceiling needs --gap");
     }
-    for (name, _) in &gap_ceilings {
-        if !POLICIES.contains(&name.as_str()) {
-            usage_error(&format!(
-                "--gap-ceiling names unknown policy {name:?} (known: {POLICIES:?})"
-            ));
+    for (flag, names) in [("--gap-ceiling", &gap_ceilings), ("--floor", &floors)] {
+        for (name, _) in names {
+            if !POLICIES.contains(&name.as_str()) {
+                usage_error(&format!(
+                    "{flag} names unknown policy {name:?} (known: {POLICIES:?})"
+                ));
+            }
         }
     }
 
@@ -284,8 +275,7 @@ fn main() {
     // replays run with profiling force-disabled, so only measured replays
     // land in the profile and `measured_wall_ns` is exactly the wall clock
     // the recorded spans must cover.
-    let profiling =
-        profile || profile_out.is_some() || profile_trace.is_some() || profile_baseline.is_some();
+    let profiling = profile || profile_out.is_some() || profile_trace.is_some();
     if profiling {
         cc_prof::reset();
         cc_prof::set_wall_enabled(true);
@@ -346,6 +336,13 @@ fn main() {
         })
         .collect();
 
+    for (name, _) in &floors {
+        if !selected.contains(&name.as_str()) {
+            usage_error(&format!(
+                "--floor names {name:?}, which this run does not select"
+            ));
+        }
+    }
     if matches!(bench, Bench::Stream(_)) && selected.contains(&"oracle") {
         usage_error("oracle needs a materialized trace (not available with --scenario stream|1m)");
     }
@@ -396,6 +393,7 @@ fn main() {
                 "report_digest": format!("{digest:#018x}"),
                 "telemetry_digest": format!("{tel_digest:#018x}"),
             }));
+            measured.push((name.to_string(), throughput));
             digests.push(Digests {
                 policy: name.to_string(),
                 report: Some(digest),
@@ -557,9 +555,11 @@ fn main() {
         "gap": gap_block,
         "results": entries,
     });
-    let body = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write(&out, body + "\n").expect("write output file");
-    eprintln!("wrote {out}");
+    if let Some(out) = &out {
+        let body = serde_json::to_string_pretty(&doc).expect("serialize");
+        std::fs::write(out, body + "\n").expect("write output file");
+        eprintln!("wrote {out}");
+    }
 
     if gap_failed {
         eprintln!(
@@ -569,7 +569,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let captured_profile = if profiling {
+    if profiling {
         let label = format!("simbench-{scenario_name}");
         let self_profile = cc_prof::take_profile(&label, measured_wall_ns);
         eprintln!();
@@ -584,10 +584,7 @@ fn main() {
                 .unwrap_or_else(|e| usage_error(&format!("cannot write {path:?}: {e}")));
             eprintln!("wrote {path}");
         }
-        Some(self_profile)
-    } else {
-        None
-    };
+    }
 
     if let Some(path) = digests_match {
         let text = std::fs::read_to_string(&path)
@@ -624,42 +621,30 @@ fn main() {
         }
     }
 
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read baseline {path:?}: {e}")));
-        let reference = parse_baseline(&text);
-        if reference.is_empty() {
-            usage_error(&format!("no per-policy throughput entries in {path:?}"));
+    let mut below: Vec<&str> = Vec::new();
+    for (name, floor) in &floors {
+        let (_, throughput) = measured
+            .iter()
+            .find(|(n, _)| n == name)
+            .expect("every floor names a selected policy");
+        let verdict = if throughput >= floor {
+            "ok"
+        } else {
+            "BELOW FLOOR"
+        };
+        eprintln!(
+            "floor: {name:>16} measured {throughput:11.0} inv/s vs floor {floor:11.0} {verdict}"
+        );
+        if throughput < floor {
+            below.push(name);
         }
-        let mut regressed: Vec<String> = Vec::new();
-        for (name, throughput) in &measured {
-            let Some((_, base)) = reference.iter().find(|(n, _)| n == name) else {
-                eprintln!("baseline: {name} not in {path}, skipping");
-                continue;
-            };
-            let floor = base * (1.0 - tolerance);
-            let verdict = if *throughput >= floor {
-                "ok"
-            } else {
-                "REGRESSED"
-            };
-            eprintln!(
-                "baseline: {name:>16} measured {throughput:11.0} inv/s vs floor {floor:11.0} \
-                 (recorded {base:.0}, tolerance {tolerance}) {verdict}"
-            );
-            if *throughput < floor {
-                regressed.push(name.clone());
-            }
-        }
-        if !regressed.is_empty() {
-            eprintln!(
-                "baseline check failed on scenario '{scenario_name}': throughput regressed \
-                 beyond tolerance for {}",
-                regressed.join(", ")
-            );
-            attribute_regression(captured_profile.as_ref(), profile_baseline.as_deref());
-            std::process::exit(1);
-        }
+    }
+    if !below.is_empty() {
+        eprintln!(
+            "floor check failed on scenario '{scenario_name}': {} below its floor",
+            below.join(", ")
+        );
+        std::process::exit(1);
     }
 }
 
@@ -746,56 +731,6 @@ fn gap_pass(
     (block, failed)
 }
 
-/// When a throughput gate fails under `--profile`, points at the phase
-/// whose share of wall clock grew the most relative to the recorded
-/// self-profile — "codecrunch regressed" becomes "pool_evict's share of
-/// wall doubled".
-fn attribute_regression(new_profile: Option<&cc_prof::SelfProfile>, baseline: Option<&str>) {
-    let Some(new_profile) = new_profile else {
-        return;
-    };
-    let Some(path) = baseline else {
-        eprintln!(
-            "baseline: rerun with --profile-baseline SELF_PROFILE.json to attribute the \
-             regression to a phase"
-        );
-        return;
-    };
-    let base = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| cc_prof::from_json(&text))
-    {
-        Ok(base) => base,
-        Err(e) => {
-            eprintln!("baseline: cannot attribute regression ({path}: {e})");
-            return;
-        }
-    };
-    // Shares, not nanoseconds: the recorded profile may come from another
-    // host or another run count.
-    let report = cc_prof::diff_profiles(
-        &base,
-        new_profile,
-        cc_prof::DiffOptions {
-            relative: true,
-            ..cc_prof::DiffOptions::default()
-        },
-    );
-    let top = report.rows.iter().max_by(|a, b| {
-        (a.new_share - a.base_share)
-            .partial_cmp(&(b.new_share - b.base_share))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    if let Some(row) = top {
-        eprintln!(
-            "baseline: top self-time delta: phase '{}' went {:.1}% -> {:.1}% of wall clock",
-            row.phase.label(),
-            row.base_share * 100.0,
-            row.new_share * 100.0,
-        );
-    }
-}
-
 /// Runs `f` with the DynScope probe sites force-disabled — warm-up replays
 /// must not leak spans into the measured profile.
 fn unprofiled<T>(f: impl FnOnce() -> T) -> T {
@@ -804,38 +739,6 @@ fn unprofiled<T>(f: impl FnOnce() -> T) -> T {
     let result = f();
     cc_prof::set_wall_enabled(was);
     result
-}
-
-/// Pulls `(policy, invocations_per_sec)` pairs out of a recorded
-/// `BENCH_sim.json` with a line scan — the vendored `serde_json` has no
-/// parser, and the schema is shallow enough that one is not needed.
-/// Accepts both this binary's output (`invocations_per_sec`) and the
-/// annotated before/after variant (`after_invocations_per_sec`).
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut pairs = Vec::new();
-    let mut policy: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"policy\":") {
-            policy = Some(
-                rest.trim()
-                    .trim_end_matches(',')
-                    .trim_matches('"')
-                    .to_string(),
-            );
-        } else if let Some(rest) = line
-            .strip_prefix("\"after_invocations_per_sec\":")
-            .or_else(|| line.strip_prefix("\"invocations_per_sec\":"))
-        {
-            if let (Some(name), Ok(value)) = (
-                policy.take(),
-                rest.trim().trim_end_matches(',').parse::<f64>(),
-            ) {
-                pairs.push((name, value));
-            }
-        }
-    }
-    pairs
 }
 
 /// One replay on the intra-run parallel engine. Returns
@@ -849,107 +752,84 @@ fn parallel_once(
     audit: bool,
     profiled: bool,
 ) -> (u64, u64, u64) {
-    if profiled {
-        parallel_once_p::<WallProfiler>(bench, name, options, sink, audit)
-    } else {
-        parallel_once_p::<NullProfiler>(bench, name, options, sink, audit)
-    }
-}
-
-fn parallel_once_p<P: Profiler>(
-    bench: &Bench,
-    name: &str,
-    options: &ParallelOptions,
-    sink: SinkMode,
-    audit: bool,
-) -> (u64, u64, u64) {
     match bench {
         Bench::Batch(s) => {
             let mut policy = policy(name, Some(&s.trace)).expect("selected from POLICIES");
-            run_parallel_once::<_, P>(
-                &s.config,
-                SliceSource::from_trace(&s.trace),
-                &s.workload,
-                policy.as_mut(),
-                options,
-                sink,
-                audit,
-            )
+            let simulation = Simulation::new(s.config.clone(), &s.trace, &s.workload);
+            run_parallel_once(simulation, policy.as_mut(), options, sink, audit, profiled)
         }
         Bench::Stream(s) => {
             let mut policy = policy(name, None).expect("streaming runs select no oracle");
             // Per-invocation records at streaming scale would defeat the
             // constant-memory point; the digest then covers stats only.
-            let options = options.clone().without_records();
-            run_parallel_once::<_, P>(
-                &s.config,
-                s.source(),
-                &s.workload,
-                policy.as_mut(),
-                &options,
-                sink,
-                audit,
-            )
+            let simulation = Simulation::from_source(s.config.clone(), s.source(), &s.workload)
+                .without_records();
+            run_parallel_once(simulation, policy.as_mut(), options, sink, audit, profiled)
         }
     }
 }
 
-fn run_parallel_once<Src: cc_sim::ArrivalSource + Send, P: Profiler>(
-    config: &cc_sim::ClusterConfig,
-    source: Src,
-    workload: &cc_workload::Workload,
+fn run_parallel_once<Src: ArrivalSource + Send>(
+    simulation: Simulation<'_, Src>,
     policy: &mut dyn Scheduler,
     options: &ParallelOptions,
     sink: SinkMode,
     audit: bool,
+    profiled: bool,
 ) -> (u64, u64, u64) {
-    let (outcome, captured): (_, Option<Vec<u8>>) = match sink {
+    let outcome = match sink {
         SinkMode::Null => {
-            let (outcome, _) = cc_sim::run_parallel_profiled::<_, _, P>(
-                config,
-                source,
-                workload,
-                policy,
-                None::<std::io::Sink>,
-                options,
-            )
-            .expect("pipeline io");
-            (outcome, None)
+            let none = None::<std::io::Sink>;
+            pipelined(simulation, policy, none, options, profiled).0
         }
         SinkMode::Jsonl if audit => {
-            let (outcome, bytes) = cc_sim::run_parallel_profiled::<_, _, P>(
-                config,
-                source,
-                workload,
-                policy,
-                Some(Vec::new()),
-                options,
-            )
-            .expect("writing to memory cannot fail");
-            (outcome, bytes)
+            let (outcome, bytes) =
+                pipelined(simulation, policy, Some(Vec::new()), options, profiled);
+            audit_stream(&bytes.expect("jsonl requested"));
+            outcome
         }
         SinkMode::Jsonl => {
-            let (outcome, _) = cc_sim::run_parallel_profiled::<_, _, P>(
-                config,
-                source,
-                workload,
-                policy,
-                Some(std::io::sink()),
-                options,
-            )
-            .expect("writing to io::sink cannot fail");
-            (outcome, None)
+            pipelined(simulation, policy, Some(std::io::sink()), options, profiled).0
         }
         SinkMode::Chrome => unreachable!("rejected at argument parsing"),
     };
-    if let Some(bytes) = captured {
-        audit_stream(&bytes);
-    }
     (
         outcome.report.digest(),
         outcome.telemetry.digest(),
         outcome.report.stats.invocations(),
     )
+}
+
+/// Runs `simulation` on the pipelined engine, under the wall profiler when
+/// `profiled`.
+fn pipelined<Src: ArrivalSource + Send, W: Write + Send>(
+    simulation: Simulation<'_, Src>,
+    policy: &mut dyn Scheduler,
+    jsonl: Option<W>,
+    options: &ParallelOptions,
+    profiled: bool,
+) -> (ParallelOutcome, Option<W>) {
+    if profiled {
+        simulation.profiled().run_pipelined(policy, jsonl, options)
+    } else {
+        simulation.run_pipelined(policy, jsonl, options)
+    }
+    .expect("pipeline io")
+}
+
+/// Runs `simulation` serially into `sink`, under the wall profiler when
+/// `profiled`.
+fn replay<S: EventSink>(
+    simulation: Simulation<'_>,
+    policy: &mut dyn Scheduler,
+    sink: &mut S,
+    profiled: bool,
+) -> SimReport {
+    if profiled {
+        simulation.profiled().run_with_sink(policy, sink)
+    } else {
+        simulation.run_with_sink(policy, sink)
+    }
 }
 
 fn check_report(scenario: &BenchScenario, report: &SimReport) -> u64 {
@@ -967,40 +847,27 @@ fn run_once(
     audit: bool,
     profiled: bool,
 ) -> u64 {
-    if profiled {
-        run_once_p::<WallProfiler>(scenario, policy, sink, audit)
-    } else {
-        run_once_p::<NullProfiler>(scenario, policy, sink, audit)
-    }
-}
-
-fn run_once_p<P: Profiler>(
-    scenario: &BenchScenario,
-    policy: &mut dyn Scheduler,
-    sink: SinkMode,
-    audit: bool,
-) -> u64 {
-    let sim = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload);
+    let simulation = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload);
     let report = match sink {
-        SinkMode::Null => sim.run_with_sink_profiled::<_, P>(policy, &mut NullSink),
+        SinkMode::Null => replay(simulation, policy, &mut NullSink, profiled),
         SinkMode::Jsonl if audit => {
             // Audit mode keeps the serialized stream in memory and runs
             // the invariant auditor over it after the replay.
             let mut sink = JsonlSink::new(Vec::new());
-            let report = sim.run_with_sink_profiled::<_, P>(policy, &mut sink);
+            let report = replay(simulation, policy, &mut sink, profiled);
             let bytes = sink.finish().expect("writing to memory cannot fail");
             audit_stream(&bytes);
             report
         }
         SinkMode::Jsonl => {
             let mut sink = JsonlSink::new(std::io::sink());
-            let report = sim.run_with_sink_profiled::<_, P>(policy, &mut sink);
+            let report = replay(simulation, policy, &mut sink, profiled);
             assert!(sink.events_written() > 0);
             report
         }
         SinkMode::Chrome => {
             let mut sink = ChromeTraceSink::new(std::io::sink());
-            sim.run_with_sink_profiled::<_, P>(policy, &mut sink)
+            replay(simulation, policy, &mut sink, profiled)
         }
     };
     check_report(scenario, &report)
@@ -1037,20 +904,6 @@ fn sharded_sweep(
     audit: bool,
     profiled: bool,
 ) -> (f64, Vec<(u64, f64)>) {
-    if profiled {
-        sharded_sweep_p::<WallProfiler>(scenario, selected, workers, sink, audit)
-    } else {
-        sharded_sweep_p::<NullProfiler>(scenario, selected, workers, sink, audit)
-    }
-}
-
-fn sharded_sweep_p<P: Profiler>(
-    scenario: &BenchScenario,
-    selected: &[&str],
-    workers: usize,
-    sink: SinkMode,
-    audit: bool,
-) -> (f64, Vec<(u64, f64)>) {
     let started = Instant::now();
     let per_shard: Vec<(u64, f64)> = match sink {
         SinkMode::Null => {
@@ -1061,12 +914,12 @@ fn sharded_sweep_p<P: Profiler>(
                         let shard_started = Instant::now();
                         let mut policy =
                             policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
-                        let report = Simulation::new(
+                        let simulation = Simulation::new(
                             scenario.config.clone(),
                             &scenario.trace,
                             &scenario.workload,
-                        )
-                        .run_with_sink_profiled::<_, P>(policy.as_mut(), &mut NullSink);
+                        );
+                        let report = replay(simulation, policy.as_mut(), &mut NullSink, profiled);
                         (
                             check_report(scenario, &report),
                             shard_started.elapsed().as_secs_f64(),
@@ -1087,12 +940,12 @@ fn sharded_sweep_p<P: Profiler>(
                         let shard_started = Instant::now();
                         let mut policy =
                             policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
-                        let report = Simulation::new(
+                        let simulation = Simulation::new(
                             scenario.config.clone(),
                             &scenario.trace,
                             &scenario.workload,
-                        )
-                        .run_with_sink_profiled::<_, P>(policy.as_mut(), sink);
+                        );
+                        let report = replay(simulation, policy.as_mut(), sink, profiled);
                         (
                             check_report(scenario, &report),
                             shard_started.elapsed().as_secs_f64(),
@@ -1139,8 +992,9 @@ struct Digests {
 }
 
 /// Pulls each policy's `report_digest` and `telemetry_digest` out of a
-/// recorded `BENCH_sim.json` with the same line scan as [`parse_baseline`]:
-/// a `"policy"` line opens an entry and the digest lines after it fill it.
+/// file this binary wrote with a line scan (the vendored `serde_json` has
+/// no parser, and the schema is shallow enough that one is not needed): a
+/// `"policy"` line opens an entry and the digest lines after it fill it.
 /// Entries without a report digest are dropped.
 fn parse_digests(text: &str) -> Vec<Digests> {
     let hex = |rest: &str| {

@@ -20,7 +20,7 @@
 
 use bench::BenchScenario;
 use cc_prof::Phase;
-use cc_sim::{NullSink, Simulation, WallProfiler};
+use cc_sim::Simulation;
 use codecrunch::CodeCrunch;
 
 /// Every allocation in this test binary is counted and attributed to the
@@ -35,19 +35,20 @@ fn steady_state_sre_rounds_allocate_nothing() {
     // test in the binary, so no cross-test locking is needed.
     cc_prof::reset();
     let scenario = BenchScenario::small();
-    let sim = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload);
+    let sim =
+        Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload).profiled();
 
     // Warmup replay: the same policy instance keeps its scratch buffers,
     // so this run pays every capacity growth the optimizer will ever need
     // for this scenario. NullSink keeps optimizer introspection off — the
     // production stress configuration.
     let mut policy = CodeCrunch::new();
-    let warm = sim.run_with_sink_profiled::<NullSink, WallProfiler>(&mut policy, &mut NullSink);
+    let warm = sim.run(&mut policy);
 
     // Measured replay: identical workload, warm scratch.
     cc_prof::reset();
     cc_prof::set_wall_enabled(true);
-    let measured = sim.run_with_sink_profiled::<NullSink, WallProfiler>(&mut policy, &mut NullSink);
+    let measured = sim.run(&mut policy);
     cc_prof::set_wall_enabled(false);
     let profile = cc_prof::take_profile("alloc-gate", 1);
 

@@ -1,8 +1,8 @@
-//! Profiling must never change behavior: for every policy, a replay under
-//! [`WallProfiler`] produces bit-identical results — report digest,
-//! telemetry digest, and serialized JSONL bytes — to the same replay under
-//! [`NullProfiler`], both on the serial engine and on the intra-run
-//! parallel pipeline. Plus the coverage acceptance check: the recorded
+//! Profiling must never change behavior: for every policy, a
+//! `Simulation::profiled` replay (under `WallProfiler`) produces
+//! bit-identical results — report digest, telemetry digest, and serialized
+//! JSONL bytes — to the same replay without it (under `NullProfiler`), both
+//! on the serial engine and on the intra-run parallel pipeline. Plus the coverage acceptance check: the recorded
 //! phase self-times of a profiled replay must account for at least 90% of
 //! its measured wall clock.
 
@@ -11,10 +11,7 @@ use std::time::Instant;
 
 use bench::BenchScenario;
 use cc_experiments::{policy, POLICIES};
-use cc_sim::{
-    run_parallel_profiled, JsonlSink, NullProfiler, ParallelOptions, Profiler, Simulation,
-    SliceSource, WallProfiler,
-};
+use cc_sim::{JsonlSink, ParallelOptions, Simulation};
 
 /// The wall profiler aggregates into process-global state; serialize every
 /// test that records or harvests it.
@@ -23,33 +20,45 @@ fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One serial replay under profiler `P`: `(report digest, jsonl bytes)`.
-fn serial_run<P: Profiler>(scenario: &BenchScenario, name: &str) -> (u64, Vec<u8>) {
+fn simulation(scenario: &BenchScenario) -> Simulation<'_> {
+    Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
+}
+
+/// One serial replay, under the wall profiler when `profiled`:
+/// `(report digest, jsonl bytes)`.
+fn serial_run(scenario: &BenchScenario, name: &str, profiled: bool) -> (u64, Vec<u8>) {
     let mut policy = policy(name, Some(&scenario.trace)).expect("a table policy");
     let mut sink = JsonlSink::new(Vec::new());
-    let report = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-        .run_with_sink_profiled::<_, P>(policy.as_mut(), &mut sink);
+    let report = if profiled {
+        simulation(scenario)
+            .profiled()
+            .run_with_sink(policy.as_mut(), &mut sink)
+    } else {
+        simulation(scenario).run_with_sink(policy.as_mut(), &mut sink)
+    };
     let bytes = sink.finish().expect("writing to memory cannot fail");
     (report.digest(), bytes)
 }
 
-/// One pipelined replay under profiler `P` with `workers` encoder threads:
-/// `(report digest, telemetry digest, jsonl bytes)`.
-fn parallel_run<P: Profiler>(
+/// One pipelined replay with `workers` encoder threads, under the wall
+/// profiler when `profiled`: `(report digest, telemetry digest, jsonl
+/// bytes)`.
+fn parallel_run(
     scenario: &BenchScenario,
     name: &str,
     workers: usize,
+    profiled: bool,
 ) -> (u64, u64, Vec<u8>) {
     let mut policy = policy(name, Some(&scenario.trace)).expect("a table policy");
     let options = ParallelOptions::default().with_workers(workers);
-    let (outcome, bytes) = run_parallel_profiled::<_, _, P>(
-        &scenario.config,
-        SliceSource::from_trace(&scenario.trace),
-        &scenario.workload,
-        policy.as_mut(),
-        Some(Vec::new()),
-        &options,
-    )
+    let jsonl = Some(Vec::new());
+    let (outcome, bytes) = if profiled {
+        simulation(scenario)
+            .profiled()
+            .run_pipelined(policy.as_mut(), jsonl, &options)
+    } else {
+        simulation(scenario).run_pipelined(policy.as_mut(), jsonl, &options)
+    }
     .expect("writing to memory cannot fail");
     (
         outcome.report.digest(),
@@ -63,8 +72,8 @@ fn serial_replays_are_bit_identical_under_the_wall_profiler() {
     let _guard = lock();
     let scenario = BenchScenario::small();
     for name in POLICIES {
-        let (null_digest, null_bytes) = serial_run::<NullProfiler>(&scenario, name);
-        let (wall_digest, wall_bytes) = serial_run::<WallProfiler>(&scenario, name);
+        let (null_digest, null_bytes) = serial_run(&scenario, name, false);
+        let (wall_digest, wall_bytes) = serial_run(&scenario, name, true);
         assert_eq!(
             null_digest, wall_digest,
             "policy {name}: report digest changed under WallProfiler"
@@ -82,8 +91,8 @@ fn parallel_replays_are_bit_identical_under_the_wall_profiler() {
     let _guard = lock();
     let scenario = BenchScenario::small();
     for name in POLICIES {
-        let (null_digest, null_tel, null_bytes) = parallel_run::<NullProfiler>(&scenario, name, 4);
-        let (wall_digest, wall_tel, wall_bytes) = parallel_run::<WallProfiler>(&scenario, name, 4);
+        let (null_digest, null_tel, null_bytes) = parallel_run(&scenario, name, 4, false);
+        let (wall_digest, wall_tel, wall_bytes) = parallel_run(&scenario, name, 4, true);
         assert_eq!(
             null_digest, wall_digest,
             "policy {name}: report digest changed under WallProfiler (--workers 4)"
@@ -107,7 +116,7 @@ fn profiled_replay_self_times_cover_ninety_percent_of_wall() {
     cc_prof::set_wall_enabled(true);
     let scenario = BenchScenario::small();
     let started = Instant::now();
-    let (_, _) = serial_run::<WallProfiler>(&scenario, "codecrunch");
+    let (_, _) = serial_run(&scenario, "codecrunch", true);
     let wall_ns = started.elapsed().as_nanos() as u64;
     cc_prof::set_wall_enabled(false);
     let profile = cc_prof::take_profile("parity-coverage", wall_ns);

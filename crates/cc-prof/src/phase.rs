@@ -13,7 +13,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Phase {
-    /// One whole engine run (`Simulation::run*` / `run_streaming`): the
+    /// One whole engine run (any `Simulation` terminal): the
     /// root span every engine-loop phase nests under.
     EngineRun = 0,
     /// Handling one trace arrival: source chaining, the reuse/cold

@@ -16,8 +16,8 @@
 //!   lossless burst catch-up, and graceful drain at an effective cut
 //!   instant.
 //! - [`PacedSource`] adapts queue + clock to the engine's
-//!   [`ArrivalSource`](cc_sim::ArrivalSource), so `cc_sim::run_streaming`
-//!   *is* the service loop — there is no second engine.
+//!   [`ArrivalSource`](cc_sim::ArrivalSource), so a `cc_sim::Simulation`
+//!   over it *is* the service loop — there is no second engine.
 //! - [`Server`] / [`ServeHandle`] wire producer, queue, and decision core
 //!   together and expose drain for SIGINT-clean shutdown.
 //!

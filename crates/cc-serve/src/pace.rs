@@ -2,8 +2,8 @@
 //! consume a live, clock-paced arrival stream.
 //!
 //! The engine already speaks [`ArrivalSource`]; `PacedSource` implements
-//! it over an [`IngestQueue`] plus a [`Clock`], so `run_streaming` is the
-//! *only* decision loop — service mode is not a second engine, it is the
+//! it over an [`IngestQueue`] plus a [`Clock`], so the engine a
+//! `Simulation` runs over it is the *only* decision loop — service mode is not a second engine, it is the
 //! batch engine fed at the pace the clock dictates. That is what makes
 //! the bit-identical batch-equivalence contract provable at all.
 

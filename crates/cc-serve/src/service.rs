@@ -5,7 +5,7 @@
 //! arrivals from any [`ArrivalSource`] (a recorded trace, a streaming
 //! generator, a real front door) and pushes them into the bounded
 //! [`IngestQueue`]; the calling thread runs the *batch* decision core
-//! (`cc_sim::run_streaming`) over a [`PacedSource`] so arrivals are
+//! (a [`Simulation`] over a [`PacedSource`]) so arrivals are
 //! released on the service [`Clock`]. The optimizer's interval ticks are
 //! the engine's own tick chain — on a real clock they fire wall-aligned;
 //! on a [`VirtualClock`](crate::VirtualClock) the queue advances time
@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use cc_sim::{run_streaming, ArrivalSource, ClusterConfig, EventSink, Scheduler, SimReport};
+use cc_sim::{ArrivalSource, ClusterConfig, EventSink, Scheduler, SimReport, Simulation};
 use cc_types::{SimDuration, SimTime};
 use cc_workload::Workload;
 
@@ -53,7 +53,7 @@ impl Default for ServeOptions {
 #[derive(Debug)]
 pub struct ServeOutcome {
     /// The decision core's report — same type, same digests, as a batch
-    /// [`Simulation`](cc_sim::Simulation) run.
+    /// [`Simulation`] run.
     pub report: SimReport,
     /// Ingestion counters (losslessness: `pushed == delivered` unless a
     /// drain cut queued arrivals, which `dropped_at_drain` counts).
@@ -164,14 +164,11 @@ impl Server {
             // and the panic propagates instead of hanging.
             let _decide_guard = DecideGuard { queue: &self.queue };
             let paced = PacedSource::new(Arc::clone(&self.queue), Arc::clone(&self.clock));
-            run_streaming(
-                config,
-                paced,
-                workload,
-                policy,
-                sink,
-                self.options.collect_records,
-            )
+            let mut simulation = Simulation::from_source(config.clone(), paced, workload);
+            if !self.options.collect_records {
+                simulation = simulation.without_records();
+            }
+            simulation.run_with_sink(policy, sink)
         });
         ServeOutcome {
             report,

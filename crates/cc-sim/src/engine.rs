@@ -2,11 +2,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::marker::PhantomData;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cc_metrics::ServiceStats;
 use cc_obs::{Event as ObsEvent, EventSink, IntervalSample, NullSink, ReleaseReason};
-use cc_prof::{NullProfiler, PerfCounter, Phase, Profiler, Scope};
+use cc_prof::{NullProfiler, PerfCounter, Phase, Profiler, Scope, WallProfiler};
 use cc_trace::{Perturbation, Trace};
 use cc_types::{
     Arch, Cost, FunctionId, Invocation, MemoryMb, NodeId, ServiceRecord, SimDuration, SimTime,
@@ -33,39 +35,107 @@ fn node_order_key(node: &NodeState) -> NodeOrderKey {
     (node.busy_cores, Reverse(node.free_memory()), node.id)
 }
 
-/// A configured simulation, ready to run a policy over a trace.
+/// A configured simulation: the one builder every run goes through.
 ///
-/// Running is deterministic: the same `(config, trace, workload, policy)`
-/// always produces the same report.
-pub struct Simulation<'a> {
-    config: ClusterConfig,
-    trace: &'a Trace,
+/// Arrivals come from a [`Trace`] ([`Simulation::new`], replayed by every
+/// run) or from any [`ArrivalSource`] ([`Simulation::from_source`],
+/// consumed by one run). The modifiers [`Simulation::with_perturbations`],
+/// [`Simulation::without_records`] and [`Simulation::profiled`] are
+/// orthogonal; the terminals are [`Simulation::run`],
+/// [`Simulation::run_with_sink`] and [`Simulation::run_pipelined`].
+///
+/// The profiler is the type parameter `P`, not a runtime flag: the default
+/// [`NullProfiler`] compiles every probe away, so a program that never
+/// calls [`Simulation::profiled`] builds only the uninstrumented engine.
+///
+/// Running is deterministic: the same `(config, arrivals, workload,
+/// policy)` always produces the same report, whatever the sink or the
+/// profiler.
+pub struct Simulation<'a, Src = SliceSource<'a>, P = NullProfiler> {
+    pub(crate) config: ClusterConfig,
+    arrivals: Arrivals<'a, Src>,
     workload: &'a Workload,
     perturbations: Vec<Perturbation>,
+    pub(crate) collect_records: bool,
+    /// [`Simulation::run`] compiled in this crate, set by
+    /// [`Simulation::new`]; `None` runs the generic path. A generic method
+    /// is compiled in the crate that calls it, where the engine's calls
+    /// into this crate (warm pool, nodes, ledger) do not inline: the 10k
+    /// stress replay ran 5-10% slower there.
+    run_here: Option<RunFn<'a, Src, P>>,
+    profiler: PhantomData<P>,
+}
+
+/// A plain replay ([`Simulation::run`]) of one simulation.
+type RunFn<'a, Src, P> = fn(&Simulation<'a, Src, P>, &mut dyn Scheduler) -> SimReport;
+
+/// Where each run of a [`Simulation`] takes its arrivals from.
+enum Arrivals<'a, Src> {
+    /// A materialized trace, opened afresh by every run. The opener is
+    /// always [`SliceSource::from_trace`]; holding it as a function keeps
+    /// the enum generic over `Src`.
+    Trace(&'a Trace, fn(&'a Trace) -> Src),
+    /// A source the first run takes.
+    Once(Mutex<Option<Src>>),
 }
 
 impl<'a> Simulation<'a> {
-    /// Creates a simulation.
+    /// Creates a simulation over a materialized trace. It may run any
+    /// number of times; each run replays the whole trace.
     ///
     /// # Panics
     ///
     /// Panics if the config is invalid or the workload does not cover the
     /// trace's functions.
     pub fn new(config: ClusterConfig, trace: &'a Trace, workload: &'a Workload) -> Self {
-        config.validate();
         assert_eq!(
             workload.len(),
             trace.functions().len(),
             "workload must resolve every trace function"
         );
+        let mut simulation = Simulation::build(
+            config,
+            Arrivals::Trace(trace, SliceSource::from_trace),
+            workload,
+        );
+        simulation.run_here =
+            Some(|simulation, policy| simulation.run_with_sink(policy, &mut NullSink));
+        simulation
+    }
+}
+
+impl<'a, Src: ArrivalSource> Simulation<'a, Src> {
+    /// Creates a simulation over an arbitrary [`ArrivalSource`] — e.g. a
+    /// constant-memory streaming trace or a live paced queue — without
+    /// materializing the invocation stream. Behaviorally identical to
+    /// [`Simulation::new`] fed the same invocations in the same order.
+    ///
+    /// The source is consumed by the first run: a second run panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid.
+    pub fn from_source(config: ClusterConfig, source: Src, workload: &'a Workload) -> Self {
+        Simulation::build(config, Arrivals::Once(Mutex::new(Some(source))), workload)
+    }
+}
+
+impl<'a, Src> Simulation<'a, Src> {
+    fn build(config: ClusterConfig, arrivals: Arrivals<'a, Src>, workload: &'a Workload) -> Self {
+        config.validate();
         Simulation {
             config,
-            trace,
+            arrivals,
             workload,
             perturbations: Vec::new(),
+            collect_records: true,
+            run_here: None,
+            profiler: PhantomData,
         }
     }
+}
 
+impl<'a, Src, P> Simulation<'a, Src, P> {
     /// Adds unannounced perturbations (input changes); burst perturbations
     /// should instead be applied to the trace via
     /// [`Perturbation::apply_to_trace`].
@@ -74,7 +144,50 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Runs the policy over the whole trace and returns the report.
+    /// Keeps no per-invocation [`ServiceRecord`]s: a multi-day
+    /// million-function replay would otherwise hold every record in RAM.
+    /// The report's `records` vector stays empty; aggregated stats, series
+    /// and counters are unaffected, but [`SimReport::digest`] covers
+    /// records, so compare digests only between runs with the same
+    /// setting.
+    pub fn without_records(mut self) -> Self {
+        self.collect_records = false;
+        self
+    }
+
+    /// Observes the engine's own wall-clock phases with [`WallProfiler`].
+    /// Profiling never changes simulation behavior or its report.
+    pub fn profiled(self) -> Simulation<'a, Src, WallProfiler> {
+        Simulation {
+            config: self.config,
+            arrivals: self.arrivals,
+            workload: self.workload,
+            perturbations: self.perturbations,
+            collect_records: self.collect_records,
+            run_here: None,
+            profiler: PhantomData,
+        }
+    }
+
+    /// Opens the arrival stream for one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the second run of a [`Simulation::from_source`].
+    pub(crate) fn open_arrivals(&self) -> Src {
+        match &self.arrivals {
+            Arrivals::Trace(trace, open) => open(trace),
+            Arrivals::Once(source) => source
+                .lock()
+                .expect("the lock is held only to take the source, which cannot panic")
+                .take()
+                .expect("a Simulation over an ArrivalSource runs once"),
+        }
+    }
+}
+
+impl<'a, Src: ArrivalSource, P: Profiler> Simulation<'a, Src, P> {
+    /// Runs the policy over every arrival and returns the report.
     ///
     /// # Panics
     ///
@@ -82,7 +195,10 @@ impl<'a> Simulation<'a> {
     /// placed), which indicates an impossible configuration such as a
     /// function larger than any node.
     pub fn run(&self, policy: &mut dyn Scheduler) -> SimReport {
-        self.run_with_sink(policy, &mut NullSink)
+        match self.run_here {
+            Some(run) => run(self, policy),
+            None => self.run_with_sink(policy, &mut NullSink),
+        }
     }
 
     /// Runs the policy with an [`EventSink`] observing the full typed event
@@ -103,88 +219,26 @@ impl<'a> Simulation<'a> {
         policy: &mut dyn Scheduler,
         sink: &mut S,
     ) -> SimReport {
-        self.run_with_sink_profiled::<S, NullProfiler>(policy, sink)
+        self.run_engine(self.open_arrivals(), policy, sink)
     }
 
-    /// Runs the policy with both an [`EventSink`] and a
-    /// [`cc_prof::Profiler`] observing the engine's own wall-clock phases.
-    ///
-    /// Mirrors the sink contract: the engine is monomorphized over `P` and
-    /// every probe is guarded by `P::ENABLED`, so the
-    /// [`NullProfiler`] instantiation (what [`Simulation::run_with_sink`]
-    /// uses) is the exact uninstrumented hot path, and profiling never
-    /// changes simulation behavior or its report.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Simulation::run`].
-    pub fn run_with_sink_profiled<S: EventSink, P: Profiler>(
+    /// Runs one engine over `source`.
+    pub(crate) fn run_engine<A: ArrivalSource, S: EventSink>(
         &self,
+        source: A,
         policy: &mut dyn Scheduler,
         sink: &mut S,
     ) -> SimReport {
-        let mut engine = Engine::<_, _, P>::new(
+        Engine::<_, _, P>::new(
             &self.config,
-            SliceSource::from_trace(self.trace),
+            source,
             self.workload,
             &self.perturbations,
             sink,
-            true,
-        );
-        engine.run(policy)
+            self.collect_records,
+        )
+        .run(policy)
     }
-}
-
-/// Runs a policy over an arbitrary [`ArrivalSource`] — e.g. a
-/// constant-memory streaming trace — without materializing the invocation
-/// stream. Behaviorally identical to [`Simulation::run_with_sink`] fed the
-/// same invocations in the same order.
-///
-/// `collect_records` controls whether per-invocation [`ServiceRecord`]s
-/// are kept in the report: a multi-day million-function replay would
-/// otherwise hold every record in RAM. With `false` the report's `records`
-/// vector stays empty (aggregated stats, series, and counters are
-/// unaffected, but [`SimReport::digest`] covers records, so compare
-/// digests only between runs using the same setting).
-///
-/// # Panics
-///
-/// As for [`Simulation::run`].
-pub fn run_streaming<Src: ArrivalSource, S: EventSink>(
-    config: &ClusterConfig,
-    source: Src,
-    workload: &Workload,
-    policy: &mut dyn Scheduler,
-    sink: &mut S,
-    collect_records: bool,
-) -> SimReport {
-    run_streaming_profiled::<Src, S, NullProfiler>(
-        config,
-        source,
-        workload,
-        policy,
-        sink,
-        collect_records,
-    )
-}
-
-/// [`run_streaming`] with a [`cc_prof::Profiler`] observing the engine's
-/// own wall-clock phases (see [`Simulation::run_with_sink_profiled`]).
-///
-/// # Panics
-///
-/// As for [`Simulation::run`].
-pub fn run_streaming_profiled<Src: ArrivalSource, S: EventSink, P: Profiler>(
-    config: &ClusterConfig,
-    source: Src,
-    workload: &Workload,
-    policy: &mut dyn Scheduler,
-    sink: &mut S,
-    collect_records: bool,
-) -> SimReport {
-    config.validate();
-    let mut engine = Engine::<_, _, P>::new(config, source, workload, &[], sink, collect_records);
-    engine.run(policy)
 }
 
 /// The events that ride the engine's heap: the two classes scheduled out
@@ -307,7 +361,7 @@ impl DecisionSampler {
 struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     /// Wall-clock profiler; every probe is guarded by `P::ENABLED`, so the
     /// [`NullProfiler`] instantiation contains no profiling code at all.
-    _profiler: std::marker::PhantomData<P>,
+    _profiler: PhantomData<P>,
     config: &'a ClusterConfig,
     source: Src,
     /// The arrival lane: the next invocation, pulled from the source at
@@ -318,6 +372,10 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     next_tick: Option<SimTime>,
     /// Whether the source reported [`Fetch::Exhausted`].
     exhausted: bool,
+    /// The source's horizon as an instant, read when the run starts and
+    /// again at every tick (a live source's horizon closes once, when its
+    /// stream ends). An arrival later than it is past the horizon.
+    horizon: SimTime,
     /// Arrival timestamp of the last invocation taken from the source:
     /// an earlier one is out of order.
     last_pulled: SimTime,
@@ -329,6 +387,9 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     /// Invocations the source delivered earlier than the one before,
     /// skipped at the source boundary.
     out_of_order_arrivals: u64,
+    /// Invocations the source delivered later than its horizon, skipped
+    /// at the source boundary.
+    past_horizon_arrivals: u64,
     workload: &'a Workload,
     perturbations: &'a [Perturbation],
     /// Event sink; every `sink.record` call is guarded by `S::ENABLED`, so
@@ -372,7 +433,8 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     scratch_ranked: Vec<(f64, u64, WarmId)>,
 
     stats: ServiceStats,
-    /// Whether per-invocation records are retained (see [`run_streaming`]).
+    /// Whether per-invocation records are retained (see
+    /// [`Simulation::without_records`]).
     collect_records: bool,
     records: Vec<ServiceRecord>,
     spend_per_interval: Vec<f64>,
@@ -440,8 +502,9 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             0
         };
         Engine {
-            _profiler: std::marker::PhantomData,
+            _profiler: PhantomData,
             config,
+            horizon: SimTime::ZERO + source.horizon(),
             source,
             upcoming: None,
             next_tick: None,
@@ -450,6 +513,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             arrived: 0,
             rejected_arrivals: 0,
             out_of_order_arrivals: 0,
+            past_horizon_arrivals: 0,
             workload,
             perturbations,
             sink,
@@ -592,9 +656,10 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
     /// `NotBefore`, whose limit is returned (process internal events up
     /// to it and ask again).
     ///
-    /// An invocation of a function outside the workload, or one earlier
-    /// than the invocation before it, is skipped and counted here, in
-    /// every build: the source is outside input.
+    /// An invocation of a function outside the workload, one earlier than
+    /// the invocation before it, or one later than the source's horizon is
+    /// skipped and counted here, in every build: the source is outside
+    /// input.
     fn pull_arrival(&mut self) -> Option<SimTime> {
         while self.upcoming.is_none() && !self.exhausted {
             match self.source.fetch(self.next_internal_at()) {
@@ -603,6 +668,9 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
                 }
                 Fetch::Ready(inv) if inv.arrival < self.last_pulled => {
                     self.out_of_order_arrivals += 1;
+                }
+                Fetch::Ready(inv) if inv.arrival > self.horizon => {
+                    self.past_horizon_arrivals += 1;
                 }
                 Fetch::Ready(inv) => {
                     self.last_pulled = inv.arrival;
@@ -722,6 +790,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             dropped_prewarms: self.dropped_prewarms,
             rejected_arrivals: self.rejected_arrivals,
             out_of_order_arrivals: self.out_of_order_arrivals,
+            past_horizon_arrivals: self.past_horizon_arrivals,
             decision_time: self.decision_time,
         }
     }
@@ -1348,8 +1417,8 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         // point ticks already scheduled beyond it must be dropped — batch
         // never schedules one past its (constant) horizon, so for batch
         // sources neither the re-read nor the guard changes anything.
-        let horizon = self.source.horizon();
-        if self.now > SimTime::ZERO + horizon {
+        self.horizon = SimTime::ZERO + self.source.horizon();
+        if self.now > self.horizon {
             return;
         }
         let _span = P::scope(Phase::Tick);
@@ -1405,7 +1474,7 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
         }
 
         let next = self.now + self.config.interval;
-        if next <= SimTime::ZERO + horizon {
+        if next <= self.horizon {
             self.next_tick = Some(next);
         }
     }

@@ -20,6 +20,14 @@
 //!   (pre-warming, eviction), and eviction ranking. Every baseline and
 //!   CodeCrunch itself implement this trait.
 //!
+//! Every run goes through one builder, [`Simulation`]: over a [`Trace`]
+//! or any [`ArrivalSource`], optionally perturbed, without records or
+//! profiled, and run serially ([`Simulation::run`],
+//! [`Simulation::run_with_sink`]) or on the pipelined engine
+//! ([`Simulation::run_pipelined`]).
+//!
+//! [`Trace`]: cc_trace::Trace
+//!
 //! # Example
 //!
 //! ```
@@ -67,11 +75,11 @@ pub use cc_obs::{
 pub use cc_prof::{NullProfiler, Phase, Profiler, WallProfiler};
 pub use cc_types::WarmId;
 pub use config::{ClusterConfig, RuntimeKind};
-pub use engine::{run_streaming, run_streaming_profiled, Simulation};
+pub use engine::Simulation;
 pub use fixed::FixedKeepAlive;
 pub use ledger::BudgetLedger;
 pub use node::{NodeState, WarmInstance};
-pub use parallel::{run_parallel, run_parallel_profiled, ParallelOptions, ParallelOutcome};
+pub use parallel::{run_parallel, ParallelOptions, ParallelOutcome};
 pub use report::{fnv1a, SimReport};
 pub use scheduler::{Command, KeepDecision, Scheduler};
 pub use source::{ArrivalSource, Fetch, SliceSource};

@@ -37,19 +37,30 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cc_obs::{write_event_line, BatchSink, EventBatch, EventSink, Telemetry};
-use cc_prof::{NullProfiler, PerfCounter, Phase, Profiler};
+use cc_prof::{PerfCounter, Phase, Profiler};
 use cc_shard::mux_chunks;
 use cc_types::{Invocation, SimDuration};
 use cc_workload::Workload;
 
 use crate::config::ClusterConfig;
-use crate::engine::run_streaming_profiled;
+use crate::engine::Simulation;
 use crate::report::SimReport;
 use crate::scheduler::Scheduler;
 use crate::source::ArrivalSource;
 
-/// Tuning for [`run_parallel`]. None of these affect results — only
-/// throughput, latency, and memory.
+/// Size cap per batch: a batch also flushes when it holds this many
+/// events, bounding memory for hot windows.
+const BATCH_EVENTS: usize = 4096;
+
+/// Bounded-channel depth (in batches / chunks) between pipeline stages;
+/// backpressure caps how far any stage runs ahead.
+const QUEUE_DEPTH: usize = 8;
+
+/// Invocations per feeder chunk.
+const ARRIVAL_CHUNK: usize = 4096;
+
+/// Tuning for [`Simulation::run_pipelined`]. None of these affect results
+/// — only throughput, latency, and memory.
 #[derive(Debug, Clone)]
 pub struct ParallelOptions {
     /// JSONL encoder worker threads (ignored when no JSONL output is
@@ -58,16 +69,10 @@ pub struct ParallelOptions {
     /// Simulated-time window bounding batch flush cadence. Each crossing
     /// of a window boundary flushes the buffered events.
     pub window: SimDuration,
-    /// Size cap per batch: a batch also flushes when it holds this many
-    /// events, bounding memory for hot windows.
-    pub batch_events: usize,
-    /// Bounded-channel depth (in batches / chunks) between pipeline
-    /// stages; backpressure caps how far any stage runs ahead.
-    pub queue_depth: usize,
-    /// Invocations per feeder chunk.
-    pub arrival_chunk: usize,
-    /// Forwarded to the engine: keep per-invocation [`ServiceRecord`]s
-    /// (needed for the report digest; disable for constant-memory runs).
+    /// Keep per-invocation [`ServiceRecord`]s (needed for the report
+    /// digest; disable for constant-memory runs). Records are kept only
+    /// if the simulation keeps them too (see
+    /// [`Simulation::without_records`]).
     ///
     /// [`ServiceRecord`]: cc_types::ServiceRecord
     pub collect_records: bool,
@@ -78,9 +83,6 @@ impl Default for ParallelOptions {
         ParallelOptions {
             workers: 2,
             window: SimDuration::from_mins(1),
-            batch_events: 4096,
-            queue_depth: 8,
-            arrival_chunk: 4096,
             collect_records: true,
         }
     }
@@ -179,17 +181,9 @@ impl ArrivalSource for ChunkedSource {
     }
 }
 
-/// Runs one simulation with the instrumentation pipeline spread across
-/// threads: feeder + decision core + `workers` JSONL encoders + ordered
-/// writer + telemetry folder.
-///
-/// When `jsonl` is `Some`, the returned writer carries the encoded event
-/// stream — byte-identical to a serial [`JsonlSink`](cc_obs::JsonlSink)
-/// run. When `None`, no encoder threads are spawned and only telemetry is
-/// folded.
-///
-/// Results are independent of `options.workers` and `options.window`; see
-/// the module docs for why.
+/// [`Simulation::run_pipelined`] over a borrowed config: a one-call
+/// forwarder, kept because the perfbench benchmark calls it. New code
+/// builds a [`Simulation`].
 pub fn run_parallel<Src, W>(
     config: &ClusterConfig,
     source: Src,
@@ -202,220 +196,221 @@ where
     Src: ArrivalSource + Send,
     W: Write + Send,
 {
-    run_parallel_profiled::<Src, W, NullProfiler>(config, source, workload, policy, jsonl, options)
+    Simulation::from_source(config.clone(), source, workload).run_pipelined(policy, jsonl, options)
 }
 
-/// [`run_parallel`] with a [`cc_prof::Profiler`] observing every pipeline
-/// thread: the decision core's engine phases plus feeder, encoder,
-/// telemetry-folder, and mux spans (with channel send/recv blocking-time
-/// counters). [`NullProfiler`] (what [`run_parallel`] uses) compiles every
-/// probe away; results are bit-identical regardless of profiler.
-pub fn run_parallel_profiled<Src, W, P>(
-    config: &ClusterConfig,
-    source: Src,
-    workload: &Workload,
-    policy: &mut dyn Scheduler,
-    jsonl: Option<W>,
-    options: &ParallelOptions,
-) -> io::Result<(ParallelOutcome, Option<W>)>
-where
-    Src: ArrivalSource + Send,
-    W: Write + Send,
-    P: Profiler,
-{
-    let workers = options.workers.max(1);
-    let queue_depth = options.queue_depth.max(1);
-    let arrival_chunk = options.arrival_chunk.max(1);
-    let window = if options.window > SimDuration::ZERO {
-        options.window
-    } else {
-        config.interval
-    };
-    let horizon = source.horizon();
-    let len_hint = source.len_hint();
-    let interval = config.interval;
-
-    std::thread::scope(|scope| {
-        // Stage 1: the feeder pre-generates arrivals ahead of the engine.
-        let (chunk_tx, chunk_rx) = sync_channel::<Vec<Invocation>>(queue_depth);
-        let mut source = source;
-        scope.spawn(move || {
-            if P::ENABLED {
-                P::thread_label("feeder");
-            }
-            {
-                // One span for the whole feed: blocked-send time (engine
-                // backpressure) is deliberately inside it.
-                let _span = P::scope(Phase::Feeder);
-                let mut chunk = Vec::with_capacity(arrival_chunk);
-                while let Some(inv) = source.next_invocation() {
-                    chunk.push(inv);
-                    if chunk.len() >= arrival_chunk {
-                        let full = std::mem::replace(&mut chunk, Vec::with_capacity(arrival_chunk));
-                        if timed_send::<_, P>(&chunk_tx, full).is_err() {
-                            // Engine hung up (panic unwind) — stop feeding.
-                            break;
-                        }
-                    }
-                }
-                if !chunk.is_empty() {
-                    let _ = timed_send::<_, P>(&chunk_tx, chunk);
-                }
-            }
-            if P::ENABLED {
-                // A scope join can resume the parent before this thread's
-                // TLS destructors merge; flush explicitly.
-                cc_prof::flush_thread();
-            }
-        });
-        let chunked = ChunkedSource {
-            rx: chunk_rx,
-            current: Vec::new().into_iter(),
-            horizon,
-            len_hint,
+impl<Src: ArrivalSource + Send, P: Profiler> Simulation<'_, Src, P> {
+    /// Runs one simulation with the instrumentation pipeline spread across
+    /// threads: feeder + decision core + `workers` JSONL encoders +
+    /// ordered writer + telemetry folder. Under [`Simulation::profiled`]
+    /// the profiler observes every pipeline thread: the decision core's
+    /// engine phases plus feeder, encoder, telemetry-folder, and mux spans
+    /// (with channel send/recv blocking-time counters).
+    ///
+    /// When `jsonl` is `Some`, the returned writer carries the encoded
+    /// event stream — byte-identical to a serial
+    /// [`JsonlSink`](cc_obs::JsonlSink) run. When `None`, no encoder
+    /// threads are spawned and only telemetry is folded.
+    ///
+    /// Results are independent of `options.workers` and `options.window`;
+    /// see the module docs for why.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Simulation::run`].
+    pub fn run_pipelined<W: Write + Send>(
+        mut self,
+        policy: &mut dyn Scheduler,
+        jsonl: Option<W>,
+        options: &ParallelOptions,
+    ) -> io::Result<(ParallelOutcome, Option<W>)> {
+        self.collect_records &= options.collect_records;
+        let source = self.open_arrivals();
+        let workers = options.workers.max(1);
+        let interval = self.config.interval;
+        let window = if options.window > SimDuration::ZERO {
+            options.window
+        } else {
+            interval
         };
+        let horizon = source.horizon();
+        let len_hint = source.len_hint();
 
-        // Stage 3a: the telemetry folder. Its single-producer channel
-        // delivers batches in index order, so folding order equals the
-        // serial emission order (P² quantiles are order-sensitive).
-        let (tel_tx, tel_rx) = sync_channel::<EventBatch>(queue_depth);
-        let telemetry_handle = scope.spawn(move || {
-            if P::ENABLED {
-                P::thread_label("telemetry");
-            }
-            let result = {
-                // One span per run: time blocked waiting on batches is
-                // part of this thread's story, not noise.
-                let _span = P::scope(Phase::TelemetryFold);
-                let mut telemetry = Telemetry::new(interval);
-                let mut events = 0u64;
-                for batch in tel_rx {
-                    for event in batch.events.iter() {
-                        telemetry.record(event);
-                    }
-                    events += batch.events.len() as u64;
-                }
-                (telemetry, events)
-            };
-            if P::ENABLED {
-                cc_prof::flush_thread();
-            }
-            result
-        });
-
-        // Stage 3b: encoder pool + ordered writer, only when JSONL output
-        // is wanted.
-        let mut subscribers = vec![tel_tx];
-        let writer_handle = jsonl.map(|out| {
-            let (enc_tx, enc_rx) = sync_channel::<EventBatch>(queue_depth);
-            subscribers.push(enc_tx);
-            // Workers take turns receiving (the mutex is held only while
-            // waiting for one batch); encoding runs outside the lock, so
-            // with ragged batch sizes the pool load-balances itself.
-            let shared = Arc::new(Mutex::new(enc_rx));
-            let (bytes_tx, bytes_rx) = sync_channel::<(u64, Vec<u8>)>(queue_depth * workers);
-            for _ in 0..workers {
-                let shared = Arc::clone(&shared);
-                let bytes_tx = bytes_tx.clone();
-                scope.spawn(move || {
-                    if P::ENABLED {
-                        P::thread_label("encoder");
-                    }
-                    loop {
-                        let recv_started = P::ENABLED.then(Instant::now);
-                        let received = {
-                            let rx = shared.lock().expect("encoder receiver poisoned");
-                            rx.recv()
-                        };
-                        if let Some(started) = recv_started {
-                            P::add(
-                                PerfCounter::ChannelRecvBlockNs,
-                                started.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        let Ok(batch) = received else {
-                            break;
-                        };
-                        let _span = P::scope(Phase::Encode);
-                        let mut buf = Vec::with_capacity(batch.events.len() * ENCODED_EVENT_BYTES);
-                        for event in batch.events.iter() {
-                            write_event_line(&mut buf, event);
-                        }
-                        if timed_send::<_, P>(&bytes_tx, (batch.index, buf)).is_err() {
-                            break;
-                        }
-                    }
-                    if P::ENABLED {
-                        cc_prof::flush_thread();
-                    }
-                });
-            }
-            drop(bytes_tx);
+        std::thread::scope(|scope| {
+            // Stage 1: the feeder pre-generates arrivals ahead of the engine.
+            let (chunk_tx, chunk_rx) = sync_channel::<Vec<Invocation>>(QUEUE_DEPTH);
+            let mut source = source;
             scope.spawn(move || {
                 if P::ENABLED {
-                    P::thread_label("mux");
+                    P::thread_label("feeder");
+                }
+                {
+                    // One span for the whole feed: blocked-send time (engine
+                    // backpressure) is deliberately inside it.
+                    let _span = P::scope(Phase::Feeder);
+                    let mut chunk = Vec::with_capacity(ARRIVAL_CHUNK);
+                    while let Some(inv) = source.next_invocation() {
+                        chunk.push(inv);
+                        if chunk.len() >= ARRIVAL_CHUNK {
+                            let full =
+                                std::mem::replace(&mut chunk, Vec::with_capacity(ARRIVAL_CHUNK));
+                            if timed_send::<_, P>(&chunk_tx, full).is_err() {
+                                // Engine hung up (panic unwind) — stop feeding.
+                                break;
+                            }
+                        }
+                    }
+                    if !chunk.is_empty() {
+                        let _ = timed_send::<_, P>(&chunk_tx, chunk);
+                    }
+                }
+                if P::ENABLED {
+                    // A scope join can resume the parent before this thread's
+                    // TLS destructors merge; flush explicitly.
+                    cc_prof::flush_thread();
+                }
+            });
+            let chunked = ChunkedSource {
+                rx: chunk_rx,
+                current: Vec::new().into_iter(),
+                horizon,
+                len_hint,
+            };
+
+            // Stage 3a: the telemetry folder. Its single-producer channel
+            // delivers batches in index order, so folding order equals the
+            // serial emission order (P² quantiles are order-sensitive).
+            let (tel_tx, tel_rx) = sync_channel::<EventBatch>(QUEUE_DEPTH);
+            let telemetry_handle = scope.spawn(move || {
+                if P::ENABLED {
+                    P::thread_label("telemetry");
                 }
                 let result = {
-                    let _span = P::scope(Phase::MuxWrite);
-                    mux_chunks(bytes_rx, out)
+                    // One span per run: time blocked waiting on batches is
+                    // part of this thread's story, not noise.
+                    let _span = P::scope(Phase::TelemetryFold);
+                    let mut telemetry = Telemetry::new(interval);
+                    let mut events = 0u64;
+                    for batch in tel_rx {
+                        for event in batch.events.iter() {
+                            telemetry.record(event);
+                        }
+                        events += batch.events.len() as u64;
+                    }
+                    (telemetry, events)
                 };
                 if P::ENABLED {
-                    if let Ok((_, written)) = &result {
-                        P::add(PerfCounter::ChunksWritten, *written);
-                    }
                     cc_prof::flush_thread();
                 }
                 result
-            })
-        });
+            });
 
-        // Stage 2: the decision core — the exact serial loop, on this
-        // thread, recording into the batching sink.
-        let mut sink = BatchSink::new(window, options.batch_events.max(1), subscribers);
-        if P::ENABLED {
-            P::thread_label("decision");
-        }
-        let report = run_streaming_profiled::<_, _, P>(
-            config,
-            chunked,
-            workload,
-            policy,
-            &mut sink,
-            options.collect_records,
-        );
-        let (batches, _failures) = sink.finish();
+            // Stage 3b: encoder pool + ordered writer, only when JSONL output
+            // is wanted.
+            let mut subscribers = vec![tel_tx];
+            let writer_handle = jsonl.map(|out| {
+                let (enc_tx, enc_rx) = sync_channel::<EventBatch>(QUEUE_DEPTH);
+                subscribers.push(enc_tx);
+                // Workers take turns receiving (the mutex is held only while
+                // waiting for one batch); encoding runs outside the lock, so
+                // with ragged batch sizes the pool load-balances itself.
+                let shared = Arc::new(Mutex::new(enc_rx));
+                let (bytes_tx, bytes_rx) = sync_channel::<(u64, Vec<u8>)>(QUEUE_DEPTH * workers);
+                for _ in 0..workers {
+                    let shared = Arc::clone(&shared);
+                    let bytes_tx = bytes_tx.clone();
+                    scope.spawn(move || {
+                        if P::ENABLED {
+                            P::thread_label("encoder");
+                        }
+                        loop {
+                            let recv_started = P::ENABLED.then(Instant::now);
+                            let received = {
+                                let rx = shared.lock().expect("encoder receiver poisoned");
+                                rx.recv()
+                            };
+                            if let Some(started) = recv_started {
+                                P::add(
+                                    PerfCounter::ChannelRecvBlockNs,
+                                    started.elapsed().as_nanos() as u64,
+                                );
+                            }
+                            let Ok(batch) = received else {
+                                break;
+                            };
+                            let _span = P::scope(Phase::Encode);
+                            let mut buf =
+                                Vec::with_capacity(batch.events.len() * ENCODED_EVENT_BYTES);
+                            for event in batch.events.iter() {
+                                write_event_line(&mut buf, event);
+                            }
+                            if timed_send::<_, P>(&bytes_tx, (batch.index, buf)).is_err() {
+                                break;
+                            }
+                        }
+                        if P::ENABLED {
+                            cc_prof::flush_thread();
+                        }
+                    });
+                }
+                drop(bytes_tx);
+                scope.spawn(move || {
+                    if P::ENABLED {
+                        P::thread_label("mux");
+                    }
+                    let result = {
+                        let _span = P::scope(Phase::MuxWrite);
+                        mux_chunks(bytes_rx, out)
+                    };
+                    if P::ENABLED {
+                        if let Ok((_, written)) = &result {
+                            P::add(PerfCounter::ChunksWritten, *written);
+                        }
+                        cc_prof::flush_thread();
+                    }
+                    result
+                })
+            });
 
-        // Hang-ups cascade: `sink` dropped its senders, so the telemetry
-        // folder and encoders drain and exit, then the writer's channel
-        // closes and the mux returns.
-        let (telemetry, events) = telemetry_handle.join().expect("telemetry thread panicked");
-        let (out, chunks_written) = match writer_handle {
-            Some(handle) => {
-                let (out, written) = handle.join().expect("writer thread panicked")?;
-                (Some(out), written)
+            // Stage 2: the decision core — the exact serial loop, on this
+            // thread, recording into the batching sink.
+            let mut sink = BatchSink::new(window, BATCH_EVENTS, subscribers);
+            if P::ENABLED {
+                P::thread_label("decision");
             }
-            None => (None, 0),
-        };
+            let report = self.run_engine(chunked, policy, &mut sink);
+            let (batches, _failures) = sink.finish();
 
-        Ok((
-            ParallelOutcome {
-                report,
-                telemetry,
-                batches,
-                events,
-                chunks_written,
-            },
-            out,
-        ))
-    })
+            // Hang-ups cascade: `sink` dropped its senders, so the telemetry
+            // folder and encoders drain and exit, then the writer's channel
+            // closes and the mux returns.
+            let (telemetry, events) = telemetry_handle.join().expect("telemetry thread panicked");
+            let (out, chunks_written) = match writer_handle {
+                Some(handle) => {
+                    let (out, written) = handle.join().expect("writer thread panicked")?;
+                    (Some(out), written)
+                }
+                None => (None, 0),
+            };
+
+            Ok((
+                ParallelOutcome {
+                    report,
+                    telemetry,
+                    batches,
+                    events,
+                    chunks_written,
+                },
+                out,
+            ))
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_streaming;
-    use crate::source::SliceSource;
-    use crate::{FixedKeepAlive, Simulation};
+    use crate::FixedKeepAlive;
     use crate::{JsonlSink, Tee};
     use cc_compress::CompressionModel;
     use cc_trace::SyntheticTrace;
@@ -453,15 +448,9 @@ mod tests {
             let options = ParallelOptions::default()
                 .with_workers(workers)
                 .with_window(SimDuration::from_secs(30));
-            let (outcome, bytes) = run_parallel(
-                &config,
-                SliceSource::from_trace(&trace),
-                &workload,
-                &mut policy,
-                Some(Vec::new()),
-                &options,
-            )
-            .expect("pipeline io");
+            let (outcome, bytes) = Simulation::new(config.clone(), &trace, &workload)
+                .run_pipelined(&mut policy, Some(Vec::new()), &options)
+                .expect("pipeline io");
             assert_eq!(
                 outcome.report.digest(),
                 serial.digest(),
@@ -489,15 +478,9 @@ mod tests {
             let mut policy = FixedKeepAlive::ten_minutes();
             let options =
                 ParallelOptions::default().with_window(SimDuration::from_secs(window_secs));
-            let (outcome, bytes) = run_parallel(
-                &config,
-                SliceSource::from_trace(&trace),
-                &workload,
-                &mut policy,
-                Some(Vec::new()),
-                &options,
-            )
-            .expect("pipeline io");
+            let (outcome, bytes) = Simulation::new(config.clone(), &trace, &workload)
+                .run_pipelined(&mut policy, Some(Vec::new()), &options)
+                .expect("pipeline io");
             let key = (
                 outcome.report.digest(),
                 outcome.telemetry.digest(),
@@ -532,7 +515,8 @@ mod tests {
 
         let mut policy = FixedKeepAlive::ten_minutes();
         let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
-        let serial = run_streaming(&config, stream, &workload, &mut policy, &mut tee, true);
+        let serial = Simulation::from_source(config.clone(), stream, &workload)
+            .run_with_sink(&mut policy, &mut tee);
         let serial_bytes = tee.0.finish().expect("flush");
         let serial_tel = tee.1.digest();
         assert!(serial.stats.invocations() > 0);
@@ -540,15 +524,9 @@ mod tests {
         for workers in [1usize, 3] {
             let mut policy = FixedKeepAlive::ten_minutes();
             let options = ParallelOptions::default().with_workers(workers);
-            let (outcome, bytes) = run_parallel(
-                &config,
-                build(),
-                &workload,
-                &mut policy,
-                Some(Vec::new()),
-                &options,
-            )
-            .expect("pipeline io");
+            let (outcome, bytes) = Simulation::from_source(config.clone(), build(), &workload)
+                .run_pipelined(&mut policy, Some(Vec::new()), &options)
+                .expect("pipeline io");
             assert_eq!(outcome.report.digest(), serial.digest());
             assert_eq!(outcome.telemetry.digest(), serial_tel);
             assert_eq!(bytes.expect("jsonl requested"), serial_bytes);
@@ -559,15 +537,9 @@ mod tests {
     fn telemetry_only_pipeline_skips_encoders() {
         let (trace, workload, config) = scenario();
         let mut policy = FixedKeepAlive::ten_minutes();
-        let (outcome, bytes) = run_parallel::<_, Vec<u8>>(
-            &config,
-            SliceSource::from_trace(&trace),
-            &workload,
-            &mut policy,
-            None,
-            &ParallelOptions::default(),
-        )
-        .expect("pipeline io");
+        let (outcome, bytes) = Simulation::new(config.clone(), &trace, &workload)
+            .run_pipelined::<Vec<u8>>(&mut policy, None, &ParallelOptions::default())
+            .expect("pipeline io");
         assert!(bytes.is_none());
         assert_eq!(outcome.chunks_written, 0);
         assert!(outcome.events > 0);

@@ -46,6 +46,11 @@ pub struct SimReport {
     /// [`SimReport::rejected_arrivals`], and likewise kept out of
     /// [`SimReport::digest`].
     pub out_of_order_arrivals: u64,
+    /// Invocations the arrival source delivered later than its own
+    /// horizon: skipped at the engine's source boundary like
+    /// [`SimReport::rejected_arrivals`], and likewise kept out of
+    /// [`SimReport::digest`].
+    pub past_horizon_arrivals: u64,
     /// Estimated wall-clock time spent inside policy callbacks (decision
     /// overhead). `on_interval` and ranked evictions are timed on every
     /// call; the per-invocation callbacks (`on_arrival`, `place`,
@@ -58,9 +63,9 @@ pub struct SimReport {
 impl SimReport {
     /// FNV-1a digest over a canonical byte encoding of everything the
     /// simulator measures (wall-clock `decision_time` excluded — it is the
-    /// one nondeterministic field — and so are `rejected_arrivals` and
-    /// `out_of_order_arrivals`, which count input the simulation never
-    /// saw).
+    /// one nondeterministic field — and so are `rejected_arrivals`,
+    /// `out_of_order_arrivals` and `past_horizon_arrivals`, which count
+    /// input the simulation never saw).
     ///
     /// This is the workspace's equality oracle: the golden-determinism
     /// tests pin per-policy constants to it, and `simbench --shards N`

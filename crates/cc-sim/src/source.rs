@@ -39,10 +39,14 @@ pub enum Fetch {
 /// [`SimReport::out_of_order_arrivals`](crate::SimReport::out_of_order_arrivals),
 /// and one of a function outside the workload in
 /// [`SimReport::rejected_arrivals`](crate::SimReport::rejected_arrivals).
-/// [`ArrivalSource::horizon`] is the logical trace length that bounds the interval-tick chain. Batch sources
-/// keep it constant; a live source may report an open horizon
-/// (`SimDuration::from_micros(u64::MAX)`) that collapses to the final
-/// value once the stream closes — the engine re-reads it at every tick.
+/// [`ArrivalSource::horizon`] is the logical trace length that bounds the
+/// interval-tick chain, and no arrival may come after it: one that does is
+/// skipped and counted in
+/// [`SimReport::past_horizon_arrivals`](crate::SimReport::past_horizon_arrivals).
+/// Batch sources keep the horizon constant; a live source may report an
+/// open horizon (`SimDuration::from_micros(u64::MAX)`) that collapses to
+/// the final value once the stream closes — the engine reads it when the
+/// run starts and re-reads it at every tick.
 pub trait ArrivalSource {
     /// The next invocation, or `None` when the stream is exhausted. May
     /// block until one is available.

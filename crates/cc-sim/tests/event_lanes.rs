@@ -1,8 +1,8 @@
 //! The engine's event lanes: ticks and arrivals never touch the event
 //! heap, the lanes merge in class order at equal instants, a live source
 //! is never asked to wait past the tick lane, and the arrival lane skips
-//! invocations of functions outside the workload and invocations out of
-//! time order.
+//! invocations of functions outside the workload, invocations out of time
+//! order, and invocations past the source's horizon.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -10,9 +10,8 @@ use std::rc::Rc;
 use cc_compress::CompressionModel;
 use cc_prof::PerfCounter;
 use cc_sim::{
-    run_streaming, ArrivalSource, BufferSink, ClusterConfig, ClusterView, Command, Event, Fetch,
-    FixedKeepAlive, KeepDecision, NullSink, ReleaseReason, Scheduler, Simulation, SliceSource,
-    WallProfiler,
+    ArrivalSource, BufferSink, ClusterConfig, ClusterView, Command, Event, Fetch, FixedKeepAlive,
+    KeepDecision, ReleaseReason, Scheduler, Simulation, SliceSource,
 };
 use cc_trace::{SyntheticTrace, Trace, TraceFunction};
 use cc_types::{Arch, FunctionId, Invocation, MemoryMb, SimDuration, SimTime};
@@ -74,7 +73,8 @@ fn heap_pushes(
 ) -> (cc_sim::SimReport, u64) {
     cc_prof::reset();
     let report = Simulation::new(config, trace, workload)
-        .run_with_sink_profiled::<NullSink, WallProfiler>(policy, &mut NullSink);
+        .profiled()
+        .run(policy);
     let pushes = cc_prof::take_profile("event lanes", 0).counter(PerfCounter::EventHeapPushes);
     (report, pushes)
 }
@@ -122,14 +122,12 @@ fn foreign_function_ids_are_skipped_and_counted() {
     invocations.insert(middle, foreign);
 
     let mut policy = FixedKeepAlive::ten_minutes();
-    let report = run_streaming(
-        &config,
+    let report = Simulation::from_source(
+        config.clone(),
         SliceSource::new(&invocations, trace.duration()),
         &workload,
-        &mut policy,
-        &mut NullSink,
-        true,
-    );
+    )
+    .run(&mut policy);
     assert_eq!(report.rejected_arrivals, 1);
     assert_eq!(report.records.len(), trace.invocations().len());
 
@@ -153,14 +151,12 @@ fn out_of_order_arrivals_are_skipped_and_counted() {
     invocations.insert(middle, early);
 
     let mut policy = FixedKeepAlive::ten_minutes();
-    let report = run_streaming(
-        &config,
+    let report = Simulation::from_source(
+        config.clone(),
         SliceSource::new(&invocations, trace.duration()),
         &workload,
-        &mut policy,
-        &mut NullSink,
-        true,
-    );
+    )
+    .run(&mut policy);
     assert_eq!(report.out_of_order_arrivals, 1);
     assert_eq!(report.rejected_arrivals, 0);
     assert_eq!(report.records.len(), trace.invocations().len());
@@ -168,6 +164,39 @@ fn out_of_order_arrivals_are_skipped_and_counted() {
     let mut policy = FixedKeepAlive::ten_minutes();
     let clean = Simulation::new(config, &trace, &workload).run(&mut policy);
     assert_eq!(clean.out_of_order_arrivals, 0);
+    assert_eq!(report.digest(), clean.digest());
+}
+
+/// An invocation later than the source's own horizon is skipped and
+/// counted at the source boundary, in every build; the rest of the run is
+/// the run without it.
+#[test]
+fn past_horizon_arrivals_are_skipped_and_counted() {
+    let (trace, workload) = scenario();
+    let config = ClusterConfig::small(2, 2);
+    let mut invocations = trace.invocations().to_vec();
+    let last = *invocations.last().expect("the scenario has arrivals");
+    assert_eq!(last.arrival, SimTime::ZERO + trace.duration());
+    invocations.push(Invocation::new(
+        last.function,
+        last.arrival + SimDuration::from_secs(1),
+    ));
+
+    let mut policy = FixedKeepAlive::ten_minutes();
+    let report = Simulation::from_source(
+        config.clone(),
+        SliceSource::new(&invocations, trace.duration()),
+        &workload,
+    )
+    .run(&mut policy);
+    assert_eq!(report.past_horizon_arrivals, 1);
+    assert_eq!(report.out_of_order_arrivals, 0);
+    assert_eq!(report.rejected_arrivals, 0);
+    assert_eq!(report.records.len(), trace.invocations().len());
+
+    let mut policy = FixedKeepAlive::ten_minutes();
+    let clean = Simulation::new(config, &trace, &workload).run(&mut policy);
+    assert_eq!(clean.past_horizon_arrivals, 0);
     assert_eq!(report.digest(), clean.digest());
 }
 
@@ -223,7 +252,7 @@ fn a_live_source_is_asked_up_to_every_tick() {
         deadlines: Rc::clone(&deadlines),
     };
     let mut policy = FixedKeepAlive::new(gap * 2, false);
-    let report = run_streaming(&config, probe, &workload, &mut policy, &mut NullSink, true);
+    let report = Simulation::from_source(config.clone(), probe, &workload).run(&mut policy);
     assert_eq!(report.records.len(), 2);
     let deadlines = deadlines.borrow();
     for k in 1..10 {

@@ -87,10 +87,9 @@ pub mod prelude {
         run_sharded, run_sharded_jsonl, MuxReport, NullSinkFactory, ShardResult, SinkFactory,
     };
     pub use cc_sim::{
-        fnv1a, run_parallel, run_streaming, ArrivalSource, BufferSink, ChromeTraceSink,
-        ClusterConfig, Event, EventSink, Fetch, FixedKeepAlive, JsonlSink, NullSink,
-        ParallelOptions, ParallelOutcome, RuntimeKind, Scheduler, SharedTelemetry, SimReport,
-        Simulation, SliceSource, Tee, Telemetry,
+        fnv1a, ArrivalSource, BufferSink, ChromeTraceSink, ClusterConfig, Event, EventSink, Fetch,
+        FixedKeepAlive, JsonlSink, NullSink, ParallelOptions, ParallelOutcome, RuntimeKind,
+        Scheduler, SharedTelemetry, SimReport, Simulation, SliceSource, Tee, Telemetry,
     };
     pub use cc_trace::{Perturbation, StreamingTrace, SyntheticTrace, Trace};
     pub use cc_types::{

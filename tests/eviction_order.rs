@@ -146,15 +146,13 @@ fn both_engines(
     let serial =
         Simulation::new(config.clone(), trace, workload).run_with_sink(make().as_mut(), &mut sink);
     let serial_bytes = sink.finish().expect("in-memory writer cannot fail");
-    let (outcome, parallel_bytes) = run_parallel(
-        config,
-        SliceSource::from_trace(trace),
-        workload,
-        make().as_mut(),
-        Some(Vec::new()),
-        &ParallelOptions::default().with_workers(2),
-    )
-    .expect("in-memory pipeline cannot fail");
+    let (outcome, parallel_bytes) = Simulation::new(config.clone(), trace, workload)
+        .run_pipelined(
+            make().as_mut(),
+            Some(Vec::new()),
+            &ParallelOptions::default().with_workers(2),
+        )
+        .expect("in-memory pipeline cannot fail");
     (
         serial,
         serial_bytes,

@@ -1,6 +1,6 @@
 //! Intra-run parallel engine parity tests.
 //!
-//! `cc_sim::run_parallel` pipelines one simulation across threads (arrival
+//! `Simulation::run_pipelined` pipelines one simulation across threads (arrival
 //! prefetch, window-batched event encoding, ordered write-out, telemetry
 //! folding) while the decision core runs the exact serial loop. These
 //! tests pin the headline guarantee: for every policy and every worker
@@ -20,15 +20,9 @@ fn parallel_run(
     options: &ParallelOptions,
 ) -> (ParallelOutcome, Vec<u8>) {
     let (trace, workload, config) = scenario();
-    let (outcome, bytes) = run_parallel(
-        &config,
-        SliceSource::from_trace(&trace),
-        &workload,
-        policy,
-        Some(Vec::new()),
-        options,
-    )
-    .expect("in-memory pipeline cannot fail");
+    let (outcome, bytes) = Simulation::new(config, &trace, &workload)
+        .run_pipelined(policy, Some(Vec::new()), options)
+        .expect("in-memory pipeline cannot fail");
     (outcome, bytes.expect("jsonl requested"))
 }
 
@@ -195,15 +189,9 @@ mod randomized {
                 let options = ParallelOptions::default()
                     .with_workers(workers)
                     .with_window(SimDuration::from_secs(window_secs));
-                let (outcome, bytes) = run_parallel(
-                    &config,
-                    SliceSource::from_trace(&trace),
-                    &workload,
-                    policy_for(name, &trace).as_mut(),
-                    Some(Vec::new()),
-                    &options,
-                )
-                .expect("in-memory pipeline cannot fail");
+                let (outcome, bytes) = Simulation::new(config, &trace, &workload)
+                    .run_pipelined(policy_for(name, &trace).as_mut(), Some(Vec::new()), &options)
+                    .expect("in-memory pipeline cannot fail");
                 prop_assert_eq!(
                     outcome.report.digest(),
                     serial_report.digest(),

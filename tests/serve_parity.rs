@@ -173,14 +173,12 @@ fn burst_100x_queue_depth_catches_up_losslessly() {
 
     let mut batch_policy = policy_for("codecrunch", &trace);
     let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
-    let batch_report = run_streaming(
-        &config,
+    let batch_report = Simulation::from_source(
+        config.clone(),
         SliceSource::new(&arrivals, horizon),
         &workload,
-        batch_policy.as_mut(),
-        &mut tee,
-        true,
-    );
+    )
+    .run_with_sink(batch_policy.as_mut(), &mut tee);
     let batch_bytes = tee.0.finish().expect("in-memory writer cannot fail");
     let batch_tel = tee.1.digest();
 
@@ -247,14 +245,12 @@ fn drain_mid_interval_matches_batch_truncated_at_the_same_instant() {
         assert!(kept.len() < trace.invocations().len());
         let truncated_horizon = SimDuration::from_micros(cut.as_micros());
         let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
-        let batch_report = run_streaming(
-            &config,
+        let batch_report = Simulation::from_source(
+            config.clone(),
             SliceSource::new(&kept, truncated_horizon),
             &workload,
-            policy_for(name, &trace).as_mut(),
-            &mut tee,
-            true,
-        );
+        )
+        .run_with_sink(policy_for(name, &trace).as_mut(), &mut tee);
         let batch_bytes = tee.0.finish().expect("in-memory writer cannot fail");
         let batch_tel = tee.1.digest();
 
@@ -336,14 +332,12 @@ fn live_drain_matches_batch_truncated_at_the_returned_instant() {
         .collect();
     let mut batch_policy = policy_for("codecrunch", &trace);
     let mut batch_tel = Telemetry::new(config.interval);
-    let batch_report = run_streaming(
-        &config,
+    let batch_report = Simulation::from_source(
+        config.clone(),
         SliceSource::new(&kept, SimDuration::from_micros(eff.as_micros())),
         &workload,
-        batch_policy.as_mut(),
-        &mut batch_tel,
-        true,
-    );
+    )
+    .run_with_sink(batch_policy.as_mut(), &mut batch_tel);
     assert_eq!(outcome.report.digest(), batch_report.digest());
     assert_eq!(telemetry.digest(), batch_tel.digest());
 }
@@ -373,14 +367,9 @@ fn soak_48_virtual_hours_is_audited_and_batch_identical() {
 
     let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
     let mut batch_policy = CodeCrunch::new();
-    let batch_report = run_streaming(
-        &config,
-        stream(),
-        &workload,
-        &mut batch_policy,
-        &mut tee,
-        false,
-    );
+    let batch_report = Simulation::from_source(config.clone(), stream(), &workload)
+        .without_records()
+        .run_with_sink(&mut batch_policy, &mut tee);
     let batch_bytes = tee.0.finish().expect("in-memory writer cannot fail");
     let batch_tel = tee.1.digest();
 

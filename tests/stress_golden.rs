@@ -12,7 +12,7 @@
 mod common;
 
 use cc_experiments::Scale;
-use cc_prof::{PerfCounter, WallProfiler};
+use cc_prof::PerfCounter;
 use codecrunch_suite::prelude::*;
 use common::policy_for;
 
@@ -78,7 +78,8 @@ fn the_lazy_calendar_compacts_under_stress() {
     let mut policy = policy_for("codecrunch", &trace);
     cc_prof::reset();
     let report = Simulation::new(config, &trace, &workload)
-        .run_with_sink_profiled::<NullSink, WallProfiler>(policy.as_mut(), &mut NullSink);
+        .profiled()
+        .run(policy.as_mut());
     let profile = cc_prof::take_profile("stress codecrunch", 0);
     let compactions = profile.counter(PerfCounter::CalendarCompactions);
     println!(
