@@ -33,7 +33,9 @@
 //! per-interval table and final telemetry report from the events alone,
 //! and cross-checks the reconstruction against the recorded `snapshot`
 //! lines. `--audit` additionally runs the stream invariant auditor and
-//! exits non-zero on any violation.
+//! exits non-zero on any violation. Given scenario flags (those `--gap`
+//! takes, below), the audit also holds every node id to the cluster and
+//! every function id to the workload.
 //!
 //! `ccstat replay <file.jsonl> --gap` computes each shard's optimality gap
 //! post-hoc, without re-simulating: service records and net keep-alive
@@ -62,6 +64,7 @@ use std::time::Instant;
 use bench::{check_scale, cli_scale, scale_flag, BenchScenario};
 use cc_bound::{measured_cost_of_records, GapReport, HindsightInput};
 use cc_experiments::{policy, Scale, POLICIES};
+use cc_replay::IdBounds;
 use cc_shard::{run_sharded, run_sharded_jsonl, NullSinkFactory};
 use cc_sim::{
     ChromeTraceSink, ClusterConfig, Event, EventSink, JsonlSink, NullSink, SimReport, Simulation,
@@ -305,16 +308,20 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
     let mut audit = false;
     let mut table = true;
     let mut gap = false;
-    // Scenario flags for `--gap`: must match the capture.
+    // Scenario flags for `--gap` and the audit's id ranges: must match the
+    // capture.
     let mut scale = cli_scale();
     let mut budget: Option<Cost> = None;
+    let mut scenario_given = false;
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--audit" => audit = true,
             "--no-table" => table = false,
             "--gap" => gap = true,
-            other if scenario_flag(other, &mut args, &mut scale, &mut budget) => {}
+            other if scenario_flag(other, &mut args, &mut scale, &mut budget) => {
+                scenario_given = true;
+            }
             other if !other.starts_with("--") && file.is_none() => file = Some(other.to_string()),
             other => usage_error(&format!("unknown replay argument {other:?}")),
         }
@@ -418,7 +425,14 @@ fn run_replay(args: impl Iterator<Item = String>) -> ! {
         println!();
     }
     if audit {
-        let report = cc_replay::audit_log(&log, false);
+        let bounds = scenario_given.then(|| {
+            let (_, workload, config) = budgeted(&scale, budget);
+            IdBounds {
+                nodes: config.total_nodes() as usize,
+                functions: workload.len(),
+            }
+        });
+        let report = cc_replay::audit_log_within(&log, false, bounds);
         print!("{}", report.summary());
         if !report.is_clean() {
             failed = true;

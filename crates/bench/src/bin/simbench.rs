@@ -20,8 +20,8 @@
 //! exporters serialize the full event stream into `std::io::sink()`, so
 //! the measured delta is pure observability overhead with no disk noise.
 //!
-//! Results print to stderr; `--out PATH` also writes them as JSON (there
-//! is no default file).
+//! Results print to stderr, ending with the process's peak RSS; `--out
+//! PATH` also writes them as JSON (there is no default file).
 //!
 //! `--floor POLICY=INV_PER_S` (repeatable) exits 1 if the named policy's
 //! measured throughput falls below the floor. A floor holds only on the
@@ -541,6 +541,12 @@ fn main() {
             actual_invocations.unwrap_or(s.expected_invocations as u64),
         ),
     };
+    // The process's high-water mark over every replay of this scenario.
+    let peak_rss = cc_prof::peak_rss_bytes();
+    match peak_rss {
+        Some(bytes) => eprintln!("peak RSS: {}", cc_prof::fmt_bytes(bytes)),
+        None => eprintln!("peak RSS: n/a"),
+    }
     let doc = serde_json::json!({
         "benchmark": benchmark,
         "scenario_name": scenario_name,
@@ -553,6 +559,7 @@ fn main() {
         "workers": workers_opt.unwrap_or(0) as u64,
         "aggregate": aggregate,
         "gap": gap_block,
+        "peak_rss_bytes": peak_rss,
         "results": entries,
     });
     if let Some(out) = &out {
@@ -761,7 +768,8 @@ fn parallel_once(
         Bench::Stream(s) => {
             let mut policy = policy(name, None).expect("streaming runs select no oracle");
             // Per-invocation records at streaming scale would defeat the
-            // constant-memory point; the digest then covers stats only.
+            // constant-memory point; the digest then covers the stats and
+            // interval samples only.
             let simulation = Simulation::from_source(s.config.clone(), s.source(), &s.workload)
                 .without_records();
             run_parallel_once(simulation, policy.as_mut(), options, sink, audit, profiled)

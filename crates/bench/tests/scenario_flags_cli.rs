@@ -77,3 +77,59 @@ fn a_zero_budget_is_accepted() {
         "--budget 0 denies every keep-alive but is valid:\n{text}"
     );
 }
+
+/// `ccstat replay --audit` given the capture's scenario flags holds every
+/// node id to the cluster and every function id to the workload: a
+/// capture whose node 1 was rewritten to node 70000 still pairs up, so
+/// only the range check can catch it.
+#[test]
+fn replay_audit_holds_ids_to_the_scenario() {
+    let ccstat = env!("CARGO_BIN_EXE_ccstat");
+    let scenario = "--functions 30 --minutes 10 --x86 2 --arm 2";
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let capture = dir.join(format!("id-range-{}.jsonl", std::process::id()));
+    let capture = capture.to_str().expect("utf-8 path");
+    let (code, text) = run(
+        ccstat,
+        &format!("--policy fixed_keepalive {scenario} --no-table --jsonl {capture}"),
+    );
+    assert_eq!(code, 0, "capture failed:\n{text}");
+    let replay = |extra: &str| {
+        run(
+            ccstat,
+            &format!("replay {capture} --audit --no-table {extra}"),
+        )
+    };
+
+    let (code, text) = replay(scenario);
+    assert_eq!(code, 0, "the untouched capture audits clean:\n{text}");
+
+    let original = std::fs::read_to_string(capture).expect("read capture");
+    let forged = original.replace("\"node\":1,", "\"node\":70000,");
+    assert_ne!(forged, original, "the capture uses node 1");
+    std::fs::write(capture, forged).expect("write forged capture");
+    let (code, text) = replay(scenario);
+    assert_eq!(
+        code, 1,
+        "a node outside the cluster must fail the audit:\n{text}"
+    );
+    assert!(text.contains("[id-range]"), "{text}");
+    assert!(
+        text.contains("node 70000, outside the 4-node cluster"),
+        "{text}"
+    );
+    // Without scenario flags the ranges are unknown, and the forged ids
+    // pair up consistently.
+    let (code, text) = replay("");
+    assert_eq!(code, 0, "no scenario, no range check:\n{text}");
+
+    let forged = original.replace("\"fn\":3,", "\"fn\":4000000000,");
+    assert_ne!(forged, original, "the capture uses fn 3");
+    std::fs::write(capture, forged).expect("write forged capture");
+    let (_, text) = replay(scenario);
+    assert!(
+        text.contains("fn 4000000000, outside the 30-function workload"),
+        "{text}"
+    );
+    std::fs::remove_file(capture).expect("remove capture");
+}

@@ -41,7 +41,11 @@ impl Experiment for Fig10 {
 
         let warm_sitw = r_sitw.stats.warm_fraction_series();
         let warm_crunch = r_crunch.stats.warm_fraction_series();
-        let spend = r_crunch.spend_per_interval.clone();
+        let spend: Vec<f64> = r_crunch
+            .intervals
+            .iter()
+            .map(|s| s.spend_delta_dollars)
+            .collect();
         let accrual = budget.as_dollars();
         let over_accrual = spend.iter().filter(|&&s| s > accrual * 1.2).count();
         let under_accrual = spend.iter().filter(|&&s| s < accrual * 0.8).count();

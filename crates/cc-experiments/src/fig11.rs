@@ -40,7 +40,11 @@ impl Experiment for Fig11 {
         let r_without = run_policy(&mut without, &config, &trace, &workload);
 
         let load: Vec<f64> = trace.load_per_minute().iter().map(|&c| c as f64).collect();
-        let compressed = r_with.compression_events_per_interval.clone();
+        let compressed: Vec<f64> = r_with
+            .intervals
+            .iter()
+            .map(|s| s.compression_events_delta as f64)
+            .collect();
         let warm_with = r_with.stats.warm_fraction_series();
         let warm_without = r_without.stats.warm_fraction_series();
 

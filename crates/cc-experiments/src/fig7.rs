@@ -5,6 +5,7 @@
 //! over FaasCache, 17% over IceBreaker, and lands within 6% of the Oracle;
 //! Fig. 7(b) shows the per-invocation service-time CDF.
 
+use cc_metrics::Cdf;
 use serde_json::json;
 
 use crate::common::{policy, run_policy, sitw_budget_per_interval, ExperimentOutput, Scale};
@@ -40,7 +41,7 @@ impl Experiment for Fig7 {
         let mut per_invocation: Vec<(String, Vec<f64>)> = Vec::new();
         for name in ["sitw", "faascache", "icebreaker", "codecrunch", "oracle"] {
             let mut policy = policy(name, Some(&trace)).expect("a table policy");
-            let mut report = run_policy(policy.as_mut(), &config, &trace, &workload);
+            let report = run_policy(policy.as_mut(), &config, &trace, &workload);
             // Per-invocation service times in trace order (the runs share
             // the trace, so index i is the same request in every run).
             let mut services = vec![0.0f64; report.records.len()];
@@ -49,6 +50,7 @@ impl Experiment for Fig7 {
             for (i, r) in sorted.iter().enumerate() {
                 services[i] = r.service_time().as_secs_f64();
             }
+            let cdf = Cdf::from_samples(services.clone());
             per_invocation.push((report.policy.clone(), services));
             lines.push(format!(
                 "{:<12} {:>12.3} {:>7.1}% {:>7.1}% {:>12.6}",
@@ -58,7 +60,6 @@ impl Experiment for Fig7 {
                 report.stats.cold_fraction() * 100.0,
                 report.keep_alive_spend.as_dollars()
             ));
-            let cdf = report.stats.service_cdf();
             cdfs.push(json!({
                 "policy": report.policy,
                 "points": cdf.plot_points(20),

@@ -62,13 +62,13 @@ impl Experiment for TabStartKinds {
             lines.push(format!(
                 "{:<18} {:>12.3} {:>12.3} {:>10}",
                 kind.to_string(),
-                breakdown.service.mean(),
+                breakdown.mean_service_secs(),
                 mean_penalty,
                 breakdown.count
             ));
             kinds.push(json!({
                 "kind": kind.to_string(),
-                "mean_service_secs": breakdown.service.mean(),
+                "mean_service_secs": breakdown.mean_service_secs(),
                 "mean_penalty_secs": mean_penalty,
                 "count": breakdown.count,
             }));

@@ -10,7 +10,8 @@
 //!   fraction per minute).
 //! - [`ServiceStats`] — everything the evaluation section needs from one
 //!   simulation run: mean service time, per-[`StartKind`](cc_types::StartKind)
-//!   breakdowns, warm-start fraction, wait time.
+//!   breakdowns, warm-start fraction overall and per interval. It keeps
+//!   counts and sums only, so its memory does not grow per invocation.
 //! - [`P2Quantile`] — a constant-memory streaming quantile estimator for
 //!   runs too large to retain every sample.
 //!

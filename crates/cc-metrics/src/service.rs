@@ -3,23 +3,41 @@
 
 use cc_types::{ServiceRecord, SimDuration, StartKind};
 
-use crate::{Cdf, Summary, TimeSeries};
+use crate::TimeSeries;
 
-/// Per-[`StartKind`] service-time statistics.
-#[derive(Debug, Clone, Default)]
+/// Per-[`StartKind`] service-time totals.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StartBreakdown {
-    /// Service-time summary for invocations started this way (seconds).
-    pub service: Summary,
     /// Number of invocations started this way.
     pub count: u64,
+    /// Sum of their service times (seconds), added in record order.
+    pub service_secs: f64,
+}
+
+impl StartBreakdown {
+    /// Mean service time (seconds) of invocations started this way, or
+    /// `0.0` if there were none.
+    pub fn mean_service_secs(&self) -> f64 {
+        mean(self.service_secs, self.count)
+    }
+}
+
+fn mean(sum: f64, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
+    }
 }
 
 /// The complete figure-of-merit bundle the paper's evaluation reports for
 /// one simulation run.
 ///
 /// Feed it every [`ServiceRecord`] the simulator emits, then read off mean
-/// service time, warm-start fraction (overall and per minute), wait times,
-/// and per-start-kind breakdowns.
+/// service time, warm-start fraction (overall and per interval) and
+/// per-start-kind breakdowns. It keeps counts and sums, never the samples:
+/// its memory grows with the number of intervals, not of invocations.
+/// Distributions (the service-time CDF) come from the run's records.
 ///
 /// # Example
 ///
@@ -42,8 +60,7 @@ pub struct StartBreakdown {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
-    service: Summary,
-    wait: Summary,
+    service_secs: f64,
     warm_uncompressed: StartBreakdown,
     warm_compressed: StartBreakdown,
     cold: StartBreakdown,
@@ -56,8 +73,7 @@ impl ServiceStats {
     /// Creates an empty aggregator bucketing time series at `interval`.
     pub fn new(interval: SimDuration) -> Self {
         ServiceStats {
-            service: Summary::new(),
-            wait: Summary::new(),
+            service_secs: 0.0,
             warm_uncompressed: StartBreakdown::default(),
             warm_compressed: StartBreakdown::default(),
             cold: StartBreakdown::default(),
@@ -67,17 +83,16 @@ impl ServiceStats {
         }
     }
 
-    /// Incorporates one completed invocation.
+    /// Incorporates one started invocation.
     pub fn observe(&mut self, record: &ServiceRecord) {
         let service_secs = record.service_time().as_secs_f64();
-        self.service.record(service_secs);
-        self.wait.record(record.wait.as_secs_f64());
+        self.service_secs += service_secs;
         let bucket = match record.kind {
             StartKind::WarmUncompressed => &mut self.warm_uncompressed,
             StartKind::WarmCompressed => &mut self.warm_compressed,
             StartKind::Cold => &mut self.cold,
         };
-        bucket.service.record(service_secs);
+        bucket.service_secs += service_secs;
         bucket.count += 1;
 
         self.invocations_per_interval.record(record.arrival, 1.0);
@@ -88,19 +103,15 @@ impl ServiceStats {
         }
     }
 
-    /// Total number of completed invocations.
+    /// Total number of observed invocations.
     pub fn invocations(&self) -> u64 {
         self.warm_uncompressed.count + self.warm_compressed.count + self.cold.count
     }
 
-    /// Mean end-to-end service time in seconds (the paper's headline metric).
+    /// Mean end-to-end service time in seconds (the paper's headline
+    /// metric), or `0.0` before any invocation.
     pub fn mean_service_time_secs(&self) -> f64 {
-        self.service.mean()
-    }
-
-    /// Mean queueing wait in seconds.
-    pub fn mean_wait_secs(&self) -> f64 {
-        self.wait.mean()
+        mean(self.service_secs, self.invocations())
     }
 
     /// Fraction of invocations that received any warm start, in `[0, 1]`.
@@ -130,26 +141,20 @@ impl ServiceStats {
         }
     }
 
-    /// Overall service-time summary (seconds); `&mut` for lazy percentile
-    /// sorting.
-    pub fn service_summary(&mut self) -> &mut Summary {
-        &mut self.service
-    }
-
-    /// Builds the per-invocation service-time CDF (seconds) — Fig. 7(b).
-    pub fn service_cdf(&mut self) -> Cdf {
-        Cdf::from_samples(self.service.sorted_samples().to_vec())
-    }
-
     /// Warm-start fraction per interval — Figs. 1(a-b), 10(a), 11.
     pub fn warm_fraction_series(&self) -> Vec<f64> {
         self.warm_per_interval
             .ratio_of_sums(&self.invocations_per_interval)
     }
 
-    /// Invocation count per interval (load curve).
+    /// Invocations per interval, bucketed by arrival (load curve).
     pub fn load_series(&self) -> &TimeSeries {
         &self.invocations_per_interval
+    }
+
+    /// Warm starts per interval, bucketed by arrival.
+    pub fn warm_series(&self) -> &TimeSeries {
+        &self.warm_per_interval
     }
 
     /// Mean service time per interval — Fig. 15.
@@ -199,7 +204,13 @@ mod tests {
         assert_eq!(stats.breakdown(StartKind::Cold).count, 2);
         assert_eq!(stats.breakdown(StartKind::WarmCompressed).count, 0);
         // Cold service = 3s penalty + 2s exec.
-        assert_eq!(stats.breakdown(StartKind::Cold).service.mean(), 5.0);
+        assert_eq!(stats.breakdown(StartKind::Cold).mean_service_secs(), 5.0);
+        assert_eq!(
+            stats
+                .breakdown(StartKind::WarmCompressed)
+                .mean_service_secs(),
+            0.0
+        );
     }
 
     #[test]
@@ -222,12 +233,32 @@ mod tests {
     }
 
     #[test]
-    fn cdf_matches_observations() {
+    fn running_mean_is_the_summary_mean_bit_for_bit() {
+        // Sums are added in record order, as `Summary` adds its samples,
+        // so the mean is the same `f64`.
         let mut stats = ServiceStats::new(SimDuration::from_mins(1));
-        stats.observe(&rec(StartKind::WarmUncompressed, 0, 1));
-        stats.observe(&rec(StartKind::WarmUncompressed, 0, 3));
-        let cdf = stats.service_cdf();
-        assert_eq!(cdf.len(), 2);
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.5);
+        let mut all = crate::Summary::new();
+        let mut cold = crate::Summary::new();
+        for i in 0..1000u64 {
+            let kind = if i % 3 == 0 {
+                StartKind::Cold
+            } else {
+                StartKind::WarmCompressed
+            };
+            let mut r = rec(kind, i % 7, 0);
+            r.execution = SimDuration::from_micros(i * 1_234_567 % 9_999_991);
+            stats.observe(&r);
+            let secs = r.service_time().as_secs_f64();
+            all.record(secs);
+            if kind == StartKind::Cold {
+                cold.record(secs);
+            }
+        }
+        assert_eq!(
+            stats.mean_service_time_secs().to_bits(),
+            all.mean().to_bits()
+        );
+        let by_kind = stats.breakdown(StartKind::Cold).mean_service_secs();
+        assert_eq!(by_kind.to_bits(), cold.mean().to_bits());
     }
 }

@@ -3,10 +3,11 @@
 /// A sample-retaining summary of a stream of `f64` observations.
 ///
 /// Tracks count, sum, min and max online, and keeps every sample so
-/// percentiles are exact (nearest-rank). A two-week Azure-scale trace has
-/// tens of millions of invocations; at 8 bytes per sample the retained set
-/// stays comfortably in memory, and exactness matters for reproducing the
-/// paper's p75/max rows.
+/// percentiles are exact (nearest-rank), which matters for reproducing
+/// the paper's p75/max rows. Keeping every sample costs 8 bytes each, so
+/// per-invocation aggregates use [`ServiceStats`](crate::ServiceStats)'
+/// sums instead, and [`P2Quantile`](crate::P2Quantile) where a quantile
+/// must be estimated in constant memory.
 ///
 /// # Example
 ///
@@ -92,21 +93,6 @@ impl Summary {
         (!self.samples.is_empty()).then_some(self.max)
     }
 
-    /// Population standard deviation, or `0.0` if fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
     /// Nearest-rank percentile on the **0–100 scale** (`p ∈ [0, 100]`) of
     /// the recorded samples. [`Cdf::quantile`](crate::Cdf::quantile) is
     /// the same statistic on the 0–1 scale: `percentile(p)` agrees with
@@ -131,19 +117,6 @@ impl Summary {
         self.samples[rank - 1]
     }
 
-    /// Returns the retained samples in sorted order.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        for &v in &other.samples {
-            self.record(v);
-        }
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples
@@ -163,14 +136,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-impl Extend<f64> for Summary {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.record(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +150,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.percentile(50.0), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
     }
 
     #[test]
@@ -194,7 +158,6 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.std_dev(), 2.0);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert_eq!(s.percentile(100.0), 9.0);
@@ -218,15 +181,6 @@ mod tests {
         s.record(1.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 1.0);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a: Summary = [1.0, 2.0].into_iter().collect();
-        let b: Summary = [3.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.mean(), 2.5);
     }
 
     #[test]
@@ -254,13 +208,6 @@ mod tests {
             let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(s.mean() >= lo - 1e-6 && s.mean() <= hi + 1e-6);
-        }
-
-        #[test]
-        fn sorted_samples_are_sorted(values in prop::collection::vec(-1e6f64..1e6, 0..100)) {
-            let mut s: Summary = values.into_iter().collect();
-            let sorted = s.sorted_samples();
-            prop_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 }

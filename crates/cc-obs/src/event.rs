@@ -6,7 +6,10 @@
 //! [`NullSink`] — the event value is never even constructed, so the
 //! disabled path is byte-identical to an uninstrumented engine.
 
-use cc_types::{Arch, Cost, FunctionId, MemoryMb, NodeId, SimDuration, SimTime, StartKind, WarmId};
+use cc_types::{
+    Arch, Cost, FunctionId, MemoryMb, NodeId, ServiceRecord, SimDuration, SimTime, StartKind,
+    WarmId,
+};
 
 /// Why a warm instance left the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +52,9 @@ pub struct OptimizerRound {
     pub evaluations: u64,
 }
 
-/// The per-interval sample the engine already computes for `SimReport`'s
-/// series, surfaced as one event per tick.
+/// The engine's state at one interval tick. The engine keeps one per tick
+/// in `SimReport::intervals` and emits the same value as
+/// [`Event::IntervalSampled`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalSample {
     /// Tick ordinal (0 at simulated time zero).
@@ -213,7 +217,7 @@ pub enum Event {
         /// Round telemetry.
         round: OptimizerRound,
     },
-    /// Per-interval engine sample (mirrors `SimReport`'s series).
+    /// Per-interval engine sample (the one kept in `SimReport::intervals`).
     IntervalSampled {
         /// Tick time.
         at: SimTime,
@@ -238,6 +242,34 @@ impl Event {
             | Event::PrewarmDropped { at, .. }
             | Event::OptimizerRound { at, .. }
             | Event::IntervalSampled { at, .. } => at,
+        }
+    }
+
+    /// The [`ServiceRecord`] an [`Event::ExecutionStarted`] describes;
+    /// `None` for every other event. Its `at` is arrival + wait, so the
+    /// arrival is recovered exactly; it saturates at zero rather than trust
+    /// a decoded (possibly hand-edited) log not to underflow.
+    pub fn service_record(&self) -> Option<ServiceRecord> {
+        match *self {
+            Event::ExecutionStarted {
+                at,
+                function,
+                arch,
+                kind,
+                wait,
+                start_penalty,
+                execution,
+                ..
+            } => Some(ServiceRecord {
+                function,
+                arrival: SimTime::from_micros(at.as_micros().saturating_sub(wait.as_micros())),
+                wait,
+                start_penalty,
+                execution,
+                kind,
+                arch,
+            }),
+            _ => None,
         }
     }
 

@@ -1,8 +1,8 @@
 //! The standard telemetry aggregate: one sink that turns the event stream
 //! into counters, histograms, per-minute series, and a printable report.
 
-use cc_metrics::{P2Quantile, Summary, TimeSeries};
-use cc_types::{Fnv1a, SimDuration, SimTime, StartKind};
+use cc_metrics::{P2Quantile, ServiceStats, Summary, TimeSeries};
+use cc_types::{Fnv1a, ServiceRecord, SimDuration, SimTime, StartKind};
 
 use crate::event::{Event, EventSink, IntervalSample, OptimizerRound, ReleaseReason};
 use crate::instruments::{Counter, Gauge, LogHistogram};
@@ -13,6 +13,11 @@ use crate::instruments::{Counter, Gauge, LogHistogram};
 /// one side of a [`Tee`](crate::Tee) next to an exporter. After (or
 /// during) the run, read the per-interval table ([`Telemetry::interval_rows`])
 /// and the final report ([`Telemetry::report`]).
+///
+/// Starts are folded through a [`ServiceStats`], the aggregate the engine
+/// keeps for its report, fed the [`ServiceRecord`] each
+/// [`Event::ExecutionStarted`] describes; the interval samples are the
+/// engine's own [`IntervalSample`]s.
 #[derive(Debug)]
 pub struct Telemetry {
     interval: SimDuration,
@@ -20,9 +25,6 @@ pub struct Telemetry {
     // Counters.
     arrivals: Counter,
     queued: Counter,
-    cold_starts: Counter,
-    warm_uncompressed: Counter,
-    warm_compressed: Counter,
     admissions: Counter,
     compressed_admissions: Counter,
     releases_reused: Counter,
@@ -50,9 +52,10 @@ pub struct Telemetry {
     service_p99: P2Quantile,
     objective: Summary,
 
+    // Starts by kind, and per minute by arrival.
+    stats: ServiceStats,
+
     // Per-minute series.
-    starts_per_min: TimeSeries,
-    warm_per_min: TimeSeries,
     debit_per_min: TimeSeries,
     credit_per_min: TimeSeries,
     compress_per_min: TimeSeries,
@@ -76,9 +79,6 @@ impl Telemetry {
             interval,
             arrivals: Counter::default(),
             queued: Counter::default(),
-            cold_starts: Counter::default(),
-            warm_uncompressed: Counter::default(),
-            warm_compressed: Counter::default(),
             admissions: Counter::default(),
             compressed_admissions: Counter::default(),
             releases_reused: Counter::default(),
@@ -99,8 +99,7 @@ impl Telemetry {
             service_p95: P2Quantile::new(0.95),
             service_p99: P2Quantile::new(0.99),
             objective: Summary::new(),
-            starts_per_min: TimeSeries::new(interval),
-            warm_per_min: TimeSeries::new(interval),
+            stats: ServiceStats::new(interval),
             debit_per_min: TimeSeries::new(interval),
             credit_per_min: TimeSeries::new(interval),
             compress_per_min: TimeSeries::new(interval),
@@ -118,54 +117,24 @@ impl Telemetry {
         self.interval
     }
 
-    /// Total arrivals observed.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals.get()
-    }
-
     /// Executions started, by kind `(cold, warm_uncompressed, warm_compressed)`.
     pub fn starts(&self) -> (u64, u64, u64) {
+        let count = |kind| self.stats.breakdown(kind).count;
         (
-            self.cold_starts.get(),
-            self.warm_uncompressed.get(),
-            self.warm_compressed.get(),
+            count(StartKind::Cold),
+            count(StartKind::WarmUncompressed),
+            count(StartKind::WarmCompressed),
         )
     }
 
     /// Warm-start fraction over the run so far (0.0 when nothing started).
     pub fn warm_fraction(&self) -> f64 {
-        let (cold, wu, wc) = self.starts();
-        let total = cold + wu + wc;
-        if total == 0 {
-            0.0
-        } else {
-            (wu + wc) as f64 / total as f64
-        }
-    }
-
-    /// Live warm instances right now, per the admit/release stream.
-    pub fn pool_size(&self) -> i64 {
-        self.pool.get()
-    }
-
-    /// High-water mark of the warm pool.
-    pub fn pool_peak(&self) -> i64 {
-        self.pool.peak()
+        self.stats.warm_fraction()
     }
 
     /// Net budget spend in dollars (debits granted minus credits).
     pub fn net_spend_dollars(&self) -> f64 {
         (self.debit_granted_pd as f64 - self.credit_pd as f64) / 1e12
-    }
-
-    /// Optimizer rounds observed.
-    pub fn optimizer_rounds(&self) -> u64 {
-        self.optimizer_rounds.get()
-    }
-
-    /// Mean optimizer objective across all rounds (0.0 if none).
-    pub fn mean_objective(&self) -> f64 {
-        self.objective.mean()
     }
 
     /// The per-interval samples seen so far.
@@ -197,8 +166,8 @@ impl Telemetry {
             return None;
         }
         let bucket = (sample.index - 1) as usize;
-        let starts = self.starts_per_min.bucket_sum(bucket);
-        let warm = self.warm_per_min.bucket_sum(bucket);
+        let starts = self.stats.load_series().bucket_sum(bucket);
+        let warm = self.stats.warm_series().bucket_sum(bucket);
         let warm_pct = if starts > 0.0 {
             100.0 * warm / starts
         } else {
@@ -352,26 +321,27 @@ impl Telemetry {
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.u64(self.interval.as_micros());
-        for counter in [
-            self.arrivals,
-            self.queued,
-            self.cold_starts,
-            self.warm_uncompressed,
-            self.warm_compressed,
-            self.admissions,
-            self.compressed_admissions,
-            self.releases_reused,
-            self.releases_evicted,
-            self.releases_expired,
-            self.compressions_finished,
-            self.prewarms_dropped,
-            self.budget_debits,
-            self.budget_credits,
-            self.optimizer_rounds,
-            self.accepted_moves,
-            self.optimizer_evaluations,
+        let (cold, warm_uncompressed, warm_compressed) = self.starts();
+        for count in [
+            self.arrivals.get(),
+            self.queued.get(),
+            cold,
+            warm_uncompressed,
+            warm_compressed,
+            self.admissions.get(),
+            self.compressed_admissions.get(),
+            self.releases_reused.get(),
+            self.releases_evicted.get(),
+            self.releases_expired.get(),
+            self.compressions_finished.get(),
+            self.prewarms_dropped.get(),
+            self.budget_debits.get(),
+            self.budget_credits.get(),
+            self.optimizer_rounds.get(),
+            self.accepted_moves.get(),
+            self.optimizer_evaluations.get(),
         ] {
-            h.u64(counter.get());
+            h.u64(count);
         }
         h.u128(self.debit_requested_pd);
         h.u128(self.debit_granted_pd);
@@ -398,8 +368,8 @@ impl Telemetry {
         h.f64(self.objective.min().unwrap_or(f64::NEG_INFINITY));
         h.f64(self.objective.max().unwrap_or(f64::NEG_INFINITY));
         for series in [
-            &self.starts_per_min,
-            &self.warm_per_min,
+            self.stats.load_series(),
+            self.stats.warm_series(),
             &self.debit_per_min,
             &self.credit_per_min,
             &self.compress_per_min,
@@ -428,6 +398,16 @@ impl Telemetry {
         h.finish()
     }
 
+    fn observe_start(&mut self, record: &ServiceRecord) {
+        self.wait_us.observe(record.wait.as_micros());
+        self.penalty_us.observe(record.start_penalty.as_micros());
+        let service = record.service_time().as_secs_f64();
+        self.service_p50.observe(service);
+        self.service_p95.observe(service);
+        self.service_p99.observe(service);
+        self.stats.observe(record);
+    }
+
     fn observe_round(&mut self, at: SimTime, round: &OptimizerRound) {
         self.optimizer_rounds.incr();
         self.accepted_moves.add(round.accepted_moves);
@@ -448,30 +428,9 @@ impl EventSink for Telemetry {
                 self.queued.incr();
                 self.queue_depth_peak = self.queue_depth_peak.max(depth);
             }
-            Event::ExecutionStarted {
-                at,
-                kind,
-                wait,
-                start_penalty,
-                execution,
-                ..
-            } => {
-                match kind {
-                    StartKind::Cold => self.cold_starts.incr(),
-                    StartKind::WarmUncompressed => self.warm_uncompressed.incr(),
-                    StartKind::WarmCompressed => self.warm_compressed.incr(),
-                }
-                self.wait_us.observe(wait.as_micros());
-                self.penalty_us.observe(start_penalty.as_micros());
-                let service = (wait + start_penalty + execution).as_secs_f64();
-                self.service_p50.observe(service);
-                self.service_p95.observe(service);
-                self.service_p99.observe(service);
-                // Bucket by arrival, matching `ServiceStats`' series.
-                let arrival = SimTime::from_micros(at.as_micros().saturating_sub(wait.as_micros()));
-                self.starts_per_min.record(arrival, 1.0);
-                if kind.is_warm() {
-                    self.warm_per_min.record(arrival, 1.0);
+            Event::ExecutionStarted { .. } => {
+                if let Some(record) = event.service_record() {
+                    self.observe_start(&record);
                 }
             }
             Event::InstanceAdmitted { compressed, .. } => {
@@ -577,8 +536,8 @@ mod tests {
             since: SimTime::ZERO,
             reason: ReleaseReason::Reused,
         });
-        assert_eq!(t.pool_size(), 1);
-        assert_eq!(t.pool_peak(), 2);
+        assert_eq!(t.pool.get(), 1);
+        assert_eq!(t.pool.peak(), 2);
     }
 
     #[test]
@@ -636,8 +595,8 @@ mod tests {
                 evaluations: 100,
             },
         });
-        assert_eq!(t.optimizer_rounds(), 1);
-        assert_eq!(t.mean_objective(), 12.5);
+        assert_eq!(t.optimizer_rounds.get(), 1);
+        assert_eq!(t.objective.mean(), 12.5);
         let report = t.report();
         assert!(report.contains("optimizer: 1 rounds"), "{report}");
         let snapshot = t.snapshot_line();

@@ -94,6 +94,17 @@ impl AuditReport {
     }
 }
 
+/// The ids a capture's scenario allows: node ids below `nodes` (the
+/// cluster's size) and function ids below `functions` (the workload's).
+/// The stream does not record its scenario, so the caller supplies it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdBounds {
+    /// Nodes in the cluster.
+    pub nodes: usize,
+    /// Functions in the workload.
+    pub functions: usize,
+}
+
 /// Audits every shard of a decoded log.
 ///
 /// A shard is audited as complete unless its `shard_end` marker declares
@@ -101,13 +112,23 @@ impl AuditReport {
 /// is incomplete although no marker says so). Every writer in this
 /// workspace is lossless, so its callers pass `false`.
 pub fn audit_log(log: &ReplayLog, assume_sampled: bool) -> AuditReport {
+    audit_log_within(log, assume_sampled, None)
+}
+
+/// [`audit_log`], and with `bounds` every node or function id outside them
+/// is an `id-range` violation, in complete and incomplete streams alike.
+pub fn audit_log_within(
+    log: &ReplayLog,
+    assume_sampled: bool,
+    bounds: Option<IdBounds>,
+) -> AuditReport {
     AuditReport {
         shards: log
             .shards
             .iter()
             .map(|shard| {
                 let dropped = shard.end.map_or(0, |e| e.dropped);
-                audit_shard(shard, !assume_sampled && dropped == 0)
+                audit_shard(shard, !assume_sampled && dropped == 0, bounds)
             })
             .collect(),
     }
@@ -127,6 +148,7 @@ struct AdmitInfo {
 /// State for the one-pass audit of a single shard.
 struct Auditor {
     complete: bool,
+    bounds: Option<IdBounds>,
     violations: Vec<Violation>,
 
     // Ordering.
@@ -163,9 +185,10 @@ struct Auditor {
 }
 
 impl Auditor {
-    fn new(complete: bool) -> Auditor {
+    fn new(complete: bool, bounds: Option<IdBounds>) -> Auditor {
         Auditor {
             complete,
+            bounds,
             violations: Vec::new(),
             prev_at: None,
             last_arrival: FxHashMap::default(),
@@ -262,8 +285,43 @@ impl Auditor {
         }
     }
 
+    fn check_ids(&mut self, line: u64, event: &Event) {
+        let Some(bounds) = self.bounds else {
+            return;
+        };
+        let (function, node) = match *event {
+            Event::Arrival { function, .. }
+            | Event::Queued { function, .. }
+            | Event::PrewarmDropped { function, .. } => (Some(function), None),
+            Event::ExecutionStarted { function, node, .. }
+            | Event::InstanceAdmitted { function, node, .. }
+            | Event::InstanceReleased { function, node, .. }
+            | Event::CompressionStarted { function, node, .. }
+            | Event::CompressionFinished { function, node, .. } => (Some(function), Some(node)),
+            Event::BudgetDebit { .. }
+            | Event::BudgetCredit { .. }
+            | Event::OptimizerRound { .. }
+            | Event::IntervalSampled { .. } => (None, None),
+        };
+        let IdBounds { nodes, functions } = bounds;
+        let outside = [
+            function.filter(|f| f.index() >= functions).map(|f| {
+                format!(
+                    "fn {}, outside the {functions}-function workload",
+                    f.index()
+                )
+            }),
+            node.filter(|n| n.index() >= nodes)
+                .map(|n| format!("node {}, outside the {nodes}-node cluster", n.index())),
+        ];
+        for what in outside.into_iter().flatten() {
+            self.violate(line, "id-range", format!("{} names {what}", event.tag()));
+        }
+    }
+
     fn observe(&mut self, line: u64, event: &Event) {
         self.check_order(line, event);
+        self.check_ids(line, event);
         if self.complete {
             self.check_reuse_adjacency(line, event);
         }
@@ -746,8 +804,8 @@ impl Auditor {
 /// `complete` asserts the stream is lossless and unsampled; pass `false`
 /// for sampled or lossy captures to audit in degraded mode (see the module
 /// docs).
-pub fn audit_shard(shard: &ShardStream, complete: bool) -> ShardAudit {
-    let mut auditor = Auditor::new(complete);
+fn audit_shard(shard: &ShardStream, complete: bool, bounds: Option<IdBounds>) -> ShardAudit {
+    let mut auditor = Auditor::new(complete, bounds);
     for (line, event) in &shard.events {
         auditor.observe(*line, event);
     }
@@ -816,6 +874,7 @@ mod tests {
                 release(1000, id, 10, ReleaseReason::Expired),
             ]),
             true,
+            None,
         );
         assert!(audit.violations.is_empty(), "{:?}", audit.violations);
     }
@@ -831,6 +890,7 @@ mod tests {
                 release(40, id, 10, ReleaseReason::Evicted),
             ]),
             true,
+            None,
         );
         let rules: Vec<_> = audit.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"admit-unique"), "{rules:?}");
@@ -846,6 +906,7 @@ mod tests {
                 release(2000, id, 10, ReleaseReason::Evicted),
             ]),
             true,
+            None,
         );
         assert_eq!(audit.violations.len(), 1);
         assert_eq!(audit.violations[0].rule, "release-expiry");
@@ -867,6 +928,7 @@ mod tests {
                 },
             ]),
             true,
+            None,
         );
         assert_eq!(audit.violations.len(), 1);
         assert_eq!(audit.violations[0].rule, "budget-balance");
@@ -886,6 +948,7 @@ mod tests {
                 },
             ]),
             true,
+            None,
         );
         let rules: Vec<_> = audit.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"monotone-time"), "{rules:?}");
@@ -926,6 +989,7 @@ mod tests {
                 },
             ]),
             true,
+            None,
         );
         assert_eq!(audit.violations.len(), 1, "{:?}", audit.violations);
         assert_eq!(audit.violations[0].rule, "sample-consistency");
@@ -942,7 +1006,7 @@ mod tests {
             }),
             ..stream(vec![release(30, id, 10, ReleaseReason::Evicted)])
         };
-        let audit = audit_shard(&shard, false);
+        let audit = audit_shard(&shard, false, None);
         assert!(audit.violations.is_empty(), "{:?}", audit.violations);
         assert!(!audit.complete);
         assert!(
@@ -965,6 +1029,7 @@ mod tests {
                 },
             ]),
             true,
+            None,
         );
         let rules: Vec<_> = audit.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"reuse-adjacency"), "{rules:?}");
@@ -993,7 +1058,55 @@ mod tests {
                 },
             ]),
             true,
+            None,
         );
         assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+    }
+
+    #[test]
+    fn ids_outside_the_scenario_are_range_violations() {
+        let id = WarmId::new(0, 0);
+        let log = ReplayLog {
+            shards: vec![stream(vec![
+                Event::PrewarmDropped {
+                    at: SimTime::ZERO,
+                    function: FunctionId::new(9),
+                    arch: Arch::Arm,
+                },
+                admit(10, id, false, 50),
+                release(20, id, 10, ReleaseReason::Evicted),
+            ])],
+            tagged: false,
+            snapshots: Vec::new(),
+            lines: 3,
+        };
+        // Unbounded, the stream is clean: the ids pair up.
+        assert!(audit_log(&log, false).is_clean());
+        let fits = IdBounds {
+            nodes: 1,
+            functions: 10,
+        };
+        assert!(audit_log_within(&log, false, Some(fits)).is_clean());
+        // fn 9 is outside a 5-function workload (the dropped pre-warm),
+        // and node 0 outside an empty cluster (the admit and the release).
+        let tight = IdBounds {
+            nodes: 0,
+            functions: 5,
+        };
+        let audit = audit_log_within(&log, false, Some(tight));
+        let rules: Vec<(u64, &str)> = audit.shards[0]
+            .violations
+            .iter()
+            .map(|v| (v.line, v.rule))
+            .collect();
+        assert_eq!(
+            rules,
+            [(1, "id-range"), (2, "id-range"), (3, "id-range")],
+            "{}",
+            audit.summary()
+        );
+        // The check holds in degraded mode too.
+        let degraded = audit_log_within(&log, true, Some(tight));
+        assert_eq!(degraded.total_violations(), 3);
     }
 }

@@ -63,7 +63,7 @@ pub mod audit;
 pub mod decode;
 pub mod reconstruct;
 
-pub use audit::{audit_log, audit_shard, AuditReport, ShardAudit, Violation};
+pub use audit::{audit_log, audit_log_within, AuditReport, IdBounds, ShardAudit, Violation};
 pub use decode::{
     decode_line, decode_stream, DecodeError, DecodeErrorKind, Line, ReplayLog, ShardEndInfo,
     ShardStream, StreamError, StreamErrorKind,

@@ -68,28 +68,7 @@ pub fn reconstruct_records(shard: &ShardStream) -> (Vec<ServiceRecord>, Cost) {
     let mut credits = Cost::ZERO;
     for (_, event) in &shard.events {
         match event {
-            Event::ExecutionStarted {
-                at,
-                function,
-                arch,
-                kind,
-                wait,
-                start_penalty,
-                execution,
-                ..
-            } => records.push(ServiceRecord {
-                function: *function,
-                // `at` is arrival + wait; saturate rather than trust an
-                // arbitrary (possibly hand-edited) log not to underflow.
-                arrival: cc_types::SimTime::from_micros(
-                    at.as_micros().saturating_sub(wait.as_micros()),
-                ),
-                wait: *wait,
-                start_penalty: *start_penalty,
-                execution: *execution,
-                kind: *kind,
-                arch: *arch,
-            }),
+            Event::ExecutionStarted { .. } => records.extend(event.service_record()),
             Event::BudgetDebit { granted, .. } => {
                 debits = debits.saturating_add(*granted);
             }

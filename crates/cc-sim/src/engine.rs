@@ -146,10 +146,11 @@ impl<'a, Src, P> Simulation<'a, Src, P> {
 
     /// Keeps no per-invocation [`ServiceRecord`]s: a multi-day
     /// million-function replay would otherwise hold every record in RAM.
-    /// The report's `records` vector stays empty; aggregated stats, series
-    /// and counters are unaffected, but [`SimReport::digest`] covers
-    /// records, so compare digests only between runs with the same
-    /// setting.
+    /// The report's `records` vector stays empty; its stats, interval
+    /// samples and counters are unaffected, and what the run keeps then
+    /// grows with its functions and intervals, not its invocations.
+    /// [`SimReport::digest`] covers records, so compare digests only
+    /// between runs with the same setting.
     pub fn without_records(mut self) -> Self {
         self.collect_records = false;
         self
@@ -437,14 +438,10 @@ struct Engine<'a, Src: ArrivalSource, S: EventSink, P: Profiler> {
     /// [`Simulation::without_records`]).
     collect_records: bool,
     records: Vec<ServiceRecord>,
-    spend_per_interval: Vec<f64>,
+    intervals: Vec<IntervalSample>,
     last_spent: Cost,
-    warm_pool_series: Vec<f64>,
-    compressed_series: Vec<f64>,
     compression_events: u64,
-    compression_events_per_interval: Vec<f64>,
     last_compression_events: u64,
-    utilization_series: Vec<f64>,
     evictions: u64,
     dropped_prewarms: u64,
     /// Estimated wall time inside policy callbacks: `on_interval` and
@@ -535,14 +532,10 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             stats: ServiceStats::new(config.interval),
             collect_records,
             records: Vec::with_capacity(len_hint),
-            spend_per_interval: Vec::new(),
+            intervals: Vec::new(),
             last_spent: Cost::ZERO,
-            warm_pool_series: Vec::new(),
-            compressed_series: Vec::new(),
             compression_events: 0,
-            compression_events_per_interval: Vec::new(),
             last_compression_events: 0,
-            utilization_series: Vec::new(),
             evictions: 0,
             dropped_prewarms: 0,
             decision_time: Duration::ZERO,
@@ -778,14 +771,8 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
             stats: std::mem::replace(&mut self.stats, ServiceStats::new(self.config.interval)),
             records: std::mem::take(&mut self.records),
             keep_alive_spend: self.ledger.spent(),
-            spend_per_interval: std::mem::take(&mut self.spend_per_interval),
-            warm_pool_series: std::mem::take(&mut self.warm_pool_series),
-            compressed_series: std::mem::take(&mut self.compressed_series),
+            intervals: std::mem::take(&mut self.intervals),
             compression_events: self.compression_events,
-            compression_events_per_interval: std::mem::take(
-                &mut self.compression_events_per_interval,
-            ),
-            utilization_series: std::mem::take(&mut self.utilization_series),
             evictions: self.evictions,
             dropped_prewarms: self.dropped_prewarms,
             rejected_arrivals: self.rejected_arrivals,
@@ -1426,30 +1413,22 @@ impl<'a, Src: ArrivalSource, S: EventSink, P: Profiler> Engine<'a, Src, S, P> {
 
         // Sample per-interval metrics.
         let spent = self.ledger.spent();
-        let delta = spent.as_dollars() - self.last_spent.as_dollars();
-        self.spend_per_interval.push(delta);
+        let sample = IntervalSample {
+            index: self.intervals.len() as u64,
+            spend_delta_dollars: spent.as_dollars() - self.last_spent.as_dollars(),
+            warm_pool: self.pool.len() as u64,
+            compressed: self.pool.compressed_count() as u64,
+            utilization: self.view().busy_core_fraction(),
+            compression_events_delta: self.compression_events - self.last_compression_events,
+            pending: self.pending.len() as u64,
+        };
         self.last_spent = spent;
-        self.warm_pool_series.push(self.pool.len() as f64);
-        self.compressed_series
-            .push(self.pool.compressed_count() as f64);
-        let compression_delta = self.compression_events - self.last_compression_events;
-        self.compression_events_per_interval
-            .push(compression_delta as f64);
         self.last_compression_events = self.compression_events;
-        let utilization = self.view().busy_core_fraction();
-        self.utilization_series.push(utilization);
+        self.intervals.push(sample);
         if S::ENABLED {
             self.sink.record(&ObsEvent::IntervalSampled {
                 at: self.now,
-                sample: IntervalSample {
-                    index: self.spend_per_interval.len() as u64 - 1,
-                    spend_delta_dollars: delta,
-                    warm_pool: self.pool.len() as u64,
-                    compressed: self.pool.compressed_count() as u64,
-                    utilization,
-                    compression_events_delta: compression_delta,
-                    pending: self.pending.len() as u64,
-                },
+                sample,
             });
         }
 
@@ -1617,13 +1596,10 @@ mod tests {
         let intervals = trace.duration().as_micros() / config.interval.as_micros() + 1;
         let mut policy = FixedKeepAlive::ten_minutes();
         let report = Simulation::new(config, &trace, &workload).run(&mut policy);
-        assert_eq!(report.spend_per_interval.len() as u64, intervals);
-        assert_eq!(report.warm_pool_series.len() as u64, intervals);
-        assert_eq!(report.utilization_series.len() as u64, intervals);
-        assert_eq!(
-            report.compression_events_per_interval.len() as u64,
-            intervals
-        );
+        assert_eq!(report.intervals.len() as u64, intervals);
+        for (k, sample) in report.intervals.iter().enumerate() {
+            assert_eq!(sample.index, k as u64);
+        }
     }
 
     #[test]
@@ -1768,9 +1744,9 @@ mod tests {
         // cannot exceed cap × nodes.
         let cap_total = capped.warm_memory_cap().as_mb() as f64 * 4.0;
         let max_warm_mem: f64 = r_capped
-            .warm_pool_series
+            .intervals
             .iter()
-            .copied()
+            .map(|s| s.warm_pool as f64)
             .fold(0.0, f64::max);
         // Series counts instances, so translate via the smallest footprint.
         assert!(max_warm_mem * 64.0 <= cap_total * 10.0, "sanity bound");

@@ -70,8 +70,9 @@ pub struct ParallelOptions {
     /// of a window boundary flushes the buffered events.
     pub window: SimDuration,
     /// Keep per-invocation [`ServiceRecord`]s (needed for the report
-    /// digest; disable for constant-memory runs). Records are kept only
-    /// if the simulation keeps them too (see
+    /// digest; disable for constant-memory runs, whose report and
+    /// telemetry then grow with the run's intervals only). Records are
+    /// kept only if the simulation keeps them too (see
     /// [`Simulation::without_records`]).
     ///
     /// [`ServiceRecord`]: cc_types::ServiceRecord

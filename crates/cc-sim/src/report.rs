@@ -1,6 +1,7 @@
 //! Output of one simulation run.
 
 use cc_metrics::ServiceStats;
+use cc_obs::IntervalSample;
 use cc_types::{Arch, Cost, Fnv1a, ServiceRecord, StartKind};
 
 // The canonical byte digest now lives in `cc_types::hash` so the replay
@@ -19,20 +20,15 @@ pub struct SimReport {
     pub records: Vec<ServiceRecord>,
     /// Total keep-alive expenditure (reservations minus refunds).
     pub keep_alive_spend: Cost,
-    /// Keep-alive spend per interval, in dollars (can dip negative when an
-    /// interval's refunds exceed its reservations).
-    pub spend_per_interval: Vec<f64>,
-    /// Warm instances alive at each interval tick.
-    pub warm_pool_series: Vec<f64>,
-    /// Compressed warm instances alive at each interval tick.
-    pub compressed_series: Vec<f64>,
+    /// The engine's sample at each interval tick, in tick order (`index`
+    /// `k` was taken at `k · interval`): keep-alive spend since the previous
+    /// tick, warm and compressed pool sizes, compression events since the
+    /// previous tick (the paper's Fig. 11 signal), core utilization and
+    /// queue depth. The same values [`cc_obs::Event::IntervalSampled`]
+    /// carries.
+    pub intervals: Vec<IntervalSample>,
     /// Times an instance was stored compressed on entering the pool.
     pub compression_events: u64,
-    /// Compression events per interval (where in time compression happens —
-    /// the paper's Fig. 11 signal).
-    pub compression_events_per_interval: Vec<f64>,
-    /// Fraction of execution cores busy at each interval tick.
-    pub utilization_series: Vec<f64>,
     /// Warm instances dropped to make room for others.
     pub evictions: u64,
     /// Pre-warm commands dropped for lack of capacity.
@@ -97,16 +93,19 @@ impl SimReport {
         h.u64(self.evictions);
         h.u64(self.dropped_prewarms);
         h.u64(self.compression_events);
-        for series in [
-            &self.spend_per_interval,
-            &self.warm_pool_series,
-            &self.compressed_series,
-            &self.compression_events_per_interval,
-            &self.utilization_series,
-        ] {
-            h.u64(series.len() as u64);
-            for &v in series {
-                h.f64(v);
+        // One column at a time, each as its length then its values: the
+        // encoding the golden digest constants pin.
+        let columns: [fn(&IntervalSample) -> f64; 5] = [
+            |s| s.spend_delta_dollars,
+            |s| s.warm_pool as f64,
+            |s| s.compressed as f64,
+            |s| s.compression_events_delta as f64,
+            |s| s.utilization,
+        ];
+        for column in columns {
+            h.u64(self.intervals.len() as u64);
+            for sample in &self.intervals {
+                h.f64(column(sample));
             }
         }
         h.f64(self.stats.mean_service_time_secs());
@@ -117,32 +116,12 @@ impl SimReport {
     /// Mean service time in seconds — the paper's headline number.
     /// `0.0` (never NaN) for a zero-invocation run.
     pub fn mean_service_time_secs(&self) -> f64 {
-        if self.stats.invocations() == 0 {
-            return 0.0;
-        }
         self.stats.mean_service_time_secs()
     }
 
     /// Warm-start fraction over the whole run.
     /// `0.0` (never NaN) for a zero-invocation run.
     pub fn warm_fraction(&self) -> f64 {
-        if self.stats.invocations() == 0 {
-            return 0.0;
-        }
         self.stats.warm_fraction()
-    }
-
-    /// Decision overhead as a fraction of total simulated service time.
-    /// `0.0` (never NaN) for a zero-invocation run.
-    pub fn decision_overhead_fraction(&self) -> f64 {
-        let total_service: f64 = self
-            .records
-            .iter()
-            .map(|r| r.service_time().as_secs_f64())
-            .sum();
-        if total_service == 0.0 {
-            return 0.0;
-        }
-        self.decision_time.as_secs_f64() / total_service
     }
 }

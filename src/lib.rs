@@ -76,8 +76,8 @@ pub mod prelude {
     pub use cc_compress::{Codec, CompressionModel, CrunchFast, EntropyClass, FsImage};
     pub use cc_policies::{Enhanced, FaasCache, IceBreaker, Oracle, SitW};
     pub use cc_replay::{
-        audit_log, audit_shard, decode_line, decode_stream, reconstruct, reconstruct_with_interval,
-        AuditReport, ReplayLog, ShardStream,
+        audit_log, decode_line, decode_stream, reconstruct, reconstruct_with_interval, AuditReport,
+        ReplayLog, ShardStream,
     };
     pub use cc_serve::{
         Clock, IngestQueue, PacedSource, RealClock, ServeHandle, ServeOptions, ServeOutcome,

@@ -33,11 +33,48 @@ pub fn policy_under_test(name: &str) -> Box<dyn Scheduler> {
 }
 
 /// Serial reference on the golden scenario: report, JSONL bytes and
-/// telemetry digest of one instrumented run.
-pub fn serial_reference(policy: &mut dyn Scheduler) -> (SimReport, Vec<u8>, u64) {
+/// telemetry of one instrumented run.
+pub fn serial_reference(policy: &mut dyn Scheduler) -> (SimReport, Vec<u8>, Telemetry) {
     let (trace, workload, config) = scenario();
     let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
     let report = Simulation::new(config, &trace, &workload).run_with_sink(policy, &mut tee);
     let bytes = tee.0.finish().expect("in-memory writer cannot fail");
-    (report, bytes, tee.1.digest())
+    (report, bytes, tee.1)
+}
+
+/// The two folds of one run agree: the `Telemetry` folded from its events
+/// holds the report's interval samples (tick `k` at `k · interval`), its
+/// start counts by kind, and its warm fraction.
+pub fn assert_folds_agree(label: &str, report: &SimReport, telemetry: &Telemetry) {
+    let samples = telemetry.samples();
+    assert_eq!(
+        samples.len(),
+        report.intervals.len(),
+        "{label}: interval sample count"
+    );
+    let interval = telemetry.interval().as_micros();
+    for (k, ((at, sample), expected)) in samples.iter().zip(&report.intervals).enumerate() {
+        assert_eq!(sample, expected, "{label}: interval sample {k}");
+        assert_eq!(sample.index, k as u64, "{label}: interval sample {k}");
+        assert_eq!(
+            at.as_micros(),
+            k as u64 * interval,
+            "{label}: tick {k} time"
+        );
+    }
+    let count = |kind| report.stats.breakdown(kind).count;
+    assert_eq!(
+        telemetry.starts(),
+        (
+            count(StartKind::Cold),
+            count(StartKind::WarmUncompressed),
+            count(StartKind::WarmCompressed)
+        ),
+        "{label}: starts by kind (cold, warm, warm-compressed)"
+    );
+    assert_eq!(
+        telemetry.warm_fraction().to_bits(),
+        report.warm_fraction().to_bits(),
+        "{label}: warm fraction"
+    );
 }

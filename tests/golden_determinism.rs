@@ -184,8 +184,8 @@ fn digest_is_sensitive_to_report_contents() {
     assert_ne!(base, report.digest(), "digest ignores evictions");
     report.evictions -= 1;
     assert_eq!(base, report.digest());
-    if let Some(v) = report.utilization_series.first_mut() {
-        *v += 1.0;
+    if let Some(sample) = report.intervals.first_mut() {
+        sample.utilization += 1.0;
         assert_ne!(base, report.digest(), "digest ignores series");
     }
 }

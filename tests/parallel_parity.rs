@@ -13,7 +13,7 @@ mod common;
 use cc_experiments::{Scale, POLICIES};
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::sim::{ClusterView, Command, KeepDecision};
-use common::{policy_for, policy_under_test, scenario, serial_reference};
+use common::{assert_folds_agree, policy_for, policy_under_test, scenario, serial_reference};
 
 fn parallel_run(
     policy: &mut dyn Scheduler,
@@ -27,17 +27,25 @@ fn parallel_run(
 }
 
 /// Every policy, at workers ∈ {1, 2, 3, 4, 8}: report digest, telemetry
-/// digest, and JSONL bytes all equal the serial run's.
+/// digest, and JSONL bytes all equal the serial run's, and in every run
+/// the telemetry fold agrees with the report.
 #[test]
 fn every_policy_matches_serial_at_every_worker_count() {
     for name in POLICIES {
         let (serial_report, serial_bytes, serial_tel) =
             serial_reference(policy_under_test(name).as_mut());
+        assert_folds_agree(&format!("{name} serial"), &serial_report, &serial_tel);
+        let serial_tel = serial_tel.digest();
         for workers in [1usize, 2, 3, 4, 8] {
             let options = ParallelOptions::default()
                 .with_workers(workers)
                 .with_window(SimDuration::from_secs(30));
             let (outcome, bytes) = parallel_run(policy_under_test(name).as_mut(), &options);
+            assert_folds_agree(
+                &format!("{name} at {workers} workers"),
+                &outcome.report,
+                &outcome.telemetry,
+            );
             assert_eq!(
                 outcome.report.digest(),
                 serial_report.digest(),
@@ -115,6 +123,7 @@ impl Scheduler for BoundaryProber {
 #[test]
 fn prewarms_landing_exactly_on_window_boundaries_stay_in_order() {
     let (serial_report, serial_bytes, serial_tel) = serial_reference(&mut BoundaryProber);
+    let serial_tel = serial_tel.digest();
     assert!(!serial_bytes.is_empty());
     // window == interval: tick-timestamped events sit exactly on batch
     // boundaries. 61s and 1s probe misaligned and dense flushing around

@@ -17,10 +17,10 @@ mod common;
 use cc_experiments::POLICIES;
 use codecrunch_suite::prelude::*;
 use codecrunch_suite::serve::QueueStats;
-use common::{policy_for, scenario, serial_reference};
+use common::{assert_folds_agree, policy_for, scenario, serial_reference};
 
 /// Serves `source` on a fresh virtual clock; returns the outcome plus
-/// JSONL bytes and telemetry digest. `capacity` exercises backpressure;
+/// JSONL bytes and telemetry. `capacity` exercises backpressure;
 /// `drain_at` pre-arms a timeline cut.
 fn serve_virtual<Src: ArrivalSource + Send>(
     source: Src,
@@ -29,7 +29,7 @@ fn serve_virtual<Src: ArrivalSource + Send>(
     policy: &mut dyn Scheduler,
     capacity: usize,
     drain_at: Option<SimTime>,
-) -> (ServeOutcome, Vec<u8>, u64) {
+) -> (ServeOutcome, Vec<u8>, Telemetry) {
     let server = Server::new(
         Arc::new(VirtualClock::new()),
         ServeOptions {
@@ -43,8 +43,7 @@ fn serve_virtual<Src: ArrivalSource + Send>(
     let mut tee = Tee(JsonlSink::new(Vec::new()), Telemetry::new(config.interval));
     let outcome = server.serve(config, source, workload, policy, &mut tee);
     let bytes = tee.0.finish().expect("in-memory writer cannot fail");
-    let telemetry = tee.1.digest();
-    (outcome, bytes, telemetry)
+    (outcome, bytes, tee.1)
 }
 
 fn assert_lossless(stats: &QueueStats) {
@@ -58,7 +57,8 @@ fn assert_lossless(stats: &QueueStats) {
 
 /// THE headline contract: all six policies, served on the virtual clock,
 /// produce bit-identical report digests, telemetry digests, and JSONL
-/// bytes to the batch engine.
+/// bytes to the batch engine, and the served telemetry fold agrees with
+/// the served report.
 #[test]
 fn every_policy_serves_bit_identical_to_batch() {
     for name in POLICIES {
@@ -73,13 +73,15 @@ fn every_policy_serves_bit_identical_to_batch() {
             1024,
             None,
         );
+        assert_folds_agree(&format!("{name} served"), &outcome.report, &telemetry);
         assert_eq!(
             outcome.report.digest(),
             batch_report.digest(),
             "policy {name}: served report digest diverged from batch"
         );
         assert_eq!(
-            telemetry, batch_tel,
+            telemetry.digest(),
+            batch_tel.digest(),
             "policy {name}: served telemetry digest diverged from batch"
         );
         assert_eq!(
@@ -108,7 +110,7 @@ fn backpressure_at_capacity_two_is_invisible_in_the_output() {
         None,
     );
     assert_eq!(outcome.report.digest(), batch_report.digest());
-    assert_eq!(telemetry, batch_tel);
+    assert_eq!(telemetry.digest(), batch_tel.digest());
     assert_eq!(bytes, batch_bytes);
     assert_lossless(&outcome.queue);
     assert_eq!(outcome.queue.peak_depth, 2, "capacity was actually hit");
@@ -142,7 +144,7 @@ fn an_unknown_function_is_skipped_and_counted_at_ingest() {
     assert_eq!(outcome.queue.pushed, trace.invocations().len() as u64);
     assert_lossless(&outcome.queue);
     assert_eq!(outcome.report.digest(), batch_report.digest());
-    assert_eq!(telemetry, batch_tel);
+    assert_eq!(telemetry.digest(), batch_tel.digest());
     assert_eq!(bytes, batch_bytes);
 }
 
@@ -269,7 +271,8 @@ fn drain_mid_interval_matches_batch_truncated_at_the_same_instant() {
             "policy {name}: drained report digest != batch truncated at the cut"
         );
         assert_eq!(
-            telemetry, batch_tel,
+            telemetry.digest(),
+            batch_tel,
             "policy {name}: drained telemetry digest != batch truncated at the cut"
         );
         assert_eq!(
