@@ -13,10 +13,11 @@
 //!
 //! Each policy is replayed `--runs` times (default 3) after one warm-up
 //! replay; the reported figure is the best run, which is the least noisy
-//! estimator on a shared machine.
+//! estimator on a shared machine. Every mode below drives that one loop;
+//! what differs is how one run replays its policies.
 //!
 //! `--sink` selects the event sink the replay runs under: `null` (the
-//! default, PR 1's uninstrumented fast path), `jsonl`, or `chrome` — the
+//! default, the uninstrumented fast path), `jsonl`, or `chrome` — the
 //! exporters serialize the full event stream into `std::io::sink()`, so
 //! the measured delta is pure observability overhead with no disk noise.
 //!
@@ -34,9 +35,10 @@
 //! invocations over the sweep wall-clock). Every mode records each
 //! policy's canonical report digest (`--workers N` its telemetry digest
 //! too), and `--digests-match PATH` asserts they equal the digests in a
-//! previously written file, comparing the telemetry digests wherever both
-//! files carry one — the CI proof that `--shards N` is behavior-preserving
-//! with respect to a serial run.
+//! previously written file, which must record every policy of this run,
+//! comparing the telemetry digests wherever both files carry one — the CI
+//! proof that `--shards N` is behavior-preserving with respect to a
+//! serial run.
 //!
 //! `--audit` (jsonl sink only) captures the serialized stream in memory
 //! instead of discarding it, then runs the `cc-replay` invariant auditor
@@ -52,15 +54,16 @@
 //! Chrome/Perfetto trace of the simulator's own threads. Build with
 //! `--features alloc-profile` to also attribute allocations per phase.
 //!
-//! `--gap` prices every selected policy's run against the hindsight-optimal
-//! lower bound from `cc-bound` and prints one gap row per policy (batch
-//! scenarios only — the estimators need the materialized trace). Any
-//! policy landing *below* the bound is a conservation violation and exits
-//! non-zero; `--gap-ceiling POLICY=PCT` additionally bounds a policy's gap
-//! from above (e.g. `--gap-ceiling oracle=50` asserts the clairvoyant
-//! oracle stays within 50% of optimal). Under `--shards` the pricing
-//! replays run on the sharded driver, so CI checks the invariant against
-//! sharded execution itself.
+//! `--gap` prices every selected policy's measured run against the
+//! hindsight-optimal lower bound from `cc-bound` and prints one gap row per
+//! policy (batch scenarios only — the estimators need the materialized
+//! trace). The pricing reads the report of a measured run outside the
+//! timed region, so it adds no replay and nothing to a `--profile`, and
+//! under `--shards` or `--workers` it checks the invariant against that
+//! driver's own runs. Any policy landing *below* the bound is a
+//! conservation violation and exits non-zero; `--gap-ceiling POLICY=PCT`
+//! additionally bounds a policy's gap from above (e.g. `--gap-ceiling
+//! oracle=50` asserts the clairvoyant oracle stays within 50% of optimal).
 //!
 //! `--workers N` switches to the *intra-run* parallel engine
 //! (`Simulation::run_pipelined`): ONE simulation per policy, with the
@@ -74,7 +77,7 @@
 //! simulated days, ~12M invocations) runs in O(#functions) memory.
 
 use std::io::Write;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bench::{BenchScenario, StreamScenario};
 use cc_bound::{measured_cost_of_report, GapReport, HindsightInput, NanoCost};
@@ -84,6 +87,7 @@ use cc_sim::{
     ArrivalSource, ChromeTraceSink, EventSink, JsonlSink, NullSink, ParallelOptions,
     ParallelOutcome, Scheduler, SimReport, Simulation,
 };
+use serde_json::json;
 
 /// With the `alloc-profile` feature, every allocation in this binary is
 /// counted and attributed to the active profiling phase.
@@ -121,6 +125,38 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value after `flag`, or a usage error saying what `flag` takes.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str, takes: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} takes {takes}")))
+}
+
+/// The positive count after `flag`.
+fn count(args: &mut impl Iterator<Item = String>, flag: &str, takes: &str) -> usize {
+    match value(args, flag, takes).parse() {
+        Ok(n) if n > 0 => n,
+        _ => usage_error(&format!("{flag} takes {takes}")),
+    }
+}
+
+/// The `POLICY=NUMBER` after `flag`, its number finite and `ok`.
+fn policy_number(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    takes: &str,
+    ok: fn(f64) -> bool,
+    bad: &str,
+) -> (String, f64) {
+    let spec = value(args, flag, takes);
+    let Some((name, number)) = spec.split_once('=') else {
+        usage_error(&format!("{flag} takes {takes}"));
+    };
+    match number.trim().parse::<f64>() {
+        Ok(n) if n.is_finite() && ok(n) => (name.trim().to_string(), n),
+        _ => usage_error(&format!("{flag} {bad}")),
+    }
+}
+
 /// Which scenario family the bench drives.
 enum Bench {
     /// Materialized trace (the classic path).
@@ -130,14 +166,14 @@ enum Bench {
 }
 
 fn main() {
-    let mut runs: u32 = 3;
+    let mut runs = 3;
     let mut out: Option<String> = None;
     let mut scenario_name = String::from("large");
     let mut sink = SinkMode::Null;
     let mut policy_filter: Option<Vec<String>> = None;
     let mut floors: Vec<(String, f64)> = Vec::new();
     let mut shards: Option<usize> = None;
-    let mut workers_opt: Option<usize> = None;
+    let mut workers: Option<usize> = None;
     let mut digests_match: Option<String> = None;
     let mut gap = false;
     let mut gap_ceilings: Vec<(String, f64)> = Vec::new();
@@ -146,102 +182,51 @@ fn main() {
     let mut profile_out: Option<String> = None;
     let mut profile_trace: Option<String> = None;
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--runs" => {
-                runs = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => usage_error("--runs takes a positive integer"),
-                };
-            }
-            "--out" => {
-                out = match args.next() {
-                    Some(path) => Some(path),
-                    None => usage_error("--out takes a path"),
-                };
-            }
-            "--scenario" => match args.next().as_deref() {
-                Some(name @ ("large" | "small" | "stream" | "1m")) => {
-                    scenario_name = name.into();
-                }
-                _ => usage_error("--scenario takes large, small, stream, or 1m"),
-            },
+    while let Some(flag) = args.next() {
+        let args = &mut args;
+        match flag.as_str() {
+            "--runs" => runs = count(args, &flag, "a positive integer"),
+            "--out" => out = Some(value(args, &flag, "a path")),
+            "--scenario" => scenario_name = value(args, &flag, "large, small, stream, or 1m"),
             "--sink" => {
-                sink = match args.next().as_deref() {
-                    Some("null") => SinkMode::Null,
-                    Some("jsonl") => SinkMode::Jsonl,
-                    Some("chrome") => SinkMode::Chrome,
+                sink = match value(args, &flag, "null, jsonl, or chrome").as_str() {
+                    "null" => SinkMode::Null,
+                    "jsonl" => SinkMode::Jsonl,
+                    "chrome" => SinkMode::Chrome,
                     _ => usage_error("--sink takes null, jsonl, or chrome"),
                 };
             }
             "--policies" => {
-                policy_filter = match args.next() {
-                    Some(list) => Some(list.split(',').map(|s| s.trim().to_string()).collect()),
-                    None => usage_error("--policies takes a comma-separated list"),
-                };
+                let list = value(args, &flag, "a comma-separated list");
+                policy_filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--floor" => match args.next() {
-                Some(spec) => match spec.split_once('=') {
-                    Some((name, rate)) => match rate.trim().parse::<f64>() {
-                        Ok(rate) if rate > 0.0 && rate.is_finite() => {
-                            floors.push((name.trim().to_string(), rate));
-                        }
-                        _ => usage_error("--floor rate must be a positive number of inv/s"),
-                    },
-                    None => usage_error("--floor takes POLICY=INV_PER_S (e.g. codecrunch=400000)"),
-                },
-                None => usage_error("--floor takes POLICY=INV_PER_S (e.g. codecrunch=400000)"),
-            },
-            "--shards" => {
-                shards = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => usage_error("--shards takes a positive worker count"),
-                };
-            }
-            "--workers" => {
-                workers_opt = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => Some(n),
-                    _ => usage_error("--workers takes a positive worker count"),
-                };
-            }
-            "--digests-match" => {
-                digests_match = match args.next() {
-                    Some(path) => Some(path),
-                    None => usage_error("--digests-match takes a path"),
-                };
-            }
+            "--floor" => floors.push(policy_number(
+                args,
+                &flag,
+                "POLICY=INV_PER_S (e.g. codecrunch=400000)",
+                |rate| rate > 0.0,
+                "rate must be a positive number of inv/s",
+            )),
+            "--shards" => shards = Some(count(args, &flag, "a positive worker count")),
+            "--workers" => workers = Some(count(args, &flag, "a positive worker count")),
+            "--digests-match" => digests_match = Some(value(args, &flag, "a path")),
             "--gap" => gap = true,
-            "--gap-ceiling" => match args.next() {
-                Some(spec) => match spec.split_once('=') {
-                    Some((name, pct)) => match pct.trim().parse::<f64>() {
-                        Ok(pct) if pct >= 0.0 && pct.is_finite() => {
-                            gap_ceilings.push((name.trim().to_string(), pct));
-                        }
-                        _ => usage_error("--gap-ceiling percent must be a non-negative number"),
-                    },
-                    None => usage_error("--gap-ceiling takes POLICY=PCT (e.g. oracle=25)"),
-                },
-                None => usage_error("--gap-ceiling takes POLICY=PCT (e.g. oracle=25)"),
-            },
+            "--gap-ceiling" => gap_ceilings.push(policy_number(
+                args,
+                &flag,
+                "POLICY=PCT (e.g. oracle=25)",
+                |pct| pct >= 0.0,
+                "percent must be a non-negative number",
+            )),
             "--audit" => audit = true,
             "--profile" => profile = true,
-            "--profile-out" => {
-                profile_out = match args.next() {
-                    Some(path) => Some(path),
-                    None => usage_error("--profile-out takes a path"),
-                };
-            }
-            "--profile-trace" => {
-                profile_trace = match args.next() {
-                    Some(path) => Some(path),
-                    None => usage_error("--profile-trace takes a path"),
-                };
-            }
+            "--profile-out" => profile_out = Some(value(args, &flag, "a path")),
+            "--profile-trace" => profile_trace = Some(value(args, &flag, "a path")),
             other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
-    if shards.is_some() && sink == SinkMode::Chrome {
-        usage_error("--shards supports null and jsonl sinks (chrome is serial-only)");
+    if sink == SinkMode::Chrome && (shards.is_some() || workers.is_some()) {
+        usage_error("--shards and --workers support null and jsonl sinks (chrome is serial-only)");
     }
     if shards.is_some() && !floors.is_empty() {
         usage_error("--floor checks per-policy throughput; use it without --shards");
@@ -249,13 +234,10 @@ fn main() {
     if audit && sink != SinkMode::Jsonl {
         usage_error("--audit checks the serialized event stream; add --sink jsonl");
     }
-    if workers_opt.is_some() && shards.is_some() {
+    if workers.is_some() && shards.is_some() {
         usage_error(
             "--workers (intra-run pipeline) and --shards (run-level sharding) are exclusive",
         );
-    }
-    if workers_opt.is_some() && sink == SinkMode::Chrome {
-        usage_error("--workers supports null and jsonl sinks (chrome is serial-only)");
     }
     if !gap_ceilings.is_empty() && !gap {
         usage_error("--gap-ceiling needs --gap");
@@ -290,31 +272,49 @@ fn main() {
         "large" => Bench::Batch(BenchScenario::large()),
         "stream" => Bench::Stream(StreamScenario::smoke()),
         "1m" => Bench::Stream(StreamScenario::million()),
-        _ => unreachable!("scenario name validated at parse time"),
+        _ => usage_error("--scenario takes large, small, stream, or 1m"),
     };
-    if matches!(bench, Bench::Stream(_)) && workers_opt.is_none() {
+    let streaming = matches!(bench, Bench::Stream(_));
+    if streaming && workers.is_none() {
         usage_error("streaming scenarios run on the intra-run pipeline; add --workers N");
     }
-    if gap && matches!(bench, Bench::Stream(_)) {
+    if gap && streaming {
         usage_error("--gap prices a materialized trace; streaming scenarios never build one");
     }
-    match &bench {
-        Bench::Batch(scenario) => eprintln!(
-            "scenario: {scenario_name} ({} functions, {} invocations, {} nodes), sink: {}",
-            scenario.trace.functions().len(),
-            scenario.trace.invocations().len(),
-            scenario.config.total_nodes(),
-            sink.label(),
+    // A streaming run's invocation count is an estimate until it has run.
+    let (benchmark, functions, mut invocations, config) = match &bench {
+        Bench::Batch(s) => {
+            let functions = s.trace.functions().len();
+            (
+                "simulate_10k",
+                functions,
+                s.trace.invocations().len(),
+                &s.config,
+            )
+        }
+        Bench::Stream(s) if scenario_name == "1m" => (
+            "simulate_1m",
+            s.functions,
+            s.expected_invocations,
+            &s.config,
         ),
-        Bench::Stream(scenario) => eprintln!(
-            "scenario: {scenario_name} ({} functions, ~{} invocations expected, {} nodes, \
-             streaming), sink: {}",
-            scenario.functions,
-            scenario.expected_invocations,
-            scenario.config.total_nodes(),
-            sink.label(),
+        Bench::Stream(s) => (
+            "simulate_stream",
+            s.functions,
+            s.expected_invocations,
+            &s.config,
         ),
-    }
+    };
+    let nodes = config.total_nodes();
+    let count = if streaming {
+        format!("~{invocations} invocations expected, {nodes} nodes, streaming")
+    } else {
+        format!("{invocations} invocations, {nodes} nodes")
+    };
+    eprintln!(
+        "scenario: {scenario_name} ({functions} functions, {count}), sink: {}",
+        sink.label()
+    );
 
     if let Some(filter) = &policy_filter {
         for name in filter {
@@ -323,7 +323,7 @@ fn main() {
             }
         }
     }
-    let selected: Vec<&str> = POLICIES
+    let selected: Vec<&'static str> = POLICIES
         .iter()
         .copied()
         .filter(|name| match &policy_filter {
@@ -331,11 +331,10 @@ fn main() {
             // Streaming scale defaults to the cheapest policy: the point
             // is the engine pipeline, not a policy sweep, and the oracle
             // cannot run without a materialized trace anyway.
-            None if matches!(bench, Bench::Stream(_)) => *name == "fixed_keepalive",
+            None if streaming => *name == "fixed_keepalive",
             None => true,
         })
         .collect();
-
     for (name, _) in &floors {
         if !selected.contains(&name.as_str()) {
             usage_error(&format!(
@@ -343,226 +342,112 @@ fn main() {
             ));
         }
     }
-    if matches!(bench, Bench::Stream(_)) && selected.contains(&"oracle") {
+    if streaming && selected.contains(&"oracle") {
         usage_error("oracle needs a materialized trace (not available with --scenario stream|1m)");
     }
 
-    let mut entries = Vec::new();
-    let mut measured: Vec<(String, f64)> = Vec::new();
-    let mut digests: Vec<Digests> = Vec::new();
-    let mut aggregate = None;
-    let mut actual_invocations: Option<u64> = None;
+    // The bound is computed once, before any run and outside the profile:
+    // it is no part of what the runs measure.
+    let gap_reference = match &bench {
+        Bench::Batch(s) if gap => Some(unprofiled(|| {
+            let input = HindsightInput::from_trace(&s.trace, &s.workload, &s.config)
+                .unwrap_or_else(|e| usage_error(&format!("--gap: {e}")));
+            GapReport::for_input(&input)
+        })),
+        _ => None,
+    };
 
-    if let Some(workers) = workers_opt {
-        // Intra-run parallel mode: one simulation per policy on the
-        // pipelined engine. Results are worker-count-independent, so the
-        // recorded digests double as the parity reference.
-        let options = ParallelOptions::default().with_workers(workers);
-        for name in &selected {
-            if matches!(bench, Bench::Batch(_)) {
-                // Warm-up replay; streaming replays are long enough to
-                // amortize cold caches, and each one rebuilds the source.
-                unprofiled(|| parallel_once(&bench, name, &options, sink, audit, false));
+    let runner = Runner {
+        driver: match (shards, workers) {
+            (Some(workers), _) => Driver::Sharded(workers),
+            (None, Some(workers)) => {
+                Driver::Pipelined(ParallelOptions::default().with_workers(workers))
             }
-            let mut best = f64::INFINITY;
-            let mut reference: Option<(u64, u64, u64)> = None;
-            for _ in 0..runs {
-                let started = Instant::now();
-                let result = parallel_once(&bench, name, &options, sink, audit, profiling);
-                let elapsed = started.elapsed();
-                best = best.min(elapsed.as_secs_f64());
-                measured_wall_ns += elapsed.as_nanos() as u64;
-                if let Some(prev) = reference {
-                    assert_eq!(
-                        prev, result,
-                        "policy {name} is not run-to-run deterministic under --workers"
-                    );
-                }
-                reference = Some(result);
-            }
-            let (digest, tel_digest, inv) = reference.expect("at least one run");
-            let throughput = inv as f64 / best;
-            eprintln!(
-                "{name:>16}: {best:7.3} s  ({throughput:11.0} inv/s, {inv} invocations, \
-                 {workers} workers)"
-            );
-            entries.push(serde_json::json!({
-                "policy": *name,
-                "seconds_per_replay": best,
-                "invocations_per_sec": throughput,
-                "report_digest": format!("{digest:#018x}"),
-                "telemetry_digest": format!("{tel_digest:#018x}"),
-            }));
-            measured.push((name.to_string(), throughput));
-            digests.push(Digests {
-                policy: name.to_string(),
-                report: Some(digest),
-                telemetry: Some(tel_digest),
-            });
-            actual_invocations = Some(inv);
+            (None, None) => Driver::Serial,
+        },
+        bench: &bench,
+        sink,
+        audit,
+        lambda: gap_reference.as_ref().map(|g| g.lambda_nanos),
+    };
+    // The sharded driver replays every selected policy in one run (the
+    // sweep); the others replay one policy per run.
+    let groups: Vec<&[&'static str]> = match runner.driver {
+        Driver::Sharded(_) => vec![&selected],
+        _ => selected.chunks(1).collect(),
+    };
+    let mut outcomes: Vec<Outcome> = Vec::new();
+    let mut entries = Vec::new();
+    let mut aggregate = None;
+    for group in groups {
+        // Warm-up run (page in the trace, fault in allocator arenas);
+        // streaming runs are long enough to amortize cold caches, and each
+        // one rebuilds its source.
+        if !streaming {
+            unprofiled(|| runner.run(group, false));
         }
-        aggregate = Some(serde_json::json!({
-            "workers": workers as u64,
-            "mode": "intra_run",
-            "window_secs": options.window.as_secs_f64(),
-        }));
-    } else if let Some(workers) = shards {
-        let Bench::Batch(scenario) = &bench else {
-            unreachable!("streaming scenarios were rejected without --workers");
-        };
-        let invocations = scenario.trace.invocations().len() as u64;
-        // Sharded mode: one shard per policy, `workers` threads, one
-        // warm-up sweep, then best-of-`runs` on the sweep wall-clock.
-        unprofiled(|| sharded_sweep(scenario, &selected, workers, sink, audit, false)); // warm-up
-        let mut best_wall = f64::INFINITY;
-        let mut best_shards: Vec<(u64, f64)> = Vec::new();
+        let mut best: Option<(f64, Vec<Outcome>)> = None;
         for _ in 0..runs {
-            let (wall, per_shard) =
-                sharded_sweep(scenario, &selected, workers, sink, audit, profiling);
-            measured_wall_ns += (wall * 1e9) as u64;
-            if !best_shards.is_empty() {
-                let prev: Vec<u64> = best_shards.iter().map(|(d, _)| *d).collect();
-                let this: Vec<u64> = per_shard.iter().map(|(d, _)| *d).collect();
-                assert_eq!(prev, this, "sharded sweep is not run-to-run deterministic");
-            }
-            if wall < best_wall || best_shards.is_empty() {
-                best_wall = wall;
-                best_shards = per_shard;
-            }
-        }
-        let total_invocations = invocations * selected.len() as u64;
-        let sweep_throughput = total_invocations as f64 / best_wall;
-        eprintln!(
-            "sharded sweep ({} policies, {workers} workers): {best_wall:7.3} s \
-             ({sweep_throughput:11.0} inv/s aggregate)",
-            selected.len()
-        );
-        for (name, (digest, secs)) in selected.iter().zip(&best_shards) {
-            eprintln!("{name:>16}: {secs:7.3} s in shard, digest {digest:#018x}");
-            entries.push(serde_json::json!({
-                "policy": *name,
-                "seconds_in_shard": *secs,
-                "report_digest": format!("{digest:#018x}"),
-            }));
-            digests.push(Digests {
-                policy: name.to_string(),
-                report: Some(*digest),
-                telemetry: None,
-            });
-        }
-        aggregate = Some(serde_json::json!({
-            "workers": workers as u64,
-            "seconds_per_sweep": best_wall,
-            "total_invocations": total_invocations,
-            "invocations_per_sec": sweep_throughput,
-        }));
-    } else {
-        let Bench::Batch(scenario) = &bench else {
-            unreachable!("streaming scenarios were rejected without --workers");
-        };
-        let invocations = scenario.trace.invocations().len() as u64;
-        for name in &selected {
-            // Warm-up replay (page in the trace, fault in allocator arenas).
-            unprofiled(|| {
-                run_once(
-                    scenario,
-                    policy(name, Some(&scenario.trace))
-                        .expect("selected from POLICIES")
-                        .as_mut(),
-                    sink,
-                    audit,
-                    false,
-                )
-            });
-            let mut best = f64::INFINITY;
-            let mut digest: Option<u64> = None;
-            for _ in 0..runs {
-                let started = Instant::now();
-                let d = run_once(
-                    scenario,
-                    policy(name, Some(&scenario.trace))
-                        .expect("selected from POLICIES")
-                        .as_mut(),
-                    sink,
-                    audit,
-                    profiling,
+            let started = Instant::now();
+            let this = runner.run(group, profiling);
+            let elapsed = started.elapsed();
+            measured_wall_ns += elapsed.as_nanos() as u64;
+            let wall = elapsed.as_secs_f64();
+            if let Some((best_wall, prev)) = &best {
+                let digests = |o: &Outcome| (o.report, o.telemetry, o.invocations);
+                assert!(
+                    prev.iter().map(digests).eq(this.iter().map(digests)),
+                    "{group:?} is not run-to-run deterministic"
                 );
-                let elapsed = started.elapsed();
-                best = best.min(elapsed.as_secs_f64());
-                measured_wall_ns += elapsed.as_nanos() as u64;
-                if let Some(prev) = digest {
-                    assert_eq!(prev, d, "policy {name} is not run-to-run deterministic");
+                if wall >= *best_wall {
+                    continue;
                 }
-                digest = Some(d);
             }
-            let digest = digest.expect("at least one run");
-            let throughput = invocations as f64 / best;
-            eprintln!("{name:>16}: {best:7.3} s  ({throughput:11.0} inv/s)");
-            entries.push(serde_json::json!({
-                "policy": *name,
-                "seconds_per_replay": best,
-                "invocations_per_sec": throughput,
-                "report_digest": format!("{digest:#018x}"),
-            }));
-            measured.push((name.to_string(), throughput));
-            digests.push(Digests {
-                policy: name.to_string(),
-                report: Some(digest),
-                telemetry: None,
-            });
+            best = Some((wall, this));
+        }
+        let (wall, best) = best.expect("at least one run");
+        aggregate = runner.aggregate(wall, &best);
+        for outcome in best {
+            entries.push(runner.result(&outcome));
+            outcomes.push(outcome);
         }
     }
+    if streaming {
+        invocations = outcomes
+            .last()
+            .map_or(invocations, |o| o.invocations as usize);
+    }
 
-    let (gap_block, gap_failed) = if gap {
-        let Bench::Batch(scenario) = &bench else {
-            unreachable!("streaming scenarios were rejected with --gap");
-        };
-        let (block, failed) = gap_pass(scenario, &selected, shards, &gap_ceilings);
-        (Some(block), failed)
-    } else {
-        (None, false)
+    let (gap_block, gap_failed) = match &gap_reference {
+        Some(reference) => {
+            let (block, failed) = gap_pass(reference, &outcomes, &gap_ceilings);
+            (Some(block), failed)
+        }
+        None => (None, false),
     };
 
-    let (benchmark, functions, nodes, invocations_doc) = match &bench {
-        Bench::Batch(s) => (
-            "simulate_10k",
-            s.trace.functions().len() as u64,
-            s.config.total_nodes() as u64,
-            s.trace.invocations().len() as u64,
-        ),
-        Bench::Stream(s) => (
-            if scenario_name == "1m" {
-                "simulate_1m"
-            } else {
-                "simulate_stream"
-            },
-            s.functions as u64,
-            s.config.total_nodes() as u64,
-            actual_invocations.unwrap_or(s.expected_invocations as u64),
-        ),
-    };
     // The process's high-water mark over every replay of this scenario.
     let peak_rss = cc_prof::peak_rss_bytes();
     match peak_rss {
         Some(bytes) => eprintln!("peak RSS: {}", cc_prof::fmt_bytes(bytes)),
         None => eprintln!("peak RSS: n/a"),
     }
-    let doc = serde_json::json!({
-        "benchmark": benchmark,
-        "scenario_name": scenario_name,
-        "sink": sink.label(),
-        "functions": functions,
-        "invocations": invocations_doc,
-        "nodes": nodes,
-        "runs_per_policy": runs as u64,
-        "shards": shards.unwrap_or(0) as u64,
-        "workers": workers_opt.unwrap_or(0) as u64,
-        "aggregate": aggregate,
-        "gap": gap_block,
-        "peak_rss_bytes": peak_rss,
-        "results": entries,
-    });
     if let Some(out) = &out {
+        let doc = json!({
+            "benchmark": benchmark,
+            "scenario_name": scenario_name,
+            "sink": sink.label(),
+            "functions": functions as u64,
+            "invocations": invocations as u64,
+            "nodes": nodes as u64,
+            "runs_per_policy": runs as u64,
+            "shards": shards.unwrap_or(0) as u64,
+            "workers": workers.unwrap_or(0) as u64,
+            "aggregate": aggregate,
+            "gap": gap_block,
+            "peak_rss_bytes": peak_rss,
+            "results": entries,
+        });
         let body = serde_json::to_string_pretty(&doc).expect("serialize");
         std::fs::write(out, body + "\n").expect("write output file");
         eprintln!("wrote {out}");
@@ -581,68 +466,36 @@ fn main() {
         let self_profile = cc_prof::take_profile(&label, measured_wall_ns);
         eprintln!();
         eprint!("{}", self_profile.render_table());
-        if let Some(path) = &profile_out {
-            std::fs::write(path, cc_prof::to_json(&self_profile))
-                .unwrap_or_else(|e| usage_error(&format!("cannot write {path:?}: {e}")));
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = &profile_trace {
-            std::fs::write(path, cc_prof::to_chrome_trace(&self_profile))
-                .unwrap_or_else(|e| usage_error(&format!("cannot write {path:?}: {e}")));
-            eprintln!("wrote {path}");
+        let exports = [
+            (&profile_out, cc_prof::to_json(&self_profile)),
+            (&profile_trace, cc_prof::to_chrome_trace(&self_profile)),
+        ];
+        for (path, body) in exports {
+            if let Some(path) = path {
+                std::fs::write(path, body)
+                    .unwrap_or_else(|e| usage_error(&format!("cannot write {path:?}: {e}")));
+                eprintln!("wrote {path}");
+            }
         }
     }
 
     if let Some(path) = digests_match {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| usage_error(&format!("cannot read digest file {path:?}: {e}")));
-        let reference = parse_digests(&text);
-        if reference.is_empty() {
-            usage_error(&format!("no report_digest entries in {path:?}"));
-        }
-        let mut failed = false;
-        for measured in &digests {
-            let name = &measured.policy;
-            let Some(recorded) = reference.iter().find(|r| r.policy == *name) else {
-                eprintln!("digests: {name} not in {path}, skipping");
-                continue;
-            };
-            let pairs = [
-                ("report", measured.report, recorded.report),
-                ("telemetry", measured.telemetry, recorded.telemetry),
-            ];
-            for (kind, digest, expected) in pairs {
-                let (Some(digest), Some(expected)) = (digest, expected) else {
-                    continue;
-                };
-                let verdict = if digest == expected { "ok" } else { "DIVERGED" };
-                eprintln!(
-                    "digests: {name:>16} {kind:>9} {digest:#018x} vs recorded {expected:#018x} {verdict}"
-                );
-                failed |= digest != expected;
-            }
-        }
-        if failed {
-            eprintln!("digest check failed: the output diverged from the recorded digests");
-            std::process::exit(1);
-        }
+        check_digests(&path, &outcomes);
     }
 
     let mut below: Vec<&str> = Vec::new();
     for (name, floor) in &floors {
-        let (_, throughput) = measured
+        let throughput = outcomes
             .iter()
-            .find(|(n, _)| n == name)
-            .expect("every floor names a selected policy");
-        let verdict = if throughput >= floor {
-            "ok"
-        } else {
-            "BELOW FLOOR"
-        };
+            .find(|o| o.policy == name)
+            .expect("every floor names a selected policy")
+            .throughput();
+        let holds = throughput >= *floor;
+        let verdict = if holds { "ok" } else { "BELOW FLOOR" };
         eprintln!(
             "floor: {name:>16} measured {throughput:11.0} inv/s vs floor {floor:11.0} {verdict}"
         );
-        if throughput < floor {
+        if !holds {
             below.push(name);
         }
     }
@@ -655,54 +508,311 @@ fn main() {
     }
 }
 
-/// Prices every selected policy against the scenario's hindsight-optimal
-/// DP lower bound (`cc-bound`) and prints one gap row per policy.
+/// How one run replays its policies.
+enum Driver {
+    /// One policy per run, on this thread.
+    Serial,
+    /// `--shards N`: every selected policy in one run, one shard each,
+    /// across `N` worker threads.
+    Sharded(usize),
+    /// `--workers N`: one policy per run, on the pipelined engine.
+    Pipelined(ParallelOptions),
+}
+
+/// Every run of one simbench invocation: the driver, and what all its
+/// runs share.
+struct Runner<'a> {
+    driver: Driver,
+    bench: &'a Bench,
+    sink: SinkMode,
+    /// `--audit`: every JSONL stream is kept and audited.
+    audit: bool,
+    /// The bound's λ, when `--gap` prices every run.
+    lambda: Option<u64>,
+}
+
+/// What the results keep of one policy's run.
+struct Outcome {
+    policy: &'static str,
+    report: u64,
+    /// The telemetry digest, where the driver folds telemetry
+    /// (`--workers`).
+    telemetry: Option<u64>,
+    invocations: u64,
+    /// Seconds the replay took; under `--shards`, inside its shard.
+    seconds: f64,
+    /// The run's measured cost, when `--gap` prices it.
+    cost: Option<NanoCost>,
+}
+
+impl Outcome {
+    fn throughput(&self) -> f64 {
+        self.invocations as f64 / self.seconds
+    }
+}
+
+impl Runner<'_> {
+    /// One run of `group`: one [`Outcome`] per policy, in order.
+    fn run(&self, group: &[&'static str], profiled: bool) -> Vec<Outcome> {
+        match (&self.driver, self.bench) {
+            (Driver::Pipelined(options), _) => group
+                .iter()
+                .map(|name| self.pipelined(name, options, profiled))
+                .collect(),
+            (Driver::Serial, Bench::Batch(s)) => group
+                .iter()
+                .map(|name| self.serial(s, name, profiled))
+                .collect(),
+            (Driver::Sharded(workers), Bench::Batch(s)) => {
+                self.sharded(s, group, *workers, profiled)
+            }
+            (_, Bench::Stream(_)) => {
+                unreachable!("streaming scenarios were rejected without --workers")
+            }
+        }
+    }
+
+    /// Reduces one policy's finished replay, after its timer stopped:
+    /// digests the report, checks that a batch run recorded every
+    /// invocation, and prices it when `--gap` is on.
+    fn outcome(
+        &self,
+        policy: &'static str,
+        report: &SimReport,
+        telemetry: Option<u64>,
+        elapsed: Duration,
+    ) -> Outcome {
+        if let Bench::Batch(s) = self.bench {
+            assert_eq!(
+                report.records.len(),
+                s.trace.invocations().len(),
+                "{policy} did not record every invocation"
+            );
+        }
+        Outcome {
+            policy,
+            report: report.digest(),
+            telemetry,
+            invocations: report.stats.invocations(),
+            seconds: elapsed.as_secs_f64(),
+            cost: self
+                .lambda
+                .map(|lambda| measured_cost_of_report(report, lambda)),
+        }
+    }
+
+    /// Where a JSONL run writes: memory under `--audit`, else nowhere.
+    fn capture(&self) -> Capture {
+        Capture(self.audit.then(Vec::new))
+    }
+
+    /// One serial replay, audited after its timer stopped.
+    fn serial(&self, s: &BenchScenario, name: &'static str, profiled: bool) -> Outcome {
+        match self.sink {
+            SinkMode::Null => self.replay(s, name, &mut NullSink, profiled),
+            SinkMode::Jsonl => {
+                let mut out = JsonlSink::new(self.capture());
+                let outcome = self.replay(s, name, &mut out, profiled);
+                assert!(out.events_written() > 0);
+                audit(out.finish().expect("a capture cannot fail"));
+                outcome
+            }
+            SinkMode::Chrome => {
+                let mut out = ChromeTraceSink::new(std::io::sink());
+                self.replay(s, name, &mut out, profiled)
+            }
+        }
+    }
+
+    /// Replays `name` on the batch scenario into `sink`, under the wall
+    /// profiler when `profiled`, and times the replay alone.
+    fn replay<S: EventSink>(
+        &self,
+        s: &BenchScenario,
+        name: &'static str,
+        sink: &mut S,
+        profiled: bool,
+    ) -> Outcome {
+        let started = Instant::now();
+        let mut policy = policy(name, Some(&s.trace)).expect("selected from POLICIES");
+        let simulation = Simulation::new(s.config.clone(), &s.trace, &s.workload);
+        let report = if profiled {
+            simulation.profiled().run_with_sink(policy.as_mut(), sink)
+        } else {
+            simulation.run_with_sink(policy.as_mut(), sink)
+        };
+        self.outcome(name, &report, None, started.elapsed())
+    }
+
+    /// One sharded sweep: each policy of `group` is a shard, dispatched
+    /// across `workers` threads.
+    fn sharded(
+        &self,
+        s: &BenchScenario,
+        group: &[&'static str],
+        workers: usize,
+        profiled: bool,
+    ) -> Vec<Outcome> {
+        let results = match self.sink {
+            SinkMode::Null => run_sharded(
+                self.shard_jobs(s, group, profiled),
+                workers,
+                &NullSinkFactory,
+            ),
+            SinkMode::Jsonl => {
+                let jobs = self.shard_jobs(s, group, profiled);
+                let (results, merged, mux) = run_sharded_jsonl(jobs, workers, self.capture())
+                    .expect("a capture cannot fail");
+                assert!(
+                    mux.events_written > 0,
+                    "sharded jsonl run emitted no events"
+                );
+                audit(merged);
+                results
+            }
+            SinkMode::Chrome => unreachable!("rejected at argument parsing"),
+        };
+        results
+            .into_iter()
+            .map(|r| r.outcome.expect("shard panicked"))
+            .collect()
+    }
+
+    /// One shard job per policy of `group`: a serial replay into the
+    /// shard's sink.
+    fn shard_jobs<'a, S: EventSink>(
+        &'a self,
+        s: &'a BenchScenario,
+        group: &'a [&'static str],
+        profiled: bool,
+    ) -> Vec<impl FnOnce(&mut S) -> Outcome + Send + 'a> {
+        group
+            .iter()
+            .map(move |&name| move |sink: &mut S| self.replay(s, name, sink, profiled))
+            .collect()
+    }
+
+    /// One replay on the intra-run parallel engine, audited after its
+    /// timer stopped.
+    fn pipelined(&self, name: &'static str, options: &ParallelOptions, profiled: bool) -> Outcome {
+        let jsonl = (self.sink == SinkMode::Jsonl).then(|| self.capture());
+        let started = Instant::now();
+        let (run, jsonl) = match self.bench {
+            Bench::Batch(s) => {
+                let mut policy = policy(name, Some(&s.trace)).expect("selected from POLICIES");
+                let simulation = Simulation::new(s.config.clone(), &s.trace, &s.workload);
+                pipelined(simulation, policy.as_mut(), options, jsonl, profiled)
+            }
+            Bench::Stream(s) => {
+                let mut policy = policy(name, None).expect("streaming runs select no oracle");
+                // Per-invocation records at streaming scale would defeat the
+                // constant-memory point; the digest then covers the stats
+                // and interval samples only.
+                let simulation = Simulation::from_source(s.config.clone(), s.source(), &s.workload)
+                    .without_records();
+                pipelined(simulation, policy.as_mut(), options, jsonl, profiled)
+            }
+        };
+        let elapsed = started.elapsed();
+        if let Some(out) = jsonl {
+            audit(out);
+        }
+        self.outcome(name, &run.report, Some(run.telemetry.digest()), elapsed)
+    }
+
+    /// The `aggregate` block of the output document, after a group's best
+    /// run took `wall` seconds; the sharded sweep's also prints its line.
+    fn aggregate(&self, wall: f64, best: &[Outcome]) -> Option<serde_json::Value> {
+        match &self.driver {
+            Driver::Serial => None,
+            Driver::Sharded(workers) => {
+                let total: u64 = best.iter().map(|o| o.invocations).sum();
+                let throughput = total as f64 / wall;
+                eprintln!(
+                    "sharded sweep ({} policies, {workers} workers): {wall:7.3} s \
+                     ({throughput:11.0} inv/s aggregate)",
+                    best.len()
+                );
+                Some(json!({
+                    "workers": *workers as u64,
+                    "seconds_per_sweep": wall,
+                    "total_invocations": total,
+                    "invocations_per_sec": throughput,
+                }))
+            }
+            Driver::Pipelined(options) => Some(json!({
+                "workers": options.workers as u64,
+                "mode": "intra_run",
+                "window_secs": options.window.as_secs_f64(),
+            })),
+        }
+    }
+
+    /// Prints `outcome`'s result line and returns its `results` entry.
+    fn result(&self, outcome: &Outcome) -> serde_json::Value {
+        let (name, seconds) = (outcome.policy, outcome.seconds);
+        let throughput = outcome.throughput();
+        let digest = format!("{:#018x}", outcome.report);
+        match &self.driver {
+            Driver::Serial => {
+                eprintln!("{name:>16}: {seconds:7.3} s  ({throughput:11.0} inv/s)");
+                json!({
+                    "policy": name,
+                    "seconds_per_replay": seconds,
+                    "invocations_per_sec": throughput,
+                    "report_digest": digest,
+                })
+            }
+            Driver::Sharded(_) => {
+                eprintln!("{name:>16}: {seconds:7.3} s in shard, digest {digest}");
+                json!({
+                    "policy": name,
+                    "seconds_in_shard": seconds,
+                    "report_digest": digest,
+                })
+            }
+            Driver::Pipelined(options) => {
+                eprintln!(
+                    "{name:>16}: {seconds:7.3} s  ({throughput:11.0} inv/s, {} invocations, \
+                     {} workers)",
+                    outcome.invocations, options.workers
+                );
+                let telemetry = outcome.telemetry.expect("the pipeline folds telemetry");
+                json!({
+                    "policy": name,
+                    "seconds_per_replay": seconds,
+                    "invocations_per_sec": throughput,
+                    "report_digest": digest,
+                    "telemetry_digest": format!("{telemetry:#018x}"),
+                })
+            }
+        }
+    }
+}
+
+/// Prices every policy's measured run against the scenario's
+/// hindsight-optimal DP lower bound (`cc-bound`) and prints one gap row
+/// per policy.
 ///
-/// Measured costs come from a dedicated pricing replay per policy — under
-/// `--shards` those replays run on the sharded driver with the same worker
-/// count, so the invariant is checked against sharded execution itself;
-/// other modes price serially (`--workers` results are proven
-/// worker-count-independent by the digest parity check, so the serial
-/// replay prices the identical run).
+/// The costs are those of the measured runs themselves, each priced once
+/// its replay's timer stopped ([`Runner::outcome`]), so no policy replays
+/// again, and under `--shards` or `--workers` the invariant is checked
+/// against that driver's own execution.
 ///
 /// Returns the JSON block embedded under `"gap"` in the output document
 /// and whether any row failed: a negative gap (the conservation invariant
 /// broke — the bound or the engine's accounting has a bug) or a gap above
 /// the policy's `--gap-ceiling`.
 fn gap_pass(
-    scenario: &BenchScenario,
-    selected: &[&str],
-    shards: Option<usize>,
+    reference: &GapReport,
+    outcomes: &[Outcome],
     ceilings: &[(String, f64)],
 ) -> (serde_json::Value, bool) {
-    let input = HindsightInput::from_trace(&scenario.trace, &scenario.workload, &scenario.config)
-        .unwrap_or_else(|e| usage_error(&format!("--gap: {e}")));
-    let reference = GapReport::for_input(&input);
-    let lambda = reference.lambda_nanos;
-    let price = |name: &str| -> NanoCost {
-        let mut policy = policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
-        let report = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload)
-            .run(policy.as_mut());
-        measured_cost_of_report(&report, lambda)
-    };
-    let measured: Vec<(&str, NanoCost)> = match shards {
-        Some(workers) => {
-            let jobs: Vec<_> = selected
-                .iter()
-                .map(|&name| move |_sink: &mut NullSink| price(name))
-                .collect();
-            run_sharded(jobs, workers, &NullSinkFactory)
-                .into_iter()
-                .zip(selected)
-                .map(|(r, &name)| (name, r.outcome.expect("shard panicked")))
-                .collect()
-        }
-        None => selected.iter().map(|&name| (name, price(name))).collect(),
-    };
     let mut rows = Vec::new();
     let mut failed = false;
-    for (name, cost) in measured {
-        let row = reference.policy(name, cost);
+    for outcome in outcomes {
+        let name = outcome.policy;
+        let row = reference.policy(name, outcome.cost.expect("--gap prices every run"));
         let ceiling = ceilings
             .iter()
             .find(|(n, _)| n == name)
@@ -720,7 +830,7 @@ fn gap_pass(
             row.measured, row.lower_bound, row.gap_pct
         );
         failed |= !row.holds() || over_ceiling;
-        rows.push(serde_json::json!({
+        rows.push(json!({
             "policy": name,
             "measured_nano": row.measured.to_string(),
             "lower_bound_nano": row.lower_bound.to_string(),
@@ -730,12 +840,72 @@ fn gap_pass(
             "ceiling_pct": ceiling,
         }));
     }
-    let block = serde_json::json!({
-        "lambda_nanos": lambda,
+    let block = json!({
+        "lambda_nanos": reference.lambda_nanos,
         "lower_bound_nano": reference.lower_bound.to_string(),
         "policies": rows,
     });
     (block, failed)
+}
+
+/// Compares each outcome's digests with those recorded in the simbench
+/// output file at `path`, and exits 1 if a policy has no recorded report
+/// digest or any recorded digest differs. Telemetry digests are compared
+/// where both sides have one.
+fn check_digests(path: &str, outcomes: &[Outcome]) {
+    use cc_prof::json::{parse, Value};
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(&format!("cannot read digest file {path:?}: {e}")));
+    let doc = parse(&text)
+        .unwrap_or_else(|e| usage_error(&format!("cannot parse digest file {path:?}: {e}")));
+    let entries = doc.get("results").and_then(Value::as_arr);
+    let hex = |entry: &Value, key: &str| {
+        let token = entry.get(key)?.as_str()?;
+        u64::from_str_radix(token.strip_prefix("0x").unwrap_or(token), 16).ok()
+    };
+    let recorded = |policy: &str, key: &str| {
+        let entries = entries.unwrap_or_default().iter();
+        entries
+            .filter(|e| e.get("policy").and_then(Value::as_str) == Some(policy))
+            .find_map(|e| hex(e, key))
+    };
+    if !POLICIES
+        .iter()
+        .any(|p| recorded(p, "report_digest").is_some())
+    {
+        usage_error(&format!("no report_digest entries in {path:?}"));
+    }
+    let mut failed = false;
+    for outcome in outcomes {
+        let name = outcome.policy;
+        let Some(report) = recorded(name, "report_digest") else {
+            eprintln!("digests: {name} has no recorded report digest in {path}");
+            failed = true;
+            continue;
+        };
+        let pairs = [
+            ("report", Some(outcome.report), Some(report)),
+            (
+                "telemetry",
+                outcome.telemetry,
+                recorded(name, "telemetry_digest"),
+            ),
+        ];
+        for (kind, digest, expected) in pairs {
+            let (Some(digest), Some(expected)) = (digest, expected) else {
+                continue;
+            };
+            let verdict = if digest == expected { "ok" } else { "DIVERGED" };
+            eprintln!(
+                "digests: {name:>16} {kind:>9} {digest:#018x} vs recorded {expected:#018x} {verdict}"
+            );
+            failed |= digest != expected;
+        }
+    }
+    if failed {
+        eprintln!("digest check failed: a policy has no recorded digest or diverged from it");
+        std::process::exit(1);
+    }
 }
 
 /// Runs `f` with the DynScope probe sites force-disabled — warm-up replays
@@ -748,75 +918,15 @@ fn unprofiled<T>(f: impl FnOnce() -> T) -> T {
     result
 }
 
-/// One replay on the intra-run parallel engine. Returns
-/// `(report digest, telemetry digest, invocations)` — the tuple the
-/// determinism assertion and the digest file both key on.
-fn parallel_once(
-    bench: &Bench,
-    name: &str,
-    options: &ParallelOptions,
-    sink: SinkMode,
-    audit: bool,
-    profiled: bool,
-) -> (u64, u64, u64) {
-    match bench {
-        Bench::Batch(s) => {
-            let mut policy = policy(name, Some(&s.trace)).expect("selected from POLICIES");
-            let simulation = Simulation::new(s.config.clone(), &s.trace, &s.workload);
-            run_parallel_once(simulation, policy.as_mut(), options, sink, audit, profiled)
-        }
-        Bench::Stream(s) => {
-            let mut policy = policy(name, None).expect("streaming runs select no oracle");
-            // Per-invocation records at streaming scale would defeat the
-            // constant-memory point; the digest then covers the stats and
-            // interval samples only.
-            let simulation = Simulation::from_source(s.config.clone(), s.source(), &s.workload)
-                .without_records();
-            run_parallel_once(simulation, policy.as_mut(), options, sink, audit, profiled)
-        }
-    }
-}
-
-fn run_parallel_once<Src: ArrivalSource + Send>(
+/// Runs `simulation` on the pipelined engine, writing its JSONL stream
+/// to `jsonl`, under the wall profiler when `profiled`.
+fn pipelined<Src: ArrivalSource + Send>(
     simulation: Simulation<'_, Src>,
     policy: &mut dyn Scheduler,
     options: &ParallelOptions,
-    sink: SinkMode,
-    audit: bool,
+    jsonl: Option<Capture>,
     profiled: bool,
-) -> (u64, u64, u64) {
-    let outcome = match sink {
-        SinkMode::Null => {
-            let none = None::<std::io::Sink>;
-            pipelined(simulation, policy, none, options, profiled).0
-        }
-        SinkMode::Jsonl if audit => {
-            let (outcome, bytes) =
-                pipelined(simulation, policy, Some(Vec::new()), options, profiled);
-            audit_stream(&bytes.expect("jsonl requested"));
-            outcome
-        }
-        SinkMode::Jsonl => {
-            pipelined(simulation, policy, Some(std::io::sink()), options, profiled).0
-        }
-        SinkMode::Chrome => unreachable!("rejected at argument parsing"),
-    };
-    (
-        outcome.report.digest(),
-        outcome.telemetry.digest(),
-        outcome.report.stats.invocations(),
-    )
-}
-
-/// Runs `simulation` on the pipelined engine, under the wall profiler when
-/// `profiled`.
-fn pipelined<Src: ArrivalSource + Send, W: Write + Send>(
-    simulation: Simulation<'_, Src>,
-    policy: &mut dyn Scheduler,
-    jsonl: Option<W>,
-    options: &ParallelOptions,
-    profiled: bool,
-) -> (ParallelOutcome, Option<W>) {
+) -> (ParallelOutcome, Option<Capture>) {
     if profiled {
         simulation.profiled().run_pipelined(policy, jsonl, options)
     } else {
@@ -825,66 +935,30 @@ fn pipelined<Src: ArrivalSource + Send, W: Write + Send>(
     .expect("pipeline io")
 }
 
-/// Runs `simulation` serially into `sink`, under the wall profiler when
-/// `profiled`.
-fn replay<S: EventSink>(
-    simulation: Simulation<'_>,
-    policy: &mut dyn Scheduler,
-    sink: &mut S,
-    profiled: bool,
-) -> SimReport {
-    if profiled {
-        simulation.profiled().run_with_sink(policy, sink)
-    } else {
-        simulation.run_with_sink(policy, sink)
+/// A JSONL run's output: kept in memory for `--audit` to check, else
+/// dropped as `io::sink()` drops it.
+struct Capture(Option<Vec<u8>>);
+
+impl Write for Capture {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(kept) = &mut self.0 {
+            kept.extend_from_slice(buf);
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
-fn check_report(scenario: &BenchScenario, report: &SimReport) -> u64 {
-    assert_eq!(
-        report.records.len() as u64,
-        scenario.trace.invocations().len() as u64
-    );
-    report.digest()
-}
-
-fn run_once(
-    scenario: &BenchScenario,
-    policy: &mut dyn Scheduler,
-    sink: SinkMode,
-    audit: bool,
-    profiled: bool,
-) -> u64 {
-    let simulation = Simulation::new(scenario.config.clone(), &scenario.trace, &scenario.workload);
-    let report = match sink {
-        SinkMode::Null => replay(simulation, policy, &mut NullSink, profiled),
-        SinkMode::Jsonl if audit => {
-            // Audit mode keeps the serialized stream in memory and runs
-            // the invariant auditor over it after the replay.
-            let mut sink = JsonlSink::new(Vec::new());
-            let report = replay(simulation, policy, &mut sink, profiled);
-            let bytes = sink.finish().expect("writing to memory cannot fail");
-            audit_stream(&bytes);
-            report
-        }
-        SinkMode::Jsonl => {
-            let mut sink = JsonlSink::new(std::io::sink());
-            let report = replay(simulation, policy, &mut sink, profiled);
-            assert!(sink.events_written() > 0);
-            report
-        }
-        SinkMode::Chrome => {
-            let mut sink = ChromeTraceSink::new(std::io::sink());
-            replay(simulation, policy, &mut sink, profiled)
-        }
+/// Decodes and audits the stream `out` kept, if it kept one; exits
+/// non-zero on a malformed stream or any invariant violation.
+fn audit(out: Capture) {
+    let Some(bytes) = out.0 else {
+        return;
     };
-    check_report(scenario, &report)
-}
-
-/// Decodes and audits one captured JSONL stream; exits non-zero on a
-/// malformed stream or any invariant violation.
-fn audit_stream(bytes: &[u8]) {
-    let text = std::str::from_utf8(bytes).expect("jsonl output is utf-8");
+    let text = std::str::from_utf8(&bytes).expect("jsonl output is utf-8");
     let log = cc_replay::decode_stream(text).unwrap_or_else(|e| {
         eprintln!("audit: stream failed to decode: {e}");
         std::process::exit(1);
@@ -899,140 +973,4 @@ fn audit_stream(bytes: &[u8]) {
         log.events(),
         log.shards.len()
     );
-}
-
-/// One sharded sweep: each selected policy is a shard, dispatched across
-/// `workers` threads. Returns the sweep wall-clock and per-shard
-/// `(report digest, seconds inside the shard)` in policy order.
-fn sharded_sweep(
-    scenario: &BenchScenario,
-    selected: &[&str],
-    workers: usize,
-    sink: SinkMode,
-    audit: bool,
-    profiled: bool,
-) -> (f64, Vec<(u64, f64)>) {
-    let started = Instant::now();
-    let per_shard: Vec<(u64, f64)> = match sink {
-        SinkMode::Null => {
-            let jobs: Vec<_> = selected
-                .iter()
-                .map(|&name| {
-                    move |_sink: &mut NullSink| {
-                        let shard_started = Instant::now();
-                        let mut policy =
-                            policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
-                        let simulation = Simulation::new(
-                            scenario.config.clone(),
-                            &scenario.trace,
-                            &scenario.workload,
-                        );
-                        let report = replay(simulation, policy.as_mut(), &mut NullSink, profiled);
-                        (
-                            check_report(scenario, &report),
-                            shard_started.elapsed().as_secs_f64(),
-                        )
-                    }
-                })
-                .collect();
-            run_sharded(jobs, workers, &NullSinkFactory)
-                .into_iter()
-                .map(|r| r.outcome.expect("shard panicked"))
-                .collect()
-        }
-        SinkMode::Jsonl => {
-            let jobs: Vec<_> = selected
-                .iter()
-                .map(|&name| {
-                    move |sink: &mut JsonlSink<Vec<u8>>| {
-                        let shard_started = Instant::now();
-                        let mut policy =
-                            policy(name, Some(&scenario.trace)).expect("selected from POLICIES");
-                        let simulation = Simulation::new(
-                            scenario.config.clone(),
-                            &scenario.trace,
-                            &scenario.workload,
-                        );
-                        let report = replay(simulation, policy.as_mut(), sink, profiled);
-                        (
-                            check_report(scenario, &report),
-                            shard_started.elapsed().as_secs_f64(),
-                        )
-                    }
-                })
-                .collect();
-            if audit {
-                let (results, merged, mux) = run_sharded_jsonl(jobs, workers, Vec::new())
-                    .expect("writing to memory cannot fail");
-                assert!(
-                    mux.events_written > 0,
-                    "sharded jsonl run emitted no events"
-                );
-                audit_stream(&merged);
-                results
-                    .into_iter()
-                    .map(|r| r.outcome.expect("shard panicked"))
-                    .collect()
-            } else {
-                let (results, _, mux) = run_sharded_jsonl(jobs, workers, std::io::sink())
-                    .expect("writing to io::sink cannot fail");
-                assert!(
-                    mux.events_written > 0,
-                    "sharded jsonl run emitted no events"
-                );
-                results
-                    .into_iter()
-                    .map(|r| r.outcome.expect("shard panicked"))
-                    .collect()
-            }
-        }
-        SinkMode::Chrome => unreachable!("rejected at argument parsing"),
-    };
-    (started.elapsed().as_secs_f64(), per_shard)
-}
-
-/// One policy's digests; only `--workers` runs record the telemetry
-/// digest.
-struct Digests {
-    policy: String,
-    report: Option<u64>,
-    telemetry: Option<u64>,
-}
-
-/// Pulls each policy's `report_digest` and `telemetry_digest` out of a
-/// file this binary wrote with a line scan (the vendored `serde_json` has
-/// no parser, and the schema is shallow enough that one is not needed): a
-/// `"policy"` line opens an entry and the digest lines after it fill it.
-/// Entries without a report digest are dropped.
-fn parse_digests(text: &str) -> Vec<Digests> {
-    let hex = |rest: &str| {
-        let token = rest.trim().trim_end_matches(',').trim_matches('"');
-        u64::from_str_radix(token.strip_prefix("0x").unwrap_or(token), 16).ok()
-    };
-    let mut entries: Vec<Digests> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"policy\":") {
-            entries.push(Digests {
-                policy: rest
-                    .trim()
-                    .trim_end_matches(',')
-                    .trim_matches('"')
-                    .to_string(),
-                report: None,
-                telemetry: None,
-            });
-        } else if let (Some(rest), Some(entry)) =
-            (line.strip_prefix("\"report_digest\":"), entries.last_mut())
-        {
-            entry.report = hex(rest);
-        } else if let (Some(rest), Some(entry)) = (
-            line.strip_prefix("\"telemetry_digest\":"),
-            entries.last_mut(),
-        ) {
-            entry.telemetry = hex(rest);
-        }
-    }
-    entries.retain(|entry| entry.report.is_some());
-    entries
 }

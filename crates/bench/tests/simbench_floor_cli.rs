@@ -3,38 +3,15 @@
 //! names an unknown or unselected policy, or a malformed rate, is a usage
 //! error (exit 2). simbench writes no file unless `--out` asks for one.
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
 
-/// Runs simbench in `dir` with the whitespace-separated `args`:
-/// (exit code, output).
-fn simbench(dir: &PathBuf, args: &str) -> (i32, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_simbench"))
-        .current_dir(dir)
-        .args(args.split_whitespace())
-        .output()
-        .expect("spawn simbench");
-    let text = format!(
-        "{}{}",
-        String::from_utf8_lossy(&output.stdout),
-        String::from_utf8_lossy(&output.stderr)
-    );
-    (output.status.code().expect("exit code"), text)
-}
-
-/// A fresh, empty working directory for one test.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("simbench-floor-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use common::{scratch_dir, simbench};
 
 const SMALL: &str = "--scenario small --runs 1 --policies fixed_keepalive,codecrunch";
 
 #[test]
 fn a_policy_below_its_floor_exits_1_and_is_named() {
-    let dir = scratch_dir("below");
+    let dir = scratch_dir("floor-below");
     let (code, text) = simbench(
         &dir,
         &format!("{SMALL} --floor fixed_keepalive=1 --floor codecrunch=1e15"),
@@ -51,7 +28,7 @@ fn a_policy_below_its_floor_exits_1_and_is_named() {
 
 #[test]
 fn floors_that_hold_exit_0_and_write_no_file() {
-    let dir = scratch_dir("holds");
+    let dir = scratch_dir("floor-holds");
     let (code, text) = simbench(
         &dir,
         &format!("{SMALL} --floor fixed_keepalive=1 --floor codecrunch=1"),
@@ -67,7 +44,7 @@ fn floors_that_hold_exit_0_and_write_no_file() {
 
 #[test]
 fn bad_floors_are_usage_errors() {
-    let dir = scratch_dir("usage");
+    let dir = scratch_dir("floor-usage");
     for floor in [
         "nosuch=1000",
         "codecrunch",

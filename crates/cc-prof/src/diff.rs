@@ -106,7 +106,7 @@ impl DiffReport {
     }
 
     /// The regressed phase with the largest share increase, if any — the
-    /// one-line attribution simbench prints on a baseline failure.
+    /// one-line attribution `ccprof diff` prints when a profile regressed.
     pub fn top_regression(&self) -> Option<&DiffRow> {
         self.rows
             .iter()

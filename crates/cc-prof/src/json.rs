@@ -1,12 +1,13 @@
-//! Self-profile JSON: a stable-key-order writer and a minimal parser.
+//! Self-profile JSON: a stable-key-order writer, and the workspace's JSON
+//! reader.
 //!
 //! The writer emits keys in one fixed order with one phase/counter object
 //! per line, so profiles diff cleanly under `git diff` and line tools.
-//! The parser is a small recursive-descent JSON reader specialized to the
-//! needs of `ccprof diff` (the workspace's vendored serde_json stand-in
-//! serializes but does not parse); it accepts any standard JSON document
-//! and maps the known keys, ignoring unknown ones so older readers accept
-//! newer profiles.
+//! The reader, [`parse`], is a small recursive-descent parser (the
+//! workspace's vendored serde_json stand-in serializes but does not
+//! parse); it accepts any standard JSON document. [`from_json`] maps a
+//! profile's known keys out of it, ignoring unknown ones so older readers
+//! accept newer profiles, and other tools read their own documents with it.
 //!
 //! Wall-trace spans are deliberately *not* part of this document — they go
 //! to the Perfetto export — so baseline profiles stay small enough to
@@ -131,47 +132,59 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value (just enough structure for profile documents).
+/// A parsed JSON value. Numbers are `f64`, as in JavaScript: an integer
+/// above 2^53 loses precision, so documents carry such values as strings.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+pub enum Value {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
+    /// A number.
     Num(f64),
+    /// A string, escapes decoded.
     Str(String),
+    /// An array.
     Arr(Vec<Value>),
+    /// An object; a repeated key keeps its last value.
     Obj(BTreeMap<String, Value>),
 }
 
 impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
+    /// The member `key` of an object (`None` for any other value).
+    pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(map) => map.get(key),
             _ => None,
         }
     }
 
-    fn as_u64(&self) -> Option<u64> {
+    /// A non-negative number, truncated to an integer.
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Num(n) if *n >= 0.0 => Some(*n as u64),
             _ => None,
         }
     }
 
-    fn as_bool(&self) -> Option<bool> {
+    /// A boolean.
+    pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
-    fn as_str(&self) -> Option<&str> {
+    /// A string.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    fn as_arr(&self) -> Option<&[Value]> {
+    /// An array's items.
+    pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
             _ => None,
@@ -353,14 +366,25 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses a self-profile JSON document produced by [`to_json`].
-pub fn from_json(text: &str) -> Result<SelfProfile, String> {
+/// Parses one JSON document (surrounding whitespace allowed, nothing
+/// else after it).
+///
+/// # Errors
+///
+/// Returns a message naming the byte offset of the first syntax error.
+pub fn parse(text: &str) -> Result<Value, String> {
     let mut parser = Parser::new(text);
     let root = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(parser.err("trailing content"));
     }
+    Ok(root)
+}
+
+/// Parses a self-profile JSON document produced by [`to_json`].
+pub fn from_json(text: &str) -> Result<SelfProfile, String> {
+    let root = parse(text)?;
     let version = root
         .get("cc_prof")
         .and_then(Value::as_u64)

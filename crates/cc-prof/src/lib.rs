@@ -16,7 +16,9 @@
 //!   wrapper attributing allocations to the active phase.
 //! * [`take_profile`] → [`SelfProfile`] — collection, with exporters:
 //!   stable-key-order JSON ([`to_json`]/[`from_json`]), a Chrome/Perfetto
-//!   wall trace ([`to_chrome_trace`]), and a human table.
+//!   wall trace ([`to_chrome_trace`]), and a human table. The reader
+//!   under `from_json`, [`json::parse`], is the workspace's one general
+//!   JSON parser.
 //! * [`diff_profiles`] and the `ccprof` binary — per-phase wall/alloc
 //!   deltas with thresholds, for CI regression attribution.
 
@@ -26,7 +28,7 @@
 #[allow(unsafe_code)]
 mod alloc;
 mod diff;
-mod json;
+pub mod json;
 mod phase;
 mod profile;
 mod trace;

@@ -106,15 +106,10 @@ pub fn write_combined_csv<W: Write>(trace: &Trace, mut writer: W) -> Result<(), 
 /// Returns [`CsvError`] on I/O failures, malformed lines, or invalid trace
 /// structure.
 pub fn read_combined_csv<R: Read>(reader: R) -> Result<Trace, CsvError> {
-    let reader = BufReader::new(reader);
     let mut functions = Vec::new();
     let mut invocations = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = idx + 1;
+    for line in data_lines(reader, 0) {
+        let (line_no, line) = line?;
         let mut cols = line.split(',');
         let id: u32 = parse_col(&mut cols, line_no, "function_id")?;
         let exec_ms: u64 = parse_col(&mut cols, line_no, "mean_exec_ms")?;
@@ -148,18 +143,10 @@ pub fn read_azure_invocations<R: Read>(
     default_exec: SimDuration,
     default_memory: MemoryMb,
 ) -> Result<Trace, CsvError> {
-    let reader = BufReader::new(reader);
     let mut functions = Vec::new();
     let mut invocations = Vec::new();
-    let mut lines = reader.lines().enumerate();
-    // Skip the header row.
-    let _ = lines.next();
-    for (idx, line) in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = idx + 1;
+    for line in data_lines(reader, 1) {
+        let (line_no, line) = line?;
         let mut cols = line.split(',');
         let _owner = next_col(&mut cols, line_no, "HashOwner")?;
         let _app = next_col(&mut cols, line_no, "HashApp")?;
@@ -190,16 +177,9 @@ pub fn read_azure_invocations<R: Read>(
 ///
 /// Returns [`CsvError`] on I/O failures or malformed lines.
 pub fn read_azure_durations<R: Read>(reader: R) -> Result<HashMap<String, SimDuration>, CsvError> {
-    let reader = BufReader::new(reader);
     let mut out = HashMap::new();
-    let mut lines = reader.lines().enumerate();
-    let _ = lines.next(); // header
-    for (idx, line) in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = idx + 1;
+    for line in data_lines(reader, 1) {
+        let (line_no, line) = line?;
         let mut cols = line.split(',');
         let _owner = next_col(&mut cols, line_no, "HashOwner")?;
         let _app = next_col(&mut cols, line_no, "HashApp")?;
@@ -222,16 +202,9 @@ pub fn read_azure_durations<R: Read>(reader: R) -> Result<HashMap<String, SimDur
 ///
 /// Returns [`CsvError`] on I/O failures or malformed lines.
 pub fn read_azure_app_memory<R: Read>(reader: R) -> Result<HashMap<String, MemoryMb>, CsvError> {
-    let reader = BufReader::new(reader);
     let mut out = HashMap::new();
-    let mut lines = reader.lines().enumerate();
-    let _ = lines.next(); // header
-    for (idx, line) in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = idx + 1;
+    for line in data_lines(reader, 1) {
+        let (line_no, line) = line?;
         let mut cols = line.split(',');
         let _owner = next_col(&mut cols, line_no, "HashOwner")?;
         let app = next_col(&mut cols, line_no, "HashApp")?.to_owned();
@@ -255,6 +228,11 @@ pub fn app_memory_to_function_memory(
         .collect()
 }
 
+/// The most arrivals one minute may hold: one per microsecond, the
+/// resolution arrivals are placed at. It also keeps the spread's
+/// `60_000_000 × (2j+1)` far below `u64::MAX`.
+const MAX_PER_MINUTE: u64 = 60_000_000;
+
 /// Expands the remaining columns (per-minute counts) into arrivals spread
 /// uniformly within each minute.
 fn expand_counts<'a, I: Iterator<Item = &'a str>>(
@@ -263,11 +241,20 @@ fn expand_counts<'a, I: Iterator<Item = &'a str>>(
     id: FunctionId,
     out: &mut Vec<Invocation>,
 ) -> Result<(), CsvError> {
+    let malformed = |reason: String| CsvError::Malformed {
+        line: line_no,
+        reason,
+    };
     for (minute, col) in cols.enumerate() {
-        let count: u64 = col.trim().parse().map_err(|_| CsvError::Malformed {
-            line: line_no,
-            reason: format!("bad count {col:?} at minute {minute}"),
-        })?;
+        let count: u64 = col
+            .trim()
+            .parse()
+            .map_err(|_| malformed(format!("bad count {col:?} at minute {minute}")))?;
+        if count > MAX_PER_MINUTE {
+            return Err(malformed(format!(
+                "count {count} at minute {minute} exceeds {MAX_PER_MINUTE} (one per microsecond)"
+            )));
+        }
         let minute_start = SimTime::ZERO + SimDuration::from_mins(minute as u64);
         for j in 0..count {
             // Uniform spread: arrival j of k lands at (2j+1)/(2k) of the
@@ -280,6 +267,20 @@ fn expand_counts<'a, I: Iterator<Item = &'a str>>(
         }
     }
     Ok(())
+}
+
+/// The non-blank lines of `reader` after its first `headers` lines, each
+/// with its 1-based line number.
+fn data_lines<R: Read>(
+    reader: R,
+    headers: usize,
+) -> impl Iterator<Item = Result<(usize, String), CsvError>> {
+    let lines = BufReader::new(reader).lines().enumerate().skip(headers);
+    lines.filter_map(|(idx, line)| match line {
+        Ok(line) if line.trim().is_empty() => None,
+        Ok(line) => Some(Ok((idx + 1, line))),
+        Err(e) => Some(Err(e.into())),
+    })
 }
 
 fn next_col<'a, I: Iterator<Item = &'a str>>(
@@ -411,6 +412,37 @@ o1,a1,f2,timer,0,1,0
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    /// Asserts `result` is a `Malformed` error on `line` naming `needle`.
+    fn assert_malformed(result: Result<Trace, CsvError>, line: usize, needle: &str) {
+        match result {
+            Err(CsvError::Malformed { line: at, reason }) => {
+                assert_eq!(at, line, "{reason}");
+                assert!(reason.contains(needle), "{reason}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_count_above_one_per_microsecond_is_malformed() {
+        // 2^63 once wrapped `2 * count` to 0 and divided by it.
+        let combined = "0,1,1,5,9223372036854775808\n";
+        assert_malformed(
+            read_combined_csv(combined.as_bytes()),
+            1,
+            "count 9223372036854775808 at minute 1",
+        );
+        let azure = "h,h,h,t,1\no,a,f,http,60000001\n";
+        let read = read_azure_invocations(
+            azure.as_bytes(),
+            &HashMap::new(),
+            &HashMap::new(),
+            SimDuration::from_secs(1),
+            MemoryMb::new(128),
+        );
+        assert_malformed(read, 2, "count 60000001 at minute 0");
     }
 
     #[test]
