@@ -972,20 +972,299 @@ mod tests {
         assert_eq!(err.kind, DecodeErrorKind::ExpectedToken(",\"at\":"));
     }
 
+    /// Every decode error's kind and byte position, pinned: one
+    /// `ExpectedToken` per key, one `BadNumber` per numeric codec, a
+    /// `BadLabel` per label list, and the structural kinds.
     #[test]
-    fn unknown_tags_and_trailing_data_are_rejected() {
-        let err = decode_line("{\"t\":\"warp_core\",\"at\":1}").unwrap_err();
-        assert!(matches!(err.kind, DecodeErrorKind::UnknownTag(ref t) if t == "warp_core"));
-        let err = decode_line("{\"t\":\"arrival\",\"at\":1,\"fn\":2}garbage").unwrap_err();
-        assert_eq!(err.kind, DecodeErrorKind::TrailingData);
-        let err = decode_line("{\"t\":\"arrival\",\"at\":1,\"fn\":99999999999}").unwrap_err();
-        assert_eq!(err.kind, DecodeErrorKind::BadNumber("fn"));
-        let err = decode_line("{\"t\":\"prewarm_dropped\",\"at\":1,\"fn\":2,\"arch\":\"mips\"}")
-            .unwrap_err();
-        assert!(matches!(
-            err.kind,
-            DecodeErrorKind::BadLabel { field: "arch", .. }
-        ));
+    fn decode_errors_keep_their_kinds_and_positions() {
+        use DecodeErrorKind::{
+            BadNumber as Num, ExpectedToken as Tok, TrailingData, Truncated, UnknownTag,
+        };
+        let label = |field, found: &str| DecodeErrorKind::BadLabel {
+            field,
+            found: found.into(),
+        };
+        let cases: Vec<(&str, DecodeErrorKind, usize)> = vec![
+            // Structure.
+            ("", Truncated, 0),
+            ("[\"t\":\"arrival\"}", Tok("{\"t\":"), 0),
+            ("{\"t\":arrival}", Tok("\""), 5),
+            ("{\"t\":\"arrival", Truncated, 6),
+            ("{\"t\":\"warp_core\",\"at\":1}", UnknownTag("warp_core".into()), 5),
+            ("{\"t\":\"arrival\",\"at\":1,\"fn\":2}garbage", TrailingData, 29),
+            ("{\"t\":\"arrival\",\"at\":1,\"fn\":2,", Tok("}"), 28),
+            ("{\"t\":\"arrival\",\"at\":1,\"fn\":2", Truncated, 28),
+            ("{\"type\":\"snapshot\",\"arrivals\":1", Truncated, 31),
+            // One wrong key each, in table order.
+            ("{\"t\":\"arrival\",\"ta\":1,\"fn\":2}", Tok(",\"at\":"), 14),
+            ("{\"t\":\"arrival\",\"at\":1,\"nf\":2}", Tok(",\"fn\":"), 21),
+            ("{\"t\":\"queued\",\"at\":1,\"fn\":2,\"dept\":3}", Tok(",\"depth\":"), 27),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"nod\":3}",
+                Tok(",\"node\":"),
+                31,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"ach\":\"x86\"}",
+                Tok(",\"arch\":"),
+                40,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\"knd\":1}",
+                Tok(",\"kind\":"),
+                53,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\
+                 \"kind\":\"cold\",\"wait\":4}",
+                Tok(",\"wait_us\":"),
+                67,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\
+                 \"kind\":\"cold\",\"wait_us\":4,\"penalty\":5}",
+                Tok(",\"penalty_us\":"),
+                79,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\
+                 \"kind\":\"cold\",\"wait_us\":4,\"penalty_us\":5,\"exec\":6}",
+                Tok(",\"exec_us\":"),
+                94,
+            ),
+            ("{\"t\":\"warm_admit\",\"at\":1,\"id\":2}", Tok(",\"id\":["), 24),
+            ("{\"t\":\"warm_admit\",\"at\":1,\"id\":[2;3]}", Tok(","), 32),
+            ("{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3}", Tok("]"), 34),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"arch\":\"arm\",\"zipped\":true}",
+                Tok(",\"compressed\":"),
+                64,
+            ),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"arch\":\"arm\",\"compressed\":true,\"mem\":6}",
+                Tok(",\"mem_mb\":"),
+                82,
+            ),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"arch\":\"arm\",\"compressed\":true,\"mem_mb\":6,\"expires\":7}",
+                Tok(",\"expiry\":"),
+                93,
+            ),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"arch\":\"arm\",\"compressed\":true,\"mem_mb\":6,\"expiry\":7,\"reserved\":8}",
+                Tok(",\"reserved_pd\":"),
+                104,
+            ),
+            (
+                "{\"t\":\"warm_release\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"mem_mb\":6,\"compressed\":false,\"since\":7,\"why\":\"expired\"}",
+                Tok(",\"reason\":"),
+                93,
+            ),
+            (
+                "{\"t\":\"warm_release\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"mem_mb\":6,\"compressed\":false,\"snce\":7}",
+                Tok(",\"since\":"),
+                83,
+            ),
+            (
+                "{\"t\":\"compress_start\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\"ready\":6}",
+                Tok(",\"ready_at\":"),
+                55,
+            ),
+            (
+                "{\"t\":\"budget_debit\",\"at\":1,\"requested\":2}",
+                Tok(",\"requested_pd\":"),
+                26,
+            ),
+            (
+                "{\"t\":\"budget_debit\",\"at\":1,\"requested_pd\":2,\"granted\":3}",
+                Tok(",\"granted_pd\":"),
+                43,
+            ),
+            (
+                "{\"t\":\"budget_credit\",\"at\":1,\"amount\":2}",
+                Tok(",\"amount_pd\":"),
+                27,
+            ),
+            ("{\"t\":\"opt_round\",\"at\":1,\"rnd\":2}", Tok(",\"round\":"), 23),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subs\":3}",
+                Tok(",\"subproblems\":"),
+                33,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dim\":4}",
+                Tok(",\"dims\":"),
+                49,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\"obj\":1}",
+                Tok(",\"objective\":"),
+                58,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
+                 \"objective\":-1.5,\"acc\":5}",
+                Tok(",\"accepted\":"),
+                75,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
+                 \"objective\":-1.5,\"accepted\":5,\"evaluations\":6}",
+                Tok(",\"evals\":"),
+                88,
+            ),
+            ("{\"t\":\"interval\",\"at\":1,\"idx\":2}", Tok(",\"index\":"), 22),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend\":0.5}",
+                Tok(",\"spend_delta\":"),
+                32,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":0.5,\"warm\":3}",
+                Tok(",\"warm_pool\":"),
+                50,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":0.5,\"warm_pool\":3,\
+                 \"utilization\":0.25}",
+                Tok(",\"compressed\":"),
+                64,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":0.5,\"warm_pool\":3,\
+                 \"compressed\":4,\"util\":0.25}",
+                Tok(",\"utilization\":"),
+                79,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":0.5,\"warm_pool\":3,\
+                 \"compressed\":4,\"utilization\":0.25,\"pending\":6}",
+                Tok(",\"compress_delta\":"),
+                98,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":0.5,\"warm_pool\":3,\
+                 \"compressed\":4,\"utilization\":0.25,\"compress_delta\":5,\"queue\":6}",
+                Tok(",\"pending\":"),
+                117,
+            ),
+            ("{\"t\":\"shard_begin\",\"id\":0}", Tok(",\"shard\":"), 18),
+            (
+                "{\"t\":\"shard_end\",\"shard\":0,\"count\":1}",
+                Tok(",\"events\":"),
+                26,
+            ),
+            (
+                "{\"t\":\"shard_end\",\"shard\":0,\"events\":1,\"lost\":0}",
+                Tok(",\"dropped\":"),
+                37,
+            ),
+            // One malformed number per numeric codec.
+            ("{\"t\":\"arrival\",\"at\":-1,\"fn\":2}", Num("at"), 20),
+            ("{\"t\":\"arrival\",\"at\":1,\"fn\":99999999999}", Num("fn"), 38),
+            ("{\"t\":\"queued\",\"at\":1,\"fn\":2,\"depth\":x}", Num("depth"), 36),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":4294967296}",
+                Num("node"),
+                49,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\
+                 \"kind\":\"cold\",\"wait_us\":18446744073709551616}",
+                Num("wait_us"),
+                78,
+            ),
+            ("{\"t\":\"warm_admit\",\"at\":1,\"id\":[x,3]}", Num("id.slot"), 31),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,4294967296]}",
+                Num("id.generation"),
+                43,
+            ),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"arch\":\"arm\",\"compressed\":yes}",
+                Num("compressed"),
+                78,
+            ),
+            (
+                "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"arch\":\"arm\",\"compressed\":true,\"mem_mb\":4294967296}",
+                Num("mem_mb"),
+                102,
+            ),
+            (
+                "{\"t\":\"budget_credit\",\"at\":1,\"amount_pd\":+2}",
+                Num("amount_pd"),
+                40,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
+                 \"objective\":x}",
+                Num("objective"),
+                71,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
+                 \"objective\":1e999}",
+                Num("objective"),
+                71,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":-}",
+                Num("spend_delta"),
+                47,
+            ),
+            // A line cut inside a number.
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
+                 \"objective\":-",
+                Num("objective"),
+                71,
+            ),
+            (
+                "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
+                 \"objective\":nu",
+                Num("objective"),
+                71,
+            ),
+            (
+                "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":-",
+                Num("spend_delta"),
+                47,
+            ),
+            ("{\"t\":\"arrival\",\"at\":1,\"fn\":", Truncated, 27),
+            // One unknown label per label list.
+            (
+                "{\"t\":\"prewarm_dropped\",\"at\":1,\"fn\":2,\"arch\":\"mips\"}",
+                label("arch", "mips"),
+                44,
+            ),
+            (
+                "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\"kind\":\"hot\"}",
+                label("kind", "hot"),
+                61,
+            ),
+            (
+                "{\"t\":\"warm_release\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
+                 \"mem_mb\":6,\"compressed\":false,\"since\":7,\"reason\":\"lost\"}",
+                label("reason", "lost"),
+                103,
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (line, kind, at) in &cases {
+            match decode_line(line) {
+                Err(e) if e.kind == *kind && e.at == *at => {}
+                other => wrong.push(format!("{line}\n  want {kind:?} at {at}, got {other:?}")),
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 
     #[test]
