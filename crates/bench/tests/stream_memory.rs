@@ -9,8 +9,8 @@
 //! about 16 bytes per invocation).
 //!
 //! Compiled only under `--features alloc-profile` (the counting global
-//! allocator), and kept apart from `alloc_gate.rs`, which must be the only
-//! test in its binary:
+//! allocator), and kept in a binary of its own: it reads the process-wide
+//! allocation totals, which any other test running alongside would move:
 //!
 //! ```text
 //! cargo test -p bench --release --features alloc-profile --test stream_memory

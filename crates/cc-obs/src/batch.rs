@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use cc_types::{SimDuration, SimTime};
 
-use crate::event::{Event, EventSink};
+use crate::event::EventSink;
+use crate::schema::Event;
 
 /// One flushed batch: a contiguous run of the event stream.
 ///

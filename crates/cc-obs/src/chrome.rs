@@ -18,8 +18,9 @@ use std::io::{self, Write};
 
 use cc_types::NodeId;
 
-use crate::event::{Event, EventSink};
-use crate::jsonl::json_f64;
+use crate::event::EventSink;
+use crate::schema::Event;
+use crate::wire::json_f64;
 
 const EXEC_PID: u32 = 1;
 const POOL_PID: u32 = 2;
@@ -203,7 +204,7 @@ impl<W: Write> EventSink for ChromeTraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ReleaseReason;
+    use crate::schema::ReleaseReason;
     use cc_types::{Arch, FunctionId, MemoryMb, SimDuration, SimTime, StartKind, WarmId};
 
     #[test]

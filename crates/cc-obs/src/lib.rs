@@ -22,6 +22,15 @@
 //!   order, deterministic bytes) and [`ChromeTraceSink`] (Chrome
 //!   `trace_event` JSON loadable in Perfetto, rendering node occupancy and
 //!   warm-instance lifetimes as tracks).
+//! * **The JSONL schema** — one `macro_rules!` table (`schema.rs`) lists
+//!   every line type: each [`Event`] variant's and each [`ShardMarker`]'s
+//!   tag and fields in key order, the flattened [`OptimizerRound`] and
+//!   [`IntervalSample`] records, and the label lists of `Arch`,
+//!   `StartKind` and [`ReleaseReason`]. It generates the types, the
+//!   allocation-free encoder ([`write_event_line`],
+//!   `ShardMarker::write_line`), the strict decoder ([`decode_tagged`],
+//!   with typed [`DecodeError`]s), `tag()`, [`Event::at`] and
+//!   [`ReleaseReason::label`]. Adding a field is one table edit.
 //! * **Combinators** — [`Tee`] to fan out to two sinks, [`BufferSink`] to
 //!   retain events in memory, `&mut S` which forwards to `S`, and
 //!   [`BatchSink`] which flushes window-aligned, index-tagged event
@@ -40,15 +49,19 @@ mod chrome;
 mod event;
 mod instruments;
 mod jsonl;
+mod schema;
 mod shared;
 mod telemetry;
+mod wire;
 
 pub use batch::{BatchSink, EventBatch};
 pub use chrome::ChromeTraceSink;
-pub use event::{
-    BufferSink, Event, EventSink, IntervalSample, NullSink, OptimizerRound, ReleaseReason, Tee,
-};
+pub use event::{BufferSink, EventSink, NullSink, Tee};
 pub use instruments::{Counter, Gauge, LogHistogram};
 pub use jsonl::{event_line, write_event_line, JsonlSink};
+pub use schema::{
+    decode_tagged, Event, IntervalSample, OptimizerRound, ReleaseReason, ShardMarker, Tagged,
+};
 pub use shared::SharedTelemetry;
 pub use telemetry::Telemetry;
+pub use wire::{DecodeError, DecodeErrorKind};

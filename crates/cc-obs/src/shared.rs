@@ -18,7 +18,8 @@ use std::sync::{Arc, Mutex};
 
 use cc_types::SimDuration;
 
-use crate::event::{Event, EventSink};
+use crate::event::EventSink;
+use crate::schema::Event;
 use crate::telemetry::Telemetry;
 
 /// A cloneable, lock-protected [`Telemetry`] usable as an [`EventSink`]

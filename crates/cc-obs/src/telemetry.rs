@@ -4,8 +4,9 @@
 use cc_metrics::{P2Quantile, ServiceStats, Summary, TimeSeries};
 use cc_types::{Fnv1a, ServiceRecord, SimDuration, SimTime, StartKind};
 
-use crate::event::{Event, EventSink, IntervalSample, OptimizerRound, ReleaseReason};
+use crate::event::EventSink;
 use crate::instruments::{Counter, Gauge, LogHistogram};
+use crate::schema::{Event, IntervalSample, OptimizerRound, ReleaseReason};
 
 /// Everything the standard instruments accumulate from one run.
 ///

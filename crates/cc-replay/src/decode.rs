@@ -1,565 +1,57 @@
-//! Strict decoder for the cc-obs JSONL event encoding.
+//! The stream layer over cc-obs's strict line decoder.
 //!
-//! [`event_line`](cc_obs::event_line) is the single source of truth for the
-//! encoding: a fixed key order per event tag, compact separators, and
-//! `Display`-formatted numbers. This decoder inverts it *strictly* — a line
-//! decodes iff it is byte-for-byte in canonical form (modulo number
-//! spellings that parse to the same value), so re-encoding a decoded event
-//! reproduces the original line and any corruption (swapped keys, truncated
-//! tails, renamed fields) surfaces as a typed [`DecodeError`] instead of a
-//! silently different event. Decoding never panics.
+//! The JSONL format is one table in cc-obs (`schema.rs`), which generates
+//! both the encoder and the strict line decoder,
+//! [`decode_tagged`](cc_obs::decode_tagged): a line decodes iff it is
+//! byte-for-byte in canonical form (modulo number spellings that parse to
+//! the same value), so re-encoding a decoded event reproduces the original
+//! line and any corruption (swapped keys, truncated tails, renamed fields)
+//! surfaces as a typed [`DecodeError`] instead of a silently different
+//! event. Decoding never panics.
 //!
-//! Two layers:
+//! This module adds the two things the table does not describe:
 //!
-//! * [`decode_line`] — one line to one [`Line`] (event, shard marker, or
-//!   telemetry snapshot).
+//! * [`decode_line`] — one line to one [`Line`]: a schema line (event or
+//!   shard marker), or a telemetry snapshot.
 //! * [`decode_stream`] — a whole file to a [`ReplayLog`], validating the
 //!   shard-marker structure the mux writes (`shard_begin`/`shard_end`
 //!   bracketing, strictly increasing shard ids, declared event counts).
 
 use std::fmt;
 
-use cc_obs::{Event, IntervalSample, OptimizerRound, ReleaseReason};
-use cc_types::{Arch, Cost, FunctionId, MemoryMb, NodeId, SimDuration, SimTime, StartKind, WarmId};
-
-/// What went wrong decoding one line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeErrorKind {
-    /// The line ended before the expected structure was complete.
-    Truncated,
-    /// The bytes at the error position did not match the canonical token
-    /// (wrong key, wrong separator, wrong quoting — anything structural).
-    ExpectedToken(&'static str),
-    /// The `"t"` tag names no known event or marker type.
-    UnknownTag(String),
-    /// A numeric field failed to parse (empty, malformed, or out of range).
-    BadNumber(&'static str),
-    /// A string-enum field carried an unknown label.
-    BadLabel {
-        /// The field whose label was unrecognized.
-        field: &'static str,
-        /// The label found.
-        found: String,
-    },
-    /// Valid structure, but bytes remained after the closing brace.
-    TrailingData,
-}
-
-/// A typed, non-panicking line decode failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Byte offset within the line where decoding failed.
-    pub at: usize,
-    /// What went wrong.
-    pub kind: DecodeErrorKind,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
-            DecodeErrorKind::Truncated => write!(f, "truncated line (byte {})", self.at),
-            DecodeErrorKind::ExpectedToken(token) => {
-                write!(f, "expected {token:?} at byte {}", self.at)
-            }
-            DecodeErrorKind::UnknownTag(tag) => write!(f, "unknown event tag {tag:?}"),
-            DecodeErrorKind::BadNumber(field) => {
-                write!(f, "malformed number for {field:?} at byte {}", self.at)
-            }
-            DecodeErrorKind::BadLabel { field, found } => {
-                write!(f, "unknown {field} label {found:?} at byte {}", self.at)
-            }
-            DecodeErrorKind::TrailingData => {
-                write!(f, "trailing data after object at byte {}", self.at)
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
+pub use cc_obs::{DecodeError, DecodeErrorKind};
+use cc_obs::{Event, ShardMarker, Tagged};
 
 /// One decoded JSONL line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Line {
     /// A simulator event.
     Event(Event),
-    /// A `shard_begin` marker (sharded streams only).
-    ShardBegin {
-        /// The shard whose block starts here.
-        shard: u32,
-    },
-    /// A `shard_end` marker with the mux's per-shard accounting.
-    ShardEnd {
-        /// The shard whose block ends here.
-        shard: u32,
-        /// Event lines the mux wrote for the shard.
-        events: u64,
-        /// Events the shard reported dropped (lossy channel backpressure).
-        dropped: u64,
-    },
+    /// A `shard_begin`/`shard_end` marker (sharded streams only).
+    Marker(ShardMarker),
     /// A `Telemetry::snapshot_line` appended after the event stream.
     Snapshot,
-}
-
-struct Cursor<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { s, pos: 0 }
-    }
-
-    fn fail(&self, kind: DecodeErrorKind) -> DecodeError {
-        DecodeError { at: self.pos, kind }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.s[self.pos..]
-    }
-
-    /// Consumes an exact literal (a key, separator, or punctuation run).
-    fn lit(&mut self, token: &'static str) -> Result<(), DecodeError> {
-        let rest = self.rest();
-        if let Some(tail) = rest.strip_prefix(token) {
-            self.pos = self.s.len() - tail.len();
-            Ok(())
-        } else if rest.len() < token.len() && token.starts_with(rest) {
-            Err(self.fail(DecodeErrorKind::Truncated))
-        } else {
-            Err(self.fail(DecodeErrorKind::ExpectedToken(token)))
-        }
-    }
-
-    /// Consumes a decimal integer token.
-    fn u64(&mut self, field: &'static str) -> Result<u64, DecodeError> {
-        let digits: &str = {
-            let rest = self.rest();
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            &rest[..end]
-        };
-        if digits.is_empty() {
-            return if self.rest().is_empty() {
-                Err(self.fail(DecodeErrorKind::Truncated))
-            } else {
-                Err(self.fail(DecodeErrorKind::BadNumber(field)))
-            };
-        }
-        let value = digits
-            .parse::<u64>()
-            .map_err(|_| self.fail(DecodeErrorKind::BadNumber(field)))?;
-        self.pos += digits.len();
-        Ok(value)
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, DecodeError> {
-        let value = self.u64(field)?;
-        u32::try_from(value).map_err(|_| DecodeError {
-            at: self.pos,
-            kind: DecodeErrorKind::BadNumber(field),
-        })
-    }
-
-    /// Consumes a JSON number or `null` (the encoding of non-finite
-    /// floats); `null` decodes to NaN.
-    fn f64_or_null(&mut self, field: &'static str) -> Result<f64, DecodeError> {
-        if self.rest().starts_with("null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let token: &str = {
-            let rest = self.rest();
-            let end = rest
-                .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                .unwrap_or(rest.len());
-            &rest[..end]
-        };
-        if token.is_empty() {
-            return if self.rest().is_empty() {
-                Err(self.fail(DecodeErrorKind::Truncated))
-            } else {
-                Err(self.fail(DecodeErrorKind::BadNumber(field)))
-            };
-        }
-        let value = token
-            .parse::<f64>()
-            .map_err(|_| self.fail(DecodeErrorKind::BadNumber(field)))?;
-        if !value.is_finite() {
-            // Canonical encoding spells non-finite values as `null`.
-            return Err(self.fail(DecodeErrorKind::BadNumber(field)));
-        }
-        self.pos += token.len();
-        Ok(value)
-    }
-
-    fn bool(&mut self, field: &'static str) -> Result<bool, DecodeError> {
-        if self.rest().starts_with("true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.rest().starts_with("false") {
-            self.pos += 5;
-            Ok(false)
-        } else if "true".starts_with(self.rest()) || "false".starts_with(self.rest()) {
-            Err(self.fail(DecodeErrorKind::Truncated))
-        } else {
-            Err(self.fail(DecodeErrorKind::BadNumber(field)))
-        }
-    }
-
-    /// Consumes a quoted label (the encoding never escapes).
-    fn label(&mut self) -> Result<&'a str, DecodeError> {
-        self.lit("\"")?;
-        let rest = self.rest();
-        let Some(end) = rest.find('"') else {
-            return Err(self.fail(DecodeErrorKind::Truncated));
-        };
-        let label = &rest[..end];
-        self.pos += end + 1;
-        Ok(label)
-    }
-
-    fn end(&mut self) -> Result<(), DecodeError> {
-        self.lit("}")?;
-        if self.pos != self.s.len() {
-            return Err(self.fail(DecodeErrorKind::TrailingData));
-        }
-        Ok(())
-    }
-
-    fn warm_id(&mut self) -> Result<WarmId, DecodeError> {
-        self.lit(",\"id\":[")?;
-        let slot = self.u32("id.slot")?;
-        self.lit(",")?;
-        let generation = self.u32("id.generation")?;
-        self.lit("]")?;
-        Ok(WarmId::new(slot, generation))
-    }
-
-    fn arch(&mut self, field: &'static str) -> Result<Arch, DecodeError> {
-        let at = self.pos;
-        match self.label()? {
-            "x86" => Ok(Arch::X86),
-            "arm" => Ok(Arch::Arm),
-            other => Err(DecodeError {
-                at,
-                kind: DecodeErrorKind::BadLabel {
-                    field,
-                    found: other.to_string(),
-                },
-            }),
-        }
-    }
 }
 
 /// Decodes one JSONL line into a [`Line`], strictly against the canonical
 /// encoding. Never panics; malformed input yields a typed [`DecodeError`].
 pub fn decode_line(line: &str) -> Result<Line, DecodeError> {
-    let mut c = Cursor::new(line);
     // Telemetry snapshots are the one non-event line family ccstat appends;
     // they are recognized (and re-derivable from the event stream) but not
     // decoded field-by-field.
     if line.starts_with("{\"type\":\"snapshot\"") {
         if !line.ends_with('}') {
-            c.pos = line.len();
-            return Err(c.fail(DecodeErrorKind::Truncated));
+            return Err(DecodeError {
+                at: line.len(),
+                kind: DecodeErrorKind::Truncated,
+            });
         }
         return Ok(Line::Snapshot);
     }
-    c.lit("{\"t\":")?;
-    let tag_at = c.pos;
-    let tag = c.label()?;
-    match tag {
-        "arrival" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.end()?;
-            Ok(Line::Event(Event::Arrival { at, function }))
-        }
-        "queued" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"depth\":")?;
-            let depth = c.u64("depth")?;
-            c.end()?;
-            Ok(Line::Event(Event::Queued {
-                at,
-                function,
-                depth,
-            }))
-        }
-        "exec_start" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"node\":")?;
-            let node = NodeId::new(c.u32("node")?);
-            c.lit(",\"arch\":")?;
-            let arch = c.arch("arch")?;
-            c.lit(",\"kind\":")?;
-            let kind_at = c.pos;
-            let kind = match c.label()? {
-                "cold" => StartKind::Cold,
-                "warm" => StartKind::WarmUncompressed,
-                "warm_compressed" => StartKind::WarmCompressed,
-                other => {
-                    return Err(DecodeError {
-                        at: kind_at,
-                        kind: DecodeErrorKind::BadLabel {
-                            field: "kind",
-                            found: other.to_string(),
-                        },
-                    })
-                }
-            };
-            c.lit(",\"wait_us\":")?;
-            let wait = SimDuration::from_micros(c.u64("wait_us")?);
-            c.lit(",\"penalty_us\":")?;
-            let start_penalty = SimDuration::from_micros(c.u64("penalty_us")?);
-            c.lit(",\"exec_us\":")?;
-            let execution = SimDuration::from_micros(c.u64("exec_us")?);
-            c.end()?;
-            Ok(Line::Event(Event::ExecutionStarted {
-                at,
-                function,
-                node,
-                arch,
-                kind,
-                wait,
-                start_penalty,
-                execution,
-            }))
-        }
-        "warm_admit" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            let id = c.warm_id()?;
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"node\":")?;
-            let node = NodeId::new(c.u32("node")?);
-            c.lit(",\"arch\":")?;
-            let arch = c.arch("arch")?;
-            c.lit(",\"compressed\":")?;
-            let compressed = c.bool("compressed")?;
-            c.lit(",\"mem_mb\":")?;
-            let memory = MemoryMb::new(c.u32("mem_mb")?);
-            c.lit(",\"expiry\":")?;
-            let expiry = SimTime::from_micros(c.u64("expiry")?);
-            c.lit(",\"reserved_pd\":")?;
-            let reserved = Cost::from_picodollars(c.u64("reserved_pd")?);
-            c.end()?;
-            Ok(Line::Event(Event::InstanceAdmitted {
-                at,
-                id,
-                function,
-                node,
-                arch,
-                compressed,
-                memory,
-                expiry,
-                reserved,
-            }))
-        }
-        "warm_release" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            let id = c.warm_id()?;
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"node\":")?;
-            let node = NodeId::new(c.u32("node")?);
-            c.lit(",\"mem_mb\":")?;
-            let memory = MemoryMb::new(c.u32("mem_mb")?);
-            c.lit(",\"compressed\":")?;
-            let compressed = c.bool("compressed")?;
-            c.lit(",\"since\":")?;
-            let since = SimTime::from_micros(c.u64("since")?);
-            c.lit(",\"reason\":")?;
-            let reason_at = c.pos;
-            let reason = match c.label()? {
-                "reused" => ReleaseReason::Reused,
-                "evicted" => ReleaseReason::Evicted,
-                "expired" => ReleaseReason::Expired,
-                other => {
-                    return Err(DecodeError {
-                        at: reason_at,
-                        kind: DecodeErrorKind::BadLabel {
-                            field: "reason",
-                            found: other.to_string(),
-                        },
-                    })
-                }
-            };
-            c.end()?;
-            Ok(Line::Event(Event::InstanceReleased {
-                at,
-                id,
-                function,
-                node,
-                memory,
-                compressed,
-                since,
-                reason,
-            }))
-        }
-        "compress_start" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            let id = c.warm_id()?;
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"node\":")?;
-            let node = NodeId::new(c.u32("node")?);
-            c.lit(",\"ready_at\":")?;
-            let ready_at = SimTime::from_micros(c.u64("ready_at")?);
-            c.end()?;
-            Ok(Line::Event(Event::CompressionStarted {
-                at,
-                id,
-                function,
-                node,
-                ready_at,
-            }))
-        }
-        "compress_finish" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            let id = c.warm_id()?;
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"node\":")?;
-            let node = NodeId::new(c.u32("node")?);
-            c.end()?;
-            Ok(Line::Event(Event::CompressionFinished {
-                at,
-                id,
-                function,
-                node,
-            }))
-        }
-        "budget_debit" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"requested_pd\":")?;
-            let requested = Cost::from_picodollars(c.u64("requested_pd")?);
-            c.lit(",\"granted_pd\":")?;
-            let granted = Cost::from_picodollars(c.u64("granted_pd")?);
-            c.end()?;
-            Ok(Line::Event(Event::BudgetDebit {
-                at,
-                requested,
-                granted,
-            }))
-        }
-        "budget_credit" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"amount_pd\":")?;
-            let amount = Cost::from_picodollars(c.u64("amount_pd")?);
-            c.end()?;
-            Ok(Line::Event(Event::BudgetCredit { at, amount }))
-        }
-        "prewarm_dropped" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"fn\":")?;
-            let function = FunctionId::new(c.u32("fn")?);
-            c.lit(",\"arch\":")?;
-            let arch = c.arch("arch")?;
-            c.end()?;
-            Ok(Line::Event(Event::PrewarmDropped { at, function, arch }))
-        }
-        "opt_round" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"round\":")?;
-            let round = c.u32("round")?;
-            c.lit(",\"subproblems\":")?;
-            let subproblems = c.u32("subproblems")?;
-            c.lit(",\"dims\":")?;
-            let dimensions = c.u32("dims")?;
-            c.lit(",\"objective\":")?;
-            let objective = c.f64_or_null("objective")?;
-            c.lit(",\"accepted\":")?;
-            let accepted_moves = c.u64("accepted")?;
-            c.lit(",\"evals\":")?;
-            let evaluations = c.u64("evals")?;
-            c.end()?;
-            Ok(Line::Event(Event::OptimizerRound {
-                at,
-                round: OptimizerRound {
-                    round,
-                    subproblems,
-                    dimensions,
-                    objective,
-                    accepted_moves,
-                    evaluations,
-                },
-            }))
-        }
-        "interval" => {
-            c.lit(",\"at\":")?;
-            let at = SimTime::from_micros(c.u64("at")?);
-            c.lit(",\"index\":")?;
-            let index = c.u64("index")?;
-            c.lit(",\"spend_delta\":")?;
-            let spend_delta_dollars = c.f64_or_null("spend_delta")?;
-            c.lit(",\"warm_pool\":")?;
-            let warm_pool = c.u64("warm_pool")?;
-            c.lit(",\"compressed\":")?;
-            let compressed = c.u64("compressed")?;
-            c.lit(",\"utilization\":")?;
-            let utilization = c.f64_or_null("utilization")?;
-            c.lit(",\"compress_delta\":")?;
-            let compression_events_delta = c.u64("compress_delta")?;
-            c.lit(",\"pending\":")?;
-            let pending = c.u64("pending")?;
-            c.end()?;
-            Ok(Line::Event(Event::IntervalSampled {
-                at,
-                sample: IntervalSample {
-                    index,
-                    spend_delta_dollars,
-                    warm_pool,
-                    compressed,
-                    utilization,
-                    compression_events_delta,
-                    pending,
-                },
-            }))
-        }
-        "shard_begin" => {
-            c.lit(",\"shard\":")?;
-            let shard = c.u32("shard")?;
-            c.end()?;
-            Ok(Line::ShardBegin { shard })
-        }
-        "shard_end" => {
-            c.lit(",\"shard\":")?;
-            let shard = c.u32("shard")?;
-            c.lit(",\"events\":")?;
-            let events = c.u64("events")?;
-            c.lit(",\"dropped\":")?;
-            let dropped = c.u64("dropped")?;
-            c.end()?;
-            Ok(Line::ShardEnd {
-                shard,
-                events,
-                dropped,
-            })
-        }
-        other => Err(DecodeError {
-            at: tag_at,
-            kind: DecodeErrorKind::UnknownTag(other.to_string()),
-        }),
-    }
+    Ok(match cc_obs::decode_tagged(line)? {
+        Tagged::Event(event) => Line::Event(event),
+        Tagged::Marker(marker) => Line::Marker(marker),
+    })
 }
 
 /// The mux's per-shard accounting from a `shard_end` marker.
@@ -724,7 +216,7 @@ pub fn decode_stream(input: &str) -> Result<ReplayLog, StreamError> {
                     saw_untagged_content = true;
                 }
             }
-            Line::ShardBegin { shard } => {
+            Line::Marker(ShardMarker::Begin { shard }) => {
                 if saw_untagged_content || open.is_some() || shard != log.shards.len() as u32 {
                     return fail(StreamErrorKind::UnexpectedShardBegin { shard });
                 }
@@ -736,11 +228,11 @@ pub fn decode_stream(input: &str) -> Result<ReplayLog, StreamError> {
                 });
                 open = Some(log.shards.len() - 1);
             }
-            Line::ShardEnd {
+            Line::Marker(ShardMarker::End {
                 shard,
                 events,
                 dropped,
-            } => {
+            }) => {
                 let Some(current) = open else {
                     return fail(StreamErrorKind::UnexpectedShardEnd { shard });
                 };
@@ -793,7 +285,10 @@ pub fn decode_stream(input: &str) -> Result<ReplayLog, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_obs::event_line;
+    use cc_obs::{event_line, IntervalSample, OptimizerRound, ReleaseReason};
+    use cc_types::{
+        Arch, Cost, FunctionId, MemoryMb, NodeId, SimDuration, SimTime, StartKind, WarmId,
+    };
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -932,15 +427,15 @@ mod tests {
     fn markers_and_snapshots_decode() {
         assert_eq!(
             decode_line("{\"t\":\"shard_begin\",\"shard\":3}").unwrap(),
-            Line::ShardBegin { shard: 3 }
+            Line::Marker(ShardMarker::Begin { shard: 3 })
         );
         assert_eq!(
             decode_line("{\"t\":\"shard_end\",\"shard\":3,\"events\":10,\"dropped\":2}").unwrap(),
-            Line::ShardEnd {
+            Line::Marker(ShardMarker::End {
                 shard: 3,
                 events: 10,
                 dropped: 2
-            }
+            })
         );
         assert_eq!(
             decode_line("{\"type\":\"snapshot\",\"arrivals\":5}").unwrap(),
@@ -956,9 +451,16 @@ mod tests {
         for line in &lines {
             for cut in 0..line.len() {
                 let prefix = &line[..cut];
+                let result = decode_line(prefix);
                 assert!(
-                    decode_line(prefix).is_err(),
-                    "prefix {prefix:?} of {line:?} decoded"
+                    matches!(
+                        result,
+                        Err(DecodeError {
+                            kind: DecodeErrorKind::Truncated,
+                            ..
+                        })
+                    ),
+                    "prefix {prefix:?} of {line:?} gave {result:?}"
                 );
             }
         }
@@ -1165,14 +667,15 @@ mod tests {
                 Tok(",\"dropped\":"),
                 37,
             ),
-            // One malformed number per numeric codec.
+            // One malformed number per numeric codec; an out-of-range u32
+            // reports at the number's first byte, like every other.
             ("{\"t\":\"arrival\",\"at\":-1,\"fn\":2}", Num("at"), 20),
-            ("{\"t\":\"arrival\",\"at\":1,\"fn\":99999999999}", Num("fn"), 38),
+            ("{\"t\":\"arrival\",\"at\":1,\"fn\":99999999999}", Num("fn"), 27),
             ("{\"t\":\"queued\",\"at\":1,\"fn\":2,\"depth\":x}", Num("depth"), 36),
             (
                 "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":4294967296}",
                 Num("node"),
-                49,
+                39,
             ),
             (
                 "{\"t\":\"exec_start\",\"at\":1,\"fn\":2,\"node\":3,\"arch\":\"x86\",\
@@ -1184,7 +687,7 @@ mod tests {
             (
                 "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,4294967296]}",
                 Num("id.generation"),
-                43,
+                33,
             ),
             (
                 "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
@@ -1196,7 +699,7 @@ mod tests {
                 "{\"t\":\"warm_admit\",\"at\":1,\"id\":[2,3],\"fn\":4,\"node\":5,\
                  \"arch\":\"arm\",\"compressed\":true,\"mem_mb\":4294967296}",
                 Num("mem_mb"),
-                102,
+                92,
             ),
             (
                 "{\"t\":\"budget_credit\",\"at\":1,\"amount_pd\":+2}",
@@ -1220,22 +723,22 @@ mod tests {
                 Num("spend_delta"),
                 47,
             ),
-            // A line cut inside a number.
+            // A line cut inside a number is truncated, not malformed.
             (
                 "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
                  \"objective\":-",
-                Num("objective"),
+                Truncated,
                 71,
             ),
             (
                 "{\"t\":\"opt_round\",\"at\":1,\"round\":2,\"subproblems\":3,\"dims\":4,\
                  \"objective\":nu",
-                Num("objective"),
+                Truncated,
                 71,
             ),
             (
                 "{\"t\":\"interval\",\"at\":1,\"index\":2,\"spend_delta\":-",
-                Num("spend_delta"),
+                Truncated,
                 47,
             ),
             ("{\"t\":\"arrival\",\"at\":1,\"fn\":", Truncated, 27),

@@ -6,8 +6,10 @@
 //!
 //! 1. **Decoder** ([`decode`]) — parses the canonical JSONL back into the
 //!    typed [`Event`](cc_obs::Event) enum, including the sharded framing
-//!    (`shard_begin`/`shard_end` markers) written by
-//!    `cc_shard::run_sharded_jsonl`.
+//!    ([`ShardMarker`](cc_obs::ShardMarker) lines) written by
+//!    `cc_shard::run_sharded_jsonl`. Lines decode through the strict
+//!    decoder that cc-obs's schema table generates next to the encoder;
+//!    this crate adds the snapshot line and the marker grammar.
 //!    Every malformed input is a typed [`DecodeError`]/[`StreamError`] with
 //!    a byte or line position — never a panic. Because the encoder is
 //!    canonical (stable key order, shortest-round-trip floats), decoding is

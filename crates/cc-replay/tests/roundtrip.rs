@@ -5,12 +5,14 @@
 //! decoding an encoded event yields an equal event, and re-encoding the
 //! decoded event reproduces the original line byte-for-byte. The
 //! generators push boundary values (0, 1, `u64::MAX`, `f64::MAX`, negative
-//! zero) through every field with non-trivial probability.
+//! zero) through every field with non-trivial probability. Corrupted lines
+//! — every prefix, every single-character edit — fail with a typed error
+//! in bounds or decode to an event that round-trips.
 
 use cc_obs::{
     event_line, Event, EventSink, IntervalSample, JsonlSink, OptimizerRound, ReleaseReason,
 };
-use cc_replay::{decode_line, decode_stream, Line};
+use cc_replay::{decode_line, decode_stream, DecodeError, DecodeErrorKind, Line};
 use cc_types::{Arch, Cost, FunctionId, MemoryMb, NodeId, SimDuration, SimTime, StartKind, WarmId};
 use proptest::prelude::*;
 
@@ -184,8 +186,53 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         .prop_map(|((sel, flag, x, y), a, b)| build_event(sel, a, b, flag, x, y))
 }
 
+/// The character a single-character edit writes: any ASCII byte, or one
+/// of a few multi-byte characters.
+fn edit_char(sel: u64) -> char {
+    const WIDE: [char; 4] = ['\u{e9}', '\u{20ac}', '\u{1f600}', '\u{feff}'];
+    match sel % 144 {
+        n @ 0..=127 => char::from(n as u8),
+        n => WIDE[n as usize % WIDE.len()],
+    }
+}
+
+/// Every single-character replace, insert and delete edit of `line`
+/// (canonical lines are ASCII, so each character is one byte).
+fn single_edits(line: &str, sel: u64) -> Vec<String> {
+    let mut edits = Vec::with_capacity(3 * line.len() + 1);
+    for i in 0..=line.len() {
+        let c = edit_char(
+            sel.wrapping_add(i as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                >> 7,
+        );
+        edits.push(format!("{}{c}{}", &line[..i], &line[i..]));
+        if i < line.len() {
+            edits.push(format!("{}{c}{}", &line[..i], &line[i + 1..]));
+            edits.push(format!("{}{}", &line[..i], &line[i + 1..]));
+        }
+    }
+    edits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn single_edits_never_panic_or_mis_decode(event in event_strategy(), sel in any::<u64>()) {
+        // A corrupted line either fails in bounds or decodes to an event
+        // the canonical encoder round-trips.
+        for edited in single_edits(&event_line(&event), sel) {
+            match decode_line(&edited) {
+                Err(e) => prop_assert!(e.at <= edited.len(), "{edited:?}: {e:?} out of bounds"),
+                Ok(Line::Event(decoded)) => {
+                    let again = event_line(&decoded);
+                    prop_assert_eq!(decode_line(&again), Ok(Line::Event(decoded)));
+                }
+                Ok(_) => {}
+            }
+        }
+    }
 
     #[test]
     fn encode_decode_is_lossless(event in event_strategy()) {
@@ -202,14 +249,20 @@ proptest! {
 
     #[test]
     fn every_line_prefix_is_a_typed_error(event in event_strategy()) {
-        // Truncation anywhere must produce a typed error, never a panic
-        // and never a bogus success.
+        // Truncation anywhere must produce a `Truncated` error, never a
+        // panic, another kind, or a bogus success.
         let line = event_line(&event);
         for end in 0..line.len() {
             if !line.is_char_boundary(end) {
                 continue;
             }
-            prop_assert!(decode_line(&line[..end]).is_err());
+            let result = decode_line(&line[..end]);
+            prop_assert!(
+                matches!(result, Err(DecodeError { kind: DecodeErrorKind::Truncated, .. })),
+                "prefix {:?} gave {:?}",
+                &line[..end],
+                result
+            );
         }
     }
 

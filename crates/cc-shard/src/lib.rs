@@ -17,8 +17,8 @@
 //!   writer the intra-run parallel pipeline uses — writes the blocks in
 //!   shard-id order. With one shard the merged bytes are identical to a
 //!   serial [`JsonlSink`](cc_obs::JsonlSink) run; with more, each shard's
-//!   block is bracketed by `shard_begin`/`shard_end` marker lines carrying
-//!   its event count. Capture is always complete: the engine is
+//!   block is bracketed by [`ShardMarker`](cc_obs::ShardMarker) lines, the
+//!   end marker carrying its event count. Capture is always complete: the engine is
 //!   deterministic, so a capture can be re-run exactly instead of sampled.
 //!
 //! The driver is generic over the job's result type and the sink the job

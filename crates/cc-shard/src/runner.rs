@@ -7,7 +7,7 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Mutex;
 use std::thread;
 
-use cc_obs::{EventSink, JsonlSink, NullSink};
+use cc_obs::{EventSink, JsonlSink, NullSink, ShardMarker};
 
 use crate::mux::mux_chunks;
 
@@ -56,7 +56,7 @@ impl SinkFactory for NullSinkFactory {
 /// finished block, indexed by shard id, to the [`mux_chunks`] writer.
 struct JsonlBlockFactory {
     tx: SyncSender<(u64, Vec<u8>)>,
-    /// Bracket each block with `shard_begin`/`shard_end` marker lines.
+    /// Bracket each block with [`ShardMarker`] lines.
     tagged: bool,
 }
 
@@ -64,22 +64,23 @@ impl SinkFactory for JsonlBlockFactory {
     type Sink = JsonlSink<Vec<u8>>;
 
     fn make(&self, shard: u32) -> Self::Sink {
-        let mut sink = JsonlSink::new(Vec::new());
+        let mut block = Vec::new();
         if self.tagged {
-            sink.write_line(&format!("{{\"t\":\"shard_begin\",\"shard\":{shard}}}"));
+            ShardMarker::Begin { shard }.write_line(&mut block);
         }
-        sink
+        JsonlSink::new(block)
     }
 
     fn finish(&self, shard: u32, sink: Self::Sink) -> SinkStats {
         let events = sink.events_written();
         let mut block = sink.finish().expect("writing to memory cannot fail");
         if self.tagged {
-            writeln!(
-                block,
-                "{{\"t\":\"shard_end\",\"shard\":{shard},\"events\":{events},\"dropped\":0}}"
-            )
-            .expect("writing to memory cannot fail");
+            ShardMarker::End {
+                shard,
+                events,
+                dropped: 0,
+            }
+            .write_line(&mut block);
         }
         // A send only fails once the writer has gone (an IO error), which
         // `run_sharded_jsonl` reports.
@@ -197,9 +198,8 @@ pub struct MuxReport {
 /// therefore a deterministic function of the per-shard event streams.
 ///
 /// With more than one job each block is bracketed by marker lines —
-/// `{"t":"shard_begin","shard":K}` and
-/// `{"t":"shard_end","shard":K,"events":N,"dropped":0}` — so the merged
-/// file is self-describing. With one job no markers are written and the
+/// [`ShardMarker::Begin`] and [`ShardMarker::End`] with the block's event
+/// count and no dropped events — so the merged file is self-describing. With one job no markers are written and the
 /// bytes are identical to a serial [`JsonlSink`] consuming the same event
 /// stream.
 ///

@@ -73,6 +73,11 @@ impl NodeId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// Returns the raw `u32` value.
+    pub const fn as_u32(self) -> u32 {
+        self.0
+    }
 }
 
 impl From<u32> for NodeId {
