@@ -70,8 +70,9 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// A read position in one line. Every method consumes exactly one
-/// canonical token or fails at the token's first byte; a line that ends
-/// inside a token fails as [`DecodeErrorKind::Truncated`].
+/// canonical token or fails with a typed error: a malformed token at its
+/// first byte, a line that ends inside a token as
+/// [`DecodeErrorKind::Truncated`].
 pub(crate) struct Cursor<'a> {
     s: &'a str,
     pos: usize,
