@@ -22,6 +22,18 @@ pub fn scenario() -> (Trace, Workload, ClusterConfig) {
     .build()
 }
 
+/// The eviction-dominated scale `stress_golden` pins: 400 functions for
+/// an hour on 2+2 nodes with a tenth of each node's memory open to warm
+/// instances (about 16.5k invocations and 15k evictions per policy).
+pub const STRESS: Scale = Scale {
+    functions: 400,
+    minutes: 60,
+    x86_nodes: 2,
+    arm_nodes: 2,
+    seed: 2024,
+    warm_fraction: 0.10,
+};
+
 /// A fresh instance of the table policy `name` for `trace`.
 pub fn policy_for(name: &str, trace: &Trace) -> Box<dyn Scheduler> {
     policy(name, Some(trace)).expect("a table policy")
