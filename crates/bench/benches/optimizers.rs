@@ -133,6 +133,34 @@ fn bench_sre_round(c: &mut Criterion) {
     group.finish();
 }
 
+/// One whole SRE interval the way CodeCrunch runs it: three rounds,
+/// serial, scratch held across iterations, and the inner descent's
+/// evaluation budget CodeCrunch gives each of its 48 sub-problem searches
+/// (12 000 / 48 = 250). At 1 300 functions (serve_live's invoked
+/// population per tick) every descent stops at once, so the interval is
+/// the round loop's own upkeep; at 150 the descents move.
+fn bench_sre_interval(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sre_interval");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    for n in [1_300usize, 150] {
+        let bowls = Bowls::new(n);
+        let mut sre = Sre::scaled_to(n);
+        sre.parallel = false;
+        sre.inner.eval_budget = 12_000 / (sre.num_subproblems * sre.rounds) as u64;
+        let seed = start(n);
+        let mut scratch = SreScratch::default();
+        let mut counts = vec![0u32; n];
+        group.bench_function(BenchmarkId::new("separable_scratch", n), |b| {
+            b.iter(|| {
+                sre.optimize_separable_with_scratch(&bowls, seed.clone(), &mut counts, &mut scratch)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// One round of SRE sub-problem sampling alone, at the planning scale
 /// `Sre::scaled_to(n)` picks (192 draws once `n` reaches a few hundred),
 /// with buffers held across iterations the way `sre_round` holds them.
@@ -172,6 +200,7 @@ criterion_group!(
     benches,
     bench_optimizers,
     bench_sre_round,
+    bench_sre_interval,
     bench_sre_sampling
 );
 criterion_main!(benches);

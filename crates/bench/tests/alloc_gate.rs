@@ -1,14 +1,16 @@
 //! The allocation-discipline gates: after one warmup replay, a
-//! steady-state replay's `sre_round` phase must perform **zero** heap
-//! allocations, and so must encoding JSONL lines into a pre-grown buffer.
+//! steady-state replay's `sre_round` and `policy_decision` phases must
+//! perform **zero** heap allocations, and so must encoding JSONL lines
+//! into a pre-grown buffer.
 //!
 //! The first is the CI teeth behind the scratch-reuse contract (DESIGN.md
-//! §14): every buffer the SRE round loop touches — sampling weights, the
-//! flat group index list, the descent working vectors, splice/touched
-//! lists, and the round snapshots — lives in scratch storage owned by the
+//! §14): every buffer an interval tick touches — sampling weights, the
+//! flat group index list, the term tables and descent overlays,
+//! splice/touched lists, the round snapshots and costs, and the tick's own
+//! plan-assembly vectors — lives in scratch storage owned by the
 //! scheduler and is recycled across interval ticks. The first replay grows
 //! those buffers to their high-water capacities; the second replay then
-//! runs the optimizer without a single trip to the allocator.
+//! runs the whole tick without a single trip to the allocator.
 //!
 //! The second backs DESIGN.md §9: the schema-generated encoder appends
 //! static keys and hand-formatted numbers, so every event variant encodes
@@ -75,6 +77,18 @@ fn steady_state_sre_rounds_allocate_nothing() {
         row.alloc_count, 0,
         "steady-state sre_round performed {} heap allocations ({} bytes) across {} rounds",
         row.alloc_count, row.alloc_bytes, row.count
+    );
+    // The rest of each tick runs outside the rounds but inside the
+    // policy_decision span that wraps every policy callback: P_est and
+    // plan assembly, the term-table build before round 0, and the final
+    // combination. None of it may allocate either.
+    let decision = profile
+        .row(Phase::PolicyDecision)
+        .expect("the replay must have made policy decisions");
+    assert_eq!(
+        decision.alloc_count, 0,
+        "steady-state policy_decision performed {} heap allocations ({} bytes) across {} spans",
+        decision.alloc_count, decision.alloc_bytes, decision.count
     );
     // Sanity: the measured replay really exercised the optimizer (the
     // second run of a warm policy still re-plans every interval).

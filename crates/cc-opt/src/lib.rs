@@ -57,7 +57,7 @@ mod sre;
 pub use classic::{brute_force, CoordinateDescent, NewtonDescent, RandomSearch};
 pub use genetic::GeneticAlgorithm;
 pub use objective::{Objective, OptOutcome};
-pub use separable::{DescentScratch, SeparableObjective, SeparableView, TermBaseline};
+pub use separable::{DescentScratch, SeparableObjective, SeparableView};
 pub use space::{
     combine_solutions, combine_solutions_into, sample_subproblems, sample_subproblems_into,
     search_space_size, IndexGroups, SubproblemScratch,

@@ -102,46 +102,57 @@ impl<T: SeparableObjective + ?Sized> Objective for SeparableView<'_, T> {
 }
 
 /// Recycled working vectors for the separable coordinate descent: the
-/// per-function `service`/`cost` term caches and the per-coordinate
-/// candidate list. One of these threaded through repeated descent calls
-/// makes steady-state sweeps allocation-free.
+/// per-function `service`/`cost` term caches of a whole-solution descent,
+/// the per-slot overlay of a group descent over SRE's shared term
+/// tables, and the per-coordinate candidate list. One of these threaded
+/// through repeated descent calls makes steady-state sweeps
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct DescentScratch {
     service: Vec<f64>,
     cost: Vec<f64>,
+    /// Slot `j` holds the choice, service term and cost term of the
+    /// group's `j`-th function while its descent runs.
+    overlay: Vec<Entry>,
     candidates: Vec<(f64, f64, f64, FnChoice)>,
 }
 
-/// Per-function term tables of a [`SeparableObjective`] evaluated at one
-/// fixed solution, shared across descents that all start there.
+/// One function's choice with its service and cost terms.
+type Entry = (FnChoice, f64, f64);
+
+/// Per-function term tables of a [`SeparableObjective`] at SRE's working
+/// solution, kept current for a whole interval.
 ///
-/// SRE's pending-splice design means every sub-problem in a round descends
-/// from the *same* pre-round working solution — yet each descent call used
-/// to re-derive the full `O(N)` service/cost tables (one `exp()`-bearing
-/// term per function) on entry. Computing the tables once per round and
-/// seeding each descent with a memcpy removes the dominant share of that
-/// initialization. Seeding is bit-identical to recomputing: the tables are
-/// the same floats (same terms, same order), and the cached sums are the
-/// same in-order `iter().sum()` reductions the descent would have formed
-/// itself — load-bearing because the 10% tie threshold compares *absolute*
-/// service sums.
+/// SRE builds the tables once per interval, before its first round, with
+/// [`TermBaseline::compute`] (one `exp()`-bearing service term per
+/// function). After each round's splice and repair only the touched
+/// functions' terms change, so [`TermBaseline::refresh`] re-derives the
+/// terms at those indices and re-forms both sums in index order with the
+/// same `iter().sum()`. Every sub-problem descent of a round reads these
+/// tables and the working solution directly and keeps its own indices in
+/// a small overlay, and the round's objective and feasibility are read
+/// off the sums. All of it is bit-identical to evaluating from scratch:
+/// the tables hold the very floats the terms produce, and the sums are
+/// the same in-order reductions — load-bearing because the descent's 10%
+/// tie threshold compares *absolute* service sums.
 ///
-/// Buffers are recycled across [`TermBaseline::compute`] calls, so a
-/// steady-state round loop refreshing one baseline allocates nothing.
+/// Buffers are recycled across calls, so a steady-state round loop
+/// allocates nothing.
 #[derive(Debug, Default)]
-pub struct TermBaseline {
+pub(crate) struct TermBaseline {
     service: Vec<f64>,
     cost: Vec<f64>,
+    allowed: Vec<bool>,
+    /// How many entries of `allowed` are false.
+    disallowed: usize,
     service_sum: f64,
     cost_sum: f64,
 }
 
 impl TermBaseline {
-    /// Fills the tables (and their sums) from `solution`. The evaluation
-    /// order matches what
-    /// [`CoordinateDescent::optimize_separable_subset_with_scratch`] does
-    /// on entry, so a descent seeded from this baseline is bit-identical
-    /// to one that recomputed the terms itself.
+    /// Fills the tables (and their sums) from `solution`, in the order
+    /// [`CoordinateDescent::optimize_separable_subset_with_scratch`]
+    /// evaluates them on entry.
     pub fn compute<T: SeparableObjective + ?Sized>(
         &mut self,
         objective: &T,
@@ -155,14 +166,110 @@ impl TermBaseline {
                 .map(|(i, c)| objective.service_term(i, c)),
         );
         self.cost.clear();
-        self.cost.extend(
-            solution
-                .iter()
-                .enumerate()
-                .map(|(i, c)| objective.cost_term(i, c)),
-        );
+        self.allowed.clear();
+        for (i, c) in solution.iter().enumerate() {
+            self.cost.push(objective.cost_term(i, c));
+            self.allowed.push(objective.allowed(i, c));
+        }
+        self.disallowed = self.allowed.iter().filter(|&&ok| !ok).count();
         self.service_sum = self.service.iter().sum();
         self.cost_sum = self.cost.iter().sum();
+    }
+
+    /// Re-derives the cost terms and permissions at `changed` from
+    /// `solution` and re-forms the cost sum: enough for
+    /// [`TermBaseline::is_feasible`]. The tables must describe `solution`
+    /// everywhere else.
+    pub fn refresh_cost<T: SeparableObjective + ?Sized>(
+        &mut self,
+        objective: &T,
+        solution: &[FnChoice],
+        changed: &[usize],
+    ) {
+        for &i in changed {
+            self.cost[i] = objective.cost_term(i, &solution[i]);
+            let allowed = objective.allowed(i, &solution[i]);
+            self.disallowed =
+                self.disallowed + usize::from(!allowed) - usize::from(!self.allowed[i]);
+            self.allowed[i] = allowed;
+        }
+        self.cost_sum = self.cost.iter().sum();
+    }
+
+    /// [`TermBaseline::refresh_cost`] plus the service terms at `changed`
+    /// and the service sum, after which the tables equal a fresh
+    /// [`TermBaseline::compute`] of `solution`.
+    pub fn refresh<T: SeparableObjective + ?Sized>(
+        &mut self,
+        objective: &T,
+        solution: &[FnChoice],
+        changed: &[usize],
+    ) {
+        self.refresh_cost(objective, solution, changed);
+        for &i in changed {
+            self.service[i] = objective.service_term(i, &solution[i]);
+        }
+        self.service_sum = self.service.iter().sum();
+    }
+
+    /// [`SeparableView::is_feasible`] of the solution the tables describe.
+    pub fn is_feasible<T: SeparableObjective + ?Sized>(&self, objective: &T) -> bool {
+        self.disallowed == 0 && objective.budget().is_none_or(|b| self.cost_sum <= b)
+    }
+
+    /// [`SeparableView::evaluate`] of the solution the tables describe.
+    pub fn evaluate(&self) -> f64 {
+        if self.is_empty() {
+            0.0
+        } else {
+            self.service_sum / self.len() as f64
+        }
+    }
+
+    /// [`SeparableView::evaluate`] of `other` if it is feasible, else
+    /// infinity, reusing the tables' terms wherever `other` agrees with
+    /// `solution`, the solution they describe.
+    pub fn evaluate_variant<T: SeparableObjective + ?Sized>(
+        &self,
+        objective: &T,
+        solution: &[FnChoice],
+        other: &[FnChoice],
+    ) -> f64 {
+        let same = |i: usize| other[i] == solution[i];
+        let allowed = (0..other.len()).all(|i| {
+            if same(i) {
+                self.allowed[i]
+            } else {
+                objective.allowed(i, &other[i])
+            }
+        });
+        let within_budget = || {
+            objective.budget().is_none_or(|budget| {
+                let cost: f64 = (0..other.len())
+                    .map(|i| {
+                        if same(i) {
+                            self.cost[i]
+                        } else {
+                            objective.cost_term(i, &other[i])
+                        }
+                    })
+                    .sum();
+                cost <= budget
+            })
+        };
+        if !(allowed && within_budget()) {
+            return f64::INFINITY;
+        }
+        let service: f64 = (0..other.len())
+            .map(|i| {
+                if same(i) {
+                    self.service[i]
+                } else {
+                    objective.service_term(i, &other[i])
+                }
+            })
+            .sum();
+        service / other.len() as f64
     }
 
     /// Number of functions the tables cover.
@@ -170,9 +277,47 @@ impl TermBaseline {
         self.service.len()
     }
 
-    /// Whether the baseline is empty (never computed, or zero functions).
+    /// Whether the tables are empty (never computed, or zero functions).
     pub fn is_empty(&self) -> bool {
         self.service.is_empty()
+    }
+}
+
+/// Where a descent reads and writes each active function's choice and
+/// terms: the function's index `idx`, or its position `slot` in the
+/// active list.
+trait Slots {
+    fn get(&self, slot: usize, idx: usize) -> Entry;
+    fn set(&mut self, slot: usize, idx: usize, entry: Entry);
+}
+
+/// A whole solution with its term tables, indexed by function.
+struct Whole<'a> {
+    solution: &'a mut [FnChoice],
+    service: &'a mut [f64],
+    cost: &'a mut [f64],
+}
+
+impl Slots for Whole<'_> {
+    fn get(&self, _slot: usize, idx: usize) -> Entry {
+        (self.solution[idx], self.service[idx], self.cost[idx])
+    }
+
+    fn set(&mut self, _slot: usize, idx: usize, (choice, service, cost): Entry) {
+        self.solution[idx] = choice;
+        self.service[idx] = service;
+        self.cost[idx] = cost;
+    }
+}
+
+/// A group's overlay, indexed by slot (the group's indices are distinct).
+impl Slots for [Entry] {
+    fn get(&self, slot: usize, _idx: usize) -> Entry {
+        self[slot]
+    }
+
+    fn set(&mut self, slot: usize, _idx: usize, entry: Entry) {
+        self[slot] = entry;
     }
 }
 
@@ -209,86 +354,118 @@ impl CoordinateDescent {
     ) -> OptOutcome {
         let n = objective.num_functions();
         assert_eq!(start.len(), n, "solution length must match the objective");
-        scratch.service.clear();
-        scratch.service.extend(
-            start
+        let mut current = start;
+        let DescentScratch {
+            service,
+            cost,
+            candidates,
+            ..
+        } = scratch;
+        service.clear();
+        service.extend(
+            current
                 .iter()
                 .enumerate()
                 .map(|(i, c)| objective.service_term(i, c)),
         );
-        scratch.cost.clear();
-        scratch.cost.extend(
-            start
+        cost.clear();
+        cost.extend(
+            current
                 .iter()
                 .enumerate()
                 .map(|(i, c)| objective.cost_term(i, c)),
         );
-        let service_sum: f64 = scratch.service.iter().sum();
-        let cost_sum: f64 = scratch.cost.iter().sum();
-        self.descend_loaded(objective, start, active, scratch, service_sum, cost_sum)
-    }
-
-    /// [`CoordinateDescent::optimize_separable_subset_with_scratch`] seeded
-    /// from a precomputed [`TermBaseline`], skipping the O(N) per-function
-    /// term recomputation on entry.
-    ///
-    /// `start` **must** be the solution the baseline was computed from —
-    /// the seed is a straight copy of the baseline's tables and sums, so a
-    /// mismatched start would descend against stale terms. Given that, the
-    /// outcome (solution, cost, and `evaluations` — the `N`-term
-    /// initialization charge is still levied) is bit-identical to the
-    /// unseeded call.
-    pub fn optimize_separable_subset_seeded<T: SeparableObjective + ?Sized>(
-        &self,
-        objective: &T,
-        start: Vec<FnChoice>,
-        active: &[usize],
-        scratch: &mut DescentScratch,
-        baseline: &TermBaseline,
-    ) -> OptOutcome {
-        let n = objective.num_functions();
-        assert_eq!(start.len(), n, "solution length must match the objective");
-        assert_eq!(baseline.len(), n, "baseline must cover every function");
-        scratch.service.clear();
-        scratch.service.extend_from_slice(&baseline.service);
-        scratch.cost.clear();
-        scratch.cost.extend_from_slice(&baseline.cost);
-        self.descend_loaded(
+        let service_sum: f64 = service.iter().sum();
+        let cost_sum: f64 = cost.iter().sum();
+        let mut whole = Whole {
+            solution: &mut current,
+            service,
+            cost,
+        };
+        let (service_sum, evaluations) = self.descend(
             objective,
-            start,
             active,
-            scratch,
-            baseline.service_sum,
-            baseline.cost_sum,
-        )
+            &mut whole,
+            candidates,
+            service_sum,
+            cost_sum,
+        );
+        let cost = if n == 0 { 0.0 } else { service_sum / n as f64 };
+        OptOutcome {
+            solution: current,
+            cost,
+            evaluations,
+        }
     }
 
-    /// The descent loop proper, once `scratch.service` / `scratch.cost`
-    /// hold the per-function terms of `start` and the sums are their
-    /// in-order reductions.
-    fn descend_loaded<T: SeparableObjective + ?Sized>(
+    /// One SRE sub-problem: descends over the distinct indices `group`
+    /// against `solution` and the tables that describe it, without
+    /// copying either. The group's own choices and terms live in the
+    /// scratch overlay; the optimized choices are appended to `splices` as
+    /// `(index, choice)` in group order. Returns the evaluations charged,
+    /// the same as [`CoordinateDescent::optimize_separable_subset`] on a
+    /// copy of `solution` (the `N`-term initialization charge included).
+    pub(crate) fn descend_group<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
-        start: Vec<FnChoice>,
-        active: &[usize],
+        solution: &[FnChoice],
+        tables: &TermBaseline,
+        group: &[usize],
         scratch: &mut DescentScratch,
+        splices: &mut Vec<(usize, FnChoice)>,
+    ) -> u64 {
+        debug_assert_eq!(
+            tables.len(),
+            solution.len(),
+            "tables must cover every function"
+        );
+        let DescentScratch {
+            overlay,
+            candidates,
+            ..
+        } = scratch;
+        overlay.clear();
+        overlay.extend(
+            group
+                .iter()
+                .map(|&i| (solution[i], tables.service[i], tables.cost[i])),
+        );
+        let (_, evaluations) = self.descend(
+            objective,
+            group,
+            overlay.as_mut_slice(),
+            candidates,
+            tables.service_sum,
+            tables.cost_sum,
+        );
+        splices.extend(group.iter().zip(overlay.iter()).map(|(&i, e)| (i, e.0)));
+        evaluations
+    }
+
+    /// The descent loop proper, once `slots` hold the choices and terms of
+    /// the active functions and the sums are the in-order reductions of
+    /// every function's terms. Returns the final service sum and the
+    /// evaluations charged.
+    fn descend<T: SeparableObjective + ?Sized, S: Slots + ?Sized>(
+        &self,
+        objective: &T,
+        active: &[usize],
+        slots: &mut S,
+        candidates: &mut Vec<(f64, f64, f64, FnChoice)>,
         mut service_sum: f64,
         mut cost_sum: f64,
-    ) -> OptOutcome {
+    ) -> (f64, u64) {
         let n = objective.num_functions();
-        let mut current = start;
-        let service = &mut scratch.service;
-        let cost = &mut scratch.cost;
-        let candidates = &mut scratch.candidates;
         let budget = objective.budget();
         let mut evaluations = (n as u64).max(1);
 
         'rounds: for _ in 0..self.max_rounds {
             let mut improved = false;
-            for &idx in active {
+            for (slot, &idx) in active.iter().enumerate() {
+                let (current, current_service, current_cost) = slots.get(slot, idx);
                 candidates.clear();
-                let current_mem = objective.memory_term(idx, &current[idx]);
-                for neighbor in &current[idx].neighbors_inline() {
+                let current_mem = objective.memory_term(idx, &current);
+                for neighbor in &current.neighbors_inline() {
                     if evaluations >= self.eval_budget {
                         break 'rounds;
                     }
@@ -297,7 +474,7 @@ impl CoordinateDescent {
                         continue;
                     }
                     let new_cost = objective.cost_term(idx, &neighbor);
-                    let new_cost_sum = cost_sum - cost[idx] + new_cost;
+                    let new_cost_sum = cost_sum - current_cost + new_cost;
                     let feasible = match budget {
                         None => true,
                         Some(b) => new_cost_sum <= b || new_cost_sum < cost_sum,
@@ -306,7 +483,7 @@ impl CoordinateDescent {
                         continue;
                     }
                     let new_service_sum =
-                        service_sum - service[idx] + objective.service_term(idx, &neighbor);
+                        service_sum - current_service + objective.service_term(idx, &neighbor);
                     if new_service_sum < service_sum {
                         let mem_delta = objective.memory_term(idx, &neighbor) - current_mem;
                         candidates.push((new_service_sum, new_cost, mem_delta, neighbor));
@@ -325,23 +502,20 @@ impl CoordinateDescent {
                     .filter(|&(s, _, _, _)| s <= threshold)
                     .min_by(|a, b| a.2.total_cmp(&b.2).then(a.0.total_cmp(&b.0)))
                     .expect("best candidate satisfies its own threshold");
-                cost_sum = cost_sum - cost[idx] + new_cost;
-                cost[idx] = new_cost;
+                cost_sum = cost_sum - current_cost + new_cost;
                 service_sum = new_service_sum;
-                service[idx] = objective.service_term(idx, &choice);
-                current[idx] = choice;
+                slots.set(
+                    slot,
+                    idx,
+                    (choice, objective.service_term(idx, &choice), new_cost),
+                );
                 improved = true;
             }
             if !improved {
                 break;
             }
         }
-        let cost = if n == 0 { 0.0 } else { service_sum / n as f64 };
-        OptOutcome {
-            solution: current,
-            cost,
-            evaluations,
-        }
+        (service_sum, evaluations)
     }
 }
 
@@ -453,40 +627,78 @@ mod tests {
     }
 
     #[test]
-    fn seeded_descent_is_bit_identical_to_unseeded() {
+    fn group_descent_over_shared_tables_matches_a_whole_copy() {
         let bowl = SepBowl {
             n: 8,
             target_mins: 12.0,
-            budget_mins: Some(50.0),
+            budget_mins: Some(90.0),
         };
         let start = vec![FnChoice::production_default(); 8];
         // Disjoint "sub-problem" groups all descending from the same start,
         // the way an SRE round dispatches them.
         let groups: [&[usize]; 3] = [&[0, 3], &[1, 4, 7], &[2, 5, 6]];
-        let mut baseline = TermBaseline::default();
-        baseline.compute(&bowl, &start);
-        assert_eq!(baseline.len(), 8);
-        assert!(!baseline.is_empty());
+        let mut tables = TermBaseline::default();
+        tables.compute(&bowl, &start);
+        assert_eq!(tables.len(), 8);
+        assert!(!tables.is_empty());
         let descent = CoordinateDescent::default();
         let mut scratch = DescentScratch::default();
+        let mut splices = Vec::new();
         for group in groups {
-            let plain = descent.optimize_separable_subset_with_scratch(
+            let whole = descent.optimize_separable_subset_with_scratch(
                 &bowl,
                 start.clone(),
                 group,
                 &mut scratch,
             );
-            let seeded = descent.optimize_separable_subset_seeded(
-                &bowl,
-                start.clone(),
-                group,
-                &mut scratch,
-                &baseline,
-            );
-            assert_eq!(plain.solution, seeded.solution);
-            assert_eq!(plain.cost.to_bits(), seeded.cost.to_bits());
-            assert_eq!(plain.evaluations, seeded.evaluations);
+            splices.clear();
+            let evaluations =
+                descent.descend_group(&bowl, &start, &tables, group, &mut scratch, &mut splices);
+            let mut spliced = start.clone();
+            for &(idx, choice) in &splices {
+                spliced[idx] = choice;
+            }
+            assert_eq!(whole.solution, spliced);
+            assert_ne!(spliced, start, "the descent must move something");
+            assert_eq!(whole.evaluations, evaluations);
         }
+    }
+
+    #[test]
+    fn refreshed_tables_equal_fresh_ones() {
+        let bowl = SepBowl {
+            n: 5,
+            target_mins: 9.0,
+            budget_mins: Some(20.0),
+        };
+        let view = SeparableView(&bowl);
+        let mut solution = vec![FnChoice::production_default(); 5];
+        let mut tables = TermBaseline::default();
+        tables.compute(&bowl, &solution);
+        solution[1] = FnChoice::new(Arch::Arm, true, SimDuration::from_mins(9));
+        solution[4] = FnChoice::drop_now(Arch::X86);
+        tables.refresh(&bowl, &solution, &[1, 4]);
+        let mut fresh = TermBaseline::default();
+        fresh.compute(&bowl, &solution);
+        assert_eq!(tables.service, fresh.service);
+        assert_eq!(tables.cost, fresh.cost);
+        assert_eq!(
+            tables.evaluate().to_bits(),
+            view.evaluate(&solution).to_bits()
+        );
+        assert_eq!(tables.is_feasible(&bowl), view.is_feasible(&solution));
+        // A variant is scored as if evaluated from scratch.
+        let mut other = solution.clone();
+        other[2] = FnChoice::new(Arch::Arm, true, SimDuration::from_mins(3));
+        let expected = if view.is_feasible(&other) {
+            view.evaluate(&other)
+        } else {
+            f64::INFINITY
+        };
+        assert_eq!(
+            tables.evaluate_variant(&bowl, &solution, &other).to_bits(),
+            expected.to_bits()
+        );
     }
 
     #[test]

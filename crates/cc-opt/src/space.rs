@@ -37,6 +37,48 @@ pub struct SubproblemScratch {
     /// `block_sums[b]` is the in-order sum of the `b`-th run of [`BLOCK`]
     /// weights.
     block_sums: Vec<f64>,
+    /// The blocks [`SubproblemScratch::refresh`] re-sums.
+    dirty_blocks: Vec<usize>,
+}
+
+impl SubproblemScratch {
+    /// Sets every sampling weight from `opt_counts` and sums the blocks.
+    pub(crate) fn fill(&mut self, opt_counts: &[u32]) {
+        self.weights.clear();
+        self.weights.extend(opt_counts.iter().map(|&c| weight(c)));
+        self.block_sums.clear();
+        self.block_sums
+            .extend(self.weights.chunks(BLOCK).map(|b| b.iter().sum::<f64>()));
+    }
+
+    /// Brings the weights and block sums back to what
+    /// [`SubproblemScratch::fill`] would give for `opt_counts`, re-deriving
+    /// only the weights at `changed` and the blocks that hold them. Valid
+    /// when the weights agree with `opt_counts` everywhere else — as after
+    /// a draw, which zeroes exactly the weights it picked, once the picked
+    /// functions' counts have moved.
+    pub(crate) fn refresh(&mut self, opt_counts: &[u32], changed: &[usize]) {
+        self.dirty_blocks.clear();
+        for &i in changed {
+            self.weights[i] = weight(opt_counts[i]);
+            self.dirty_blocks.push(i / BLOCK);
+        }
+        self.dirty_blocks.sort_unstable();
+        self.dirty_blocks.dedup();
+        for &block in &self.dirty_blocks {
+            self.block_sums[block] = block_sum(&self.weights, block);
+        }
+    }
+}
+
+/// A function's sampling weight: inverse to how often it was optimized.
+fn weight(opt_count: u32) -> f64 {
+    1.0 / (1.0 + opt_count as f64)
+}
+
+/// The in-order sum of the `block`-th run of [`BLOCK`] weights.
+fn block_sum(weights: &[f64], block: usize) -> f64 {
+    weights[block * BLOCK..].iter().take(BLOCK).sum()
 }
 
 /// Disjoint sub-problem index groups in one flat buffer.
@@ -145,9 +187,22 @@ pub fn sample_subproblems_into(
     scratch: &mut SubproblemScratch,
     groups: &mut IndexGroups,
 ) {
+    scratch.fill(opt_counts);
+    sample_filled(rng, num_subproblems, funcs_per_subproblem, scratch, groups);
+}
+
+/// [`sample_subproblems_into`] from weights the scratch already holds,
+/// set by [`SubproblemScratch::fill`] (or kept current by
+/// [`SubproblemScratch::refresh`]). The draws zero the weights they pick.
+pub(crate) fn sample_filled(
+    rng: &mut StdRng,
+    num_subproblems: usize,
+    funcs_per_subproblem: usize,
+    scratch: &mut SubproblemScratch,
+    groups: &mut IndexGroups,
+) {
     sample_with_tolerance(
         rng,
-        opt_counts,
         num_subproblems,
         funcs_per_subproblem,
         TOL_FACTOR,
@@ -156,12 +211,11 @@ pub fn sample_subproblems_into(
     );
 }
 
-/// [`sample_subproblems_into`] with the fast-path tolerance factor as a
-/// parameter (an infinite factor forces the exact scan on every draw).
-/// Returns how many draws the block-sum search decided.
+/// [`sample_filled`] with the fast-path tolerance factor as a parameter
+/// (an infinite factor forces the exact scan on every draw). Returns how
+/// many draws the block-sum search decided.
 fn sample_with_tolerance(
     rng: &mut StdRng,
-    opt_counts: &[u32],
     num_subproblems: usize,
     funcs_per_subproblem: usize,
     tol_factor: f64,
@@ -169,15 +223,12 @@ fn sample_with_tolerance(
     groups: &mut IndexGroups,
 ) -> usize {
     groups.clear();
-    let n = opt_counts.len();
     let SubproblemScratch {
         weights,
         block_sums,
+        ..
     } = scratch;
-    weights.clear();
-    weights.extend(opt_counts.iter().map(|&c| 1.0 / (1.0 + c as f64)));
-    block_sums.clear();
-    block_sums.extend(weights.chunks(BLOCK).map(|b| b.iter().sum::<f64>()));
+    let n = weights.len();
     // Bounds the rounding of the exact scan's sum and subtraction chain
     // plus that of the block estimate, relative to the total weight.
     let tol_per_total = tol_factor * (n + BLOCK) as f64 * f64::EPSILON;
@@ -198,8 +249,7 @@ fn sample_with_tolerance(
             fast += usize::from(decided);
             groups.push(idx);
             weights[idx] = 0.0;
-            let block = idx / BLOCK;
-            block_sums[block] = weights[block * BLOCK..].iter().take(BLOCK).sum();
+            block_sums[idx / BLOCK] = block_sum(weights, idx / BLOCK);
             remaining -= 1;
         }
         groups.commit_group();
@@ -412,6 +462,41 @@ mod tests {
         }
     }
 
+    /// After a round's draws, moving the picked functions' counts and
+    /// refreshing only them leaves the weights and block sums exactly as a
+    /// full refill would, so the next round draws the same groups.
+    #[test]
+    fn refreshing_the_picked_weights_matches_a_refill() {
+        for (n, seed) in [(1usize, 0u64), (63, 1), (200, 2), (1_313, 3), (5_000, 4)] {
+            let mut counts: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(7) % 5).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut kept = SubproblemScratch::default();
+            let mut groups = IndexGroups::default();
+            kept.fill(&counts);
+            for round in 0..4 {
+                sample_filled(&mut rng, 16, 12, &mut kept, &mut groups);
+                let picked: Vec<usize> = groups.iter().flatten().copied().collect();
+                for &i in &picked {
+                    counts[i] += 1;
+                }
+                kept.refresh(&counts, &picked);
+                let mut fresh = SubproblemScratch::default();
+                fresh.fill(&counts);
+                let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&kept.weights),
+                    bits(&fresh.weights),
+                    "n {n} round {round}"
+                );
+                assert_eq!(
+                    bits(&kept.block_sums),
+                    bits(&fresh.block_sums),
+                    "n {n} round {round}"
+                );
+            }
+        }
+    }
+
     /// The O(k·N) sampler the block-sum search replaced, kept as the
     /// differential reference: per draw it re-sums every weight in order
     /// and rescans them.
@@ -533,15 +618,9 @@ mod tests {
         let mut fast = 0;
         for (tol_factor, label) in [(TOL_FACTOR, "fast"), (f64::INFINITY, "forced-fallback")] {
             let mut rng = StdRng::seed_from_u64(case.draw_seed);
-            let decided = sample_with_tolerance(
-                &mut rng,
-                &counts,
-                subs,
-                per,
-                tol_factor,
-                &mut scratch,
-                &mut groups,
-            );
+            scratch.fill(&counts);
+            let decided =
+                sample_with_tolerance(&mut rng, subs, per, tol_factor, &mut scratch, &mut groups);
             let got: Vec<Vec<usize>> = groups.iter().map(|g| g.to_vec()).collect();
             prop_assert_eq!(&got, &expected, "{} sampler diverged on {:?}", label, case);
             prop_assert_eq!(rng.gen::<u64>(), after, "{} RNG state diverged", label);

@@ -6,35 +6,50 @@ use rand::SeedableRng;
 use cc_types::FnChoice;
 
 use crate::separable::{DescentScratch, TermBaseline};
-use crate::space::{
-    combine_solutions_into, sample_subproblems_into, IndexGroups, SubproblemScratch,
-};
-use crate::{CoordinateDescent, Objective, OptOutcome};
+use crate::space::{combine_solutions_into, sample_filled, IndexGroups, SubproblemScratch};
+use crate::{CoordinateDescent, Objective, OptOutcome, SeparableObjective};
 
 /// Reusable working storage for [`Sre`]'s round loop.
 ///
-/// One SRE run churns through a family of short-lived buffers — sampling
-/// weights, sub-problem index groups, the working-solution copy handed to
-/// the inner descent, the touched-index list, the per-round snapshots, and
-/// the descent's own working vectors. A long-lived scheduler that
-/// re-optimizes every interval can hold one `SreScratch` and pass it to
-/// the `_with_scratch` entry points so those buffers are allocated once
-/// and recycled forever after: a steady-state serial round performs
-/// **zero** heap allocations (the parallel path still allocates per-thread
-/// copies). Groups and round snapshots are flat index-range-over-buffer
+/// One SRE run churns through a family of buffers — sampling weights,
+/// sub-problem index groups, the interval's term tables, the descents'
+/// overlays, the touched-index list, the per-round snapshots and costs.
+/// A long-lived scheduler that re-optimizes every interval can hold one
+/// `SreScratch` and pass it to the `_with_scratch` entry points so those
+/// buffers are allocated once and recycled forever after: a steady-state
+/// serial run performs **zero** heap allocations (the parallel path still
+/// allocates per-thread overlays).
+///
+/// The sampling weights and the separable paths' term tables are built
+/// once per run, before round 0; after each round's splice and repair
+/// only the touched functions' entries are refreshed, so every round
+/// after the first costs work in proportion to the functions it touches. Groups and round snapshots are flat index-range-over-buffer
 /// layouts rather than nested `Vec<Vec<_>>`, so refilling them never
 /// re-allocates. Results are bit-identical with or without scratch reuse;
 /// the scratch carries no state between runs other than spare capacity.
 #[derive(Debug, Default)]
 pub struct SreScratch {
+    rounds: RoundBuffers,
+    /// The solution copy handed to the generic inner descent; recycled
+    /// from the returned outcome after every group.
+    work: Vec<FnChoice>,
+    /// The separable group descents' overlay and candidate list.
+    descent: DescentScratch,
+    /// The separable paths' term tables of the working solution.
+    tables: TermBaseline,
+}
+
+/// The round loop's own buffers, shared by the generic and separable
+/// paths.
+#[derive(Debug, Default)]
+struct RoundBuffers {
     subproblems: SubproblemScratch,
     groups: IndexGroups,
     touched: Vec<usize>,
     /// Round snapshots, rounds-major: round `r` is `[r * n, (r + 1) * n)`.
     round_solutions: Vec<FnChoice>,
-    /// The solution copy handed to the serial inner descent; recycled from
-    /// the returned outcome after every group.
-    work: Vec<FnChoice>,
+    /// The objective of each round's solution, in round order.
+    round_costs: Vec<f64>,
     /// Per-round pending splice list `(function index, optimized choice)`,
     /// applied only after every group has optimized against the same
     /// pre-round working solution.
@@ -43,32 +58,195 @@ pub struct SreScratch {
     combined: Vec<FnChoice>,
     /// Pre-round snapshot used by the probe's accepted-move diff.
     probe_snapshot: Vec<FnChoice>,
-    descent: DescentScratch,
-    /// Shared per-round term tables: every sub-problem in a round descends
-    /// from the same pre-round solution, so the separable path computes
-    /// the O(N) service/cost baseline once per round here instead of once
-    /// per sub-problem (see [`TermBaseline`]).
-    baseline: TermBaseline,
 }
 
-/// The inner sub-problem optimizer handed to the round loop: takes a copy
-/// of the working solution, the sampled function-index group, the caller's
-/// descent scratch, and the round's shared term baseline (empty on the
-/// generic, non-separable paths); returns the optimized copy.
-type SubsetOptimizer<'a> =
-    dyn Fn(Vec<FnChoice>, &[usize], &mut DescentScratch, &TermBaseline) -> OptOutcome + Sync + 'a;
+/// How the round loop descends and scores solutions: through a generic
+/// [`Objective`] ([`Generic`]), or through the interval's term tables
+/// ([`Tabled`]). Both give the same floats for a separable objective.
+trait Scorer {
+    /// Prepares for a run starting at `start`.
+    fn begin(&mut self, start: &[FnChoice]);
 
-/// Refreshes the shared [`TermBaseline`] from the round's starting
-/// solution; `None` on the generic paths, which have no term structure.
-type BaselinePrepare<'a> = dyn Fn(&[FnChoice], &mut TermBaseline) + 'a;
+    /// Optimizes every group against `current` (all of them see the same
+    /// pre-round solution), appending `(index, choice)` splices in group
+    /// order. Returns the evaluations charged.
+    fn descend(
+        &mut self,
+        current: &[FnChoice],
+        groups: &IndexGroups,
+        parallel: bool,
+        splices: &mut Vec<(usize, FnChoice)>,
+    ) -> u64;
+
+    /// Whether `current` is feasible; only the functions at `changed` may
+    /// have moved since the previous call.
+    fn is_feasible(&mut self, current: &[FnChoice], changed: &[usize]) -> bool;
+
+    /// The objective of `current`; only the functions at `changed` may
+    /// have moved since the previous call.
+    fn evaluate(&mut self, current: &[FnChoice], changed: &[usize]) -> f64;
+
+    /// The objective of `other` if it is feasible, else infinity;
+    /// `current` is the solution last passed to [`Scorer::evaluate`].
+    fn evaluate_other(&mut self, current: &[FnChoice], other: &[FnChoice]) -> f64;
+}
+
+/// Scores through the generic objective and descends on solution copies.
+struct Generic<'a> {
+    objective: &'a dyn Objective,
+    inner: &'a CoordinateDescent,
+    work: &'a mut Vec<FnChoice>,
+}
+
+impl Scorer for Generic<'_> {
+    fn begin(&mut self, _start: &[FnChoice]) {}
+
+    fn descend(
+        &mut self,
+        current: &[FnChoice],
+        groups: &IndexGroups,
+        parallel: bool,
+        splices: &mut Vec<(usize, FnChoice)>,
+    ) -> u64 {
+        let (objective, inner) = (self.objective, self.inner);
+        let mut evaluations = 0;
+        if parallel && groups.len() > 1 {
+            let outcomes: Vec<OptOutcome> = std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .iter()
+                    .map(|group| {
+                        scope.spawn(move || {
+                            inner.optimize_subset(objective, current.to_vec(), group)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sub-problem thread panicked"))
+                    .collect()
+            });
+            for (group, outcome) in groups.iter().zip(&outcomes) {
+                evaluations += outcome.evaluations;
+                splices.extend(group.iter().map(|&idx| (idx, outcome.solution[idx])));
+            }
+        } else {
+            for group in groups.iter() {
+                let mut buf = std::mem::take(self.work);
+                buf.clear();
+                buf.extend_from_slice(current);
+                let outcome = inner.optimize_subset(objective, buf, group);
+                evaluations += outcome.evaluations;
+                splices.extend(group.iter().map(|&idx| (idx, outcome.solution[idx])));
+                // Recycle the descent's solution as the next group's
+                // working copy — the serial loop owns exactly one.
+                *self.work = outcome.solution;
+            }
+        }
+        evaluations
+    }
+
+    fn is_feasible(&mut self, current: &[FnChoice], _changed: &[usize]) -> bool {
+        self.objective.is_feasible(current)
+    }
+
+    fn evaluate(&mut self, current: &[FnChoice], _changed: &[usize]) -> f64 {
+        self.objective.evaluate(current)
+    }
+
+    fn evaluate_other(&mut self, _current: &[FnChoice], other: &[FnChoice]) -> f64 {
+        if self.objective.is_feasible(other) {
+            self.objective.evaluate(other)
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// Scores a separable objective from term tables kept current at the
+/// touched indices, and descends each group in place over them.
+struct Tabled<'a, T: ?Sized> {
+    objective: &'a T,
+    inner: &'a CoordinateDescent,
+    tables: &'a mut TermBaseline,
+    descent: &'a mut DescentScratch,
+}
+
+impl<T: SeparableObjective + ?Sized> Scorer for Tabled<'_, T> {
+    fn begin(&mut self, start: &[FnChoice]) {
+        self.tables.compute(self.objective, start);
+    }
+
+    fn descend(
+        &mut self,
+        current: &[FnChoice],
+        groups: &IndexGroups,
+        parallel: bool,
+        splices: &mut Vec<(usize, FnChoice)>,
+    ) -> u64 {
+        let (objective, inner, tables) = (self.objective, self.inner, &*self.tables);
+        if parallel && groups.len() > 1 {
+            let results: Vec<(u64, Vec<(usize, FnChoice)>)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = groups
+                    .iter()
+                    .map(|group| {
+                        scope.spawn(move || {
+                            let mut own = Vec::with_capacity(group.len());
+                            let evaluations = inner.descend_group(
+                                objective,
+                                current,
+                                tables,
+                                group,
+                                &mut DescentScratch::default(),
+                                &mut own,
+                            );
+                            (evaluations, own)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sub-problem thread panicked"))
+                    .collect()
+            });
+            results
+                .into_iter()
+                .map(|(evaluations, own)| {
+                    splices.extend(own);
+                    evaluations
+                })
+                .sum()
+        } else {
+            groups
+                .iter()
+                .map(|group| {
+                    inner.descend_group(objective, current, tables, group, self.descent, splices)
+                })
+                .sum()
+        }
+    }
+
+    fn is_feasible(&mut self, current: &[FnChoice], changed: &[usize]) -> bool {
+        self.tables.refresh_cost(self.objective, current, changed);
+        self.tables.is_feasible(self.objective)
+    }
+
+    fn evaluate(&mut self, current: &[FnChoice], changed: &[usize]) -> f64 {
+        self.tables.refresh(self.objective, current, changed);
+        self.tables.evaluate()
+    }
+
+    fn evaluate_other(&mut self, current: &[FnChoice], other: &[FnChoice]) -> f64 {
+        self.tables.evaluate_variant(self.objective, current, other)
+    }
+}
 
 /// Per-round progress snapshot, reported through the optional probe of
 /// [`Sre::optimize_probed`] / [`Sre::optimize_separable_probed`].
 ///
 /// Probing is observation-only: the probed and unprobed runs produce
-/// identical solutions, costs, and [`OptOutcome::evaluations`] (the one
-/// extra objective evaluation needed for [`SreRoundStats::cost`] is not
-/// counted).
+/// identical solutions, costs, and [`OptOutcome::evaluations`] (every run
+/// scores each round's solution for the final pick; the probe only reads
+/// that score).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SreRoundStats {
     /// Round ordinal (0-based).
@@ -186,17 +364,7 @@ impl Sre {
         start: Vec<FnChoice>,
         opt_counts: &mut [u32],
     ) -> OptOutcome {
-        let inner = self.inner.clone();
-        let mut scratch = SreScratch::default();
-        self.run_rounds(
-            objective,
-            start,
-            opt_counts,
-            None,
-            &move |s, group, _scratch, _baseline| inner.optimize_subset(objective, s, group),
-            None,
-            &mut scratch,
-        )
+        self.run_generic(objective, start, opt_counts, None)
     }
 
     /// [`Sre::optimize`] with a per-round progress probe (observation only;
@@ -208,31 +376,22 @@ impl Sre {
         opt_counts: &mut [u32],
         probe: &mut dyn FnMut(SreRoundStats),
     ) -> OptOutcome {
-        let inner = self.inner.clone();
-        let mut scratch = SreScratch::default();
-        self.run_rounds(
-            objective,
-            start,
-            opt_counts,
-            Some(probe),
-            &move |s, group, _scratch, _baseline| inner.optimize_subset(objective, s, group),
-            None,
-            &mut scratch,
-        )
+        self.run_generic(objective, start, opt_counts, Some(probe))
     }
 
     /// [`Sre::optimize`] specialized for [separable
     /// objectives](crate::SeparableObjective): the inner descent scores
-    /// moves in O(1) via term deltas, keeping SRE's total cost linear in
-    /// the number of invoked functions.
-    pub fn optimize_separable<T: crate::SeparableObjective + ?Sized>(
+    /// moves in O(1) via term deltas, and the round loop keeps the term
+    /// tables current at the touched indices, keeping SRE's total cost
+    /// linear in the number of invoked functions.
+    pub fn optimize_separable<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         start: Vec<FnChoice>,
         opt_counts: &mut [u32],
     ) -> OptOutcome {
         let mut scratch = SreScratch::default();
-        self.optimize_separable_with_scratch(objective, start, opt_counts, &mut scratch)
+        self.run_separable(objective, start, opt_counts, None, &mut scratch)
     }
 
     /// [`Sre::optimize_separable`] reusing caller-held working storage.
@@ -240,35 +399,20 @@ impl Sre {
     /// Identical result to the plain variant; a scheduler that optimizes
     /// every interval should hold one [`SreScratch`] and pass it here so
     /// the round loop stops allocating in steady state.
-    pub fn optimize_separable_with_scratch<T: crate::SeparableObjective + ?Sized>(
+    pub fn optimize_separable_with_scratch<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         start: Vec<FnChoice>,
         opt_counts: &mut [u32],
         scratch: &mut SreScratch,
     ) -> OptOutcome {
-        let view = crate::SeparableView(objective);
-        let inner = self.inner.clone();
-        let prepare = |solution: &[FnChoice], baseline: &mut TermBaseline| {
-            baseline.compute(objective, solution)
-        };
-        self.run_rounds(
-            &view,
-            start,
-            opt_counts,
-            None,
-            &move |s, group, scratch, baseline| {
-                inner.optimize_separable_subset_seeded(objective, s, group, scratch, baseline)
-            },
-            Some(&prepare),
-            scratch,
-        )
+        self.run_separable(objective, start, opt_counts, None, scratch)
     }
 
     /// [`Sre::optimize_separable`] with a per-round progress probe
     /// (observation only; the returned outcome is identical to the
     /// unprobed run).
-    pub fn optimize_separable_probed<T: crate::SeparableObjective + ?Sized>(
+    pub fn optimize_separable_probed<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         start: Vec<FnChoice>,
@@ -276,18 +420,12 @@ impl Sre {
         probe: &mut dyn FnMut(SreRoundStats),
     ) -> OptOutcome {
         let mut scratch = SreScratch::default();
-        self.optimize_separable_probed_with_scratch(
-            objective,
-            start,
-            opt_counts,
-            probe,
-            &mut scratch,
-        )
+        self.run_separable(objective, start, opt_counts, Some(probe), &mut scratch)
     }
 
     /// [`Sre::optimize_separable_probed`] reusing caller-held working
     /// storage (see [`Sre::optimize_separable_with_scratch`]).
-    pub fn optimize_separable_probed_with_scratch<T: crate::SeparableObjective + ?Sized>(
+    pub fn optimize_separable_probed_with_scratch<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         start: Vec<FnChoice>,
@@ -295,33 +433,58 @@ impl Sre {
         probe: &mut dyn FnMut(SreRoundStats),
         scratch: &mut SreScratch,
     ) -> OptOutcome {
-        let view = crate::SeparableView(objective);
-        let inner = self.inner.clone();
-        let prepare = |solution: &[FnChoice], baseline: &mut TermBaseline| {
-            baseline.compute(objective, solution)
-        };
-        self.run_rounds(
-            &view,
-            start,
-            opt_counts,
-            Some(probe),
-            &move |s, group, scratch, baseline| {
-                inner.optimize_separable_subset_seeded(objective, s, group, scratch, baseline)
-            },
-            Some(&prepare),
-            scratch,
-        )
+        self.run_separable(objective, start, opt_counts, Some(probe), scratch)
     }
 
-    /// Shared SRE machinery, parameterized over the sub-problem optimizer.
+    fn run_generic(
+        &self,
+        objective: &dyn Objective,
+        start: Vec<FnChoice>,
+        opt_counts: &mut [u32],
+        probe: Option<&mut dyn FnMut(SreRoundStats)>,
+    ) -> OptOutcome {
+        let SreScratch { rounds, work, .. } = &mut SreScratch::default();
+        let mut scorer = Generic {
+            objective,
+            inner: &self.inner,
+            work,
+        };
+        let n = objective.num_functions();
+        self.run_rounds(&mut scorer, n, start, opt_counts, probe, rounds)
+    }
+
+    fn run_separable<T: SeparableObjective + ?Sized>(
+        &self,
+        objective: &T,
+        start: Vec<FnChoice>,
+        opt_counts: &mut [u32],
+        probe: Option<&mut dyn FnMut(SreRoundStats)>,
+        scratch: &mut SreScratch,
+    ) -> OptOutcome {
+        let SreScratch {
+            rounds,
+            descent,
+            tables,
+            ..
+        } = scratch;
+        let mut scorer = Tabled {
+            objective,
+            inner: &self.inner,
+            tables,
+            descent,
+        };
+        let n = objective.num_functions();
+        self.run_rounds(&mut scorer, n, start, opt_counts, probe, rounds)
+    }
+
+    /// Shared SRE machinery over `n` functions, parameterized over how
+    /// groups are descended and solutions scored.
     ///
-    /// All transient buffers (the flat group index list, the working
-    /// solution handed to the descent, the pending-splice list, touched
-    /// indices, the flat round snapshots, and the combination output) live
-    /// in `scratch` and are recycled, so a caller reusing one scratch
-    /// across intervals performs zero steady-state allocations on the
-    /// serial path. Only the parallel path allocates (threads need owned
-    /// solutions and their own descent scratch).
+    /// All transient buffers live in `buffers` (and the scorer's own
+    /// scratch) and are recycled, so a caller reusing one scratch across
+    /// intervals performs zero steady-state allocations on the serial
+    /// path. Only the parallel path allocates (threads need their own
+    /// descent scratch).
     ///
     /// Every group optimizes against the same pre-round working solution:
     /// splices are collected and applied only after the whole round, on
@@ -329,24 +492,21 @@ impl Sre {
     /// (a budget-constrained descent reads the *total* cost of its start,
     /// which an early in-place splice would perturb).
     ///
-    /// That shared starting point is also why `prepare` exists: on the
-    /// separable paths it refreshes the round's [`TermBaseline`] from the
-    /// working solution exactly once, and every sub-problem descent seeds
-    /// from it instead of re-deriving the O(N) term tables. Bit-identical
-    /// either way — the baseline holds the very floats each descent would
-    /// have computed.
-    #[allow(clippy::too_many_arguments)]
+    /// The sampling weights and the scorer's state are set up once, before
+    /// round 0. After each round's splice and repair, only the touched
+    /// functions have moved, so only their weights and terms are
+    /// refreshed: every later round costs work in proportion to the
+    /// functions it touches (plus in-order re-sums of the term tables, so
+    /// that each total is the very float a full evaluation forms).
     fn run_rounds(
         &self,
-        objective: &dyn Objective,
+        scorer: &mut impl Scorer,
+        n: usize,
         start: Vec<FnChoice>,
         opt_counts: &mut [u32],
         mut probe: Option<&mut dyn FnMut(SreRoundStats)>,
-        optimize_subset: &SubsetOptimizer<'_>,
-        prepare: Option<&BaselinePrepare<'_>>,
-        scratch: &mut SreScratch,
+        buffers: &mut RoundBuffers,
     ) -> OptOutcome {
-        let n = objective.num_functions();
         assert_eq!(start.len(), n, "start length must match objective");
         assert_eq!(
             opt_counts.len(),
@@ -364,21 +524,22 @@ impl Sre {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut current = start;
         let mut evaluations = 0u64;
-        // Split-borrow the scratch once: the round loop needs several of
-        // its buffers live at the same time.
-        let SreScratch {
+        // Split-borrow the buffers once: the round loop needs several of
+        // them live at the same time.
+        let RoundBuffers {
             subproblems,
             groups,
             touched,
             round_solutions,
-            work,
+            round_costs,
             splices,
             combined,
             probe_snapshot,
-            descent,
-            baseline,
-        } = scratch;
+        } = buffers;
         round_solutions.clear();
+        round_costs.clear();
+        subproblems.fill(opt_counts);
+        scorer.begin(&current);
 
         for round in 0..self.rounds {
             // Wall-clock probe (one relaxed atomic when profiling is off):
@@ -393,65 +554,15 @@ impl Sre {
                 probe_snapshot.extend_from_slice(&current);
             }
             let evals_before = evaluations;
-            sample_subproblems_into(
+            sample_filled(
                 &mut rng,
-                opt_counts,
                 self.num_subproblems,
                 self.funcs_per_subproblem,
                 subproblems,
                 groups,
             );
             splices.clear();
-            // The term baseline is a function of the working solution, so
-            // it must be refreshed after the previous round's splices and
-            // repair — i.e. exactly once here, then shared by every group.
-            if let Some(prepare) = prepare {
-                prepare(&current, baseline);
-            }
-            if self.parallel && groups.len() > 1 {
-                let current_ref = &current;
-                let baseline_ref: &TermBaseline = baseline;
-                let outcomes: Vec<OptOutcome> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .iter()
-                        .map(|group| {
-                            scope.spawn(move || {
-                                let mut descent = DescentScratch::default();
-                                optimize_subset(
-                                    current_ref.clone(),
-                                    group,
-                                    &mut descent,
-                                    baseline_ref,
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sub-problem thread panicked"))
-                        .collect()
-                });
-                for (group, outcome) in groups.iter().zip(&outcomes) {
-                    evaluations += outcome.evaluations;
-                    for &idx in group {
-                        splices.push((idx, outcome.solution[idx]));
-                    }
-                }
-            } else {
-                for group in groups.iter() {
-                    let mut buf = std::mem::take(work);
-                    buf.clear();
-                    buf.extend_from_slice(&current);
-                    let outcome = optimize_subset(buf, group, descent, baseline);
-                    evaluations += outcome.evaluations;
-                    for &idx in group {
-                        splices.push((idx, outcome.solution[idx]));
-                    }
-                    // Recycle the descent's solution as the next group's
-                    // working copy — the serial loop owns exactly one.
-                    *work = outcome.solution;
-                }
-            }
+            evaluations += scorer.descend(&current, groups, self.parallel, splices);
 
             // Splice each sub-problem's optimized choices back in (groups
             // are disjoint, so every index appears at most once).
@@ -461,27 +572,36 @@ impl Sre {
                 opt_counts[idx] += 1;
                 touched.push(idx);
             }
+            // The sampled functions' counts moved; the draws zeroed
+            // exactly their weights.
+            subproblems.refresh(opt_counts, touched);
             // The sub-problems were optimized against the same budget
             // headroom, so the spliced solution can jointly overspend even
             // though each piece was feasible. Repair by scaling the
             // just-optimized keep-alive windows down until feasible.
             evaluations += 1;
-            if !objective.is_feasible(&current) {
+            let mut feasible = scorer.is_feasible(&current, touched);
+            if !feasible {
                 for _ in 0..24 {
                     for &idx in touched.iter() {
                         current[idx].keep_alive = current[idx].keep_alive.scale(0.8);
                     }
                     evaluations += 1;
-                    if objective.is_feasible(&current) {
+                    feasible = scorer.is_feasible(&current, touched);
+                    if feasible {
                         break;
                     }
                 }
-                if !objective.is_feasible(&current) {
+                if !feasible {
                     for &idx in touched.iter() {
                         current[idx].keep_alive = cc_types::SimDuration::ZERO;
                     }
                 }
             }
+            // Not counted into `evaluations`: the final pick below charges
+            // one evaluation per round for reading this cost back.
+            let cost = scorer.evaluate(&current, touched);
+            round_costs.push(cost);
             if let Some(probe) = probe.as_deref_mut() {
                 let mut accepted_moves = 0u64;
                 for &idx in touched.iter() {
@@ -490,13 +610,11 @@ impl Sre {
                         + u64::from(a.compress != b.compress)
                         + u64::from(a.keep_alive != b.keep_alive);
                 }
-                // This evaluate is probe-only and deliberately NOT counted
-                // into `evaluations`, so probed and unprobed outcomes match.
                 probe(SreRoundStats {
                     round: round as u32,
                     subproblems: groups.len() as u32,
                     dimensions: 3 * touched.len() as u32,
-                    cost: objective.evaluate(&current),
+                    cost,
                     accepted_moves,
                     evaluations: evaluations - evals_before,
                 });
@@ -506,20 +624,16 @@ impl Sre {
 
         // Final answer: the mean of the round solutions — unless it is
         // infeasible or worse than the best round, in which case that
-        // round wins.
+        // round wins. `current` is the last round's solution, which the
+        // scorer reuses for every function the combination left alone.
         combine_solutions_into(round_solutions, n, combined);
         evaluations += 1;
-        let combined_cost = if objective.is_feasible(combined) {
-            objective.evaluate(combined)
-        } else {
-            f64::INFINITY
-        };
+        let combined_cost = scorer.evaluate_other(&current, combined);
         // First-minimum-wins, matching `Iterator::min_by` over the rounds
         // in order; the snapshots stay in the scratch for the next run.
         let mut best: Option<(f64, usize)> = None;
-        for idx in 0..self.rounds {
+        for (idx, &cost) in round_costs.iter().enumerate() {
             evaluations += 1;
-            let cost = objective.evaluate(&round_solutions[idx * n..(idx + 1) * n]);
             let better = match best {
                 None => true,
                 Some((best_cost, _)) => cost.total_cmp(&best_cost) == std::cmp::Ordering::Less,
