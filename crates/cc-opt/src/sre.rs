@@ -63,18 +63,24 @@ struct RoundBuffers {
 /// How the round loop descends and scores solutions: through a generic
 /// [`Objective`] ([`Generic`]), or through the interval's term tables
 /// ([`Tabled`]). Both give the same floats for a separable objective.
-trait Scorer {
+trait Scorer: Sync {
+    /// A descent's working storage: held across groups on the serial
+    /// path, one per thread on the parallel path.
+    type Scratch: Default + Send;
+
+    /// Number of functions.
+    fn len(&self) -> usize;
+
     /// Prepares for a run starting at `start`.
     fn begin(&mut self, start: &[FnChoice]);
 
-    /// Optimizes every group against `current` (all of them see the same
-    /// pre-round solution), appending `(index, choice)` splices in group
-    /// order. Returns the evaluations charged.
+    /// Optimizes `group` against `current`, appending `(index, choice)`
+    /// splices in group order. Returns the evaluations charged.
     fn descend(
-        &mut self,
+        &self,
         current: &[FnChoice],
-        groups: &IndexGroups,
-        parallel: bool,
+        group: &[usize],
+        scratch: &mut Self::Scratch,
         splices: &mut Vec<(usize, FnChoice)>,
     ) -> u64;
 
@@ -95,54 +101,32 @@ trait Scorer {
 struct Generic<'a> {
     objective: &'a dyn Objective,
     inner: &'a CoordinateDescent,
-    work: &'a mut Vec<FnChoice>,
 }
 
 impl Scorer for Generic<'_> {
+    /// The working copy of the solution, recycled from each outcome.
+    type Scratch = Vec<FnChoice>;
+
+    fn len(&self) -> usize {
+        self.objective.num_functions()
+    }
+
     fn begin(&mut self, _start: &[FnChoice]) {}
 
     fn descend(
-        &mut self,
+        &self,
         current: &[FnChoice],
-        groups: &IndexGroups,
-        parallel: bool,
+        group: &[usize],
+        work: &mut Vec<FnChoice>,
         splices: &mut Vec<(usize, FnChoice)>,
     ) -> u64 {
-        let (objective, inner) = (self.objective, self.inner);
-        let mut evaluations = 0;
-        if parallel && groups.len() > 1 {
-            let outcomes: Vec<OptOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            inner.optimize_subset(objective, current.to_vec(), group)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sub-problem thread panicked"))
-                    .collect()
-            });
-            for (group, outcome) in groups.iter().zip(&outcomes) {
-                evaluations += outcome.evaluations;
-                splices.extend(group.iter().map(|&idx| (idx, outcome.solution[idx])));
-            }
-        } else {
-            for group in groups.iter() {
-                let mut buf = std::mem::take(self.work);
-                buf.clear();
-                buf.extend_from_slice(current);
-                let outcome = inner.optimize_subset(objective, buf, group);
-                evaluations += outcome.evaluations;
-                splices.extend(group.iter().map(|&idx| (idx, outcome.solution[idx])));
-                // Recycle the descent's solution as the next group's
-                // working copy — the serial loop owns exactly one.
-                *self.work = outcome.solution;
-            }
-        }
-        evaluations
+        let mut buf = std::mem::take(work);
+        buf.clear();
+        buf.extend_from_slice(current);
+        let outcome = self.inner.optimize_subset(self.objective, buf, group);
+        splices.extend(group.iter().map(|&idx| (idx, outcome.solution[idx])));
+        *work = outcome.solution;
+        outcome.evaluations
     }
 
     fn is_feasible(&mut self, current: &[FnChoice], _changed: &[usize]) -> bool {
@@ -168,61 +152,34 @@ struct Tabled<'a, T: ?Sized> {
     objective: &'a T,
     inner: &'a CoordinateDescent,
     tables: &'a mut TermBaseline,
-    descent: &'a mut DescentScratch,
 }
 
 impl<T: SeparableObjective + ?Sized> Scorer for Tabled<'_, T> {
+    type Scratch = DescentScratch;
+
+    fn len(&self) -> usize {
+        self.objective.num_functions()
+    }
+
     fn begin(&mut self, start: &[FnChoice]) {
         self.tables.compute(self.objective, start);
     }
 
     fn descend(
-        &mut self,
+        &self,
         current: &[FnChoice],
-        groups: &IndexGroups,
-        parallel: bool,
+        group: &[usize],
+        scratch: &mut DescentScratch,
         splices: &mut Vec<(usize, FnChoice)>,
     ) -> u64 {
-        let (objective, inner, tables) = (self.objective, self.inner, &*self.tables);
-        if parallel && groups.len() > 1 {
-            let results: Vec<(u64, Vec<(usize, FnChoice)>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            let mut own = Vec::with_capacity(group.len());
-                            let evaluations = inner.descend_group(
-                                objective,
-                                current,
-                                tables,
-                                group,
-                                &mut DescentScratch::default(),
-                                &mut own,
-                            );
-                            (evaluations, own)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sub-problem thread panicked"))
-                    .collect()
-            });
-            results
-                .into_iter()
-                .map(|(evaluations, own)| {
-                    splices.extend(own);
-                    evaluations
-                })
-                .sum()
-        } else {
-            groups
-                .iter()
-                .map(|group| {
-                    inner.descend_group(objective, current, tables, group, self.descent, splices)
-                })
-                .sum()
-        }
+        self.inner.descend_group(
+            self.objective,
+            current,
+            self.tables,
+            group,
+            scratch,
+            splices,
+        )
     }
 
     fn is_feasible(&mut self, current: &[FnChoice], changed: &[usize]) -> bool {
@@ -447,10 +404,8 @@ impl Sre {
         let mut scorer = Generic {
             objective,
             inner: &self.inner,
-            work,
         };
-        let n = objective.num_functions();
-        self.run_rounds(&mut scorer, n, start, opt_counts, probe, rounds)
+        self.run_rounds(&mut scorer, work, start, opt_counts, probe, rounds)
     }
 
     fn run_separable<T: SeparableObjective + ?Sized>(
@@ -471,20 +426,18 @@ impl Sre {
             objective,
             inner: &self.inner,
             tables,
-            descent,
         };
-        let n = objective.num_functions();
-        self.run_rounds(&mut scorer, n, start, opt_counts, probe, rounds)
+        self.run_rounds(&mut scorer, descent, start, opt_counts, probe, rounds)
     }
 
-    /// Shared SRE machinery over `n` functions, parameterized over how
-    /// groups are descended and solutions scored.
+    /// Shared SRE machinery, parameterized over how groups are descended
+    /// and solutions scored.
     ///
-    /// All transient buffers live in `buffers` (and the scorer's own
-    /// scratch) and are recycled, so a caller reusing one scratch across
-    /// intervals performs zero steady-state allocations on the serial
-    /// path. Only the parallel path allocates (threads need their own
-    /// descent scratch).
+    /// All transient buffers live in `buffers`, `descent` and the scorer,
+    /// and are recycled, so a caller reusing one scratch across intervals
+    /// performs zero steady-state allocations on the serial path. Only
+    /// the parallel path allocates (threads need their own descent
+    /// scratch).
     ///
     /// Every group optimizes against the same pre-round working solution:
     /// splices are collected and applied only after the whole round, on
@@ -498,15 +451,16 @@ impl Sre {
     /// refreshed: every later round costs work in proportion to the
     /// functions it touches (plus in-order re-sums of the term tables, so
     /// that each total is the very float a full evaluation forms).
-    fn run_rounds(
+    fn run_rounds<S: Scorer>(
         &self,
-        scorer: &mut impl Scorer,
-        n: usize,
+        scorer: &mut S,
+        descent: &mut S::Scratch,
         start: Vec<FnChoice>,
         opt_counts: &mut [u32],
         mut probe: Option<&mut dyn FnMut(SreRoundStats)>,
         buffers: &mut RoundBuffers,
     ) -> OptOutcome {
+        let n = scorer.len();
         assert_eq!(start.len(), n, "start length must match objective");
         assert_eq!(
             opt_counts.len(),
@@ -562,7 +516,38 @@ impl Sre {
                 groups,
             );
             splices.clear();
-            evaluations += scorer.descend(&current, groups, self.parallel, splices);
+            if self.parallel && groups.len() > 1 {
+                let (scorer, current) = (&*scorer, &current);
+                let outcomes: Vec<(u64, Vec<(usize, FnChoice)>)> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = groups
+                        .iter()
+                        .map(|group| {
+                            scope.spawn(move || {
+                                let mut own = Vec::with_capacity(group.len());
+                                let evals = scorer.descend(
+                                    current,
+                                    group,
+                                    &mut S::Scratch::default(),
+                                    &mut own,
+                                );
+                                (evals, own)
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("sub-problem thread panicked"))
+                        .collect()
+                });
+                for (evals, own) in outcomes {
+                    evaluations += evals;
+                    splices.extend(own);
+                }
+            } else {
+                for group in groups.iter() {
+                    evaluations += scorer.descend(&current, group, descent, splices);
+                }
+            }
 
             // Splice each sub-problem's optimized choices back in (groups
             // are disjoint, so every index appears at most once).
