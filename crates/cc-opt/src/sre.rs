@@ -30,9 +30,6 @@ use crate::{CoordinateDescent, Objective, OptOutcome, SeparableObjective};
 #[derive(Debug, Default)]
 pub struct SreScratch {
     rounds: RoundBuffers,
-    /// The solution copy handed to the generic inner descent; recycled
-    /// from the returned outcome after every group.
-    work: Vec<FnChoice>,
     /// The separable group descents' overlay and candidate list.
     descent: DescentScratch,
     /// The separable paths' term tables of the working solution.
@@ -400,12 +397,18 @@ impl Sre {
         opt_counts: &mut [u32],
         probe: Option<&mut dyn FnMut(SreRoundStats)>,
     ) -> OptOutcome {
-        let SreScratch { rounds, work, .. } = &mut SreScratch::default();
         let mut scorer = Generic {
             objective,
             inner: &self.inner,
         };
-        self.run_rounds(&mut scorer, work, start, opt_counts, probe, rounds)
+        self.run_rounds(
+            &mut scorer,
+            &mut Vec::new(),
+            start,
+            opt_counts,
+            probe,
+            &mut RoundBuffers::default(),
+        )
     }
 
     fn run_separable<T: SeparableObjective + ?Sized>(
@@ -420,7 +423,6 @@ impl Sre {
             rounds,
             descent,
             tables,
-            ..
         } = scratch;
         let mut scorer = Tabled {
             objective,
