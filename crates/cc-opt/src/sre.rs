@@ -23,8 +23,9 @@ use crate::{CoordinateDescent, Objective, OptOutcome, SeparableObjective};
 /// The sampling weights and the separable paths' term tables are built
 /// once per run, before round 0; after each round's splice and repair
 /// only the touched functions' entries are refreshed, so every round
-/// after the first costs work in proportion to the functions it touches. Groups and round snapshots are flat index-range-over-buffer
-/// layouts rather than nested `Vec<Vec<_>>`, so refilling them never
+/// after the first costs work in proportion to the functions it touches.
+/// Groups and round snapshots are flat index-range-over-buffer layouts
+/// rather than nested `Vec<Vec<_>>`, so refilling them never
 /// re-allocates. Results are bit-identical with or without scratch reuse;
 /// the scratch carries no state between runs other than spare capacity.
 #[derive(Debug, Default)]
