@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cc_opt::{
-    sample_subproblems_into, CoordinateDescent, GeneticAlgorithm, IndexGroups, Objective,
-    RandomSearch, SeparableObjective, Sre, SreScratch, SubproblemScratch,
+    sample_subproblems_into, CoordinateDescent, GeneticAlgorithm, IndexGroups, RandomSearch,
+    SeparableObjective, SeparableView, Sre, SreScratch, SubproblemScratch,
 };
 use cc_types::{Arch, FnChoice, SimDuration};
 use rand::rngs::StdRng;
@@ -44,27 +44,6 @@ impl SeparableObjective for Bowls {
     }
 }
 
-impl Objective for Bowls {
-    fn num_functions(&self) -> usize {
-        self.targets.len()
-    }
-    fn evaluate(&self, solution: &[FnChoice]) -> f64 {
-        solution
-            .iter()
-            .enumerate()
-            .map(|(i, c)| self.service_term(i, c))
-            .sum::<f64>()
-            / solution.len().max(1) as f64
-    }
-    fn is_feasible(&self, solution: &[FnChoice]) -> bool {
-        solution
-            .iter()
-            .map(|c| c.keep_alive.as_mins_f64())
-            .sum::<f64>()
-            <= self.budget_mins
-    }
-}
-
 fn start(n: usize) -> Vec<FnChoice> {
     vec![FnChoice::new(Arch::X86, false, SimDuration::from_mins(1)); n]
 }
@@ -76,23 +55,24 @@ fn bench_optimizers(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for n in [32usize, 128] {
         let bowls = Bowls::new(n);
+        let view = SeparableView(&bowls);
         group.bench_with_input(BenchmarkId::new("sre_separable", n), &n, |b, &n| {
             b.iter(|| {
                 let mut counts = vec![0u32; n];
-                Sre::scaled_to(n).optimize_separable(&bowls, start(n), &mut counts)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("sre_generic", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut counts = vec![0u32; n];
-                Sre::scaled_to(n).optimize(&bowls, start(n), &mut counts)
+                Sre::scaled_to(n).optimize(
+                    &bowls,
+                    start(n),
+                    &mut counts,
+                    &mut SreScratch::default(),
+                    None,
+                )
             })
         });
         group.bench_with_input(BenchmarkId::new("descent_full", n), &n, |b, &n| {
-            b.iter(|| CoordinateDescent::default().optimize(&bowls, start(n)))
+            b.iter(|| CoordinateDescent::default().optimize(&view, start(n)))
         });
         group.bench_with_input(BenchmarkId::new("genetic", n), &n, |b, &n| {
-            b.iter(|| GeneticAlgorithm::default().optimize(&bowls, start(n)))
+            b.iter(|| GeneticAlgorithm::default().optimize(&view, start(n)))
         });
         group.bench_with_input(BenchmarkId::new("random", n), &n, |b, &n| {
             b.iter(|| {
@@ -100,7 +80,7 @@ fn bench_optimizers(c: &mut Criterion) {
                     samples: 200,
                     seed: 1,
                 }
-                .optimize(&bowls, start(n))
+                .optimize(&view, start(n))
             })
         });
     }
@@ -108,8 +88,7 @@ fn bench_optimizers(c: &mut Criterion) {
 }
 
 /// One SRE round at the stress scenario's dimensions (10 000 functions,
-/// the `ccstat --stress` planning scale), serial inner descent, scratch
-/// held across iterations — the scheduler's steady-state hot path. Each
+/// the `ccstat --stress` planning scale), scratch held across iterations — the scheduler's steady-state hot path. Each
 /// iteration pays one `start` clone (the scheduler hands SRE an owned
 /// start vector the same way), so the comparison across commits is fair.
 fn bench_sre_round(c: &mut Criterion) {
@@ -121,20 +100,17 @@ fn bench_sre_round(c: &mut Criterion) {
     let bowls = Bowls::new(n);
     let mut sre = Sre::scaled_to(n);
     sre.rounds = 1;
-    sre.parallel = false;
     let seed = start(n);
     let mut scratch = SreScratch::default();
     let mut counts = vec![0u32; n];
     group.bench_function(BenchmarkId::new("separable_scratch", n), |b| {
-        b.iter(|| {
-            sre.optimize_separable_with_scratch(&bowls, seed.clone(), &mut counts, &mut scratch)
-        })
+        b.iter(|| sre.optimize(&bowls, seed.clone(), &mut counts, &mut scratch, None))
     });
     group.finish();
 }
 
 /// One whole SRE interval the way CodeCrunch runs it: three rounds,
-/// serial, scratch held across iterations, and the inner descent's
+/// scratch held across iterations, and the inner descent's
 /// evaluation budget CodeCrunch gives each of its 48 sub-problem searches
 /// (12 000 / 48 = 250). At 1 300 functions (serve_live's invoked
 /// population per tick) every descent stops at once, so the interval is
@@ -147,15 +123,12 @@ fn bench_sre_interval(c: &mut Criterion) {
     for n in [1_300usize, 150] {
         let bowls = Bowls::new(n);
         let mut sre = Sre::scaled_to(n);
-        sre.parallel = false;
         sre.inner.eval_budget = 12_000 / (sre.num_subproblems * sre.rounds) as u64;
         let seed = start(n);
         let mut scratch = SreScratch::default();
         let mut counts = vec![0u32; n];
         group.bench_function(BenchmarkId::new("separable_scratch", n), |b| {
-            b.iter(|| {
-                sre.optimize_separable_with_scratch(&bowls, seed.clone(), &mut counts, &mut scratch)
-            })
+            b.iter(|| sre.optimize(&bowls, seed.clone(), &mut counts, &mut scratch, None))
         });
     }
     group.finish();

@@ -10,7 +10,7 @@ use serde_json::json;
 
 use cc_opt::{
     brute_force, search_space_size, CoordinateDescent, GeneticAlgorithm, NewtonDescent,
-    RandomSearch, Sre,
+    RandomSearch, SeparableView, Sre, SreScratch,
 };
 use cc_types::{Arch, CostRate, FnChoice, FunctionId, SimDuration};
 use codecrunch::{ArchPolicy, ExecObserver, IntervalObjective, PestEstimator};
@@ -114,18 +114,25 @@ impl Experiment for Fig3 {
             .iter()
             .map(|&m| SimDuration::from_mins(m))
             .collect();
-        let exact = brute_force(&objective, &menu);
+        let view = SeparableView(&objective);
+        let exact = brute_force(&view, &menu);
 
-        let cd = CoordinateDescent::default().optimize(&objective, start.clone());
-        let newton = NewtonDescent::default().optimize(&objective, start.clone());
-        let ga = GeneticAlgorithm::default().optimize(&objective, start.clone());
+        let cd = CoordinateDescent::default().optimize(&view, start.clone());
+        let newton = NewtonDescent::default().optimize(&view, start.clone());
+        let ga = GeneticAlgorithm::default().optimize(&view, start.clone());
         let random = RandomSearch {
             samples: 1000,
             seed: 3,
         }
-        .optimize(&objective, start.clone());
+        .optimize(&view, start.clone());
         let mut counts_sre = vec![0u32; functions.len()];
-        let sre = Sre::scaled_to(functions.len()).optimize(&objective, start, &mut counts_sre);
+        let sre = Sre::scaled_to(functions.len()).optimize(
+            &objective,
+            start,
+            &mut counts_sre,
+            &mut SreScratch::default(),
+            None,
+        );
 
         let mut rows: Vec<(&str, f64, u64)> = vec![
             ("oracle (brute force)", exact.cost, exact.evaluations),

@@ -20,8 +20,12 @@
 //! - [`RandomSearch`] — a sanity floor.
 //! - [`brute_force`] — exact enumeration (Fig. 3's Oracle; tiny inputs
 //!   only).
-//! - [`Sre`] — the paper's contribution: random sub-problem embedding with
-//!   parallel inner descent and solution averaging across rounds.
+//! - [`Sre`] — the paper's contribution: random sub-problem embedding over
+//!   a [`SeparableObjective`], with an O(1)-per-move inner descent over
+//!   shared term tables and solution averaging across rounds.
+//!
+//! The general optimizers take any [`Objective`]; [`SeparableView`]
+//! presents a [`SeparableObjective`] as one.
 //!
 //! # Example
 //!
@@ -57,9 +61,9 @@ mod sre;
 pub use classic::{brute_force, CoordinateDescent, NewtonDescent, RandomSearch};
 pub use genetic::GeneticAlgorithm;
 pub use objective::{Objective, OptOutcome};
-pub use separable::{DescentScratch, SeparableObjective, SeparableView};
+pub use separable::{SeparableObjective, SeparableView};
 pub use space::{
-    combine_solutions, combine_solutions_into, sample_subproblems, sample_subproblems_into,
-    search_space_size, IndexGroups, SubproblemScratch,
+    combine_solutions_into, sample_subproblems_into, search_space_size, IndexGroups,
+    SubproblemScratch,
 };
 pub use sre::{Sre, SreRoundStats, SreScratch};

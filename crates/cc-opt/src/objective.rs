@@ -8,7 +8,7 @@ use cc_types::FnChoice;
 /// the current optimization interval under a candidate assignment (lower is
 /// better), and may declare assignments infeasible (over the keep-alive
 /// budget).
-pub trait Objective: Sync {
+pub trait Objective {
     /// Number of functions being optimized (`solution.len()` everywhere).
     fn num_functions(&self) -> usize;
 
@@ -59,6 +59,7 @@ impl OptOutcome {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
+    use crate::SeparableObjective;
     use cc_types::{Arch, SimDuration};
 
     /// A quadratic bowl in keep-alive minutes with arch/compression
@@ -102,6 +103,35 @@ pub(crate) mod testing {
 
         fn memory_cost(&self, solution: &[FnChoice]) -> f64 {
             solution.iter().map(|c| c.keep_alive.as_mins_f64()).sum()
+        }
+    }
+
+    /// Separable twin of [`Bowl`]: the same per-function terms, a budget
+    /// on total keep-alive minutes, and keep-alive minutes as memory.
+    pub struct SepBowl {
+        pub n: usize,
+        pub target_mins: f64,
+        pub budget_mins: Option<f64>,
+    }
+
+    impl SeparableObjective for SepBowl {
+        fn num_functions(&self) -> usize {
+            self.n
+        }
+        fn service_term(&self, _idx: usize, c: &FnChoice) -> f64 {
+            let d = c.keep_alive.as_mins_f64() - self.target_mins;
+            let arch_pen = if c.arch == Arch::X86 { 3.0 } else { 0.0 };
+            let comp_pen = if c.compress { 0.0 } else { 2.0 };
+            d * d + arch_pen + comp_pen
+        }
+        fn cost_term(&self, _idx: usize, c: &FnChoice) -> f64 {
+            c.keep_alive.as_mins_f64()
+        }
+        fn memory_term(&self, _idx: usize, c: &FnChoice) -> f64 {
+            c.keep_alive.as_mins_f64()
+        }
+        fn budget(&self) -> Option<f64> {
+            self.budget_mins
         }
     }
 

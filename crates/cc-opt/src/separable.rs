@@ -18,7 +18,7 @@ use crate::{CoordinateDescent, Objective, OptOutcome};
 /// `Σ cost_term ≤ budget` and per-choice validity; `Σ memory_term` feeds
 /// the paper's 10% tie-break. [`SeparableView`] adapts any implementor to
 /// the general [`Objective`] interface for the generic optimizers.
-pub trait SeparableObjective: Sync {
+pub trait SeparableObjective {
     /// Number of functions.
     fn num_functions(&self) -> usize;
 
@@ -101,16 +101,12 @@ impl<T: SeparableObjective + ?Sized> Objective for SeparableView<'_, T> {
     }
 }
 
-/// Recycled working vectors for the separable coordinate descent: the
-/// per-function `service`/`cost` term caches of a whole-solution descent,
-/// the per-slot overlay of a group descent over SRE's shared term
-/// tables, and the per-coordinate candidate list. One of these threaded
-/// through repeated descent calls makes steady-state sweeps
-/// allocation-free.
+/// Recycled working vectors for SRE's group descents: the per-slot
+/// overlay over the shared term tables and the per-coordinate candidate
+/// list. One of these threaded through a run's descents makes its
+/// steady-state sweeps allocation-free.
 #[derive(Debug, Default)]
-pub struct DescentScratch {
-    service: Vec<f64>,
-    cost: Vec<f64>,
+pub(crate) struct DescentScratch {
     /// Slot `j` holds the choice, service term and cost term of the
     /// group's `j`-th function while its descent runs.
     overlay: Vec<Entry>,
@@ -151,8 +147,8 @@ pub(crate) struct TermBaseline {
 
 impl TermBaseline {
     /// Fills the tables (and their sums) from `solution`, in the order
-    /// [`CoordinateDescent::optimize_separable_subset_with_scratch`]
-    /// evaluates them on entry.
+    /// [`CoordinateDescent::optimize_separable_subset`] evaluates them on
+    /// entry.
     pub fn compute<T: SeparableObjective + ?Sized>(
         &mut self,
         objective: &T,
@@ -334,59 +330,31 @@ impl CoordinateDescent {
         start: Vec<FnChoice>,
         active: &[usize],
     ) -> OptOutcome {
-        self.optimize_separable_subset_with_scratch(
-            objective,
-            start,
-            active,
-            &mut DescentScratch::default(),
-        )
-    }
-
-    /// [`CoordinateDescent::optimize_separable_subset`] with caller-owned
-    /// working vectors, so repeated calls allocate nothing once the
-    /// scratch capacities have grown to fit.
-    pub fn optimize_separable_subset_with_scratch<T: SeparableObjective + ?Sized>(
-        &self,
-        objective: &T,
-        start: Vec<FnChoice>,
-        active: &[usize],
-        scratch: &mut DescentScratch,
-    ) -> OptOutcome {
         let n = objective.num_functions();
         assert_eq!(start.len(), n, "solution length must match the objective");
         let mut current = start;
-        let DescentScratch {
-            service,
-            cost,
-            candidates,
-            ..
-        } = scratch;
-        service.clear();
-        service.extend(
-            current
-                .iter()
-                .enumerate()
-                .map(|(i, c)| objective.service_term(i, c)),
-        );
-        cost.clear();
-        cost.extend(
-            current
-                .iter()
-                .enumerate()
-                .map(|(i, c)| objective.cost_term(i, c)),
-        );
+        let mut service: Vec<f64> = current
+            .iter()
+            .enumerate()
+            .map(|(i, c)| objective.service_term(i, c))
+            .collect();
+        let mut cost: Vec<f64> = current
+            .iter()
+            .enumerate()
+            .map(|(i, c)| objective.cost_term(i, c))
+            .collect();
         let service_sum: f64 = service.iter().sum();
         let cost_sum: f64 = cost.iter().sum();
         let mut whole = Whole {
             solution: &mut current,
-            service,
-            cost,
+            service: &mut service,
+            cost: &mut cost,
         };
         let (service_sum, evaluations) = self.descend(
             objective,
             active,
             &mut whole,
-            candidates,
+            &mut Vec::new(),
             service_sum,
             cost_sum,
         );
@@ -422,7 +390,6 @@ impl CoordinateDescent {
         let DescentScratch {
             overlay,
             candidates,
-            ..
         } = scratch;
         overlay.clear();
         overlay.extend(
@@ -522,35 +489,8 @@ impl CoordinateDescent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::testing::SepBowl;
     use cc_types::{Arch, SimDuration};
-
-    /// Separable twin of the test bowl.
-    struct SepBowl {
-        n: usize,
-        target_mins: f64,
-        budget_mins: Option<f64>,
-    }
-
-    impl SeparableObjective for SepBowl {
-        fn num_functions(&self) -> usize {
-            self.n
-        }
-        fn service_term(&self, _idx: usize, c: &FnChoice) -> f64 {
-            let d = c.keep_alive.as_mins_f64() - self.target_mins;
-            let arch_pen = if c.arch == Arch::X86 { 3.0 } else { 0.0 };
-            let comp_pen = if c.compress { 0.0 } else { 2.0 };
-            d * d + arch_pen + comp_pen
-        }
-        fn cost_term(&self, _idx: usize, c: &FnChoice) -> f64 {
-            c.keep_alive.as_mins_f64()
-        }
-        fn memory_term(&self, _idx: usize, c: &FnChoice) -> f64 {
-            c.keep_alive.as_mins_f64()
-        }
-        fn budget(&self) -> Option<f64> {
-            self.budget_mins
-        }
-    }
 
     #[test]
     fn separable_descent_matches_generic_descent() {
@@ -645,12 +585,7 @@ mod tests {
         let mut scratch = DescentScratch::default();
         let mut splices = Vec::new();
         for group in groups {
-            let whole = descent.optimize_separable_subset_with_scratch(
-                &bowl,
-                start.clone(),
-                group,
-                &mut scratch,
-            );
+            let whole = descent.optimize_separable_subset(&bowl, start.clone(), group);
             splices.clear();
             let evaluations =
                 descent.descend_group(&bowl, &start, &tables, group, &mut scratch, &mut splices);

@@ -146,31 +146,9 @@ impl IndexGroups {
 /// probability inversely proportional to how often each function has been
 /// optimized before (`opt_counts`) — the paper's fairness mechanism: rarely
 /// optimized functions are more likely to be selected.
-pub fn sample_subproblems(
-    rng: &mut StdRng,
-    opt_counts: &[u32],
-    num_subproblems: usize,
-    funcs_per_subproblem: usize,
-) -> Vec<Vec<usize>> {
-    let mut scratch = SubproblemScratch::default();
-    let mut groups = IndexGroups::default();
-    sample_subproblems_into(
-        rng,
-        opt_counts,
-        num_subproblems,
-        funcs_per_subproblem,
-        &mut scratch,
-        &mut groups,
-    );
-    groups.iter().map(|g| g.to_vec()).collect()
-}
-
-/// [`sample_subproblems`] into caller-provided flat storage.
 ///
 /// `groups` is cleared and refilled in place, and the weight buffers live
-/// in `scratch`, so steady-state rounds allocate nothing. The RNG draw
-/// sequence — and therefore the sampled groups — is identical to
-/// [`sample_subproblems`].
+/// in `scratch`, so steady-state rounds allocate nothing.
 ///
 /// The groups are defined by an exact O(N) scan per draw: the in-order
 /// float sum of the weights, scaled by the draw, consumed by sequential
@@ -327,22 +305,9 @@ fn pick_exact(weights: &[f64], r: f64) -> usize {
 /// times average arithmetically; the binary dimensions take a majority
 /// vote (ties resolve to the last round's value, the freshest optimum).
 ///
-/// # Panics
-///
-/// Panics if `rounds` is empty or the rounds disagree on length.
-pub fn combine_solutions(rounds: &[Vec<FnChoice>]) -> Vec<FnChoice> {
-    assert!(!rounds.is_empty(), "need at least one round to combine");
-    let n = rounds[0].len();
-    for r in rounds {
-        assert_eq!(r.len(), n, "rounds must agree on the function count");
-    }
-    let mut out = Vec::with_capacity(n);
-    combine_impl(rounds.len(), n, |r, i| rounds[r][i], &mut out);
-    out
-}
-
-/// [`combine_solutions`] over a flat rounds-major buffer (round `r` is
-/// `flat[r * n..(r + 1) * n]`), writing into a recycled output vector.
+/// The rounds sit in one flat rounds-major buffer (round `r` is
+/// `flat[r * n..(r + 1) * n]`); the combination is written into a
+/// recycled output vector.
 ///
 /// # Panics
 ///
@@ -355,15 +320,7 @@ pub fn combine_solutions_into(flat: &[FnChoice], n: usize, out: &mut Vec<FnChoic
         "rounds must agree on the function count"
     );
     let rounds = flat.len().checked_div(n).unwrap_or(1);
-    combine_impl(rounds, n, |r, i| flat[r * n + i], &mut *out);
-}
-
-fn combine_impl(
-    rounds: usize,
-    n: usize,
-    get: impl Fn(usize, usize) -> FnChoice,
-    out: &mut Vec<FnChoice>,
-) {
+    let get = |r: usize, i: usize| flat[r * n + i];
     out.clear();
     for i in 0..n {
         let mean_mins = (0..rounds)
@@ -406,11 +363,38 @@ mod tests {
         assert_eq!(search_space_size(100_000), u128::MAX);
     }
 
+    /// The groups [`sample_subproblems_into`] draws, one `Vec` each.
+    fn sample(
+        rng: &mut StdRng,
+        opt_counts: &[u32],
+        num_subproblems: usize,
+        funcs_per_subproblem: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut groups = IndexGroups::default();
+        sample_subproblems_into(
+            rng,
+            opt_counts,
+            num_subproblems,
+            funcs_per_subproblem,
+            &mut SubproblemScratch::default(),
+            &mut groups,
+        );
+        groups.iter().map(|g| g.to_vec()).collect()
+    }
+
+    /// [`combine_solutions_into`] over nested rounds.
+    fn combine(rounds: &[Vec<FnChoice>]) -> Vec<FnChoice> {
+        let flat: Vec<FnChoice> = rounds.iter().flatten().copied().collect();
+        let mut out = Vec::new();
+        combine_solutions_into(&flat, rounds.first().map_or(0, Vec::len), &mut out);
+        out
+    }
+
     #[test]
     fn subproblems_are_disjoint() {
         let mut rng = StdRng::seed_from_u64(1);
         let counts = vec![0u32; 20];
-        let groups = sample_subproblems(&mut rng, &counts, 4, 3);
+        let groups = sample(&mut rng, &counts, 4, 3);
         let mut seen = std::collections::HashSet::new();
         for g in &groups {
             for &i in g {
@@ -429,7 +413,7 @@ mod tests {
         counts[0] = 0;
         let mut hits = 0;
         for _ in 0..100 {
-            let groups = sample_subproblems(&mut rng, &counts, 1, 1);
+            let groups = sample(&mut rng, &counts, 1, 1);
             if groups[0][0] == 0 {
                 hits += 1;
             }
@@ -441,25 +425,9 @@ mod tests {
     fn sampling_handles_small_populations() {
         let mut rng = StdRng::seed_from_u64(3);
         let counts = vec![0u32; 2];
-        let groups = sample_subproblems(&mut rng, &counts, 5, 3);
+        let groups = sample(&mut rng, &counts, 5, 3);
         let total: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(total, 2, "cannot sample more than exists");
-    }
-
-    #[test]
-    fn scratch_sampling_matches_allocating_sampling() {
-        let counts: Vec<u32> = (0..40).map(|i| i % 5).collect();
-        let mut scratch = SubproblemScratch::default();
-        let mut groups = IndexGroups::default();
-        for seed in 0..8 {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let fresh = sample_subproblems(&mut rng_a, &counts, 4, 6);
-            // Reused buffers across iterations — results must not differ.
-            sample_subproblems_into(&mut rng_b, &counts, 4, 6, &mut scratch, &mut groups);
-            let flat: Vec<Vec<usize>> = groups.iter().map(|g| g.to_vec()).collect();
-            assert_eq!(fresh, flat, "seed {seed} diverged");
-        }
     }
 
     /// After a round's draws, moving the picked functions' counts and
@@ -733,37 +701,11 @@ mod tests {
     }
 
     #[test]
-    fn combine_into_matches_nested_combine() {
-        let rounds: Vec<Vec<FnChoice>> = (0..3)
-            .map(|r| {
-                (0..5)
-                    .map(|i| {
-                        FnChoice::new(
-                            if (r + i) % 2 == 0 {
-                                Arch::X86
-                            } else {
-                                Arch::Arm
-                            },
-                            (r * i) % 3 == 0,
-                            SimDuration::from_mins((r as u64 * 7 + i as u64) % 61),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let nested = combine_solutions(&rounds);
-        let flat: Vec<FnChoice> = rounds.iter().flatten().copied().collect();
-        let mut out = Vec::new();
-        combine_solutions_into(&flat, 5, &mut out);
-        assert_eq!(nested, out);
-    }
-
-    #[test]
     fn combine_averages_and_votes() {
         let a = vec![FnChoice::new(Arch::X86, true, SimDuration::from_mins(10))];
         let b = vec![FnChoice::new(Arch::Arm, true, SimDuration::from_mins(20))];
         let c = vec![FnChoice::new(Arch::Arm, false, SimDuration::from_mins(30))];
-        let combined = combine_solutions(&[a, b, c]);
+        let combined = combine(&[a, b, c]);
         assert_eq!(combined[0].keep_alive, SimDuration::from_mins(20));
         assert!(combined[0].compress, "2/3 voted compress");
         assert_eq!(combined[0].arch, Arch::Arm, "2/3 voted ARM");
@@ -773,7 +715,7 @@ mod tests {
     fn combine_tie_takes_last_round() {
         let a = vec![FnChoice::new(Arch::X86, false, SimDuration::from_mins(0))];
         let b = vec![FnChoice::new(Arch::Arm, true, SimDuration::from_mins(0))];
-        let combined = combine_solutions(&[a, b]);
+        let combined = combine(&[a, b]);
         assert_eq!(combined[0].arch, Arch::Arm);
         assert!(combined[0].compress);
     }
@@ -781,6 +723,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one round")]
     fn combine_rejects_empty() {
-        let _ = combine_solutions(&[]);
+        let _ = combine(&[]);
     }
 }

@@ -7,40 +7,27 @@ use cc_types::FnChoice;
 
 use crate::separable::{DescentScratch, TermBaseline};
 use crate::space::{combine_solutions_into, sample_filled, IndexGroups, SubproblemScratch};
-use crate::{CoordinateDescent, Objective, OptOutcome, SeparableObjective};
+use crate::{CoordinateDescent, OptOutcome, SeparableObjective};
 
-/// Reusable working storage for [`Sre`]'s round loop.
+/// Reusable working storage for [`Sre::optimize`].
 ///
 /// One SRE run churns through a family of buffers — sampling weights,
 /// sub-problem index groups, the interval's term tables, the descents'
-/// overlays, the touched-index list, the per-round snapshots and costs.
-/// A long-lived scheduler that re-optimizes every interval can hold one
-/// `SreScratch` and pass it to the `_with_scratch` entry points so those
-/// buffers are allocated once and recycled forever after: a steady-state
-/// serial run performs **zero** heap allocations (the parallel path still
-/// allocates per-thread overlays).
+/// overlay, the touched-index list, the per-round snapshots and costs.
+/// A long-lived scheduler that re-optimizes every interval holds one
+/// `SreScratch` and passes it to every run, so those buffers are
+/// allocated once and recycled forever after: a steady-state run
+/// performs **zero** heap allocations.
 ///
-/// The sampling weights and the separable paths' term tables are built
-/// once per run, before round 0; after each round's splice and repair
-/// only the touched functions' entries are refreshed, so every round
-/// after the first costs work in proportion to the functions it touches.
-/// Groups and round snapshots are flat index-range-over-buffer layouts
-/// rather than nested `Vec<Vec<_>>`, so refilling them never
-/// re-allocates. Results are bit-identical with or without scratch reuse;
-/// the scratch carries no state between runs other than spare capacity.
+/// The sampling weights and the term tables are built once per run,
+/// before round 0; after each round's splice and repair only the touched
+/// functions' entries are refreshed, so every round after the first costs
+/// work in proportion to the functions it touches. Groups and round
+/// snapshots are flat index-range-over-buffer layouts, so refilling them
+/// never re-allocates. Results are bit-identical with a fresh or a reused
+/// scratch; it carries no state between runs other than spare capacity.
 #[derive(Debug, Default)]
 pub struct SreScratch {
-    rounds: RoundBuffers,
-    /// The separable group descents' overlay and candidate list.
-    descent: DescentScratch,
-    /// The separable paths' term tables of the working solution.
-    tables: TermBaseline,
-}
-
-/// The round loop's own buffers, shared by the generic and separable
-/// paths.
-#[derive(Debug, Default)]
-struct RoundBuffers {
     subproblems: SubproblemScratch,
     groups: IndexGroups,
     touched: Vec<usize>,
@@ -56,147 +43,14 @@ struct RoundBuffers {
     combined: Vec<FnChoice>,
     /// Pre-round snapshot used by the probe's accepted-move diff.
     probe_snapshot: Vec<FnChoice>,
-}
-
-/// How the round loop descends and scores solutions: through a generic
-/// [`Objective`] ([`Generic`]), or through the interval's term tables
-/// ([`Tabled`]). Both give the same floats for a separable objective.
-trait Scorer: Sync {
-    /// A descent's working storage: held across groups on the serial
-    /// path, one per thread on the parallel path.
-    type Scratch: Default + Send;
-
-    /// Number of functions.
-    fn len(&self) -> usize;
-
-    /// Prepares for a run starting at `start`.
-    fn begin(&mut self, start: &[FnChoice]);
-
-    /// Optimizes `group` against `current`, appending `(index, choice)`
-    /// splices in group order. Returns the evaluations charged.
-    fn descend(
-        &self,
-        current: &[FnChoice],
-        group: &[usize],
-        scratch: &mut Self::Scratch,
-        splices: &mut Vec<(usize, FnChoice)>,
-    ) -> u64;
-
-    /// Whether `current` is feasible; only the functions at `changed` may
-    /// have moved since the previous call.
-    fn is_feasible(&mut self, current: &[FnChoice], changed: &[usize]) -> bool;
-
-    /// The objective of `current`; only the functions at `changed` may
-    /// have moved since the previous call.
-    fn evaluate(&mut self, current: &[FnChoice], changed: &[usize]) -> f64;
-
-    /// The objective of `other` if it is feasible, else infinity;
-    /// `current` is the solution last passed to [`Scorer::evaluate`].
-    fn evaluate_other(&mut self, current: &[FnChoice], other: &[FnChoice]) -> f64;
-}
-
-/// Scores through the generic objective and descends on solution copies.
-struct Generic<'a> {
-    objective: &'a dyn Objective,
-    inner: &'a CoordinateDescent,
-}
-
-impl Scorer for Generic<'_> {
-    /// The working copy of the solution, recycled from each outcome.
-    type Scratch = Vec<FnChoice>;
-
-    fn len(&self) -> usize {
-        self.objective.num_functions()
-    }
-
-    fn begin(&mut self, _start: &[FnChoice]) {}
-
-    fn descend(
-        &self,
-        current: &[FnChoice],
-        group: &[usize],
-        work: &mut Vec<FnChoice>,
-        splices: &mut Vec<(usize, FnChoice)>,
-    ) -> u64 {
-        let mut buf = std::mem::take(work);
-        buf.clear();
-        buf.extend_from_slice(current);
-        let outcome = self.inner.optimize_subset(self.objective, buf, group);
-        splices.extend(group.iter().map(|&idx| (idx, outcome.solution[idx])));
-        *work = outcome.solution;
-        outcome.evaluations
-    }
-
-    fn is_feasible(&mut self, current: &[FnChoice], _changed: &[usize]) -> bool {
-        self.objective.is_feasible(current)
-    }
-
-    fn evaluate(&mut self, current: &[FnChoice], _changed: &[usize]) -> f64 {
-        self.objective.evaluate(current)
-    }
-
-    fn evaluate_other(&mut self, _current: &[FnChoice], other: &[FnChoice]) -> f64 {
-        if self.objective.is_feasible(other) {
-            self.objective.evaluate(other)
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Scores a separable objective from term tables kept current at the
-/// touched indices, and descends each group in place over them.
-struct Tabled<'a, T: ?Sized> {
-    objective: &'a T,
-    inner: &'a CoordinateDescent,
-    tables: &'a mut TermBaseline,
-}
-
-impl<T: SeparableObjective + ?Sized> Scorer for Tabled<'_, T> {
-    type Scratch = DescentScratch;
-
-    fn len(&self) -> usize {
-        self.objective.num_functions()
-    }
-
-    fn begin(&mut self, start: &[FnChoice]) {
-        self.tables.compute(self.objective, start);
-    }
-
-    fn descend(
-        &self,
-        current: &[FnChoice],
-        group: &[usize],
-        scratch: &mut DescentScratch,
-        splices: &mut Vec<(usize, FnChoice)>,
-    ) -> u64 {
-        self.inner.descend_group(
-            self.objective,
-            current,
-            self.tables,
-            group,
-            scratch,
-            splices,
-        )
-    }
-
-    fn is_feasible(&mut self, current: &[FnChoice], changed: &[usize]) -> bool {
-        self.tables.refresh_cost(self.objective, current, changed);
-        self.tables.is_feasible(self.objective)
-    }
-
-    fn evaluate(&mut self, current: &[FnChoice], changed: &[usize]) -> f64 {
-        self.tables.refresh(self.objective, current, changed);
-        self.tables.evaluate()
-    }
-
-    fn evaluate_other(&mut self, current: &[FnChoice], other: &[FnChoice]) -> f64 {
-        self.tables.evaluate_variant(self.objective, current, other)
-    }
+    /// The group descents' overlay and candidate list.
+    descent: DescentScratch,
+    /// The term tables of the working solution.
+    tables: TermBaseline,
 }
 
 /// Per-round progress snapshot, reported through the optional probe of
-/// [`Sre::optimize_probed`] / [`Sre::optimize_separable_probed`].
+/// [`Sre::optimize`].
 ///
 /// Probing is observation-only: the probed and unprobed runs produce
 /// identical solutions, costs, and [`OptOutcome::evaluations`] (every run
@@ -219,18 +73,16 @@ pub struct SreRoundStats {
     pub evaluations: u64,
 }
 
-/// Sequential Random Embedding over the choice space.
+/// Sequential Random Embedding over the choice space of a
+/// [`SeparableObjective`].
 ///
 /// Per round, SRE samples disjoint low-dimensional sub-problems
 /// (probabilistically favoring rarely-optimized functions), runs the inner
 /// coordinate descent on each against the same pre-round solution, and
-/// splices the sub-problem optima back into the working solution. With
-/// [`Sre::parallel`] set, the sub-problems run on scoped threads; results
-/// are identical either way, and CodeCrunch clears it because its
-/// sub-problems are too small to pay for a thread each. After `rounds`
-/// rounds, the final answer is the per-dimension mean/majority of the
-/// round solutions — or the best single round if the combination turns
-/// out infeasible or worse.
+/// splices the sub-problem optima back into the working solution. After
+/// `rounds` rounds, the final answer is the per-dimension mean/majority of
+/// the round solutions — or the best single round if the combination
+/// turns out infeasible or worse.
 ///
 /// The per-round dimensionality (`num_subproblems × funcs_per_subproblem ×
 /// 3 × rounds`) is kept roughly 10× below the full `3N`, per the paper.
@@ -238,24 +90,28 @@ pub struct SreRoundStats {
 /// # Example
 ///
 /// ```
-/// use cc_opt::{Objective, Sre};
+/// use cc_opt::{SeparableObjective, Sre, SreScratch};
 /// use cc_types::{Arch, FnChoice};
 ///
 /// struct PreferArm;
-/// impl Objective for PreferArm {
+/// impl SeparableObjective for PreferArm {
 ///     fn num_functions(&self) -> usize {
 ///         12
 ///     }
-///     fn evaluate(&self, s: &[FnChoice]) -> f64 {
-///         s.iter().filter(|c| c.arch == Arch::X86).count() as f64
+///     fn service_term(&self, _idx: usize, c: &FnChoice) -> f64 {
+///         if c.arch == Arch::X86 { 1.0 } else { 0.0 }
+///     }
+///     fn cost_term(&self, _idx: usize, _c: &FnChoice) -> f64 {
+///         0.0
 ///     }
 /// }
 ///
 /// let mut counts = vec![0u32; 12];
 /// let start = vec![FnChoice::production_default(); 12];
-/// let out = Sre::scaled_to(12).optimize(&PreferArm, start, &mut counts);
+/// let mut scratch = SreScratch::default();
+/// let out = Sre::scaled_to(12).optimize(&PreferArm, start, &mut counts, &mut scratch, None);
 /// // Three rounds of 2-function sub-problems move ~6 functions to ARM.
-/// assert!(out.cost <= 7.0, "sub-problem optima spliced in, got {}", out.cost);
+/// assert!(out.cost <= 7.0 / 12.0, "sub-problem optima spliced in, got {}", out.cost);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sre {
@@ -269,8 +125,6 @@ pub struct Sre {
     pub seed: u64,
     /// Inner sub-problem optimizer.
     pub inner: CoordinateDescent,
-    /// Run sub-problems on parallel threads (deterministic either way).
-    pub parallel: bool,
 }
 
 impl Sre {
@@ -293,7 +147,6 @@ impl Sre {
                 max_rounds: 16,
                 eval_budget: 4_000,
             },
-            parallel: true,
         }
     }
 
@@ -308,162 +161,30 @@ impl Sre {
     /// `opt_counts[i]` is how many times function `i` has been optimized in
     /// past rounds/intervals; SRE samples inversely to it and increments it
     /// for every function it optimizes (the caller persists it across
-    /// intervals).
+    /// intervals). `scratch` holds the working buffers (see
+    /// [`SreScratch`]), and `probe`, when given, receives one
+    /// [`SreRoundStats`] per round without changing the outcome.
+    ///
+    /// Every group optimizes against the same pre-round working solution:
+    /// splices are collected and applied only after the whole round (a
+    /// budget-constrained descent reads the *total* cost of its start,
+    /// which an early in-place splice would perturb). The term tables are
+    /// built once, before round 0, and refreshed only at the functions
+    /// each round touches, in-order re-sums included, so that each total
+    /// is the very float a full evaluation forms.
     ///
     /// # Panics
     ///
     /// Panics if `start` or `opt_counts` disagree with the objective size.
-    pub fn optimize(
-        &self,
-        objective: &dyn Objective,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-    ) -> OptOutcome {
-        self.run_generic(objective, start, opt_counts, None)
-    }
-
-    /// [`Sre::optimize`] with a per-round progress probe (observation only;
-    /// the returned outcome is identical to the unprobed run).
-    pub fn optimize_probed(
-        &self,
-        objective: &dyn Objective,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-        probe: &mut dyn FnMut(SreRoundStats),
-    ) -> OptOutcome {
-        self.run_generic(objective, start, opt_counts, Some(probe))
-    }
-
-    /// [`Sre::optimize`] specialized for [separable
-    /// objectives](crate::SeparableObjective): the inner descent scores
-    /// moves in O(1) via term deltas, and the round loop keeps the term
-    /// tables current at the touched indices, keeping SRE's total cost
-    /// linear in the number of invoked functions.
-    pub fn optimize_separable<T: SeparableObjective + ?Sized>(
-        &self,
-        objective: &T,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-    ) -> OptOutcome {
-        let mut scratch = SreScratch::default();
-        self.run_separable(objective, start, opt_counts, None, &mut scratch)
-    }
-
-    /// [`Sre::optimize_separable`] reusing caller-held working storage.
-    ///
-    /// Identical result to the plain variant; a scheduler that optimizes
-    /// every interval should hold one [`SreScratch`] and pass it here so
-    /// the round loop stops allocating in steady state.
-    pub fn optimize_separable_with_scratch<T: SeparableObjective + ?Sized>(
+    pub fn optimize<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         start: Vec<FnChoice>,
         opt_counts: &mut [u32],
         scratch: &mut SreScratch,
-    ) -> OptOutcome {
-        self.run_separable(objective, start, opt_counts, None, scratch)
-    }
-
-    /// [`Sre::optimize_separable`] with a per-round progress probe
-    /// (observation only; the returned outcome is identical to the
-    /// unprobed run).
-    pub fn optimize_separable_probed<T: SeparableObjective + ?Sized>(
-        &self,
-        objective: &T,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-        probe: &mut dyn FnMut(SreRoundStats),
-    ) -> OptOutcome {
-        let mut scratch = SreScratch::default();
-        self.run_separable(objective, start, opt_counts, Some(probe), &mut scratch)
-    }
-
-    /// [`Sre::optimize_separable_probed`] reusing caller-held working
-    /// storage (see [`Sre::optimize_separable_with_scratch`]).
-    pub fn optimize_separable_probed_with_scratch<T: SeparableObjective + ?Sized>(
-        &self,
-        objective: &T,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-        probe: &mut dyn FnMut(SreRoundStats),
-        scratch: &mut SreScratch,
-    ) -> OptOutcome {
-        self.run_separable(objective, start, opt_counts, Some(probe), scratch)
-    }
-
-    fn run_generic(
-        &self,
-        objective: &dyn Objective,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-        probe: Option<&mut dyn FnMut(SreRoundStats)>,
-    ) -> OptOutcome {
-        let mut scorer = Generic {
-            objective,
-            inner: &self.inner,
-        };
-        self.run_rounds(
-            &mut scorer,
-            &mut Vec::new(),
-            start,
-            opt_counts,
-            probe,
-            &mut RoundBuffers::default(),
-        )
-    }
-
-    fn run_separable<T: SeparableObjective + ?Sized>(
-        &self,
-        objective: &T,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
-        probe: Option<&mut dyn FnMut(SreRoundStats)>,
-        scratch: &mut SreScratch,
-    ) -> OptOutcome {
-        let SreScratch {
-            rounds,
-            descent,
-            tables,
-        } = scratch;
-        let mut scorer = Tabled {
-            objective,
-            inner: &self.inner,
-            tables,
-        };
-        self.run_rounds(&mut scorer, descent, start, opt_counts, probe, rounds)
-    }
-
-    /// Shared SRE machinery, parameterized over how groups are descended
-    /// and solutions scored.
-    ///
-    /// All transient buffers live in `buffers`, `descent` and the scorer,
-    /// and are recycled, so a caller reusing one scratch across intervals
-    /// performs zero steady-state allocations on the serial path. Only
-    /// the parallel path allocates (threads need their own descent
-    /// scratch).
-    ///
-    /// Every group optimizes against the same pre-round working solution:
-    /// splices are collected and applied only after the whole round, on
-    /// both the serial and parallel paths, so the two agree bit-for-bit
-    /// (a budget-constrained descent reads the *total* cost of its start,
-    /// which an early in-place splice would perturb).
-    ///
-    /// The sampling weights and the scorer's state are set up once, before
-    /// round 0. After each round's splice and repair, only the touched
-    /// functions have moved, so only their weights and terms are
-    /// refreshed: every later round costs work in proportion to the
-    /// functions it touches (plus in-order re-sums of the term tables, so
-    /// that each total is the very float a full evaluation forms).
-    fn run_rounds<S: Scorer>(
-        &self,
-        scorer: &mut S,
-        descent: &mut S::Scratch,
-        start: Vec<FnChoice>,
-        opt_counts: &mut [u32],
         mut probe: Option<&mut dyn FnMut(SreRoundStats)>,
-        buffers: &mut RoundBuffers,
     ) -> OptOutcome {
-        let n = scorer.len();
+        let n = objective.num_functions();
         assert_eq!(start.len(), n, "start length must match objective");
         assert_eq!(
             opt_counts.len(),
@@ -483,7 +204,7 @@ impl Sre {
         let mut evaluations = 0u64;
         // Split-borrow the buffers once: the round loop needs several of
         // them live at the same time.
-        let RoundBuffers {
+        let SreScratch {
             subproblems,
             groups,
             touched,
@@ -492,11 +213,13 @@ impl Sre {
             splices,
             combined,
             probe_snapshot,
-        } = buffers;
+            descent,
+            tables,
+        } = scratch;
         round_solutions.clear();
         round_costs.clear();
         subproblems.fill(opt_counts);
-        scorer.begin(&current);
+        tables.compute(objective, &current);
 
         for round in 0..self.rounds {
             // Wall-clock probe (one relaxed atomic when profiling is off):
@@ -519,37 +242,10 @@ impl Sre {
                 groups,
             );
             splices.clear();
-            if self.parallel && groups.len() > 1 {
-                let (scorer, current) = (&*scorer, &current);
-                let outcomes: Vec<(u64, Vec<(usize, FnChoice)>)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = groups
-                        .iter()
-                        .map(|group| {
-                            scope.spawn(move || {
-                                let mut own = Vec::with_capacity(group.len());
-                                let evals = scorer.descend(
-                                    current,
-                                    group,
-                                    &mut S::Scratch::default(),
-                                    &mut own,
-                                );
-                                (evals, own)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sub-problem thread panicked"))
-                        .collect()
-                });
-                for (evals, own) in outcomes {
-                    evaluations += evals;
-                    splices.extend(own);
-                }
-            } else {
-                for group in groups.iter() {
-                    evaluations += scorer.descend(&current, group, descent, splices);
-                }
+            for group in groups.iter() {
+                evaluations += self
+                    .inner
+                    .descend_group(objective, &current, tables, group, descent, splices);
             }
 
             // Splice each sub-problem's optimized choices back in (groups
@@ -568,14 +264,16 @@ impl Sre {
             // though each piece was feasible. Repair by scaling the
             // just-optimized keep-alive windows down until feasible.
             evaluations += 1;
-            let mut feasible = scorer.is_feasible(&current, touched);
+            tables.refresh_cost(objective, &current, touched);
+            let mut feasible = tables.is_feasible(objective);
             if !feasible {
                 for _ in 0..24 {
                     for &idx in touched.iter() {
                         current[idx].keep_alive = current[idx].keep_alive.scale(0.8);
                     }
                     evaluations += 1;
-                    feasible = scorer.is_feasible(&current, touched);
+                    tables.refresh_cost(objective, &current, touched);
+                    feasible = tables.is_feasible(objective);
                     if feasible {
                         break;
                     }
@@ -588,16 +286,14 @@ impl Sre {
             }
             // Not counted into `evaluations`: the final pick below charges
             // one evaluation per round for reading this cost back.
-            let cost = scorer.evaluate(&current, touched);
+            tables.refresh(objective, &current, touched);
+            let cost = tables.evaluate();
             round_costs.push(cost);
             if let Some(probe) = probe.as_deref_mut() {
-                let mut accepted_moves = 0u64;
-                for &idx in touched.iter() {
-                    let (a, b) = (probe_snapshot[idx], current[idx]);
-                    accepted_moves += u64::from(a.arch != b.arch)
-                        + u64::from(a.compress != b.compress)
-                        + u64::from(a.keep_alive != b.keep_alive);
-                }
+                let accepted_moves = touched
+                    .iter()
+                    .map(|&idx| probe_snapshot[idx].changed_coordinates(&current[idx]))
+                    .sum();
                 probe(SreRoundStats {
                     round: round as u32,
                     subproblems: groups.len() as u32,
@@ -612,11 +308,11 @@ impl Sre {
 
         // Final answer: the mean of the round solutions — unless it is
         // infeasible or worse than the best round, in which case that
-        // round wins. `current` is the last round's solution, which the
-        // scorer reuses for every function the combination left alone.
+        // round wins. `current` is the last round's solution, whose
+        // tables score every function the combination left alone.
         combine_solutions_into(round_solutions, n, combined);
         evaluations += 1;
-        let combined_cost = scorer.evaluate_other(&current, combined);
+        let combined_cost = tables.evaluate_variant(objective, &current, combined);
         // First-minimum-wins, matching `Iterator::min_by` over the rounds
         // in order; the snapshots stay in the scratch for the next run.
         let mut best: Option<(f64, usize)> = None;
@@ -657,23 +353,28 @@ impl Sre {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::testing::Bowl;
+    use crate::objective::testing::SepBowl;
+    use crate::{Objective, SeparableView};
 
-    fn bowl(n: usize) -> Bowl {
-        Bowl {
+    fn bowl(n: usize) -> SepBowl {
+        SepBowl {
             n,
             target_mins: 7.0,
-            max_total_mins: None,
+            budget_mins: None,
         }
+    }
+
+    fn run(sre: &Sre, b: &SepBowl, start: Vec<FnChoice>, counts: &mut [u32]) -> OptOutcome {
+        sre.optimize(b, start, counts, &mut SreScratch::default(), None)
     }
 
     #[test]
     fn sre_improves_over_start() {
         let b = bowl(40);
         let start = vec![FnChoice::production_default(); 40];
-        let start_cost = b.evaluate(&start);
+        let start_cost = SeparableView(&b).evaluate(&start);
         let mut counts = vec![0u32; 40];
-        let out = Sre::scaled_to(40).optimize(&b, start, &mut counts);
+        let out = run(&Sre::scaled_to(40), &b, start, &mut counts);
         assert!(out.cost < start_cost, "{} !< {start_cost}", out.cost);
         // The functions SRE touched were counted.
         assert!(counts.iter().any(|&c| c > 0));
@@ -683,23 +384,10 @@ mod tests {
     fn sre_is_deterministic() {
         let b = bowl(20);
         let start = vec![FnChoice::production_default(); 20];
-        let a = Sre::scaled_to(20).optimize(&b, start.clone(), &mut [0; 20]);
-        let c = Sre::scaled_to(20).optimize(&b, start, &mut [0; 20]);
+        let a = run(&Sre::scaled_to(20), &b, start.clone(), &mut [0; 20]);
+        let c = run(&Sre::scaled_to(20), &b, start, &mut [0; 20]);
         assert_eq!(a.solution, c.solution);
         assert_eq!(a.cost, c.cost);
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let b = bowl(30);
-        let start = vec![FnChoice::production_default(); 30];
-        let mut parallel = Sre::scaled_to(30);
-        parallel.num_subproblems = 4;
-        let mut serial = parallel.clone();
-        serial.parallel = false;
-        let pa = parallel.optimize(&b, start.clone(), &mut [0; 30]);
-        let se = serial.optimize(&b, start, &mut [0; 30]);
-        assert_eq!(pa.solution, se.solution);
     }
 
     #[test]
@@ -719,21 +407,21 @@ mod tests {
             per_round * sre.rounds
         );
         let mut counts = vec![0u32; n];
-        let out = sre.optimize(&b, start.clone(), &mut counts);
-        assert!(out.cost < b.evaluate(&start));
+        let out = run(&sre, &b, start.clone(), &mut counts);
+        assert!(out.cost < SeparableView(&b).evaluate(&start));
     }
 
     #[test]
     fn sre_respects_budget_feasibility() {
-        let b = Bowl {
+        let b = SepBowl {
             n: 12,
             target_mins: 40.0,
-            max_total_mins: Some(120.0),
+            budget_mins: Some(120.0),
         };
         let start = vec![FnChoice::drop_now(cc_types::Arch::X86); 12];
         let mut counts = vec![0u32; 12];
-        let out = Sre::scaled_to(12).optimize(&b, start, &mut counts);
-        assert!(b.is_feasible(&out.solution));
+        let out = run(&Sre::scaled_to(12), &b, start, &mut counts);
+        assert!(SeparableView(&b).is_feasible(&out.solution));
     }
 
     #[test]
@@ -741,9 +429,15 @@ mod tests {
         let b = bowl(30);
         let start = vec![FnChoice::production_default(); 30];
         let sre = Sre::scaled_to(30);
-        let plain = sre.optimize(&b, start.clone(), &mut [0; 30]);
+        let plain = run(&sre, &b, start.clone(), &mut [0; 30]);
         let mut rounds = Vec::new();
-        let probed = sre.optimize_probed(&b, start, &mut [0; 30], &mut |s| rounds.push(s));
+        let probed = sre.optimize(
+            &b,
+            start,
+            &mut [0; 30],
+            &mut SreScratch::default(),
+            Some(&mut |s| rounds.push(s)),
+        );
         assert_eq!(plain.solution, probed.solution);
         assert_eq!(plain.cost, probed.cost);
         assert_eq!(plain.evaluations, probed.evaluations);
@@ -761,39 +455,19 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_behavior_preserving() {
-        use crate::SeparableObjective;
-
-        /// Minimal separable bowl for exercising the scratch paths.
-        struct SepBowl;
-        impl SeparableObjective for SepBowl {
-            fn num_functions(&self) -> usize {
-                24
-            }
-            fn service_term(&self, _idx: usize, c: &FnChoice) -> f64 {
-                let d = c.keep_alive.as_mins_f64() - 7.0;
-                d * d + if c.compress { 0.0 } else { 2.0 }
-            }
-            fn cost_term(&self, _idx: usize, c: &FnChoice) -> f64 {
-                c.keep_alive.as_mins_f64()
-            }
-            fn budget(&self) -> Option<f64> {
-                Some(150.0)
-            }
-        }
-
+        let b = SepBowl {
+            n: 24,
+            target_mins: 7.0,
+            budget_mins: Some(150.0),
+        };
         let start = vec![FnChoice::production_default(); 24];
         let mut scratch = SreScratch::default();
         // A dirty scratch (reused across differently-seeded runs) must
-        // reproduce the allocating path bit-for-bit every time.
+        // reproduce a fresh one bit-for-bit every time.
         for seed in 0..4 {
             let sre = Sre::scaled_to(24).with_seed(seed);
-            let fresh = sre.optimize_separable(&SepBowl, start.clone(), &mut [0; 24]);
-            let reused = sre.optimize_separable_with_scratch(
-                &SepBowl,
-                start.clone(),
-                &mut [0; 24],
-                &mut scratch,
-            );
+            let fresh = run(&sre, &b, start.clone(), &mut [0; 24]);
+            let reused = sre.optimize(&b, start.clone(), &mut [0; 24], &mut scratch, None);
             assert_eq!(fresh.solution, reused.solution, "seed {seed} diverged");
             assert_eq!(fresh.cost, reused.cost);
             assert_eq!(fresh.evaluations, reused.evaluations);
@@ -802,8 +476,7 @@ mod tests {
 
     #[test]
     fn empty_objective_is_a_noop() {
-        let b = bowl(0);
-        let out = Sre::scaled_to(1).optimize(&b, vec![], &mut []);
+        let out = run(&Sre::scaled_to(1), &bowl(0), vec![], &mut []);
         assert!(out.solution.is_empty());
         assert_eq!(out.evaluations, 0);
     }

@@ -3,7 +3,10 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use cc_opt::{combine_solutions, CoordinateDescent, Objective, Sre};
+use cc_opt::{
+    combine_solutions_into, CoordinateDescent, Objective, SeparableObjective, SeparableView, Sre,
+    SreScratch,
+};
 use cc_types::{Arch, FnChoice, SimDuration, KEEP_ALIVE_MAX};
 
 fn choice_strategy() -> impl Strategy<Value = FnChoice> {
@@ -78,8 +81,9 @@ proptest! {
     ) {
         // When every round agrees, combining changes nothing (modulo the
         // sub-minute truncation of averaging identical values).
-        let rounds: Vec<Vec<FnChoice>> = (0..rounds).map(|_| solution.clone()).collect();
-        let combined = combine_solutions(&rounds);
+        let flat: Vec<FnChoice> = (0..rounds).flat_map(|_| solution.clone()).collect();
+        let mut combined = Vec::new();
+        combine_solutions_into(&flat, solution.len(), &mut combined);
         for (c, s) in combined.iter().zip(&solution) {
             prop_assert_eq!(c.arch, s.arch);
             prop_assert_eq!(c.compress, s.compress);
@@ -92,48 +96,53 @@ proptest! {
 /// infeasible or worse-than-start solution.
 struct Rugged;
 
-impl Objective for Rugged {
+impl SeparableObjective for Rugged {
     fn num_functions(&self) -> usize {
         6
     }
-    fn evaluate(&self, solution: &[FnChoice]) -> f64 {
-        solution
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let m = c.keep_alive.as_mins_f64();
-                // Oscillating landscape with arch/compress interactions.
-                (m * 0.7 + i as f64).sin() * 3.0
-                    + if c.compress == (i % 2 == 0) { 0.0 } else { 1.0 }
-                    + if c.arch == Arch::Arm { 0.3 } else { 0.0 }
-                    + m * 0.01
-            })
-            .sum()
+    fn service_term(&self, i: usize, c: &FnChoice) -> f64 {
+        let m = c.keep_alive.as_mins_f64();
+        // Oscillating landscape with arch/compress interactions.
+        (m * 0.7 + i as f64).sin() * 3.0
+            + if c.compress == i.is_multiple_of(2) {
+                0.0
+            } else {
+                1.0
+            }
+            + if c.arch == Arch::Arm { 0.3 } else { 0.0 }
+            + m * 0.01
     }
-    fn is_feasible(&self, solution: &[FnChoice]) -> bool {
-        solution
-            .iter()
-            .map(|c| c.keep_alive.as_mins_f64())
-            .sum::<f64>()
-            <= 120.0
+    fn cost_term(&self, _i: usize, c: &FnChoice) -> f64 {
+        c.keep_alive.as_mins_f64()
+    }
+    fn budget(&self) -> Option<f64> {
+        Some(120.0)
     }
 }
 
 #[test]
 fn descent_terminates_and_improves_on_rugged_objectives() {
+    let view = SeparableView(&Rugged);
     let start = vec![FnChoice::production_default(); 6];
-    let start_cost = Rugged.evaluate(&start);
-    let out = CoordinateDescent::default().optimize(&Rugged, start);
+    let start_cost = view.evaluate(&start);
+    let out = CoordinateDescent::default().optimize(&view, start);
     assert!(out.cost <= start_cost);
-    assert!(Rugged.is_feasible(&out.solution));
+    assert!(view.is_feasible(&out.solution));
 }
 
 #[test]
 fn sre_terminates_and_improves_on_rugged_objectives() {
+    let view = SeparableView(&Rugged);
     let start = vec![FnChoice::production_default(); 6];
-    let start_cost = Rugged.evaluate(&start);
+    let start_cost = view.evaluate(&start);
     let mut counts = vec![0u32; 6];
-    let out = Sre::scaled_to(6).optimize(&Rugged, start, &mut counts);
+    let out = Sre::scaled_to(6).optimize(
+        &Rugged,
+        start,
+        &mut counts,
+        &mut SreScratch::default(),
+        None,
+    );
     assert!(out.cost <= start_cost);
-    assert!(Rugged.is_feasible(&out.solution));
+    assert!(view.is_feasible(&out.solution));
 }

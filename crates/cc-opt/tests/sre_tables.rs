@@ -1,6 +1,6 @@
 //! SRE's term tables never drift from the solution they describe.
 //!
-//! On the separable paths SRE builds its service/cost tables once per
+//! SRE builds its service/cost tables once per
 //! run and refreshes them only at the functions each round touches; the
 //! round costs, the feasibility checks that drive the repair loop and the
 //! final pick are all read off those tables. These properties generate
@@ -8,7 +8,7 @@
 //! descents move and others stop before their first neighbour, under
 //! binding and unlimited budgets) and check that the reported cost is the
 //! very float a from-scratch evaluation gives, that feasibility survives,
-//! and that probing, threading and scratch reuse change nothing.
+//! and that probing and scratch reuse change nothing.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -124,10 +124,9 @@ impl Case {
         (objective, start, counts)
     }
 
-    fn sre(&self, parallel: bool) -> Sre {
+    fn sre(&self) -> Sre {
         let mut sre = Sre::scaled_to(self.n).with_seed(self.seed ^ 0x5eed);
         sre.inner.eval_budget = self.eval_budget;
-        sre.parallel = parallel;
         sre
     }
 }
@@ -174,10 +173,16 @@ fn same(label: &str, a: &OptOutcome, b: &OptOutcome) -> Result<(), String> {
 fn check(case: Case) -> Result<(), String> {
     let (objective, start, counts) = case.build();
     let view = SeparableView(&objective);
-    let serial = case.sre(false);
+    let sre = case.sre();
 
     let mut plain_counts = counts.clone();
-    let plain = serial.optimize_separable(&objective, start.clone(), &mut plain_counts);
+    let plain = sre.optimize(
+        &objective,
+        start.clone(),
+        &mut plain_counts,
+        &mut SreScratch::default(),
+        None,
+    );
     prop_assert_eq!(
         plain.cost.to_bits(),
         view.evaluate(&plain.solution).to_bits(),
@@ -194,23 +199,17 @@ fn check(case: Case) -> Result<(), String> {
 
     let mut probed_counts = counts.clone();
     let mut rounds = Vec::new();
-    let probed = serial.optimize_separable_probed(
+    let probed = sre.optimize(
         &objective,
         start.clone(),
         &mut probed_counts,
-        &mut |stats| rounds.push(stats),
+        &mut SreScratch::default(),
+        Some(&mut |stats| rounds.push(stats)),
     );
     same("probing", &plain, &probed)?;
     prop_assert_eq!(&plain_counts, &probed_counts);
-    prop_assert_eq!(rounds.len(), serial.rounds);
+    prop_assert_eq!(rounds.len(), sre.rounds);
     prop_assert!(rounds.iter().all(|r| r.cost.is_finite()));
-
-    let mut parallel_counts = counts.clone();
-    let parallel =
-        case.sre(true)
-            .optimize_separable(&objective, start.clone(), &mut parallel_counts);
-    same("threading", &plain, &parallel)?;
-    prop_assert_eq!(&plain_counts, &parallel_counts);
 
     // A scratch dirtied by a different, larger run.
     let mut scratch = SreScratch::default();
@@ -220,15 +219,15 @@ fn check(case: Case) -> Result<(), String> {
         ..case
     };
     let (other_objective, other_start, mut other_counts) = other.build();
-    other.sre(false).optimize_separable_with_scratch(
+    other.sre().optimize(
         &other_objective,
         other_start,
         &mut other_counts,
         &mut scratch,
+        None,
     );
     let mut reused_counts = counts;
-    let reused =
-        serial.optimize_separable_with_scratch(&objective, start, &mut reused_counts, &mut scratch);
+    let reused = sre.optimize(&objective, start, &mut reused_counts, &mut scratch, None);
     same("a dirty scratch", &plain, &reused)?;
     prop_assert_eq!(&plain_counts, &reused_counts);
     Ok(())
@@ -253,13 +252,18 @@ fn the_cases_cover_moving_and_stopped_descents_and_repairs() {
     for _ in 0..64 {
         let case = strategy.sample(&mut rng);
         let (objective, start, mut counts) = case.build();
-        let sre = case.sre(false);
         let mut accepted = 0;
         let mut rounds = Vec::new();
-        sre.optimize_separable_probed(&objective, start, &mut counts, &mut |stats| {
-            accepted += stats.accepted_moves;
-            rounds.push(stats);
-        });
+        case.sre().optimize(
+            &objective,
+            start,
+            &mut counts,
+            &mut SreScratch::default(),
+            Some(&mut |stats| {
+                accepted += stats.accepted_moves;
+                rounds.push(stats);
+            }),
+        );
         if accepted > 0 {
             moved += 1;
         }

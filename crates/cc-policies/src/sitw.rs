@@ -43,7 +43,7 @@ impl SitW {
     /// Creates the policy with custom head/tail percentiles (each clamped
     /// to `[0, 100]`). The pre-warm schedule normalizes the resulting gap
     /// estimates, so an inverted pair degrades gracefully instead of
-    /// collapsing the keep window (see [`prewarm_schedule`]).
+    /// collapsing the keep window (see `prewarm_schedule`).
     pub fn with_percentiles(head: f64, tail: f64) -> SitW {
         SitW {
             histograms: Vec::new(),

@@ -23,7 +23,7 @@
 //!    declares dropped events (a stream from some other producer; this
 //!    workspace's writers are lossless) is audited in an explicit degraded
 //!    mode instead of producing false positives.
-//! 3. **Reconstructor** ([`reconstruct`]) — rebuilds the
+//! 3. **Reconstructor** ([`reconstruct()`]) — rebuilds the
 //!    [`Telemetry`](cc_obs::Telemetry) accumulator purely from the log, so
 //!    every live table, report, and digest can be reproduced offline,
 //!    byte-for-byte. `ccstat replay <file.jsonl>` is a thin CLI over this.

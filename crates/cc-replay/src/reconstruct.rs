@@ -1,6 +1,6 @@
 //! Telemetry reconstruction from a decoded event stream.
 //!
-//! [`Telemetry`](cc_obs::Telemetry) is a pure fold over the event stream —
+//! [`Telemetry`] is a pure fold over the event stream —
 //! every field it exposes is updated only inside `record`. That makes
 //! offline reconstruction trivial and exact: feed the decoded events back
 //! through a fresh accumulator and every table, report, and digest the

@@ -466,4 +466,168 @@ mod tests {
         // A second, later request cannot push the cut back out.
         assert_eq!(queue.drain_at(SimTime::from_micros(9_999)), eff);
     }
+
+    mod adversarial {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step of an adversarial producer interleaved with the
+        /// consumer: push an arrival (possibly behind the floor), deliver
+        /// one, request a drain, or close.
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Push(u64),
+            Fetch,
+            Drain(u64),
+            Close(u64),
+        }
+
+        fn ops() -> impl Strategy<Value = Vec<Op>> {
+            let op = (0u8..12, 0u64..1_200).prop_map(|(kind, t)| match kind {
+                0..=6 => Op::Push(t),
+                7..=9 => Op::Fetch,
+                10 => Op::Drain(t),
+                _ => Op::Close(t),
+            });
+            prop::collection::vec(op, 0..64)
+        }
+
+        /// Delivers one arrival, or reports exhaustion, without blocking:
+        /// the caller only fetches from a non-empty or closed queue.
+        fn deliver(queue: &IngestQueue, clock: &VirtualClock) -> Option<Invocation> {
+            match queue.fetch(clock, None) {
+                Fetch::Ready(inv) => Some(inv),
+                Fetch::Exhausted => None,
+                other => panic!("a deadline-free fetch returned {other:?}"),
+            }
+        }
+
+        /// Runs `ops` single-threaded against a queue of `capacity`. A
+        /// push into a full queue first lets the consumer take one
+        /// arrival, so the producer never blocks. Returns the final
+        /// counters with the `Closed` and `Drained` refusals.
+        fn run(capacity: usize, ops: &[Op]) -> Result<(QueueStats, u64, u64), String> {
+            let queue = IngestQueue::new(capacity);
+            let clock = VirtualClock::new();
+            let mut delivered: Vec<SimTime> = Vec::new();
+            let (mut attempts, mut closed, mut drained) = (0u64, 0u64, 0u64);
+            let mut cut: Option<SimTime> = None;
+            let mut is_closed = false;
+            for &op in ops {
+                match op {
+                    Op::Push(t) => {
+                        if queue.stats().depth == capacity {
+                            delivered.extend(deliver(&queue, &clock).map(|inv| inv.arrival));
+                        }
+                        attempts += 1;
+                        let at = SimTime::from_micros(t);
+                        match queue.push(inv(t)) {
+                            Ok(()) => {
+                                prop_assert!(!is_closed, "accepted {} after close", t);
+                                prop_assert!(
+                                    cut.is_none_or(|c| at < c),
+                                    "accepted {} past the cut",
+                                    t
+                                );
+                            }
+                            Err(PushRejected::Closed) => {
+                                prop_assert!(is_closed);
+                                closed += 1;
+                            }
+                            Err(PushRejected::Drained) => {
+                                prop_assert!(cut.is_some_and(|c| at >= c));
+                                drained += 1;
+                            }
+                            Err(PushRejected::OutOfOrder) => {}
+                        }
+                    }
+                    Op::Fetch => {
+                        if queue.stats().depth > 0 || is_closed {
+                            delivered.extend(deliver(&queue, &clock).map(|inv| inv.arrival));
+                        }
+                    }
+                    Op::Drain(t) => {
+                        // A drain after the stream finished cuts nothing.
+                        let finished = is_closed && queue.stats().depth == 0;
+                        let eff = queue.drain_at(SimTime::from_micros(t));
+                        if !finished {
+                            prop_assert!(cut.is_none_or(|c| eff <= c), "a drain moved the cut out");
+                            cut = Some(eff);
+                        }
+                    }
+                    Op::Close(h) => {
+                        queue.close(SimDuration::from_micros(h));
+                        is_closed = true;
+                    }
+                }
+            }
+            queue.close(SimDuration::from_micros(1_200));
+            while let Some(inv) = deliver(&queue, &clock) {
+                delivered.push(inv.arrival);
+            }
+            let stats = queue.stats();
+            prop_assert_eq!(
+                stats.pushed + stats.out_of_order + closed + drained,
+                attempts,
+                "every push is accepted or refused once: {:?}",
+                stats
+            );
+            prop_assert_eq!(
+                stats.pushed,
+                stats.delivered + stats.dropped_at_drain,
+                "every accepted arrival is delivered or cut: {:?}",
+                stats
+            );
+            prop_assert_eq!(stats.delivered, delivered.len() as u64);
+            prop_assert_eq!(stats.depth, 0);
+            prop_assert!(stats.peak_depth <= capacity);
+            prop_assert!(
+                delivered.windows(2).all(|w| w[0] <= w[1]),
+                "deliveries out of order: {:?}",
+                delivered
+            );
+            if let Some(c) = cut {
+                prop_assert!(delivered.iter().all(|&at| at < c), "delivered past the cut");
+            }
+            Ok((stats, closed, drained))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn adversarial_producers_are_refused_with_typed_counted_errors(
+                capacity in 1usize..=4,
+                ops in ops(),
+            ) {
+                run(capacity, &ops)?;
+            }
+        }
+
+        /// The generator reaches every refusal and the drain discard, so
+        /// the property above is not vacuous.
+        #[test]
+        fn the_ops_reach_every_refusal() {
+            let strategy = (1usize..=4, ops());
+            let mut rng = TestRng::for_test("the_ops_reach_every_refusal");
+            let mut seen = [0u64; 4];
+            for _ in 0..64 {
+                let (capacity, ops) = strategy.sample(&mut rng);
+                let (stats, closed, drained) =
+                    run(capacity, &ops).unwrap_or_else(|e| panic!("{e}"));
+                for (total, n) in seen.iter_mut().zip([
+                    stats.out_of_order,
+                    closed,
+                    drained,
+                    stats.dropped_at_drain,
+                ]) {
+                    *total += n;
+                }
+            }
+            assert!(
+                seen.iter().all(|&n| n > 0),
+                "out of order, closed, drained, dropped: {seen:?}"
+            );
+        }
+    }
 }

@@ -113,11 +113,17 @@ pub fn read_combined_csv<R: Read>(reader: R) -> Result<Trace, CsvError> {
         let mut cols = line.split(',');
         let id: u32 = parse_col(&mut cols, line_no, "function_id")?;
         let exec_ms: u64 = parse_col(&mut cols, line_no, "mean_exec_ms")?;
+        let exec_us = exec_ms
+            .checked_mul(1_000)
+            .ok_or_else(|| CsvError::Malformed {
+                line: line_no,
+                reason: format!("mean_exec_ms {exec_ms} exceeds {}", u64::MAX / 1_000),
+            })?;
         let mem_mb: u32 = parse_col(&mut cols, line_no, "memory_mb")?;
         let id = FunctionId::new(id);
         functions.push(TraceFunction::new(
             id,
-            SimDuration::from_millis(exec_ms),
+            SimDuration::from_micros(exec_us),
             MemoryMb::new(mem_mb),
         ));
         expand_counts(&mut cols, line_no, id, &mut invocations)?;
@@ -175,7 +181,8 @@ pub fn read_azure_invocations<R: Read>(
 ///
 /// # Errors
 ///
-/// Returns [`CsvError`] on I/O failures or malformed lines.
+/// Returns [`CsvError`] on I/O failures or malformed lines, including an
+/// `Average` that is not a finite, non-negative number.
 pub fn read_azure_durations<R: Read>(reader: R) -> Result<HashMap<String, SimDuration>, CsvError> {
     let mut out = HashMap::new();
     for line in data_lines(reader, 1) {
@@ -184,7 +191,7 @@ pub fn read_azure_durations<R: Read>(reader: R) -> Result<HashMap<String, SimDur
         let _owner = next_col(&mut cols, line_no, "HashOwner")?;
         let _app = next_col(&mut cols, line_no, "HashApp")?;
         let function = next_col(&mut cols, line_no, "HashFunction")?.to_owned();
-        let avg_ms: f64 = parse_col(&mut cols, line_no, "Average")?;
+        let avg_ms = parse_average(&mut cols, line_no, "Average", f64::INFINITY)?;
         out.insert(function, SimDuration::from_secs_f64(avg_ms / 1e3));
     }
     Ok(out)
@@ -196,11 +203,13 @@ pub fn read_azure_durations<R: Read>(reader: R) -> Result<HashMap<String, SimDur
 ///
 /// The memory dataset is keyed by application rather than function; use
 /// [`app_memory_to_function_memory`] to translate it through the
-/// invocation file's function→app association.
+/// invocation file's function→app association. Averages below 1 MB
+/// round up to 1 MB.
 ///
 /// # Errors
 ///
-/// Returns [`CsvError`] on I/O failures or malformed lines.
+/// Returns [`CsvError`] on I/O failures or malformed lines, including an
+/// `AverageAllocatedMb` that is not a finite number in `[0, u32::MAX]`.
 pub fn read_azure_app_memory<R: Read>(reader: R) -> Result<HashMap<String, MemoryMb>, CsvError> {
     let mut out = HashMap::new();
     for line in data_lines(reader, 1) {
@@ -209,7 +218,7 @@ pub fn read_azure_app_memory<R: Read>(reader: R) -> Result<HashMap<String, Memor
         let _owner = next_col(&mut cols, line_no, "HashOwner")?;
         let app = next_col(&mut cols, line_no, "HashApp")?.to_owned();
         let _samples = next_col(&mut cols, line_no, "SampleCount")?;
-        let avg_mb: f64 = parse_col(&mut cols, line_no, "AverageAllocatedMb")?;
+        let avg_mb = parse_average(&mut cols, line_no, "AverageAllocatedMb", u32::MAX.into())?;
         out.insert(app, MemoryMb::new(avg_mb.max(1.0).round() as u32));
     }
     Ok(out)
@@ -304,6 +313,24 @@ fn parse_col<'a, T: std::str::FromStr, I: Iterator<Item = &'a str>>(
         line,
         reason: format!("bad {name}: {raw:?}"),
     })
+}
+
+/// Parses the next column as an average: a finite float in `[0, max]`.
+fn parse_average<'a, I: Iterator<Item = &'a str>>(
+    cols: &mut I,
+    line: usize,
+    name: &str,
+    max: f64,
+) -> Result<f64, CsvError> {
+    let value: f64 = parse_col(cols, line, name)?;
+    let reason = if !value.is_finite() || value < 0.0 {
+        format!("{name} {value} is not a finite, non-negative number")
+    } else if value > max {
+        format!("{name} {value} exceeds {max}")
+    } else {
+        return Ok(value);
+    };
+    Err(CsvError::Malformed { line, reason })
 }
 
 #[cfg(test)]
@@ -446,6 +473,23 @@ o1,a1,f2,timer,0,1,0
     }
 
     #[test]
+    fn a_mean_exec_past_the_microsecond_range_is_malformed() {
+        // u64::MAX / 1000 + 1 milliseconds overflowed the conversion.
+        let combined = "0,18446744073709552,1,1\n";
+        assert_malformed(
+            read_combined_csv(combined.as_bytes()),
+            1,
+            "mean_exec_ms 18446744073709552",
+        );
+        let largest = "0,18446744073709551,1,1\n";
+        let trace = read_combined_csv(largest.as_bytes()).unwrap();
+        assert_eq!(
+            trace.function(FunctionId::new(0)).mean_exec.as_millis(),
+            u64::MAX / 1_000
+        );
+    }
+
+    #[test]
     fn missing_column_is_reported() {
         let csv = "0,1000\n";
         assert!(matches!(
@@ -508,6 +552,50 @@ o1,a2,5,0.2
             read_azure_durations(csv.as_bytes()),
             Err(CsvError::Malformed { line: 2, .. })
         ));
+    }
+
+    /// Asserts `result` is a `Malformed` error on `line` naming `needle`.
+    fn assert_malformed_map<V: fmt::Debug>(
+        result: Result<HashMap<String, V>, CsvError>,
+        line: usize,
+        needle: &str,
+    ) {
+        match result {
+            Err(CsvError::Malformed { line: at, reason }) => {
+                assert_eq!(at, line, "{reason}");
+                assert!(reason.contains(needle), "{reason}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_averages_are_malformed() {
+        for bad in ["NaN", "inf", "-inf", "-1.5"] {
+            let durations = format!("h\no,a,f1,1,1\no,a,f2,{bad},1\n");
+            assert_malformed_map(read_azure_durations(durations.as_bytes()), 3, "Average");
+            let memory = format!("h\no,a1,1,64\no,a2,1,{bad}\n");
+            assert_malformed_map(
+                read_azure_app_memory(memory.as_bytes()),
+                3,
+                "AverageAllocatedMb",
+            );
+        }
+        // Memory must fit a u32 count of megabytes; its largest value does.
+        let huge = "h\no,a,1,4294967296\n";
+        assert_malformed_map(
+            read_azure_app_memory(huge.as_bytes()),
+            2,
+            "AverageAllocatedMb",
+        );
+        let largest = "h\no,a,1,4294967295\n";
+        let memory = read_azure_app_memory(largest.as_bytes()).unwrap();
+        assert_eq!(memory["a"], MemoryMb::new(u32::MAX));
+        // Zero is a valid average: no time, and memory rounds up to 1 MB.
+        let zero = read_azure_durations("h\no,a,f,0\n".as_bytes()).unwrap();
+        assert_eq!(zero["f"], SimDuration::ZERO);
+        let zero = read_azure_app_memory("h\no,a,1,0\n".as_bytes()).unwrap();
+        assert_eq!(zero["a"], MemoryMb::new(1));
     }
 
     #[test]

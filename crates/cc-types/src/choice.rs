@@ -66,6 +66,15 @@ impl FnChoice {
         !self.keep_alive.is_zero()
     }
 
+    /// How many of the three coordinates (architecture, compression,
+    /// keep-alive) differ between this choice and `other`: the optimizer
+    /// probes' accepted-move count.
+    pub fn changed_coordinates(&self, other: &FnChoice) -> u64 {
+        u64::from(self.arch != other.arch)
+            + u64::from(self.compress != other.compress)
+            + u64::from(self.keep_alive != other.keep_alive)
+    }
+
     /// Returns the neighbors of this choice in the discrete choice lattice:
     /// flip compression, flip architecture, step keep-alive by
     /// ±[`KEEP_ALIVE_STEP`] (clamped to `[0, KEEP_ALIVE_MAX]`), and the
@@ -174,6 +183,23 @@ impl fmt::Display for FnChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn changed_coordinates_counts_each_differing_axis() {
+        let a = FnChoice::new(Arch::X86, false, SimDuration::from_mins(10));
+        assert_eq!(a.changed_coordinates(&a), 0);
+        for n in a.neighbors() {
+            let expected = if n.compress != a.compress && n.keep_alive != a.keep_alive {
+                2
+            } else {
+                1
+            };
+            assert_eq!(a.changed_coordinates(&n), expected, "{a} -> {n}");
+        }
+        let b = FnChoice::new(Arch::Arm, true, SimDuration::from_mins(11));
+        assert_eq!(a.changed_coordinates(&b), 3);
+        assert_eq!(b.changed_coordinates(&a), 3);
+    }
 
     #[test]
     fn new_clamps_keep_alive() {

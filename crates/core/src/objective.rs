@@ -1,6 +1,6 @@
 //! The per-interval optimization objective.
 
-use cc_opt::{Objective, SeparableObjective};
+use cc_opt::SeparableObjective;
 use cc_types::{Arch, Cost, CostRate, FnChoice, FunctionId, SimDuration};
 use cc_workload::Workload;
 
@@ -141,50 +141,6 @@ impl IntervalObjective<'_> {
     }
 }
 
-impl Objective for IntervalObjective<'_> {
-    fn num_functions(&self) -> usize {
-        self.functions.len()
-    }
-
-    fn evaluate(&self, solution: &[FnChoice]) -> f64 {
-        if solution.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = solution
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let service = self.predicted_service(i, c);
-                service + self.sla_penalty(i, c, service)
-            })
-            .sum();
-        total / solution.len() as f64
-    }
-
-    fn is_feasible(&self, solution: &[FnChoice]) -> bool {
-        for choice in solution {
-            if !self.arch_policy.allows(choice.arch) {
-                return false;
-            }
-            if choice.compress && !self.allow_compression {
-                return false;
-            }
-        }
-        match self.budget {
-            None => true,
-            Some(budget) => self.plan_cost(solution) <= budget,
-        }
-    }
-
-    fn memory_cost(&self, solution: &[FnChoice]) -> f64 {
-        solution
-            .iter()
-            .enumerate()
-            .map(|(i, c)| SeparableObjective::memory_term(self, i, c))
-            .sum()
-    }
-}
-
 impl SeparableObjective for IntervalObjective<'_> {
     fn num_functions(&self) -> usize {
         self.functions.len()
@@ -224,6 +180,7 @@ impl SeparableObjective for IntervalObjective<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_opt::{Objective, SeparableView};
     use cc_types::MemoryMb;
     use cc_workload::FunctionSpec;
 
@@ -338,11 +295,11 @@ mod tests {
         let generous = objective(&fx, None);
         let broke = objective(&fx, Some(Cost::ZERO));
         let plan = vec![FnChoice::production_default(); 2];
-        assert!(generous.is_feasible(&plan));
-        assert!(!broke.is_feasible(&plan));
+        assert!(SeparableView(&generous).is_feasible(&plan));
+        assert!(!SeparableView(&broke).is_feasible(&plan));
         // Dropping everything costs nothing and is always feasible.
         let drop_all = vec![FnChoice::drop_now(Arch::X86); 2];
-        assert!(broke.is_feasible(&drop_all));
+        assert!(SeparableView(&broke).is_feasible(&drop_all));
     }
 
     #[test]
@@ -362,7 +319,7 @@ mod tests {
         let mut obj = objective(&fx, None);
         obj.arch_policy = ArchPolicy::X86Only;
         let arm_plan = vec![FnChoice::new(Arch::Arm, false, SimDuration::from_mins(1)); 2];
-        assert!(!obj.is_feasible(&arm_plan));
+        assert!(!SeparableView(&obj).is_feasible(&arm_plan));
     }
 
     #[test]
@@ -371,7 +328,7 @@ mod tests {
         let mut obj = objective(&fx, None);
         obj.allow_compression = false;
         let plan = vec![FnChoice::new(Arch::X86, true, SimDuration::from_mins(1)); 2];
-        assert!(!obj.is_feasible(&plan));
+        assert!(!SeparableView(&obj).is_feasible(&plan));
     }
 
     #[test]
@@ -388,7 +345,8 @@ mod tests {
             FnChoice::new(Arch::X86, false, SimDuration::from_mins(10)),
             FnChoice::new(Arch::X86, false, SimDuration::from_mins(30)),
         ];
-        assert!(obj.evaluate(&violating) > obj.evaluate(&compliant) + 100.0);
+        let view = SeparableView(&obj);
+        assert!(view.evaluate(&violating) > view.evaluate(&compliant) + 100.0);
     }
 
     #[test]

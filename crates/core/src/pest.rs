@@ -85,7 +85,7 @@ impl PestEstimator {
     /// Records an invocation arrival.
     ///
     /// The global window is reset lazily, aligned to *recorded gaps*: once
-    /// it holds [`GLOBAL_RESET_EVERY`] gaps, the next gap clears it and
+    /// it holds `GLOBAL_RESET_EVERY` (1000) gaps, the next gap clears it and
     /// becomes the first entry of the fresh window. The gap-less first
     /// arrival never counts toward the threshold, and the boundary gap
     /// always lands in the window that was open when it was observed.
@@ -147,7 +147,7 @@ impl PestEstimator {
     }
 
     /// Number of gaps in the current global window (resets every
-    /// [`GLOBAL_RESET_EVERY`] recorded gaps).
+    /// `GLOBAL_RESET_EVERY` (1000) recorded gaps).
     pub fn global_len(&self) -> u64 {
         self.global_count
     }

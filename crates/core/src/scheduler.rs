@@ -1,6 +1,6 @@
 //! The CodeCrunch scheduler: SRE-driven per-interval planning.
 
-use cc_opt::{CoordinateDescent, Objective, Sre, SreRoundStats, SreScratch};
+use cc_opt::{CoordinateDescent, Objective, SeparableView, Sre, SreRoundStats, SreScratch};
 use cc_sim::{ClusterView, Command, KeepDecision, OptimizerRound, Scheduler};
 use cc_types::{Arch, FnChoice, FunctionId, ServiceRecord, SimDuration, SimTime};
 
@@ -341,7 +341,8 @@ impl Scheduler for CodeCrunch {
         };
 
         // Start from the current plans (or defaults), coerced feasible:
-        // dropping everything always fits any budget.
+        // dropping everything always fits any budget. Feasibility is the
+        // picodollar test SRE's repair loop applies.
         let mut start = std::mem::take(&mut self.scratch_start);
         start.clear();
         start.extend(functions.iter().map(|&f| {
@@ -349,7 +350,7 @@ impl Scheduler for CodeCrunch {
                 self.plan[f.index()].unwrap_or_else(|| self.default_choice(f, view)),
             )
         }));
-        if !objective.is_feasible(&start) {
+        if !SeparableView(&objective).is_feasible(&start) {
             // Scale every window down proportionally until the carried-over
             // plan fits the currently available credit; zeroing everything
             // would throw away the structure SRE built in past intervals.
@@ -360,11 +361,11 @@ impl Scheduler for CodeCrunch {
                         c.keep_alive = SimDuration::ZERO;
                     }
                 }
-                if objective.is_feasible(&start) {
+                if SeparableView(&objective).is_feasible(&start) {
                     break;
                 }
             }
-            if !objective.is_feasible(&start) {
+            if !SeparableView(&objective).is_feasible(&start) {
                 for c in start.iter_mut() {
                     c.keep_alive = SimDuration::ZERO;
                     c.compress = false;
@@ -386,23 +387,15 @@ impl Scheduler for CodeCrunch {
                 Sre::scaled_to(functions.len()).with_seed(self.config.seed ^ self.interval_index);
             sre.inner.eval_budget =
                 self.config.eval_budget / (sre.num_subproblems * sre.rounds).max(1) as u64;
-            // At simulator scale the separable sub-problems are microsecond
-            // work; thread spawn-per-group would dominate the decision
-            // overhead the paper measures, so run them serially.
-            sre.parallel = false;
-            let scratch = &mut self.sre_scratch;
-            let outcome = if self.introspect {
-                let opt_rounds = &mut self.opt_rounds;
-                sre.optimize_separable_probed_with_scratch(
-                    &objective,
-                    start,
-                    &mut local_counts,
-                    &mut |stats: SreRoundStats| opt_rounds.push(convert_round(stats)),
-                    scratch,
-                )
-            } else {
-                sre.optimize_separable_with_scratch(&objective, start, &mut local_counts, scratch)
-            };
+            let opt_rounds = &mut self.opt_rounds;
+            let mut record = |stats: SreRoundStats| opt_rounds.push(convert_round(stats));
+            let outcome = sre.optimize(
+                &objective,
+                start,
+                &mut local_counts,
+                &mut self.sre_scratch,
+                self.introspect.then_some(&mut record as _),
+            );
             for (i, &f) in functions.iter().enumerate() {
                 self.opt_counts[f.index()] = local_counts[i];
             }
@@ -425,11 +418,7 @@ impl Scheduler for CodeCrunch {
                 let accepted_moves = before
                     .iter()
                     .zip(&outcome.solution)
-                    .map(|(a, b)| {
-                        u64::from(a.arch != b.arch)
-                            + u64::from(a.compress != b.compress)
-                            + u64::from(a.keep_alive != b.keep_alive)
-                    })
+                    .map(|(a, b)| a.changed_coordinates(b))
                     .sum();
                 self.opt_rounds.push(OptimizerRound {
                     round: 0,
