@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cc_opt::{
     sample_subproblems_into, CoordinateDescent, GeneticAlgorithm, IndexGroups, RandomSearch,
-    SeparableObjective, SeparableView, Sre, SreScratch, SubproblemScratch,
+    SeparableObjective, Sre, SreScratch, SubproblemScratch,
 };
 use cc_types::{Arch, FnChoice, SimDuration};
 use rand::rngs::StdRng;
@@ -55,7 +55,6 @@ fn bench_optimizers(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for n in [32usize, 128] {
         let bowls = Bowls::new(n);
-        let view = SeparableView(&bowls);
         group.bench_with_input(BenchmarkId::new("sre_separable", n), &n, |b, &n| {
             b.iter(|| {
                 let mut counts = vec![0u32; n];
@@ -69,10 +68,10 @@ fn bench_optimizers(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("descent_full", n), &n, |b, &n| {
-            b.iter(|| CoordinateDescent::default().optimize(&view, start(n)))
+            b.iter(|| CoordinateDescent::default().optimize(&bowls, start(n)))
         });
         group.bench_with_input(BenchmarkId::new("genetic", n), &n, |b, &n| {
-            b.iter(|| GeneticAlgorithm::default().optimize(&view, start(n)))
+            b.iter(|| GeneticAlgorithm::default().optimize(&bowls, start(n)))
         });
         group.bench_with_input(BenchmarkId::new("random", n), &n, |b, &n| {
             b.iter(|| {
@@ -80,7 +79,7 @@ fn bench_optimizers(c: &mut Criterion) {
                     samples: 200,
                     seed: 1,
                 }
-                .optimize(&view, start(n))
+                .optimize(&bowls, start(n))
             })
         });
     }

@@ -190,7 +190,7 @@ fn main() {
     let mut rate_scale: f64 = 1.0;
     let mut speed: f64 = 60.0;
     let mut virtual_clock = false;
-    let mut duration_mins: Option<u64> = None;
+    let mut duration: Option<SimDuration> = None;
     let mut queue_capacity: usize = 1024;
     let mut jsonl_path: Option<String> = None;
     let mut live = true;
@@ -208,11 +208,12 @@ fn main() {
             "--speed" => speed = positive("--speed", &next("--speed")),
             "--virtual" => virtual_clock = true,
             "--duration" => {
-                duration_mins = Some(
-                    next("--duration")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--duration takes minutes")),
-                );
+                let mins: u64 = next("--duration")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--duration takes minutes"));
+                duration = Some(SimDuration::checked_from_mins(mins).unwrap_or_else(|| {
+                    usage_error(&format!("--duration {mins} overflows the simulated clock"))
+                }));
             }
             "--queue" => {
                 queue_capacity = next("--queue")
@@ -282,9 +283,8 @@ fn main() {
     // `--duration` is a pre-declared timeline cut: the drain machinery
     // refuses every arrival at or after the instant, so the service winds
     // down exactly there regardless of clock mode.
-    if let Some(mins) = duration_mins {
-        let at = SimTime::ZERO + SimDuration::from_mins(mins);
-        handle.drain_at(at);
+    if let Some(duration) = duration {
+        handle.drain_at(SimTime::ZERO + duration);
     }
 
     install_sigint_handler();

@@ -135,9 +135,9 @@ pub fn scale_flag(
     Ok(true)
 }
 
-/// Refuses a scenario the cluster cannot run (one without a node) and an
+/// Refuses a scenario the cluster cannot run (one without a node), an
 /// empty one (no function, or no time), which would replay no invocation
-/// and pass for a run.
+/// and pass for a run, and one longer than the simulated clock can count.
 pub fn check_scale(scale: &Scale) -> Result<(), String> {
     if scale.x86_nodes == 0 && scale.arm_nodes == 0 {
         return Err("--x86 and --arm are both 0: the cluster needs a node".to_string());
@@ -147,6 +147,12 @@ pub fn check_scale(scale: &Scale) -> Result<(), String> {
     }
     if scale.minutes == 0 {
         return Err("--minutes is 0: the scenario needs a duration".to_string());
+    }
+    if SimDuration::checked_from_mins(scale.minutes).is_none() {
+        return Err(format!(
+            "--minutes {} overflows the simulated clock",
+            scale.minutes
+        ));
     }
     Ok(())
 }
@@ -264,6 +270,8 @@ mod tests {
             ("--x86 0 --arm 0", "--x86"),
             ("--functions 0", "--functions"),
             ("--minutes 0", "--minutes"),
+            ("--minutes 18446744073709551615", "--minutes"),
+            ("--minutes 307445734562", "--minutes"),
             ("--functions 0 --minutes 0", "--functions"),
         ] {
             let error = parse(line).expect_err(line);

@@ -48,6 +48,17 @@ fn bad_scenario_values_are_usage_errors_naming_the_flag() {
         (ccserve, "--virtual --minutes 0", "--minutes"),
         (
             ccserve,
+            "--virtual --minutes 18446744073709551615",
+            "--minutes",
+        ),
+        (ccstat, "--minutes 18446744073709551615", "--minutes"),
+        (
+            ccserve,
+            "--virtual --duration 18446744073709551615",
+            "--duration",
+        ),
+        (
+            ccserve,
             "--virtual --scenario stream --rate-scale -1",
             "--rate-scale",
         ),

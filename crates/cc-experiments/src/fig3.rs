@@ -10,7 +10,7 @@ use serde_json::json;
 
 use cc_opt::{
     brute_force, search_space_size, CoordinateDescent, GeneticAlgorithm, NewtonDescent,
-    RandomSearch, SeparableView, Sre, SreScratch,
+    RandomSearch, Sre, SreScratch,
 };
 use cc_types::{Arch, CostRate, FnChoice, FunctionId, SimDuration};
 use codecrunch::{ArchPolicy, ExecObserver, IntervalObjective, PestEstimator};
@@ -114,17 +114,16 @@ impl Experiment for Fig3 {
             .iter()
             .map(|&m| SimDuration::from_mins(m))
             .collect();
-        let view = SeparableView(&objective);
-        let exact = brute_force(&view, &menu);
+        let exact = brute_force(&objective, &menu);
 
-        let cd = CoordinateDescent::default().optimize(&view, start.clone());
-        let newton = NewtonDescent::default().optimize(&view, start.clone());
-        let ga = GeneticAlgorithm::default().optimize(&view, start.clone());
+        let cd = CoordinateDescent::default().optimize(&objective, start.clone());
+        let newton = NewtonDescent::default().optimize(&objective, start.clone());
+        let ga = GeneticAlgorithm::default().optimize(&objective, start.clone());
         let random = RandomSearch {
             samples: 1000,
             seed: 3,
         }
-        .optimize(&view, start.clone());
+        .optimize(&objective, start.clone());
         let mut counts_sre = vec![0u32; functions.len()];
         let sre = Sre::scaled_to(functions.len()).optimize(
             &objective,

@@ -1,118 +1,14 @@
-//! Classical optimizers: coordinate (gradient) descent, Newton-like
-//! descent, random search, and brute force.
+//! Classical optimizers: Newton-like descent, random search, and brute
+//! force. They score whole solutions with
+//! [`SeparableObjective::evaluate`] and
+//! [`SeparableObjective::is_feasible`], O(N) each.
 
 use cc_types::{Arch, FnChoice, SimDuration, KEEP_ALIVE_MAX, KEEP_ALIVE_STEP};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Objective, OptOutcome};
-
-/// Steepest-descent over the discrete choice lattice — the paper's
-/// "gradient descent" baseline and also the inner optimizer of SRE's
-/// sub-problems.
-///
-/// Each round evaluates every single-choice neighbor of the current
-/// solution (restricted to `active` functions if set), takes the best
-/// feasible improvement, and applies the paper's tie-break: among
-/// candidates within 10% of the best cost, prefer the one with the lowest
-/// keep-alive memory.
-#[derive(Debug, Clone)]
-pub struct CoordinateDescent {
-    /// Maximum descent rounds.
-    pub max_rounds: usize,
-    /// Hard cap on objective evaluations.
-    pub eval_budget: u64,
-}
-
-impl Default for CoordinateDescent {
-    fn default() -> Self {
-        CoordinateDescent {
-            max_rounds: 64,
-            eval_budget: 100_000,
-        }
-    }
-}
-
-impl CoordinateDescent {
-    /// Optimizes starting from `start` over all functions.
-    pub fn optimize(&self, objective: &dyn Objective, start: Vec<FnChoice>) -> OptOutcome {
-        let active: Vec<usize> = (0..start.len()).collect();
-        self.optimize_subset(objective, start, &active)
-    }
-
-    /// Optimizes only the `active` function indices, holding others fixed
-    /// (SRE's sub-problem step).
-    pub fn optimize_subset(
-        &self,
-        objective: &dyn Objective,
-        start: Vec<FnChoice>,
-        active: &[usize],
-    ) -> OptOutcome {
-        assert_eq!(
-            start.len(),
-            objective.num_functions(),
-            "solution length must match the objective"
-        );
-        let mut current = start;
-        let mut current_cost = objective.evaluate(&current);
-        let mut evaluations = 1u64;
-        // Hoisted out of the sweep so the descent allocates once per call,
-        // not once per coordinate visit.
-        let mut candidates: Vec<(f64, f64, FnChoice)> = Vec::new();
-
-        // Gauss–Seidel sweeps: each round visits every active coordinate
-        // and immediately applies its best improving move, so a window can
-        // grow by one step per coordinate per round rather than one step
-        // per round globally.
-        'rounds: for _ in 0..self.max_rounds {
-            let mut improved = false;
-            for &idx in active {
-                // Best improving feasible neighbor of this coordinate, with
-                // the paper's tie-break: among moves within 10% of the
-                // best, take the one minimizing keep-alive memory.
-                candidates.clear();
-                for neighbor in &current[idx].neighbors_inline() {
-                    if evaluations >= self.eval_budget {
-                        break 'rounds;
-                    }
-                    let old = current[idx];
-                    current[idx] = neighbor;
-                    evaluations += 1;
-                    if objective.is_feasible(&current) {
-                        let cost = objective.evaluate(&current);
-                        if cost < current_cost {
-                            candidates.push((cost, objective.memory_cost(&current), neighbor));
-                        }
-                    }
-                    current[idx] = old;
-                }
-                let Some(best_cost) = candidates.iter().map(|&(c, _, _)| c).min_by(f64::total_cmp)
-                else {
-                    continue;
-                };
-                let threshold = best_cost + 0.1 * best_cost.abs();
-                let (_, _, choice) = candidates
-                    .drain(..)
-                    .filter(|&(c, _, _)| c <= threshold)
-                    .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.total_cmp(&b.0)))
-                    .expect("best candidate satisfies its own threshold");
-                current[idx] = choice;
-                current_cost = objective.evaluate(&current);
-                evaluations += 1;
-                improved = true;
-            }
-            if !improved {
-                break;
-            }
-        }
-        OptOutcome {
-            solution: current,
-            cost: current_cost,
-            evaluations,
-        }
-    }
-}
+use crate::{OptOutcome, SeparableObjective};
 
 /// A Newton-flavored descent: uses first and second differences along the
 /// keep-alive axis to jump multiple steps at once, plus plain flips for the
@@ -139,7 +35,7 @@ impl Default for NewtonDescent {
 
 impl NewtonDescent {
     /// Optimizes starting from `start`.
-    pub fn optimize(&self, objective: &dyn Objective, start: Vec<FnChoice>) -> OptOutcome {
+    pub fn optimize(&self, objective: &dyn SeparableObjective, start: Vec<FnChoice>) -> OptOutcome {
         let mut current = start;
         let mut current_cost = objective.evaluate(&current);
         let mut evaluations = 1u64;
@@ -248,7 +144,7 @@ pub struct RandomSearch {
 impl RandomSearch {
     /// Draws `samples` random solutions and keeps the best feasible one
     /// (falling back to `start` if none are feasible).
-    pub fn optimize(&self, objective: &dyn Objective, start: Vec<FnChoice>) -> OptOutcome {
+    pub fn optimize(&self, objective: &dyn SeparableObjective, start: Vec<FnChoice>) -> OptOutcome {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut best = start;
         let mut best_cost = objective.evaluate(&best);
@@ -292,7 +188,10 @@ pub(crate) fn random_choice(rng: &mut StdRng) -> FnChoice {
 ///
 /// Panics if the space exceeds 20 million points (a brute force that large
 /// is a bug, not an experiment).
-pub fn brute_force(objective: &dyn Objective, keep_alive_options: &[SimDuration]) -> OptOutcome {
+pub fn brute_force(
+    objective: &dyn SeparableObjective,
+    keep_alive_options: &[SimDuration],
+) -> OptOutcome {
     let n = objective.num_functions();
     let per_fn = 4 * keep_alive_options.len() as u128;
     let total = per_fn.checked_pow(n as u32).unwrap_or(u128::MAX);
@@ -349,56 +248,11 @@ pub fn brute_force(objective: &dyn Objective, keep_alive_options: &[SimDuration]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::testing::{optimum, Bowl};
-
-    fn bowl(n: usize) -> Bowl {
-        Bowl {
-            n,
-            target_mins: 7.0,
-            max_total_mins: None,
-        }
-    }
-
-    #[test]
-    fn coordinate_descent_finds_bowl_optimum() {
-        let b = bowl(5);
-        let start = vec![FnChoice::production_default(); 5];
-        let out = CoordinateDescent::default().optimize(&b, start);
-        assert_eq!(out.cost, 0.0, "solution {:?}", out.solution);
-        assert_eq!(out.solution, optimum(&b));
-    }
-
-    #[test]
-    fn coordinate_descent_respects_budget_constraint() {
-        let b = Bowl {
-            n: 4,
-            target_mins: 30.0,
-            max_total_mins: Some(60.0),
-        };
-        let start = vec![FnChoice::drop_now(Arch::X86); 4];
-        let out = CoordinateDescent::default().optimize(&b, start);
-        assert!(b.is_feasible(&out.solution));
-        let total: f64 = out
-            .solution
-            .iter()
-            .map(|c| c.keep_alive.as_mins_f64())
-            .sum();
-        assert!(total <= 60.0);
-    }
-
-    #[test]
-    fn coordinate_descent_subset_freezes_inactive() {
-        let b = bowl(4);
-        let start = vec![FnChoice::production_default(); 4];
-        let out = CoordinateDescent::default().optimize_subset(&b, start.clone(), &[0, 1]);
-        assert_eq!(out.solution[2], start[2]);
-        assert_eq!(out.solution[3], start[3]);
-        assert_ne!(out.solution[0], start[0]);
-    }
+    use crate::objective::testing::bowl;
 
     #[test]
     fn newton_descent_improves() {
-        let b = bowl(4);
+        let b = bowl(4, 7.0);
         let start = vec![FnChoice::new(Arch::X86, false, SimDuration::from_mins(40)); 4];
         let start_cost = b.evaluate(&start);
         let out = NewtonDescent::default().optimize(&b, start);
@@ -412,7 +266,7 @@ mod tests {
 
     #[test]
     fn random_search_improves_over_bad_start() {
-        let b = bowl(2);
+        let b = bowl(2, 7.0);
         let start = vec![FnChoice::new(Arch::X86, false, SimDuration::from_mins(60)); 2];
         let start_cost = b.evaluate(&start);
         let out = RandomSearch {
@@ -425,11 +279,7 @@ mod tests {
 
     #[test]
     fn brute_force_is_exact() {
-        let b = Bowl {
-            n: 2,
-            target_mins: 10.0,
-            max_total_mins: None,
-        };
+        let b = bowl(2, 10.0);
         let menu = [0u64, 5, 10, 20].map(SimDuration::from_mins);
         let out = brute_force(&b, &menu);
         assert_eq!(out.cost, 0.0);
@@ -443,20 +293,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "too large")]
     fn brute_force_rejects_huge_spaces() {
-        let b = bowl(20);
+        let b = bowl(20, 7.0);
         let menu: Vec<SimDuration> = (0..=60).map(SimDuration::from_mins).collect();
         let _ = brute_force(&b, &menu);
-    }
-
-    #[test]
-    fn eval_budget_is_respected() {
-        let b = bowl(50);
-        let start = vec![FnChoice::production_default(); 50];
-        let out = CoordinateDescent {
-            max_rounds: 1000,
-            eval_budget: 300,
-        }
-        .optimize(&b, start);
-        assert!(out.evaluations <= 302, "{}", out.evaluations);
     }
 }

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use cc_types::FnChoice;
 
 use crate::classic::random_choice;
-use crate::{Objective, OptOutcome};
+use crate::{OptOutcome, SeparableObjective};
 
 /// A conventional genetic algorithm: tournament selection, uniform
 /// crossover, per-dimension mutation, elitism of one.
@@ -39,7 +39,7 @@ impl Default for GeneticAlgorithm {
 impl GeneticAlgorithm {
     /// Runs the GA seeded with `start` (which joins the initial
     /// population, so the result never regresses below it).
-    pub fn optimize(&self, objective: &dyn Objective, start: Vec<FnChoice>) -> OptOutcome {
+    pub fn optimize(&self, objective: &dyn SeparableObjective, start: Vec<FnChoice>) -> OptOutcome {
         assert!(self.population >= 2, "population must hold at least two");
         let n = objective.num_functions();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -110,16 +110,12 @@ impl GeneticAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::testing::Bowl;
+    use crate::objective::testing::{bowl, optimum};
     use crate::CoordinateDescent;
 
     #[test]
     fn ga_improves_over_start() {
-        let b = Bowl {
-            n: 6,
-            target_mins: 12.0,
-            max_total_mins: None,
-        };
+        let b = bowl(6, 12.0);
         let start = vec![FnChoice::production_default(); 6];
         let start_cost = b.evaluate(&start);
         let out = GeneticAlgorithm::default().optimize(&b, start);
@@ -128,24 +124,15 @@ mod tests {
 
     #[test]
     fn ga_never_regresses_below_seed() {
-        let b = Bowl {
-            n: 3,
-            target_mins: 7.0,
-            max_total_mins: None,
-        };
+        let b = bowl(3, 7.0);
         // Seed with the optimum; elitism must preserve it.
-        let optimum = crate::objective::testing::optimum(&b);
-        let out = GeneticAlgorithm::default().optimize(&b, optimum);
+        let out = GeneticAlgorithm::default().optimize(&b, optimum(&b));
         assert_eq!(out.cost, 0.0);
     }
 
     #[test]
     fn ga_is_deterministic_per_seed() {
-        let b = Bowl {
-            n: 4,
-            target_mins: 9.0,
-            max_total_mins: None,
-        };
+        let b = bowl(4, 9.0);
         let start = vec![FnChoice::production_default(); 4];
         let a = GeneticAlgorithm::default().optimize(&b, start.clone());
         let c = GeneticAlgorithm::default().optimize(&b, start);
@@ -158,11 +145,7 @@ mod tests {
         // The paper's point, inverted: on a smooth bowl, descent is exact
         // while a small-budget GA usually is not. Either way the GA must
         // not beat the exact optimum.
-        let b = Bowl {
-            n: 8,
-            target_mins: 7.0,
-            max_total_mins: None,
-        };
+        let b = bowl(8, 7.0);
         let start = vec![FnChoice::production_default(); 8];
         let cd = CoordinateDescent::default().optimize(&b, start.clone());
         let ga = GeneticAlgorithm::default().optimize(&b, start);
@@ -172,11 +155,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "population must hold at least two")]
     fn rejects_tiny_population() {
-        let b = Bowl {
-            n: 1,
-            target_mins: 1.0,
-            max_total_mins: None,
-        };
+        let b = bowl(1, 1.0);
         let ga = GeneticAlgorithm {
             population: 1,
             ..GeneticAlgorithm::default()

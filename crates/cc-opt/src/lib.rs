@@ -1,18 +1,20 @@
 //! Discrete optimizers over CodeCrunch's per-function choice space.
 //!
-//! Every optimizer minimizes an [`Objective`] over joint assignments of
-//! [`cc_types::FnChoice`] — one `(compression, processor, keep-alive)`
-//! tuple per invoked function, i.e. `3N` decision dimensions for `N`
-//! functions. The paper's Fig. 3 compares classical optimizers on this
-//! space and finds them all wanting; its solution is **Sequential Random
-//! Embedding** ([`Sre`]), which repeatedly optimizes small random
-//! sub-problems and recombines them.
+//! Every optimizer minimizes a [`SeparableObjective`] — a mean of
+//! per-function service terms under a budget on a sum of per-function
+//! cost terms — over joint assignments of [`cc_types::FnChoice`]: one
+//! `(compression, processor, keep-alive)` tuple per invoked function, i.e.
+//! `3N` decision dimensions for `N` functions. The paper's Fig. 3 compares
+//! classical optimizers on this space and finds them all wanting; its
+//! solution is **Sequential Random Embedding** ([`Sre`]), which repeatedly
+//! optimizes small random sub-problems and recombines them.
 //!
 //! Provided optimizers:
 //!
 //! - [`CoordinateDescent`] — the paper's "gradient descent" adapted to a
-//!   discrete lattice: steepest-descent over single-choice neighbors, with
-//!   the paper's 10%-tie memory tie-break.
+//!   discrete lattice: steepest descent over single-choice neighbors,
+//!   each scored by an O(1) term delta, with the paper's 10%-tie memory
+//!   tie-break. SRE runs the same loop on each sub-problem.
 //! - [`NewtonDescent`] — a Newton-flavored variant using second differences
 //!   along the keep-alive axis to take larger steps.
 //! - [`GeneticAlgorithm`] — tournament selection, uniform crossover,
@@ -20,26 +22,29 @@
 //! - [`RandomSearch`] — a sanity floor.
 //! - [`brute_force`] — exact enumeration (Fig. 3's Oracle; tiny inputs
 //!   only).
-//! - [`Sre`] — the paper's contribution: random sub-problem embedding over
-//!   a [`SeparableObjective`], with an O(1)-per-move inner descent over
+//! - [`Sre`] — the paper's contribution: random sub-problem embedding with
 //!   shared term tables and solution averaging across rounds.
 //!
-//! The general optimizers take any [`Objective`]; [`SeparableView`]
-//! presents a [`SeparableObjective`] as one.
+//! The last four score whole solutions through the provided
+//! [`SeparableObjective::evaluate`] and
+//! [`SeparableObjective::is_feasible`].
 //!
 //! # Example
 //!
 //! ```
-//! use cc_opt::{CoordinateDescent, Objective};
-//! use cc_types::{Arch, FnChoice, SimDuration};
+//! use cc_opt::{CoordinateDescent, SeparableObjective};
+//! use cc_types::{Arch, FnChoice};
 //!
 //! struct PreferArm;
-//! impl Objective for PreferArm {
+//! impl SeparableObjective for PreferArm {
 //!     fn num_functions(&self) -> usize {
 //!         4
 //!     }
-//!     fn evaluate(&self, solution: &[FnChoice]) -> f64 {
-//!         solution.iter().filter(|c| c.arch == Arch::X86).count() as f64
+//!     fn service_term(&self, _idx: usize, c: &FnChoice) -> f64 {
+//!         if c.arch == Arch::X86 { 1.0 } else { 0.0 }
+//!     }
+//!     fn cost_term(&self, _idx: usize, _c: &FnChoice) -> f64 {
+//!         0.0
 //!     }
 //! }
 //!
@@ -58,10 +63,10 @@ mod separable;
 mod space;
 mod sre;
 
-pub use classic::{brute_force, CoordinateDescent, NewtonDescent, RandomSearch};
+pub use classic::{brute_force, NewtonDescent, RandomSearch};
 pub use genetic::GeneticAlgorithm;
-pub use objective::{Objective, OptOutcome};
-pub use separable::{SeparableObjective, SeparableView};
+pub use objective::{OptOutcome, SeparableObjective};
+pub use separable::CoordinateDescent;
 pub use space::{
     combine_solutions_into, sample_subproblems_into, search_space_size, IndexGroups,
     SubproblemScratch,

@@ -1,5 +1,4 @@
-//! The separable fast path: O(1)-per-move descent for objectives that are
-//! sums of per-function terms.
+//! Coordinate descent over a [`SeparableObjective`], at O(1) per move.
 //!
 //! CodeCrunch's interval objective is exactly that shape — mean predicted
 //! service plus a budget constraint that is a sum of per-function
@@ -10,94 +9,38 @@
 
 use cc_types::FnChoice;
 
-use crate::{CoordinateDescent, Objective, OptOutcome};
+use crate::{OptOutcome, SeparableObjective};
 
-/// An objective decomposable into independent per-function terms.
+/// Steepest-descent over the discrete choice lattice — the paper's
+/// "gradient descent" baseline and also the inner optimizer of SRE's
+/// sub-problems.
 ///
-/// The induced joint objective is `Σ service_term / N` subject to
-/// `Σ cost_term ≤ budget` and per-choice validity; `Σ memory_term` feeds
-/// the paper's 10% tie-break. [`SeparableView`] adapts any implementor to
-/// the general [`Objective`] interface for the generic optimizers.
-pub trait SeparableObjective {
-    /// Number of functions.
-    fn num_functions(&self) -> usize;
-
-    /// Predicted service contribution (seconds) of one choice, including
-    /// any per-function penalties (e.g. SLA).
-    fn service_term(&self, idx: usize, choice: &FnChoice) -> f64;
-
-    /// Keep-alive cost contribution of one choice, in budget units.
-    fn cost_term(&self, idx: usize, choice: &FnChoice) -> f64;
-
-    /// Keep-alive memory contribution used by the tie-break.
-    fn memory_term(&self, idx: usize, choice: &FnChoice) -> f64 {
-        let _ = (idx, choice);
-        0.0
-    }
-
-    /// Whether a choice is permitted for this function at all
-    /// (architecture restrictions, compression bans).
-    fn allowed(&self, idx: usize, choice: &FnChoice) -> bool {
-        let _ = (idx, choice);
-        true
-    }
-
-    /// The total budget in the same units as [`SeparableObjective::cost_term`];
-    /// `None` = unlimited.
-    fn budget(&self) -> Option<f64> {
-        None
-    }
+/// Gauss–Seidel sweeps: each round visits every function and immediately
+/// applies its best improving single-choice move, so a window can grow by
+/// one step per function per round rather than one step per round
+/// globally. Every neighbor is scored by an O(1) term delta against
+/// running service and cost sums, and the paper's tie-break applies: among
+/// moves within 10% of the best service sum, take the one adding the least
+/// keep-alive memory. A move must keep the running cost within budget, or
+/// strictly reduce it, so the descent can climb out of an infeasible
+/// start.
+///
+/// Evaluations are charged as SRE's sub-problems charge them: `N` for the
+/// initial term tables, then one per neighbor tried.
+#[derive(Debug, Clone)]
+pub struct CoordinateDescent {
+    /// Maximum descent rounds.
+    pub max_rounds: usize,
+    /// Hard cap on objective evaluations.
+    pub eval_budget: u64,
 }
 
-/// Adapter exposing a [`SeparableObjective`] through the general
-/// [`Objective`] interface (O(n) per evaluation — use the separable
-/// descent for hot paths).
-pub struct SeparableView<'a, T: ?Sized>(pub &'a T);
-
-impl<T: SeparableObjective + ?Sized> Objective for SeparableView<'_, T> {
-    fn num_functions(&self) -> usize {
-        self.0.num_functions()
-    }
-
-    fn evaluate(&self, solution: &[FnChoice]) -> f64 {
-        if solution.is_empty() {
-            return 0.0;
+impl Default for CoordinateDescent {
+    fn default() -> Self {
+        CoordinateDescent {
+            max_rounds: 64,
+            eval_budget: 100_000,
         }
-        let total: f64 = solution
-            .iter()
-            .enumerate()
-            .map(|(i, c)| self.0.service_term(i, c))
-            .sum();
-        total / solution.len() as f64
-    }
-
-    fn is_feasible(&self, solution: &[FnChoice]) -> bool {
-        if solution
-            .iter()
-            .enumerate()
-            .any(|(i, c)| !self.0.allowed(i, c))
-        {
-            return false;
-        }
-        match self.0.budget() {
-            None => true,
-            Some(budget) => {
-                let cost: f64 = solution
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| self.0.cost_term(i, c))
-                    .sum();
-                cost <= budget
-            }
-        }
-    }
-
-    fn memory_cost(&self, solution: &[FnChoice]) -> f64 {
-        solution
-            .iter()
-            .enumerate()
-            .map(|(i, c)| self.0.memory_term(i, c))
-            .sum()
     }
 }
 
@@ -146,9 +89,8 @@ pub(crate) struct TermBaseline {
 }
 
 impl TermBaseline {
-    /// Fills the tables (and their sums) from `solution`, in the order
-    /// [`CoordinateDescent::optimize_separable_subset`] evaluates them on
-    /// entry.
+    /// Fills the tables (and their sums) from `solution`, each sum in
+    /// index order.
     pub fn compute<T: SeparableObjective + ?Sized>(
         &mut self,
         objective: &T,
@@ -208,12 +150,14 @@ impl TermBaseline {
         self.service_sum = self.service.iter().sum();
     }
 
-    /// [`SeparableView::is_feasible`] of the solution the tables describe.
+    /// [`SeparableObjective::is_feasible`] of the solution the tables
+    /// describe.
     pub fn is_feasible<T: SeparableObjective + ?Sized>(&self, objective: &T) -> bool {
         self.disallowed == 0 && objective.budget().is_none_or(|b| self.cost_sum <= b)
     }
 
-    /// [`SeparableView::evaluate`] of the solution the tables describe.
+    /// [`SeparableObjective::evaluate`] of the solution the tables
+    /// describe.
     pub fn evaluate(&self) -> f64 {
         if self.is_empty() {
             0.0
@@ -222,7 +166,7 @@ impl TermBaseline {
         }
     }
 
-    /// [`SeparableView::evaluate`] of `other` if it is feasible, else
+    /// [`SeparableObjective::evaluate`] of `other` if it is feasible, else
     /// infinity, reusing the tables' terms wherever `other` agrees with
     /// `solution`, the solution they describe.
     pub fn evaluate_variant<T: SeparableObjective + ?Sized>(
@@ -279,89 +223,39 @@ impl TermBaseline {
     }
 }
 
-/// Where a descent reads and writes each active function's choice and
-/// terms: the function's index `idx`, or its position `slot` in the
-/// active list.
-trait Slots {
-    fn get(&self, slot: usize, idx: usize) -> Entry;
-    fn set(&mut self, slot: usize, idx: usize, entry: Entry);
-}
-
-/// A whole solution with its term tables, indexed by function.
-struct Whole<'a> {
-    solution: &'a mut [FnChoice],
-    service: &'a mut [f64],
-    cost: &'a mut [f64],
-}
-
-impl Slots for Whole<'_> {
-    fn get(&self, _slot: usize, idx: usize) -> Entry {
-        (self.solution[idx], self.service[idx], self.cost[idx])
-    }
-
-    fn set(&mut self, _slot: usize, idx: usize, (choice, service, cost): Entry) {
-        self.solution[idx] = choice;
-        self.service[idx] = service;
-        self.cost[idx] = cost;
-    }
-}
-
-/// A group's overlay, indexed by slot (the group's indices are distinct).
-impl Slots for [Entry] {
-    fn get(&self, slot: usize, _idx: usize) -> Entry {
-        self[slot]
-    }
-
-    fn set(&mut self, slot: usize, _idx: usize, entry: Entry) {
-        self[slot] = entry;
-    }
-}
-
 impl CoordinateDescent {
-    /// [`CoordinateDescent::optimize_subset`] specialized for separable
-    /// objectives: every neighbor is scored with an O(1) term delta, so a
-    /// sweep over `k` active functions costs `O(k)` instead of `O(k·N)`.
+    /// Optimizes every function, starting from `start`. The outcome's
+    /// cost is the descent's running service sum divided by `N`.
     ///
-    /// Moves must keep the running cost within budget — or strictly reduce
-    /// it, so descent can climb back out of an infeasible start.
-    pub fn optimize_separable_subset<T: SeparableObjective + ?Sized>(
+    /// # Panics
+    ///
+    /// Panics if `start` disagrees with the objective size.
+    pub fn optimize<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         start: Vec<FnChoice>,
-        active: &[usize],
     ) -> OptOutcome {
         let n = objective.num_functions();
         assert_eq!(start.len(), n, "solution length must match the objective");
-        let mut current = start;
-        let mut service: Vec<f64> = current
-            .iter()
-            .enumerate()
-            .map(|(i, c)| objective.service_term(i, c))
-            .collect();
-        let mut cost: Vec<f64> = current
-            .iter()
-            .enumerate()
-            .map(|(i, c)| objective.cost_term(i, c))
-            .collect();
-        let service_sum: f64 = service.iter().sum();
-        let cost_sum: f64 = cost.iter().sum();
-        let mut whole = Whole {
-            solution: &mut current,
-            service: &mut service,
-            cost: &mut cost,
-        };
-        let (service_sum, evaluations) = self.descend(
+        let mut tables = TermBaseline::default();
+        tables.compute(objective, &start);
+        let all: Vec<usize> = (0..n).collect();
+        let mut splices = Vec::with_capacity(n);
+        let (service_sum, evaluations) = self.descend_group(
             objective,
-            active,
-            &mut whole,
-            &mut Vec::new(),
-            service_sum,
-            cost_sum,
+            &start,
+            &tables,
+            &all,
+            &mut DescentScratch::default(),
+            &mut splices,
         );
-        let cost = if n == 0 { 0.0 } else { service_sum / n as f64 };
+        let mut solution = start;
+        for (idx, choice) in splices {
+            solution[idx] = choice;
+        }
         OptOutcome {
-            solution: current,
-            cost,
+            solution,
+            cost: if n == 0 { 0.0 } else { service_sum / n as f64 },
             evaluations,
         }
     }
@@ -370,9 +264,9 @@ impl CoordinateDescent {
     /// against `solution` and the tables that describe it, without
     /// copying either. The group's own choices and terms live in the
     /// scratch overlay; the optimized choices are appended to `splices` as
-    /// `(index, choice)` in group order. Returns the evaluations charged,
-    /// the same as [`CoordinateDescent::optimize_separable_subset`] on a
-    /// copy of `solution` (the `N`-term initialization charge included).
+    /// `(index, choice)` in group order. Returns the final service sum
+    /// (over every function) and the evaluations charged, the `N`-term
+    /// initialization charge included.
     pub(crate) fn descend_group<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
@@ -381,7 +275,7 @@ impl CoordinateDescent {
         group: &[usize],
         scratch: &mut DescentScratch,
         splices: &mut Vec<(usize, FnChoice)>,
-    ) -> u64 {
+    ) -> (f64, u64) {
         debug_assert_eq!(
             tables.len(),
             solution.len(),
@@ -397,27 +291,27 @@ impl CoordinateDescent {
                 .iter()
                 .map(|&i| (solution[i], tables.service[i], tables.cost[i])),
         );
-        let (_, evaluations) = self.descend(
+        let outcome = self.descend(
             objective,
             group,
-            overlay.as_mut_slice(),
+            overlay,
             candidates,
             tables.service_sum,
             tables.cost_sum,
         );
         splices.extend(group.iter().zip(overlay.iter()).map(|(&i, e)| (i, e.0)));
-        evaluations
+        outcome
     }
 
-    /// The descent loop proper, once `slots` hold the choices and terms of
-    /// the active functions and the sums are the in-order reductions of
-    /// every function's terms. Returns the final service sum and the
-    /// evaluations charged.
-    fn descend<T: SeparableObjective + ?Sized, S: Slots + ?Sized>(
+    /// The descent loop proper, once `overlay[j]` holds the choice and
+    /// terms of function `active[j]` and the sums are the in-order
+    /// reductions of every function's terms. Returns the final service sum
+    /// and the evaluations charged.
+    fn descend<T: SeparableObjective + ?Sized>(
         &self,
         objective: &T,
         active: &[usize],
-        slots: &mut S,
+        overlay: &mut [Entry],
         candidates: &mut Vec<(f64, f64, f64, FnChoice)>,
         mut service_sum: f64,
         mut cost_sum: f64,
@@ -429,7 +323,7 @@ impl CoordinateDescent {
         'rounds: for _ in 0..self.max_rounds {
             let mut improved = false;
             for (slot, &idx) in active.iter().enumerate() {
-                let (current, current_service, current_cost) = slots.get(slot, idx);
+                let (current, current_service, current_cost) = overlay[slot];
                 candidates.clear();
                 let current_mem = objective.memory_term(idx, &current);
                 for neighbor in &current.neighbors_inline() {
@@ -471,11 +365,7 @@ impl CoordinateDescent {
                     .expect("best candidate satisfies its own threshold");
                 cost_sum = cost_sum - current_cost + new_cost;
                 service_sum = new_service_sum;
-                slots.set(
-                    slot,
-                    idx,
-                    (choice, objective.service_term(idx, &choice), new_cost),
-                );
+                overlay[slot] = (choice, objective.service_term(idx, &choice), new_cost);
                 improved = true;
             }
             if !improved {
@@ -489,24 +379,34 @@ impl CoordinateDescent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::testing::SepBowl;
+    use crate::objective::testing::{bowl, optimum, SepBowl};
     use cc_types::{Arch, SimDuration};
 
     #[test]
-    fn separable_descent_matches_generic_descent() {
-        let bowl = SepBowl {
-            n: 6,
-            target_mins: 7.0,
-            budget_mins: None,
+    fn coordinate_descent_finds_bowl_optimum() {
+        let b = bowl(5, 7.0);
+        let start = vec![FnChoice::production_default(); 5];
+        let out = CoordinateDescent::default().optimize(&b, start);
+        assert_eq!(out.cost, 0.0, "solution {:?}", out.solution);
+        assert_eq!(out.solution, optimum(&b));
+    }
+
+    #[test]
+    fn descent_cost_is_the_running_mean_and_charges_n_up_front() {
+        let b = SepBowl {
+            budget_mins: Some(40.0),
+            ..bowl(6, 9.0)
         };
         let start = vec![FnChoice::production_default(); 6];
-        let active: Vec<usize> = (0..6).collect();
-        let fast =
-            CoordinateDescent::default().optimize_separable_subset(&bowl, start.clone(), &active);
-        let view = SeparableView(&bowl);
-        let generic = CoordinateDescent::default().optimize_subset(&view, start, &active);
-        assert_eq!(fast.solution, generic.solution);
-        assert!((fast.cost * 6.0 - generic.cost * 6.0).abs() < 1e-9);
+        let out = CoordinateDescent::default().optimize(&b, start);
+        assert!((out.cost - b.evaluate(&out.solution)).abs() < 1e-9);
+        let stopped = CoordinateDescent {
+            max_rounds: 64,
+            eval_budget: 6,
+        }
+        .optimize(&b, vec![FnChoice::production_default(); 6]);
+        assert_eq!(stopped.evaluations, 6, "the N-term charge spends it all");
+        assert_eq!(stopped.solution, vec![FnChoice::production_default(); 6]);
     }
 
     #[test]
@@ -517,8 +417,8 @@ mod tests {
             budget_mins: Some(60.0),
         };
         let start = vec![FnChoice::drop_now(Arch::X86); 4];
-        let active: Vec<usize> = (0..4).collect();
-        let out = CoordinateDescent::default().optimize_separable_subset(&bowl, start, &active);
+        let out = CoordinateDescent::default().optimize(&bowl, start);
+        assert!(bowl.is_feasible(&out.solution));
         let total: f64 = out
             .solution
             .iter()
@@ -536,8 +436,7 @@ mod tests {
         };
         // Start over budget: 2 × 60 = 120 minutes.
         let start = vec![FnChoice::new(Arch::Arm, true, SimDuration::from_mins(60)); 2];
-        let active = [0usize, 1];
-        let out = CoordinateDescent::default().optimize_separable_subset(&bowl, start, &active);
+        let out = CoordinateDescent::default().optimize(&bowl, start);
         let total: f64 = out
             .solution
             .iter()
@@ -550,33 +449,25 @@ mod tests {
     }
 
     #[test]
-    fn view_adapter_agrees_with_terms() {
-        let bowl = SepBowl {
-            n: 3,
-            target_mins: 7.0,
-            budget_mins: Some(15.0),
-        };
-        let view = SeparableView(&bowl);
-        let sol = vec![FnChoice::new(Arch::Arm, true, SimDuration::from_mins(7)); 3];
-        assert_eq!(view.evaluate(&sol), 0.0);
-        assert!(
-            !view.is_feasible(&sol),
-            "21 minutes exceeds the 15-minute budget"
-        );
-        assert_eq!(view.memory_cost(&sol), 21.0);
+    fn eval_budget_is_respected() {
+        let b = bowl(50, 7.0);
+        let start = vec![FnChoice::production_default(); 50];
+        let out = CoordinateDescent {
+            max_rounds: 1000,
+            eval_budget: 300,
+        }
+        .optimize(&b, start);
+        assert!(out.evaluations <= 300, "{}", out.evaluations);
     }
 
     #[test]
-    fn group_descent_over_shared_tables_matches_a_whole_copy() {
+    fn group_descent_moves_only_its_group() {
         let bowl = SepBowl {
             n: 8,
             target_mins: 12.0,
             budget_mins: Some(90.0),
         };
         let start = vec![FnChoice::production_default(); 8];
-        // Disjoint "sub-problem" groups all descending from the same start,
-        // the way an SRE round dispatches them.
-        let groups: [&[usize]; 3] = [&[0, 3], &[1, 4, 7], &[2, 5, 6]];
         let mut tables = TermBaseline::default();
         tables.compute(&bowl, &start);
         assert_eq!(tables.len(), 8);
@@ -584,19 +475,33 @@ mod tests {
         let descent = CoordinateDescent::default();
         let mut scratch = DescentScratch::default();
         let mut splices = Vec::new();
-        for group in groups {
-            let whole = descent.optimize_separable_subset(&bowl, start.clone(), group);
+        // Disjoint "sub-problem" groups all descending from the same start,
+        // the way an SRE round dispatches them.
+        for group in [&[0, 3][..], &[1, 4, 7], &[2, 5, 6]] {
             splices.clear();
-            let evaluations =
+            let (_, evaluations) =
                 descent.descend_group(&bowl, &start, &tables, group, &mut scratch, &mut splices);
-            let mut spliced = start.clone();
-            for &(idx, choice) in &splices {
-                spliced[idx] = choice;
-            }
-            assert_eq!(whole.solution, spliced);
-            assert_ne!(spliced, start, "the descent must move something");
-            assert_eq!(whole.evaluations, evaluations);
+            let indices: Vec<usize> = splices.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, group, "only the group's functions are spliced");
+            assert!(
+                splices.iter().any(|&(i, c)| c != start[i]),
+                "the descent must move something"
+            );
+            assert!(
+                evaluations > 8,
+                "the N-term charge plus the neighbors tried"
+            );
         }
+        // The whole index set as one group is the public descent.
+        let all: Vec<usize> = (0..8).collect();
+        splices.clear();
+        let (service_sum, evaluations) =
+            descent.descend_group(&bowl, &start, &tables, &all, &mut scratch, &mut splices);
+        let whole = descent.optimize(&bowl, start.clone());
+        let spliced: Vec<FnChoice> = splices.iter().map(|&(_, c)| c).collect();
+        assert_eq!(whole.solution, spliced);
+        assert_eq!(whole.cost.to_bits(), (service_sum / 8.0).to_bits());
+        assert_eq!(whole.evaluations, evaluations);
     }
 
     #[test]
@@ -606,7 +511,6 @@ mod tests {
             target_mins: 9.0,
             budget_mins: Some(20.0),
         };
-        let view = SeparableView(&bowl);
         let mut solution = vec![FnChoice::production_default(); 5];
         let mut tables = TermBaseline::default();
         tables.compute(&bowl, &solution);
@@ -619,14 +523,14 @@ mod tests {
         assert_eq!(tables.cost, fresh.cost);
         assert_eq!(
             tables.evaluate().to_bits(),
-            view.evaluate(&solution).to_bits()
+            bowl.evaluate(&solution).to_bits()
         );
-        assert_eq!(tables.is_feasible(&bowl), view.is_feasible(&solution));
+        assert_eq!(tables.is_feasible(&bowl), bowl.is_feasible(&solution));
         // A variant is scored as if evaluated from scratch.
         let mut other = solution.clone();
         other[2] = FnChoice::new(Arch::Arm, true, SimDuration::from_mins(3));
-        let expected = if view.is_feasible(&other) {
-            view.evaluate(&other)
+        let expected = if bowl.is_feasible(&other) {
+            bowl.evaluate(&other)
         } else {
             f64::INFINITY
         };
@@ -637,14 +541,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_active_set_is_a_noop() {
-        let bowl = SepBowl {
-            n: 3,
-            target_mins: 7.0,
-            budget_mins: None,
-        };
-        let start = vec![FnChoice::production_default(); 3];
-        let out = CoordinateDescent::default().optimize_separable_subset(&bowl, start.clone(), &[]);
-        assert_eq!(out.solution, start);
+    fn empty_objective_is_a_noop() {
+        let out = CoordinateDescent::default().optimize(&bowl(0, 7.0), vec![]);
+        assert!(out.solution.is_empty());
+        assert_eq!(out.cost, 0.0);
     }
 }

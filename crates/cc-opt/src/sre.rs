@@ -243,9 +243,10 @@ impl Sre {
             );
             splices.clear();
             for group in groups.iter() {
-                evaluations += self
+                let (_, spent) = self
                     .inner
                     .descend_group(objective, &current, tables, group, descent, splices);
+                evaluations += spent;
             }
 
             // Splice each sub-problem's optimized choices back in (groups
@@ -354,7 +355,6 @@ impl Sre {
 mod tests {
     use super::*;
     use crate::objective::testing::SepBowl;
-    use crate::{Objective, SeparableView};
 
     fn bowl(n: usize) -> SepBowl {
         SepBowl {
@@ -372,7 +372,7 @@ mod tests {
     fn sre_improves_over_start() {
         let b = bowl(40);
         let start = vec![FnChoice::production_default(); 40];
-        let start_cost = SeparableView(&b).evaluate(&start);
+        let start_cost = b.evaluate(&start);
         let mut counts = vec![0u32; 40];
         let out = run(&Sre::scaled_to(40), &b, start, &mut counts);
         assert!(out.cost < start_cost, "{} !< {start_cost}", out.cost);
@@ -408,7 +408,7 @@ mod tests {
         );
         let mut counts = vec![0u32; n];
         let out = run(&sre, &b, start.clone(), &mut counts);
-        assert!(out.cost < SeparableView(&b).evaluate(&start));
+        assert!(out.cost < b.evaluate(&start));
     }
 
     #[test]
@@ -421,7 +421,7 @@ mod tests {
         let start = vec![FnChoice::drop_now(cc_types::Arch::X86); 12];
         let mut counts = vec![0u32; 12];
         let out = run(&Sre::scaled_to(12), &b, start, &mut counts);
-        assert!(SeparableView(&b).is_feasible(&out.solution));
+        assert!(b.is_feasible(&out.solution));
     }
 
     #[test]

@@ -3,10 +3,7 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-use cc_opt::{
-    combine_solutions_into, CoordinateDescent, Objective, SeparableObjective, SeparableView, Sre,
-    SreScratch,
-};
+use cc_opt::{combine_solutions_into, CoordinateDescent, SeparableObjective, Sre, SreScratch};
 use cc_types::{Arch, FnChoice, SimDuration, KEEP_ALIVE_MAX};
 
 fn choice_strategy() -> impl Strategy<Value = FnChoice> {
@@ -122,19 +119,17 @@ impl SeparableObjective for Rugged {
 
 #[test]
 fn descent_terminates_and_improves_on_rugged_objectives() {
-    let view = SeparableView(&Rugged);
     let start = vec![FnChoice::production_default(); 6];
-    let start_cost = view.evaluate(&start);
-    let out = CoordinateDescent::default().optimize(&view, start);
+    let start_cost = Rugged.evaluate(&start);
+    let out = CoordinateDescent::default().optimize(&Rugged, start);
     assert!(out.cost <= start_cost);
-    assert!(view.is_feasible(&out.solution));
+    assert!(Rugged.is_feasible(&out.solution));
 }
 
 #[test]
 fn sre_terminates_and_improves_on_rugged_objectives() {
-    let view = SeparableView(&Rugged);
     let start = vec![FnChoice::production_default(); 6];
-    let start_cost = view.evaluate(&start);
+    let start_cost = Rugged.evaluate(&start);
     let mut counts = vec![0u32; 6];
     let out = Sre::scaled_to(6).optimize(
         &Rugged,
@@ -144,5 +139,5 @@ fn sre_terminates_and_improves_on_rugged_objectives() {
         None,
     );
     assert!(out.cost <= start_cost);
-    assert!(view.is_feasible(&out.solution));
+    assert!(Rugged.is_feasible(&out.solution));
 }

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cc_opt::{Objective, OptOutcome, SeparableObjective, SeparableView, Sre, SreScratch};
+use cc_opt::{OptOutcome, SeparableObjective, Sre, SreScratch};
 use cc_types::{Arch, FnChoice, SimDuration};
 
 /// A random separable objective shaped like CodeCrunch's interval
@@ -172,7 +172,6 @@ fn same(label: &str, a: &OptOutcome, b: &OptOutcome) -> Result<(), String> {
 
 fn check(case: Case) -> Result<(), String> {
     let (objective, start, counts) = case.build();
-    let view = SeparableView(&objective);
     let sre = case.sre();
 
     let mut plain_counts = counts.clone();
@@ -185,13 +184,13 @@ fn check(case: Case) -> Result<(), String> {
     );
     prop_assert_eq!(
         plain.cost.to_bits(),
-        view.evaluate(&plain.solution).to_bits(),
+        objective.evaluate(&plain.solution).to_bits(),
         "the reported cost is not the solution's evaluation on {:?}",
         case
     );
-    if view.is_feasible(&start) {
+    if objective.is_feasible(&start) {
         prop_assert!(
-            view.is_feasible(&plain.solution),
+            objective.is_feasible(&plain.solution),
             "a feasible start ended infeasible on {:?}",
             case
         );

@@ -63,7 +63,13 @@ fn parse_args() -> Result<Options, String> {
             "--minutes" => {
                 opts.minutes = value("--minutes")?
                     .parse()
-                    .map_err(|e| format!("bad --minutes: {e}"))?
+                    .map_err(|e| format!("bad --minutes: {e}"))?;
+                if SimDuration::checked_from_mins(opts.minutes).is_none() {
+                    return Err(format!(
+                        "bad --minutes: {} overflows the simulated clock",
+                        opts.minutes
+                    ));
+                }
             }
             "--seed" => {
                 opts.seed = value("--seed")?

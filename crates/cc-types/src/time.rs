@@ -84,18 +84,52 @@ impl SimDuration {
     }
 
     /// Creates a duration from milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the duration overflows `u64`
+    /// microseconds.
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000)
+        match millis.checked_mul(1_000) {
+            Some(micros) => SimDuration(micros),
+            None => panic!("SimDuration::from_millis overflows u64 microseconds"),
+        }
     }
 
     /// Creates a duration from whole seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the duration overflows `u64`
+    /// microseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000)
+        match secs.checked_mul(1_000_000) {
+            Some(micros) => SimDuration(micros),
+            None => panic!("SimDuration::from_secs overflows u64 microseconds"),
+        }
     }
 
     /// Creates a duration from whole minutes.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build, if the duration overflows `u64`
+    /// microseconds; [`SimDuration::checked_from_mins`] refuses it
+    /// instead.
     pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60_000_000)
+        match Self::checked_from_mins(mins) {
+            Some(duration) => duration,
+            None => panic!("SimDuration::from_mins overflows u64 microseconds"),
+        }
+    }
+
+    /// Creates a duration from whole minutes, or `None` if it overflows
+    /// `u64` microseconds.
+    pub const fn checked_from_mins(mins: u64) -> Option<Self> {
+        match mins.checked_mul(60_000_000) {
+            Some(micros) => Some(SimDuration(micros)),
+            None => None,
+        }
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
@@ -306,6 +340,34 @@ mod tests {
             SimDuration::from_micros(60_000_000)
         );
         assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1500);
+    }
+
+    #[test]
+    fn checked_minutes_stop_at_the_last_representable_one() {
+        let last = u64::MAX / 60_000_000;
+        assert_eq!(
+            SimDuration::checked_from_mins(last),
+            Some(SimDuration::from_micros(last * 60_000_000))
+        );
+        assert_eq!(SimDuration::checked_from_mins(last + 1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_millis overflows")]
+    fn from_millis_refuses_overflow() {
+        let _ = SimDuration::from_millis(std::hint::black_box(u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_secs overflows")]
+    fn from_secs_refuses_overflow() {
+        let _ = SimDuration::from_secs(std::hint::black_box(u64::MAX / 1_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_mins overflows")]
+    fn from_mins_refuses_overflow() {
+        let _ = SimDuration::from_mins(std::hint::black_box(u64::MAX / 60_000_000 + 1));
     }
 
     #[test]

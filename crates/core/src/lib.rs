@@ -16,12 +16,11 @@
 //! ([`PestEstimator`]) and observed per-architecture execution times
 //! ([`ExecObserver`]), then lets SRE optimize random sub-problems, each
 //! against the same pre-round solution. The objective is a
-//! [`SeparableObjective`](cc_opt::SeparableObjective) only: SRE and the
-//! no-SRE descent score it term by term, and
-//! [`SeparableView`](cc_opt::SeparableView) presents it to the general
-//! optimizers (Fig. 3). Unspent budget is credited to future intervals by
-//! the simulator's ledger, which is why compression concentrates in load
-//! peaks.
+//! [`SeparableObjective`](cc_opt::SeparableObjective): SRE and the no-SRE
+//! descent score it term by term, and the Fig. 3 optimizers score whole
+//! solutions through its provided `evaluate` and `is_feasible`. Unspent
+//! budget is credited to future intervals by the simulator's ledger,
+//! which is why compression concentrates in load peaks.
 //!
 //! [`CodeCrunch`] implements [`cc_sim::Scheduler`], so it runs against the
 //! same simulator as every baseline. [`CodeCrunchConfig`] exposes the

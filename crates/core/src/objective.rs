@@ -180,7 +180,6 @@ impl SeparableObjective for IntervalObjective<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_opt::{Objective, SeparableView};
     use cc_types::MemoryMb;
     use cc_workload::FunctionSpec;
 
@@ -295,11 +294,11 @@ mod tests {
         let generous = objective(&fx, None);
         let broke = objective(&fx, Some(Cost::ZERO));
         let plan = vec![FnChoice::production_default(); 2];
-        assert!(SeparableView(&generous).is_feasible(&plan));
-        assert!(!SeparableView(&broke).is_feasible(&plan));
+        assert!(generous.is_feasible(&plan));
+        assert!(!broke.is_feasible(&plan));
         // Dropping everything costs nothing and is always feasible.
         let drop_all = vec![FnChoice::drop_now(Arch::X86); 2];
-        assert!(SeparableView(&broke).is_feasible(&drop_all));
+        assert!(broke.is_feasible(&drop_all));
     }
 
     #[test]
@@ -319,7 +318,7 @@ mod tests {
         let mut obj = objective(&fx, None);
         obj.arch_policy = ArchPolicy::X86Only;
         let arm_plan = vec![FnChoice::new(Arch::Arm, false, SimDuration::from_mins(1)); 2];
-        assert!(!SeparableView(&obj).is_feasible(&arm_plan));
+        assert!(!obj.is_feasible(&arm_plan));
     }
 
     #[test]
@@ -328,7 +327,7 @@ mod tests {
         let mut obj = objective(&fx, None);
         obj.allow_compression = false;
         let plan = vec![FnChoice::new(Arch::X86, true, SimDuration::from_mins(1)); 2];
-        assert!(!SeparableView(&obj).is_feasible(&plan));
+        assert!(!obj.is_feasible(&plan));
     }
 
     #[test]
@@ -345,8 +344,7 @@ mod tests {
             FnChoice::new(Arch::X86, false, SimDuration::from_mins(10)),
             FnChoice::new(Arch::X86, false, SimDuration::from_mins(30)),
         ];
-        let view = SeparableView(&obj);
-        assert!(view.evaluate(&violating) > view.evaluate(&compliant) + 100.0);
+        assert!(obj.evaluate(&violating) > obj.evaluate(&compliant) + 100.0);
     }
 
     #[test]

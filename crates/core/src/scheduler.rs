@@ -1,6 +1,6 @@
 //! The CodeCrunch scheduler: SRE-driven per-interval planning.
 
-use cc_opt::{CoordinateDescent, Objective, SeparableView, Sre, SreRoundStats, SreScratch};
+use cc_opt::{CoordinateDescent, SeparableObjective, Sre, SreRoundStats, SreScratch};
 use cc_sim::{ClusterView, Command, KeepDecision, OptimizerRound, Scheduler};
 use cc_types::{Arch, FnChoice, FunctionId, ServiceRecord, SimDuration, SimTime};
 
@@ -350,7 +350,7 @@ impl Scheduler for CodeCrunch {
                 self.plan[f.index()].unwrap_or_else(|| self.default_choice(f, view)),
             )
         }));
-        if !SeparableView(&objective).is_feasible(&start) {
+        if !objective.is_feasible(&start) {
             // Scale every window down proportionally until the carried-over
             // plan fits the currently available credit; zeroing everything
             // would throw away the structure SRE built in past intervals.
@@ -361,11 +361,11 @@ impl Scheduler for CodeCrunch {
                         c.keep_alive = SimDuration::ZERO;
                     }
                 }
-                if SeparableView(&objective).is_feasible(&start) {
+                if objective.is_feasible(&start) {
                     break;
                 }
             }
-            if !SeparableView(&objective).is_feasible(&start) {
+            if !objective.is_feasible(&start) {
                 for c in start.iter_mut() {
                     c.keep_alive = SimDuration::ZERO;
                     c.compress = false;
@@ -411,9 +411,8 @@ impl Scheduler for CodeCrunch {
             for &f in &functions {
                 self.opt_counts[f.index()] += 1;
             }
-            let active: Vec<usize> = (0..functions.len()).collect();
             let before = self.introspect.then(|| start.clone());
-            let outcome = descent.optimize_separable_subset(&objective, start, &active);
+            let outcome = descent.optimize(&objective, start);
             if let Some(before) = before {
                 let accepted_moves = before
                     .iter()

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use cc_opt::{Objective, SeparableObjective, SeparableView};
+use cc_opt::SeparableObjective;
 use cc_types::{Arch, Cost, CostRate, FnChoice, FunctionId, MemoryMb, SimDuration};
 use cc_workload::{FunctionSpec, Workload};
 use codecrunch::{ArchPolicy, ExecObserver, IntervalObjective};
@@ -64,7 +64,7 @@ proptest! {
         };
         let solution: Vec<FnChoice> = choices_seed[..n].to_vec();
 
-        // Every term is finite and non-negative, and the adapter's float
+        // Every term is finite and non-negative, and the provided float
         // feasibility agrees with the integer plan cost (totals here stay
         // far below 2^53 picodollars).
         for (i, c) in solution.iter().enumerate() {
@@ -74,16 +74,15 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&p));
             prop_assert!(SeparableObjective::service_term(&objective, i, c).is_finite());
         }
-        let view = SeparableView(&objective);
-        prop_assert!(view.evaluate(&solution).is_finite());
+        prop_assert!(objective.evaluate(&solution).is_finite());
         let within_budget = objective
             .budget
             .is_none_or(|budget| objective.plan_cost(&solution) <= budget);
-        prop_assert_eq!(within_budget, view.is_feasible(&solution));
+        prop_assert_eq!(within_budget, objective.is_feasible(&solution));
 
         // Dropping everything is always feasible and costs nothing.
         let drop_all: Vec<FnChoice> = (0..n).map(|_| FnChoice::drop_now(Arch::X86)).collect();
-        prop_assert!(view.is_feasible(&drop_all));
+        prop_assert!(objective.is_feasible(&drop_all));
         prop_assert_eq!(objective.plan_cost(&drop_all), Cost::ZERO);
     }
 
