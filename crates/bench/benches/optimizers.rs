@@ -1,13 +1,21 @@
 //! Optimizer comparison benchmarks: how long each optimizer takes to plan
 //! one CodeCrunch interval (the Fig. 3 / Fig. 12 decision-latency story).
 
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use cc_compress::CompressionModel;
 use cc_opt::{
     sample_subproblems_into, CoordinateDescent, GeneticAlgorithm, IndexGroups, RandomSearch,
     SeparableObjective, Sre, SreScratch, SubproblemScratch,
 };
-use cc_types::{Arch, FnChoice, SimDuration};
+use cc_sim::{ClusterConfig, ClusterView, Command, KeepDecision, Scheduler, Simulation};
+use cc_trace::SyntheticTrace;
+use cc_types::{Arch, FnChoice, FunctionId, ServiceRecord, SimDuration, SimTime};
+use cc_workload::{Catalog, Workload};
+use codecrunch::CodeCrunch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -168,11 +176,101 @@ fn bench_sre_sampling(c: &mut Criterion) {
     group.finish();
 }
 
+/// CodeCrunch with every callback forwarded and each interval tick
+/// timed.
+struct TimedTicks {
+    inner: CodeCrunch,
+    ticks: Vec<Duration>,
+}
+
+impl Scheduler for TimedTicks {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn on_arrival(&mut self, function: FunctionId, now: SimTime) {
+        self.inner.on_arrival(function, now);
+    }
+    fn on_record(&mut self, record: &ServiceRecord) {
+        self.inner.on_record(record);
+    }
+    fn place(&mut self, function: FunctionId, view: &ClusterView<'_>) -> Arch {
+        self.inner.place(function, view)
+    }
+    fn on_completion(
+        &mut self,
+        function: FunctionId,
+        arch: Arch,
+        view: &ClusterView<'_>,
+    ) -> KeepDecision {
+        self.inner.on_completion(function, arch, view)
+    }
+    fn on_interval(&mut self, view: &ClusterView<'_>) -> Vec<Command> {
+        let start = Instant::now();
+        let commands = self.inner.on_interval(view);
+        self.ticks.push(start.elapsed());
+        // The engine drains the rounds after every tick when a sink
+        // records them; so does this wrapper, outside the timed span.
+        drop(self.inner.drain_optimizer_rounds());
+        commands
+    }
+    fn evicts_in_admission_order(&self) -> bool {
+        self.inner.evicts_in_admission_order()
+    }
+}
+
+/// CodeCrunch's whole `on_interval` at serve_live's shape: the same
+/// 4 000-function, 60-minute trace and 124-node cluster, no budget, and
+/// introspection on (serve_live records into a telemetry sink), so about
+/// 1 300 functions are invoked between ticks. One iteration is one tick.
+/// A tick needs the engine's view of the cluster, so the trace is
+/// replayed in batch and every tick after each replay's first (which
+/// grows the recycled buffers) is timed once, in order; a sample takes
+/// the next `iters` of them.
+fn bench_codecrunch_tick(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codecrunch_tick");
+    group.sample_size(50);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+    let trace = SyntheticTrace::builder()
+        .functions(4_000)
+        .duration(SimDuration::from_mins(60))
+        .seed(7)
+        .build();
+    let workload = Workload::from_trace(
+        &trace,
+        &Catalog::paper_catalog(),
+        &CompressionModel::paper_default(),
+    );
+    let mut timed: VecDeque<Duration> = VecDeque::new();
+    group.bench_function("serve_live", |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                while timed.is_empty() {
+                    let mut policy = TimedTicks {
+                        inner: CodeCrunch::new(),
+                        ticks: Vec::new(),
+                    };
+                    policy.inner.enable_introspection(true);
+                    Simulation::new(ClusterConfig::small(52, 72), &trace, &workload)
+                        .without_records()
+                        .run(&mut policy);
+                    timed.extend(policy.ticks.iter().skip(1));
+                }
+                total += timed.pop_front().expect("a replay times its ticks");
+            }
+            total
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_optimizers,
     bench_sre_round,
     bench_sre_interval,
-    bench_sre_sampling
+    bench_sre_sampling,
+    bench_codecrunch_tick
 );
 criterion_main!(benches);

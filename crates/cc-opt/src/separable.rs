@@ -65,12 +65,14 @@ type Entry = (FnChoice, f64, f64);
 /// SRE builds the tables once per interval, before its first round, with
 /// [`TermBaseline::compute`] (one `exp()`-bearing service term per
 /// function). After each round's splice and repair only the touched
-/// functions' terms change, so [`TermBaseline::refresh`] re-derives the
-/// terms at those indices and re-forms both sums in index order with the
-/// same `iter().sum()`. Every sub-problem descent of a round reads these
-/// tables and the working solution directly and keeps its own indices in
-/// a small overlay, and the round's objective and feasibility are read
-/// off the sums. All of it is bit-identical to evaluating from scratch:
+/// functions' terms change, so [`TermBaseline::refresh_cost`] and
+/// [`TermBaseline::refresh_service`] re-derive the terms at those indices
+/// and re-form the sums in index order with the same `iter().sum()`.
+/// Without a budget no cost term or cost sum is ever read, so the cost
+/// column stays all zero and neither is derived. Every sub-problem
+/// descent of a round reads these tables and the working solution
+/// directly and keeps its own indices in a small overlay, and the round's
+/// objective and feasibility are read off the sums. All of it is bit-identical to evaluating from scratch:
 /// the tables hold the very floats the terms produce, and the sums are
 /// the same in-order reductions — load-bearing because the descent's 10%
 /// tie threshold compares *absolute* service sums.
@@ -104,18 +106,30 @@ impl TermBaseline {
                 .map(|(i, c)| objective.service_term(i, c)),
         );
         self.cost.clear();
-        self.allowed.clear();
-        for (i, c) in solution.iter().enumerate() {
-            self.cost.push(objective.cost_term(i, c));
-            self.allowed.push(objective.allowed(i, c));
+        if objective.budget().is_some() {
+            self.cost.extend(
+                solution
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| objective.cost_term(i, c)),
+            );
+        } else {
+            self.cost.resize(solution.len(), 0.0);
         }
+        self.allowed.clear();
+        self.allowed.extend(
+            solution
+                .iter()
+                .enumerate()
+                .map(|(i, c)| objective.allowed(i, c)),
+        );
         self.disallowed = self.allowed.iter().filter(|&&ok| !ok).count();
         self.service_sum = self.service.iter().sum();
         self.cost_sum = self.cost.iter().sum();
     }
 
-    /// Re-derives the cost terms and permissions at `changed` from
-    /// `solution` and re-forms the cost sum: enough for
+    /// Re-derives the permissions at `changed` from `solution`, and with a
+    /// budget the cost terms there and the cost sum: enough for
     /// [`TermBaseline::is_feasible`]. The tables must describe `solution`
     /// everywhere else.
     pub fn refresh_cost<T: SeparableObjective + ?Sized>(
@@ -124,26 +138,31 @@ impl TermBaseline {
         solution: &[FnChoice],
         changed: &[usize],
     ) {
+        let priced = objective.budget().is_some();
         for &i in changed {
-            self.cost[i] = objective.cost_term(i, &solution[i]);
+            if priced {
+                self.cost[i] = objective.cost_term(i, &solution[i]);
+            }
             let allowed = objective.allowed(i, &solution[i]);
             self.disallowed =
                 self.disallowed + usize::from(!allowed) - usize::from(!self.allowed[i]);
             self.allowed[i] = allowed;
         }
-        self.cost_sum = self.cost.iter().sum();
+        if priced {
+            self.cost_sum = self.cost.iter().sum();
+        }
     }
 
-    /// [`TermBaseline::refresh_cost`] plus the service terms at `changed`
-    /// and the service sum, after which the tables equal a fresh
-    /// [`TermBaseline::compute`] of `solution`.
-    pub fn refresh<T: SeparableObjective + ?Sized>(
+    /// Re-derives the service terms at `changed` and re-forms the service
+    /// sum. After [`TermBaseline::refresh_cost`] at the same indices of
+    /// the same `solution`, the tables equal a fresh
+    /// [`TermBaseline::compute`] of it.
+    pub fn refresh_service<T: SeparableObjective + ?Sized>(
         &mut self,
         objective: &T,
         solution: &[FnChoice],
         changed: &[usize],
     ) {
-        self.refresh_cost(objective, solution, changed);
         for &i in changed {
             self.service[i] = objective.service_term(i, &solution[i]);
         }
@@ -334,15 +353,19 @@ impl CoordinateDescent {
                     if !objective.allowed(idx, &neighbor) {
                         continue;
                     }
-                    let new_cost = objective.cost_term(idx, &neighbor);
-                    let new_cost_sum = cost_sum - current_cost + new_cost;
-                    let feasible = match budget {
-                        None => true,
-                        Some(b) => new_cost_sum <= b || new_cost_sum < cost_sum,
+                    // Without a budget every move is feasible and no cost
+                    // is ever read, so none is derived.
+                    let new_cost = match budget {
+                        None => 0.0,
+                        Some(b) => {
+                            let new_cost = objective.cost_term(idx, &neighbor);
+                            let new_cost_sum = cost_sum - current_cost + new_cost;
+                            if !(new_cost_sum <= b || new_cost_sum < cost_sum) {
+                                continue;
+                            }
+                            new_cost
+                        }
                     };
-                    if !feasible {
-                        continue;
-                    }
                     let new_service_sum =
                         service_sum - current_service + objective.service_term(idx, &neighbor);
                     if new_service_sum < service_sum {
@@ -516,7 +539,8 @@ mod tests {
         tables.compute(&bowl, &solution);
         solution[1] = FnChoice::new(Arch::Arm, true, SimDuration::from_mins(9));
         solution[4] = FnChoice::drop_now(Arch::X86);
-        tables.refresh(&bowl, &solution, &[1, 4]);
+        tables.refresh_cost(&bowl, &solution, &[1, 4]);
+        tables.refresh_service(&bowl, &solution, &[1, 4]);
         let mut fresh = TermBaseline::default();
         fresh.compute(&bowl, &solution);
         assert_eq!(tables.service, fresh.service);

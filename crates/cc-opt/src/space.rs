@@ -25,7 +25,7 @@ pub fn search_space_size(n: usize) -> u128 {
 const BLOCK: usize = 64;
 
 /// Safety factor of the sampler's fast-path tolerance over its
-/// rounding-error bound (DESIGN.md §14).
+/// rounding-error bound, running-sum terms included (DESIGN.md §14).
 const TOL_FACTOR: f64 = 8.0;
 
 /// Reusable buffers for [`sample_subproblems_into`]: the sampling-weight
@@ -35,8 +35,13 @@ const TOL_FACTOR: f64 = 8.0;
 pub struct SubproblemScratch {
     weights: Vec<f64>,
     /// `block_sums[b]` is the in-order sum of the `b`-th run of [`BLOCK`]
-    /// weights.
+    /// weights at the start of a round; the round's draws then subtract
+    /// each picked weight from its block's sum.
     block_sums: Vec<f64>,
+    /// `live[b]` counts the positive weights of block `b`, so that a
+    /// block the draws drain reads exactly 0 rather than a rounding
+    /// residue of its subtractions.
+    live: Vec<u32>,
     /// The blocks [`SubproblemScratch::refresh`] re-sums.
     dirty_blocks: Vec<usize>,
 }
@@ -49,6 +54,12 @@ impl SubproblemScratch {
         self.block_sums.clear();
         self.block_sums
             .extend(self.weights.chunks(BLOCK).map(|b| b.iter().sum::<f64>()));
+        self.live.clear();
+        self.live.extend(
+            self.weights
+                .chunks(BLOCK)
+                .map(|b| b.iter().filter(|&&w| w > 0.0).count() as u32),
+        );
     }
 
     /// Brings the weights and block sums back to what
@@ -60,6 +71,7 @@ impl SubproblemScratch {
     pub(crate) fn refresh(&mut self, opt_counts: &[u32], changed: &[usize]) {
         self.dirty_blocks.clear();
         for &i in changed {
+            self.live[i / BLOCK] += u32::from(self.weights[i] <= 0.0);
             self.weights[i] = weight(opt_counts[i]);
             self.dirty_blocks.push(i / BLOCK);
         }
@@ -192,6 +204,12 @@ pub(crate) fn sample_filled(
 /// [`sample_filled`] with the fast-path tolerance factor as a parameter
 /// (an infinite factor forces the exact scan on every draw). Returns how
 /// many draws the block-sum search decided.
+///
+/// The block sums and their total are running sums: each draw subtracts
+/// the picked weight from its block's sum and from the total, and a
+/// drained block is set to exactly 0. The tolerance is fixed for the
+/// round, relative to its starting total, and widened by what the
+/// round's `k` subtractions can round (DESIGN.md §14).
 fn sample_with_tolerance(
     rng: &mut StdRng,
     num_subproblems: usize,
@@ -204,30 +222,36 @@ fn sample_with_tolerance(
     let SubproblemScratch {
         weights,
         block_sums,
+        live,
         ..
     } = scratch;
     let n = weights.len();
-    // Bounds the rounding of the exact scan's sum and subtraction chain
-    // plus that of the block estimate, relative to the total weight.
-    let tol_per_total = tol_factor * (n + BLOCK) as f64 * f64::EPSILON;
+    let k = n.min(num_subproblems * funcs_per_subproblem);
+    let mut total: f64 = block_sums.iter().sum();
+    // Bounds the rounding of the exact scan's sum and subtraction chain,
+    // of the block estimate and of the running sums.
+    let tol = tol_factor * (n + BLOCK + k) as f64 * f64::EPSILON * total;
     let mut fast = 0;
+    // Every weight is positive and each draw zeroes one, so the weights
+    // run out exactly when `remaining` does.
     let mut remaining = n;
     for _ in 0..num_subproblems {
         for _ in 0..funcs_per_subproblem {
             if remaining == 0 {
                 break;
             }
-            // Zero exactly when every weight is (weights are never tiny
-            // enough for a sum of them to round to zero).
-            let total: f64 = block_sums.iter().sum();
-            if total <= 0.0 {
-                break;
-            }
-            let (idx, decided) = pick(weights, block_sums, total, rng.gen(), tol_per_total);
+            let (idx, decided) = pick(weights, block_sums, total, rng.gen(), tol / total);
             fast += usize::from(decided);
             groups.push(idx);
-            weights[idx] = 0.0;
-            block_sums[idx / BLOCK] = block_sum(weights, idx / BLOCK);
+            let w = std::mem::take(&mut weights[idx]);
+            let block = idx / BLOCK;
+            live[block] -= 1;
+            block_sums[block] = if live[block] == 0 {
+                0.0
+            } else {
+                block_sums[block] - w
+            };
+            total -= w;
             remaining -= 1;
         }
         groups.commit_group();
@@ -235,10 +259,10 @@ fn sample_with_tolerance(
     fast
 }
 
-/// The index draw `r` samples, given the block sums and their in-order
-/// `total`: the block-sum answer where it provably equals the exact
-/// scan's, otherwise the exact scan's. The flag is whether the block-sum
-/// search decided.
+/// The index draw `r` samples, given the block sums and their `total`:
+/// the block-sum answer where it provably equals the exact scan's
+/// (`tol_per_total × total` bounds their disagreement), otherwise the
+/// exact scan's. The flag is whether the block-sum search decided.
 fn pick(
     weights: &[f64],
     block_sums: &[f64],
@@ -246,7 +270,12 @@ fn pick(
     r: f64,
     tol_per_total: f64,
 ) -> (usize, bool) {
-    match pick_by_blocks(weights, block_sums, r * total, tol_per_total * total) {
+    let by_blocks = if total > 0.0 {
+        pick_by_blocks(weights, block_sums, r * total, tol_per_total * total)
+    } else {
+        None
+    };
+    match by_blocks {
         Some(idx) => (idx, true),
         None => (pick_exact(weights, r), false),
     }
@@ -611,6 +640,38 @@ mod tests {
         #[test]
         fn block_sampler_matches_the_reference(case in cases()) {
             differential(case)?;
+        }
+    }
+
+    /// A round that drains whole blocks leaves their running sums at
+    /// exactly 0, not at a residue of their subtractions, and still draws
+    /// the reference's groups. Blocks 0 and 1 hold weights 1, 1/2, …, 1/7
+    /// (their subtractions round) and every other weight is about
+    /// 2.3e-10, so the first 128 draws drain both blocks and the last 64
+    /// pick among weights not far above the rounding the running sums
+    /// have gathered: with the tolerance of exact block sums, relative to
+    /// the running total, seed 0 already draws a different group.
+    #[test]
+    fn drained_blocks_read_exactly_zero() {
+        let mut counts = vec![u32::MAX; 300];
+        for (i, c) in counts[..2 * BLOCK].iter_mut().enumerate() {
+            *c = i as u32 % 7;
+        }
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let expected = reference_sample(&mut rng, &counts, 16, 12);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scratch = SubproblemScratch::default();
+            let mut groups = IndexGroups::default();
+            scratch.fill(&counts);
+            sample_filled(&mut rng, 16, 12, &mut scratch, &mut groups);
+            let got: Vec<Vec<usize>> = groups.iter().map(|g| g.to_vec()).collect();
+            assert_eq!(got, expected, "seed {seed}");
+            let picked: Vec<usize> = got.iter().flatten().copied().collect();
+            assert!((0..2 * BLOCK).all(|i| picked.contains(&i)), "seed {seed}");
+            assert_eq!(scratch.live[..2], [0, 0]);
+            assert_eq!(scratch.block_sums[0].to_bits(), 0.0f64.to_bits());
+            assert_eq!(scratch.block_sums[1].to_bits(), 0.0f64.to_bits());
         }
     }
 

@@ -283,11 +283,13 @@ impl Sre {
                     for &idx in touched.iter() {
                         current[idx].keep_alive = cc_types::SimDuration::ZERO;
                     }
+                    // The zeroed windows postdate the last cost refresh.
+                    tables.refresh_cost(objective, &current, touched);
                 }
             }
             // Not counted into `evaluations`: the final pick below charges
             // one evaluation per round for reading this cost back.
-            tables.refresh(objective, &current, touched);
+            tables.refresh_service(objective, &current, touched);
             let cost = tables.evaluate();
             round_costs.push(cost);
             if let Some(probe) = probe.as_deref_mut() {

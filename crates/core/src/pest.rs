@@ -50,6 +50,11 @@ pub struct PestEstimator {
     global_sum: f64,
     global_sum_sq: f64,
     last_arrival: Option<SimTime>,
+    /// [`PestEstimator::estimate`]'s value, derived at the end of every
+    /// [`PestEstimator::record`] — the only method that changes the
+    /// state it is a function of — so reading it costs nothing on the
+    /// interval tick.
+    estimate: Option<SimDuration>,
 }
 
 /// The paper's local window: the last 10 invocations.
@@ -79,6 +84,7 @@ impl PestEstimator {
             global_sum: 0.0,
             global_sum_sq: 0.0,
             last_arrival: None,
+            estimate: None,
         }
     }
 
@@ -106,10 +112,16 @@ impl PestEstimator {
             self.global_sum_sq += gap * gap;
         }
         self.last_arrival = Some(now);
+        self.estimate = self.compute_estimate();
     }
 
     /// The blended `P_est`, or `None` before two invocations.
     pub fn estimate(&self) -> Option<SimDuration> {
+        self.estimate
+    }
+
+    /// The blended `P_est` of the current state, computed from scratch.
+    fn compute_estimate(&self) -> Option<SimDuration> {
         if self.local.is_empty() || self.global_count == 0 {
             return None;
         }
@@ -162,6 +174,7 @@ impl Default for PestEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn at(mins: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_mins(mins)
@@ -281,5 +294,66 @@ mod tests {
     #[should_panic(expected = "local window must be non-empty")]
     fn rejects_zero_window() {
         let _ = PestEstimator::with_local_window(0);
+    }
+
+    /// The blended estimate computed from the whole gap history alone:
+    /// the local window is the last `window` gaps, and the global
+    /// accumulators are in-order sums over the gaps since the last reset.
+    fn reference_estimate(gaps: &[f64], window: usize) -> Option<SimDuration> {
+        if gaps.is_empty() {
+            return None;
+        }
+        let local = &gaps[gaps.len().saturating_sub(window)..];
+        let reset = GLOBAL_RESET_EVERY as usize;
+        let open = &gaps[(gaps.len() - 1) / reset * reset..];
+        let global_count = open.len() as u64;
+        let global_sum = open.iter().fold(0.0, |acc, g| acc + g);
+        let global_sum_sq = open.iter().fold(0.0, |acc, g| acc + g * g);
+
+        let l_m = local.iter().sum::<f64>() / local.len() as f64;
+        let l_var = local.iter().map(|g| (g - l_m) * (g - l_m)).sum::<f64>() / local.len() as f64;
+        let l_s = l_var.sqrt();
+
+        let g_m = global_sum / global_count as f64;
+        let g_var = (global_sum_sq / global_count as f64 - g_m * g_m).max(0.0);
+        let g_s = g_var.sqrt();
+
+        let denom = l_m.max(g_m);
+        let w = if denom > 0.0 {
+            (l_m - g_m).abs() / denom
+        } else {
+            0.0
+        };
+        let pest = w * (l_m + l_s) + (1.0 - w) * (g_m + g_s);
+        Some(SimDuration::from_secs_f64(pest))
+    }
+
+    // The stored estimate has, after every `record`, the very bits a
+    // from-scratch evaluation of the history gives: gaps of zero and gaps
+    // across six orders of magnitude (`digit × 10^exponent` µs, digit 0 a
+    // zero gap), windows 1–100, and histories long enough (up to 2 500
+    // gaps) to reset the global window.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stored_estimate_matches_a_from_scratch_reference(
+            window in 1usize..=100,
+            steps in prop::collection::vec((0u64..10, 0u32..6), 1..=2_500),
+        ) {
+            let mut est = PestEstimator::with_local_window(window);
+            let mut gaps = Vec::with_capacity(steps.len());
+            let mut t = SimTime::ZERO;
+            est.record(t);
+            prop_assert_eq!(est.estimate(), None);
+            for &(digit, exponent) in &steps {
+                let gap = SimDuration::from_micros(digit * 10u64.pow(exponent));
+                t += gap;
+                gaps.push(gap.as_secs_f64());
+                est.record(t);
+                prop_assert_eq!(est.estimate(), reference_estimate(&gaps, window));
+            }
+            prop_assert!(est.global_len() <= GLOBAL_RESET_EVERY);
+        }
     }
 }

@@ -24,13 +24,8 @@ pub struct CodeCrunch {
     /// (function ids are dense). `place`/`on_completion` run once per
     /// invocation, so the lookup must be an array index, not a hash.
     plan: Vec<Option<FnChoice>>,
-    /// Dense membership flags + insertion list standing in for an ordered
-    /// set of the functions invoked this interval: `on_arrival` tests and
-    /// sets a flag (O(1), no tree walk), and the interval tick sorts the
-    /// distinct-id list — [`FunctionId`]'s `Ord` is its dense index, so
-    /// the sorted order matches what a `BTreeSet` would have iterated.
-    invoked_flags: Vec<bool>,
-    invoked_list: Vec<FunctionId>,
+    /// The functions invoked this interval.
+    invoked: InvokedSet,
     interval_index: u64,
     /// When set (by the engine, only while a real event sink is attached),
     /// per-round optimizer progress is buffered in `opt_rounds` for
@@ -41,7 +36,7 @@ pub struct CodeCrunch {
     /// Recycled SRE working buffers, reused across intervals so the
     /// per-interval optimization allocates nothing in steady state.
     sre_scratch: SreScratch,
-    /// Recycled interval-tick buffers (invoked-function list, P_est
+    /// Recycled interval-tick buffers (invoked-function list, `P_est`
     /// column, start solution, local opt-counts); like `sre_scratch`,
     /// these make the steady-state tick allocation-free.
     scratch_functions: Vec<FunctionId>,
@@ -72,8 +67,7 @@ impl CodeCrunch {
             exec: ExecObserver::new(0, exec_alpha),
             opt_counts: Vec::new(),
             plan: Vec::new(),
-            invoked_flags: Vec::new(),
-            invoked_list: Vec::new(),
+            invoked: InvokedSet::default(),
             interval_index: 0,
             introspect: false,
             opt_rounds: Vec::new(),
@@ -109,7 +103,7 @@ impl CodeCrunch {
             ));
             self.opt_counts.push(0);
             self.plan.push(None);
-            self.invoked_flags.push(false);
+            self.invoked.grow(needed);
         }
         if !self.exec.covers(needed) {
             self.exec.grow(needed);
@@ -239,6 +233,43 @@ impl Default for CodeCrunch {
     }
 }
 
+/// The set of functions invoked since the last tick, one bit per dense
+/// function index. `on_arrival` sets a bit in O(1), and the tick drains
+/// the words in order, which yields the invoked ids ascending — the order
+/// the interval's optimization, and so every plan, depends on.
+#[derive(Debug, Default)]
+struct InvokedSet {
+    words: Vec<u64>,
+}
+
+impl InvokedSet {
+    /// Makes room for function indices below `len`.
+    fn grow(&mut self, len: usize) {
+        let words = len.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Adds function index `idx`; [`InvokedSet::grow`] must cover it.
+    fn insert(&mut self, idx: usize) {
+        self.words[idx / 64] |= 1 << (idx % 64);
+    }
+
+    /// Replaces `out`'s contents with the members in ascending order and
+    /// empties the set.
+    fn drain_into(&mut self, out: &mut Vec<FunctionId>) {
+        out.clear();
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(FunctionId::new((w * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// Translates an SRE round snapshot into the observability vocabulary.
 fn convert_round(stats: SreRoundStats) -> OptimizerRound {
     OptimizerRound {
@@ -265,10 +296,7 @@ impl Scheduler for CodeCrunch {
         self.ensure_capacity(function);
         let idx = function.index();
         self.pest[idx].record(now);
-        if !self.invoked_flags[idx] {
-            self.invoked_flags[idx] = true;
-            self.invoked_list.push(function);
-        }
+        self.invoked.insert(idx);
     }
 
     fn on_record(&mut self, record: &ServiceRecord) {
@@ -306,21 +334,10 @@ impl Scheduler for CodeCrunch {
         // scratch fields: taken here, returned before every exit, so the
         // steady-state tick performs no heap allocation.
         let mut functions = std::mem::take(&mut self.scratch_functions);
-        functions.clear();
-        // Sorting the distinct-id list reproduces the ascending iteration
-        // order of the ordered set this replaces (ids sort by dense index).
-        self.invoked_list.sort_unstable();
-        functions.extend(self.invoked_list.iter().copied());
-        for &f in &self.invoked_list {
-            self.invoked_flags[f.index()] = false;
-        }
-        self.invoked_list.clear();
+        self.invoked.drain_into(&mut functions);
         if functions.is_empty() {
             self.scratch_functions = functions;
             return Vec::new();
-        }
-        for &f in &functions {
-            self.ensure_capacity(f);
         }
 
         let mut pest = std::mem::take(&mut self.scratch_pest);
@@ -673,6 +690,25 @@ mod tests {
             .iter()
             .all(|r| r.subproblems >= 1 && r.dimensions >= 3));
         assert!(rounds.iter().any(|r| r.evaluations > 0));
+    }
+
+    /// Repeated arrivals in any order reach the tick as the ascending
+    /// distinct ids, across word boundaries, and the drain empties the set.
+    #[test]
+    fn invoked_set_drains_ascending_distinct_ids() {
+        let mut crunch = CodeCrunch::new();
+        let mut now = SimTime::ZERO;
+        for id in [4_095, 64, 0, 127, 63, 64, 4_095, 0, 127, 127, 63, 0] {
+            now += SimDuration::from_secs(1);
+            crunch.on_arrival(FunctionId::new(id), now);
+        }
+        let mut functions = Vec::new();
+        crunch.invoked.drain_into(&mut functions);
+        let ids: Vec<usize> = functions.iter().map(|f| f.index()).collect();
+        assert_eq!(ids, [0, 63, 64, 127, 4_095]);
+        crunch.invoked.drain_into(&mut functions);
+        assert!(functions.is_empty(), "the drain must empty the set");
+        assert!(crunch.invoked.words.iter().all(|&w| w == 0));
     }
 
     #[test]
